@@ -11,9 +11,7 @@
 //! the paper's Fig. 1 runs into — see `tomo-graph::topology`).
 
 use tomo_graph::{LinkId, Path};
-use tomo_linalg::{norms, Matrix, Vector};
-
-use crate::system::build_routing_matrix;
+use tomo_linalg::rank::SparseRank;
 
 /// Result of analyzing a candidate path set.
 #[derive(Debug, Clone)]
@@ -47,62 +45,33 @@ impl IdentifiabilityReport {
 
 /// Analyzes which link metrics a path set can determine.
 ///
-/// Uses an orthonormal null-space basis of `R` (built column-by-column
-/// from the identity complement of the row space): link `j` is
-/// identifiable iff the null-space basis has (numerically) zero `j`-th
-/// coordinates throughout.
+/// Feeds the path rows to an exact [`SparseRank`] tracker; link `j` is
+/// then identifiable iff the unit row `e_j` does not raise the rank,
+/// i.e. `e_j` already lies in the row space of `R`.
 #[must_use]
 pub fn analyze_paths(paths: &[Path], num_links: usize) -> IdentifiabilityReport {
-    let r = build_routing_matrix(paths, num_links);
-    analyze_matrix(&r)
-}
-
-/// Matrix-level variant of [`analyze_paths`].
-#[must_use]
-pub fn analyze_matrix(r: &Matrix) -> IdentifiabilityReport {
-    let num_links = r.cols();
-    // Row-space basis via Gram-Schmidt over the rows.
-    let mut row_basis: Vec<Vector> = Vec::new();
-    let tol = 1e-9 * (1.0 + r.max_abs());
-    for i in 0..r.rows() {
-        let mut v = Vector::from(r.row(i));
-        for _ in 0..2 {
-            for b in &row_basis {
-                let c = v.dot(b).expect("same length");
-                if c != 0.0 {
-                    v = v.axpy(-c, b).expect("same length");
-                }
-            }
-        }
-        let n = norms::l2(&v);
-        if n > tol {
-            row_basis.push(v.scaled(1.0 / n));
-        }
-    }
-    let rank = row_basis.len();
-
-    // Link j identifiable ⟺ e_j lies in the row space ⟺ the residual of
-    // e_j against the row-space basis is zero.
-    let identifiable: Vec<bool> = (0..num_links)
-        .map(|j| {
-            let mut v = Vector::basis(num_links, j);
-            for _ in 0..2 {
-                for b in &row_basis {
-                    let c = v.dot(b).expect("same length");
-                    if c != 0.0 {
-                        v = v.axpy(-c, b).expect("same length");
-                    }
-                }
-            }
-            norms::l2(&v) <= 1e-7
-        })
+    let mut tracker = path_rank(paths, num_links);
+    let identifiable = (0..num_links)
+        .map(|j| !tracker.would_increase([j]))
         .collect();
-
     IdentifiabilityReport {
-        rank,
+        rank: tracker.rank(),
         num_links,
         identifiable,
     }
+}
+
+/// Exact rank tracker over the paths' routing rows, stopping once they
+/// span every link.
+pub(crate) fn path_rank(paths: &[Path], num_links: usize) -> SparseRank {
+    let mut tracker = SparseRank::new(num_links);
+    for p in paths {
+        if tracker.is_full() {
+            break;
+        }
+        tracker.try_add(p.links().iter().map(|l| l.index()));
+    }
+    tracker
 }
 
 #[cfg(test)]
@@ -170,18 +139,10 @@ mod tests {
 
     #[test]
     fn empty_path_set() {
+        // Every column of an empty R is zero: no link is identifiable.
         let report = analyze_paths(&[], 4);
         assert_eq!(report.rank, 0);
         assert_eq!(report.unidentifiable_links().len(), 4);
-    }
-
-    #[test]
-    fn zero_column_is_unidentifiable() {
-        // A link never measured: its column is zero.
-        let r = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let report = analyze_matrix(&r);
-        assert_eq!(report.rank, 1);
-        assert_eq!(report.identifiable, vec![true, false]);
     }
 
     #[test]

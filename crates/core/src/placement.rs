@@ -17,9 +17,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use tomo_graph::{shortest, Graph, NodeId, Path};
-use tomo_linalg::rank::IncrementalRank;
+use tomo_linalg::rank::SparseRank;
 
-use crate::selection::path_row;
 use crate::{CoreError, TomographySystem};
 
 /// Configuration for randomized monitor placement.
@@ -80,7 +79,7 @@ pub fn random_placement<R: Rng + ?Sized>(
     let budget = config.max_monitors.unwrap_or(graph.num_nodes());
 
     let mut monitors: Vec<NodeId> = Vec::new();
-    let mut tracker = IncrementalRank::new(num_links);
+    let mut tracker = SparseRank::new(num_links);
     let mut chosen: Vec<Path> = Vec::new();
     let mut skipped: Vec<Path> = Vec::new();
 
@@ -90,7 +89,7 @@ pub fn random_placement<R: Rng + ?Sized>(
             let paths =
                 shortest::yen_k_shortest(graph, existing, candidate, config.paths_per_pair)?;
             for p in paths {
-                if tracker.try_add(&path_row(&p, num_links)) {
+                if tracker.try_add(p.links().iter().map(|l| l.index())) {
                     chosen.push(p);
                 } else {
                     skipped.push(p);

@@ -9,8 +9,7 @@
 //! want `|P| > |L|`.
 
 use tomo_graph::Path;
-use tomo_linalg::rank::IncrementalRank;
-use tomo_linalg::Vector;
+use tomo_linalg::rank::SparseRank;
 
 /// Result of a greedy selection pass.
 #[derive(Debug, Clone)]
@@ -21,16 +20,6 @@ pub struct SelectionOutcome {
     pub rank: usize,
     /// Number of redundant (non-rank-increasing) paths included.
     pub redundant: usize,
-}
-
-/// Converts a path to its routing-matrix row over `num_links` links.
-#[must_use]
-pub fn path_row(path: &Path, num_links: usize) -> Vector {
-    let mut row = Vector::zeros(num_links);
-    for l in path.links() {
-        row[l.index()] = 1.0;
-    }
-    row
 }
 
 /// Greedy rank-first selection from an ordered candidate pool.
@@ -49,11 +38,11 @@ pub fn select_identifiable_paths(
     num_links: usize,
     extra: usize,
 ) -> SelectionOutcome {
-    let mut tracker = IncrementalRank::new(num_links);
+    let mut tracker = SparseRank::new(num_links);
     let mut chosen = Vec::new();
     let mut skipped = Vec::new();
     for p in candidates {
-        if tracker.try_add(&path_row(p, num_links)) {
+        if tracker.try_add(p.links().iter().map(|l| l.index())) {
             chosen.push(p.clone());
         } else {
             skipped.push(p.clone());
@@ -73,18 +62,6 @@ pub fn select_identifiable_paths(
 mod tests {
     use super::*;
     use tomo_graph::{enumerate, topology};
-
-    #[test]
-    fn path_row_marks_links() {
-        let f = topology::fig1();
-        let nodes = [f.node("M3"), f.node("D"), f.node("M2")];
-        let p = tomo_graph::Path::from_nodes(&f.graph, &nodes).unwrap();
-        let row = path_row(&p, 10);
-        // Links 9 and 10 (paper numbering) = indices 8 and 9.
-        assert_eq!(row[8], 1.0);
-        assert_eq!(row[9], 1.0);
-        assert_eq!(row.sum(), 2.0);
-    }
 
     #[test]
     fn fig1_pool_reaches_full_rank() {

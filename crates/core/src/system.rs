@@ -20,11 +20,12 @@ static DELTA_COLLAPSES: LazyCounter = LazyCounter::new("core.estimator_cache.del
 
 /// Routing matrices with at most this many cells (`|P|·|L|`) take the
 /// dense construction path: materialize the dense `R` eagerly and
-/// certify identifiability with an explicit Gaussian-elimination rank
-/// computation. Above the gate the O(|P|·|L|²) rank pre-check (hours at
-/// Rocketfuel scale) and the dense copy of `R` are skipped; the Cholesky
-/// factorization of the Gram matrix — which construction performs
-/// anyway — becomes the identifiability certificate instead.
+/// certify identifiability with an exact sparse rank computation
+/// (`tomo_linalg::rank::SparseRank`). Above the gate the rank pre-check
+/// (whose elimination fill-in grows with the system) and the dense copy
+/// of `R` are skipped; the Cholesky factorization of the Gram matrix —
+/// which construction performs anyway — becomes the identifiability
+/// certificate instead.
 pub const DENSE_KERNEL_MAX_CELLS: usize = 1 << 20;
 
 /// Which construction/validation kernel a [`TomographySystem`] selected
@@ -275,15 +276,14 @@ impl TomographySystem {
         };
         if kernel == KernelKind::Dense {
             KERNEL_DENSE.inc();
-            let dense = routing_csr.to_dense();
-            let rank = tomo_linalg::rank::rank(&dense);
+            let rank = crate::identifiability::path_rank(&paths, num_links).rank();
             if rank < num_links {
                 return Err(CoreError::NotIdentifiable {
                     rank,
                     links: num_links,
                 });
             }
-            let _ = routing.set(dense);
+            let _ = routing.set(routing_csr.to_dense());
         } else {
             KERNEL_SPARSE.inc();
         }
@@ -752,22 +752,9 @@ fn complement_rows(surviving: &[usize], total: usize) -> Vec<usize> {
     out
 }
 
-/// Builds the 0/1 routing matrix `R` from a path list: `R[i][j] = 1` iff
-/// link `j` lies on path `i` (Eq. 1).
-#[must_use]
-pub fn build_routing_matrix(paths: &[Path], num_links: usize) -> Matrix {
-    let mut r = Matrix::zeros(paths.len(), num_links);
-    for (i, p) in paths.iter().enumerate() {
-        for l in p.links() {
-            r[(i, l.index())] = 1.0;
-        }
-    }
-    r
-}
-
-/// Builds the routing matrix in CSR form straight from the paths' link
-/// lists, without a dense intermediate. `to_dense()` of the result equals
-/// [`build_routing_matrix`] exactly.
+/// Builds the 0/1 routing matrix `R` (Eq. 1: `R[i][j] = 1` iff link `j`
+/// lies on path `i`) in CSR form straight from the paths' link lists,
+/// without a dense intermediate.
 ///
 /// # Errors
 ///
@@ -1018,9 +1005,7 @@ mod tests {
     }
 
     #[test]
-    fn build_routing_matrix_empty() {
-        let r = build_routing_matrix(&[], 5);
-        assert_eq!(r.shape(), (0, 5));
+    fn build_routing_csr_empty() {
         assert_eq!(build_routing_csr(&[], 5).unwrap().shape(), (0, 5));
     }
 

@@ -13,7 +13,7 @@
 //!   [`rgg::RggConfig`].
 //!
 //! On top of the plain [`Graph`] type it implements the path machinery
-//! tomography needs: BFS/Dijkstra/Yen shortest paths
+//! tomography needs: BFS and Yen k-shortest paths
 //! ([`shortest`]) and bounded simple-path enumeration ([`enumerate`]).
 //!
 //! # Example

@@ -1,135 +1,115 @@
-//! Shortest paths: Dijkstra and Yen's k-shortest loopless paths.
+//! Shortest paths by hop count: breadth-first search and Yen's
+//! k-shortest loopless paths.
 //!
 //! Monitor pairs use these to build candidate measurement-path pools. Yen's
 //! algorithm provides path *diversity*, which identifiability-driven path
 //! selection needs (distinct paths must cover independent link
 //! combinations).
+//!
+//! **Tie-break rule.** Among equally short paths, the search returns the
+//! one whose every node's predecessor is its *lowest-id* neighbour one hop
+//! closer to the source (over the links and nodes not banned). The seeded
+//! placements behind the committed artifacts depend on exactly this rule:
+//! changing it changes which measurement paths get chosen.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::{Graph, GraphError, LinkId, NodeId, Path};
 
-use crate::{Graph, GraphError, NodeId, Path};
-
-/// Max-heap entry flipped into a min-heap by reversing the comparison.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// Scratch state of one breadth-first search, reused across the spur
+/// searches of a Yen call. Bans and visit marks are *stamped* — an entry
+/// is set iff it equals the current stamp — so starting a new search is
+/// one counter bump instead of clearing per-node and per-link vectors.
+struct Search {
+    stamp: u32,
+    banned_nodes: Vec<u32>,
+    banned_links: Vec<u32>,
+    seen: Vec<u32>,
+    prev: Vec<NodeId>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+    /// Node sequence of the last path found, source first.
+    path: Vec<NodeId>,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smallest distance first; ties by node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Dijkstra with optional per-link weights (unit weights when `None`) and
-/// optional node/link bans (used internally by Yen's spur computation).
-///
-/// Returns the shortest path from `source` to `target`, or `None` if
-/// unreachable.
-///
-/// # Errors
-///
-/// Returns [`GraphError::UnknownNode`] for missing endpoints, or
-/// [`GraphError::InvalidPath`] if `weights` has the wrong length or a
-/// negative entry.
-pub fn dijkstra_with_bans(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    weights: Option<&[f64]>,
-    banned_nodes: &[bool],
-    banned_links: &[bool],
-) -> Result<Option<Path>, GraphError> {
-    let _ = graph.label(source)?;
-    let _ = graph.label(target)?;
-    if let Some(w) = weights {
-        if w.len() != graph.num_links() {
-            return Err(GraphError::InvalidPath {
-                reason: format!(
-                    "weights length {} does not match link count {}",
-                    w.len(),
-                    graph.num_links()
-                ),
-            });
-        }
-        if w.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-            return Err(GraphError::InvalidPath {
-                reason: "link weights must be finite and non-negative".into(),
-            });
+impl Search {
+    fn new(graph: &Graph) -> Self {
+        Search {
+            stamp: 1,
+            banned_nodes: vec![0; graph.num_nodes()],
+            banned_links: vec![0; graph.num_links()],
+            seen: vec![0; graph.num_nodes()],
+            prev: vec![NodeId(0); graph.num_nodes()],
+            frontier: Vec::new(),
+            next: Vec::new(),
+            path: Vec::new(),
         }
     }
-    if banned_nodes.get(source.index()).copied().unwrap_or(false)
-        || banned_nodes.get(target.index()).copied().unwrap_or(false)
-    {
-        return Ok(None);
+
+    fn ban_node(&mut self, n: NodeId) {
+        self.banned_nodes[n.index()] = self.stamp;
     }
 
-    let n = graph.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    dist[source.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
+    fn ban_link(&mut self, l: LinkId) {
+        self.banned_links[l.index()] = self.stamp;
+    }
 
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
+    /// Breadth-first search from `source` to `target` (known nodes)
+    /// avoiding the banned nodes and links. Each level is expanded in
+    /// ascending node id, so a node's predecessor is the lowest-id
+    /// neighbour one level closer — the module's tie-break rule. On
+    /// success the path is left in `self.path`; `source == target` or a
+    /// banned endpoint has no path.
+    fn run(&mut self, graph: &Graph, source: NodeId, target: NodeId) -> bool {
+        let stamp = self.stamp;
+        if source == target
+            || self.banned_nodes[source.index()] == stamp
+            || self.banned_nodes[target.index()] == stamp
+        {
+            return false;
         }
-        done[u.index()] = true;
-        if u == target {
-            break;
-        }
-        for &(v, l) in graph.neighbors(u)? {
-            if done[v.index()]
-                || banned_nodes.get(v.index()).copied().unwrap_or(false)
-                || banned_links.get(l.index()).copied().unwrap_or(false)
-            {
-                continue;
+        self.seen[source.index()] = stamp;
+        self.frontier.clear();
+        self.frontier.push(source);
+        'levels: while !self.frontier.is_empty() {
+            self.frontier.sort_unstable();
+            self.next.clear();
+            for &u in &self.frontier {
+                let adjacent = graph.neighbors(u).expect("frontier nodes are graph nodes");
+                for &(v, l) in adjacent {
+                    if self.seen[v.index()] == stamp
+                        || self.banned_nodes[v.index()] == stamp
+                        || self.banned_links[l.index()] == stamp
+                    {
+                        continue;
+                    }
+                    self.seen[v.index()] = stamp;
+                    self.prev[v.index()] = u;
+                    if v == target {
+                        break 'levels;
+                    }
+                    self.next.push(v);
+                }
             }
-            let w = weights.map_or(1.0, |ws| ws[l.index()]);
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
+        if self.seen[target.index()] != stamp {
+            return false;
+        }
+        self.path.clear();
+        let mut cur = target;
+        self.path.push(cur);
+        while cur != source {
+            cur = self.prev[cur.index()];
+            self.path.push(cur);
+        }
+        self.path.reverse();
+        true
     }
-
-    if dist[target.index()].is_infinite() {
-        return Ok(None);
-    }
-    // Reconstruct node sequence.
-    let mut nodes = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = prev[cur.index()].expect("reached nodes have predecessors");
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    Ok(Some(Path::from_nodes(graph, &nodes)?))
 }
 
-/// Shortest path by hop count (unit weights).
+/// Shortest path by hop count, ties broken by the module's
+/// lowest-id-predecessor rule.
+///
+/// Returns `None` if `target` is unreachable or `source == target`.
 ///
 /// # Errors
 ///
@@ -148,6 +128,7 @@ pub fn dijkstra_with_bans(
 /// g.add_link(a, c)?;
 /// let p = shortest::shortest_path(&g, a, c)?.expect("connected");
 /// assert_eq!(p.num_links(), 1);
+/// assert!(shortest::shortest_path(&g, a, a)?.is_none());
 /// # Ok(())
 /// # }
 /// ```
@@ -156,11 +137,22 @@ pub fn shortest_path(
     source: NodeId,
     target: NodeId,
 ) -> Result<Option<Path>, GraphError> {
-    dijkstra_with_bans(graph, source, target, None, &[], &[])
+    let _ = graph.label(source)?;
+    let _ = graph.label(target)?;
+    let mut search = Search::new(graph);
+    if !search.run(graph, source, target) {
+        return Ok(None);
+    }
+    Ok(Some(Path::from_nodes(graph, &search.path)?))
 }
 
 /// Yen's algorithm: up to `k` shortest loopless paths from `source` to
-/// `target` by hop count, in non-decreasing length order.
+/// `target` by hop count, in non-decreasing length order (equal lengths
+/// by node sequence). Returns an empty `Vec` if `k == 0`, `target` is
+/// unreachable, or `source == target`.
+///
+/// One scratch search state serves every spur search, and candidates
+/// stay node sequences: only the returned paths are built as [`Path`]s.
 ///
 /// # Errors
 ///
@@ -171,64 +163,57 @@ pub fn yen_k_shortest(
     target: NodeId,
     k: usize,
 ) -> Result<Vec<Path>, GraphError> {
+    let _ = graph.label(source)?;
+    let _ = graph.label(target)?;
     let mut result: Vec<Path> = Vec::new();
-    if k == 0 {
+    let mut search = Search::new(graph);
+    if k == 0 || !search.run(graph, source, target) {
         return Ok(result);
     }
-    let Some(first) = shortest_path(graph, source, target)? else {
-        return Ok(result);
-    };
-    result.push(first);
+    result.push(Path::from_nodes(graph, &search.path)?);
 
-    // Candidate pool, kept sorted by (len, node sequence) for determinism.
-    let mut candidates: Vec<Path> = Vec::new();
-
+    let mut candidates: Vec<Vec<NodeId>> = Vec::new();
     while result.len() < k {
-        let last = result.last().expect("nonempty").clone();
+        let last = result.len() - 1;
         // Each node of the previous path (except the final node) is a spur.
-        for spur_idx in 0..last.nodes().len() - 1 {
-            let spur_node = last.nodes()[spur_idx];
-            let root_nodes = &last.nodes()[..=spur_idx];
-
-            let mut banned_links = vec![false; graph.num_links()];
-            let mut banned_nodes = vec![false; graph.num_nodes()];
-
-            // Ban the next link of every accepted/candidate path sharing
-            // this root.
-            for p in result.iter() {
-                if p.nodes().len() > spur_idx && p.nodes()[..=spur_idx] == *root_nodes {
-                    if let Some(&l) = p.links().get(spur_idx) {
-                        banned_links[l.index()] = true;
-                    }
+        for spur_idx in 0..result[last].nodes().len() - 1 {
+            search.stamp += 1; // clears all bans and marks
+            let root = &result[last].nodes()[..=spur_idx];
+            // Ban the next link of every accepted path sharing this root.
+            for p in &result {
+                if p.nodes().len() > spur_idx + 1 && p.nodes()[..=spur_idx] == *root {
+                    search.ban_link(p.links()[spur_idx]);
                 }
             }
             // Ban root nodes except the spur node (loopless requirement).
-            for &n in &root_nodes[..spur_idx] {
-                banned_nodes[n.index()] = true;
+            for &n in &root[..spur_idx] {
+                search.ban_node(n);
             }
-
-            if let Some(spur_path) =
-                dijkstra_with_bans(graph, spur_node, target, None, &banned_nodes, &banned_links)?
+            if !search.run(graph, root[spur_idx], target) {
+                continue;
+            }
+            // Total path = root + spur; compared in place, allocated
+            // only when new.
+            let prefix = &root[..spur_idx];
+            let spur = search.path.as_slice();
+            let is_total = |nodes: &[NodeId]| {
+                nodes.len() == spur_idx + spur.len()
+                    && nodes[..spur_idx] == *prefix
+                    && nodes[spur_idx..] == *spur
+            };
+            if !result.iter().any(|p| is_total(p.nodes()))
+                && !candidates.iter().any(|c| is_total(c))
             {
-                // Total path = root + spur.
-                let mut nodes = root_nodes[..spur_idx].to_vec();
-                nodes.extend_from_slice(spur_path.nodes());
-                if let Ok(total) = Path::from_nodes(graph, &nodes) {
-                    if !result.contains(&total) && !candidates.contains(&total) {
-                        candidates.push(total);
-                    }
-                }
+                candidates.push([prefix, spur].concat());
             }
         }
-        if candidates.is_empty() {
+        let Some(best) = (0..candidates.len()).min_by(|&a, &b| {
+            let (a, b) = (&candidates[a], &candidates[b]);
+            a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+        }) else {
             break;
-        }
-        candidates.sort_by(|a, b| {
-            a.num_links()
-                .cmp(&b.num_links())
-                .then_with(|| a.nodes().cmp(b.nodes()))
-        });
-        result.push(candidates.remove(0));
+        };
+        result.push(Path::from_nodes(graph, &candidates.swap_remove(best))?);
     }
     Ok(result)
 }
@@ -236,7 +221,11 @@ pub fn yen_k_shortest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkId;
+    use crate::traversal;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Diamond with a long detour:
     /// a-b, b-d, a-c, c-d, a-d(direct), c-e, e-d
@@ -256,6 +245,21 @@ mod tests {
         (g, ids)
     }
 
+    /// The search on `g` with `nodes` and `links` banned, as Yen's spur
+    /// searches run it.
+    fn avoiding(
+        g: &Graph,
+        s: NodeId,
+        t: NodeId,
+        nodes: &[NodeId],
+        links: &[LinkId],
+    ) -> Option<Vec<NodeId>> {
+        let mut search = Search::new(g);
+        nodes.iter().for_each(|&n| search.ban_node(n));
+        links.iter().for_each(|&l| search.ban_link(l));
+        search.run(g, s, t).then(|| search.path.clone())
+    }
+
     #[test]
     fn shortest_is_direct_link() {
         let (g, ids) = diamond();
@@ -265,62 +269,40 @@ mod tests {
     }
 
     #[test]
-    fn weighted_shortest_avoids_heavy_link() {
+    fn equal_length_ties_take_the_lowest_id_predecessor() {
         let (g, ids) = diamond();
-        let mut w = vec![1.0; g.num_links()];
-        w[4] = 100.0; // direct a-d is expensive now
-        let p = dijkstra_with_bans(&g, ids[0], ids[3], Some(&w), &[], &[])
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.num_links(), 2);
+        // Ban direct a-d: a-b-d and a-c-d tie, and b (id 1) beats c (id 2).
+        let p = avoiding(&g, ids[0], ids[3], &[], &[LinkId(4)]);
+        assert_eq!(p, Some(vec![ids[0], ids[1], ids[3]]));
     }
 
     #[test]
-    fn weights_validated() {
+    fn same_endpoint_has_no_path() {
         let (g, ids) = diamond();
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], Some(&[1.0]), &[], &[]).is_err());
-        let neg = vec![-1.0; g.num_links()];
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], Some(&neg), &[], &[]).is_err());
-    }
-
-    #[test]
-    fn unreachable_returns_none() {
-        let mut g = Graph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        assert!(shortest_path(&g, a, b).unwrap().is_none());
+        assert!(shortest_path(&g, ids[0], ids[0]).unwrap().is_none());
+        assert!(yen_k_shortest(&g, ids[2], ids[2], 4).unwrap().is_empty());
+        // Unknown nodes are still an error, even when equal.
+        assert!(shortest_path(&g, NodeId(99), NodeId(99)).is_err());
+        assert!(yen_k_shortest(&g, NodeId(99), NodeId(99), 4).is_err());
     }
 
     #[test]
     fn banned_node_blocks_path() {
         let (g, ids) = diamond();
-        let mut banned_nodes = vec![false; g.num_nodes()];
-        banned_nodes[ids[1].index()] = true; // ban b
-        let mut banned_links = vec![false; g.num_links()];
-        banned_links[4] = true; // ban direct a-d
-        let p = dijkstra_with_bans(&g, ids[0], ids[3], None, &banned_nodes, &banned_links)
-            .unwrap()
-            .unwrap();
-        // Must go a-c-d.
-        assert_eq!(p.num_links(), 2);
-        assert!(p.contains_node(ids[2]));
-    }
-
-    #[test]
-    fn banned_endpoint_returns_none() {
-        let (g, ids) = diamond();
-        let mut banned = vec![false; g.num_nodes()];
-        banned[ids[0].index()] = true;
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], None, &banned, &[])
-            .unwrap()
-            .is_none());
+        // Ban b and the direct a-d link: must go a-c-d.
+        let p = avoiding(&g, ids[0], ids[3], &[ids[1]], &[LinkId(4)]);
+        assert_eq!(p, Some(vec![ids[0], ids[2], ids[3]]));
+        // A banned endpoint has no path.
+        assert_eq!(avoiding(&g, ids[0], ids[3], &[ids[0]], &[]), None);
+        assert_eq!(avoiding(&g, ids[0], ids[3], &[ids[3]], &[]), None);
     }
 
     #[test]
     fn yen_returns_increasing_lengths_without_duplicates() {
         let (g, ids) = diamond();
         let paths = yen_k_shortest(&g, ids[0], ids[3], 5).unwrap();
-        // Paths a→d: direct (1), a-b-d (2), a-c-d (2), a-c-e-d (3) = 4 total.
+        // Paths a→d: direct (1), a-b-d (2), a-c-d (2), a-c-e-d (3) = 4
+        // total; asking for more returns the same 4.
         assert_eq!(paths.len(), 4);
         for w in paths.windows(2) {
             assert!(w[0].num_links() <= w[1].num_links());
@@ -328,6 +310,7 @@ mod tests {
         }
         assert_eq!(paths[0].num_links(), 1);
         assert_eq!(paths[3].num_links(), 3);
+        assert_eq!(yen_k_shortest(&g, ids[0], ids[3], 100).unwrap(), paths);
         // All simple & valid (constructor guarantees, spot-check endpoints).
         for p in &paths {
             assert_eq!(p.source(), ids[0]);
@@ -342,13 +325,62 @@ mod tests {
         let mut g2 = Graph::new();
         let a = g2.add_node("a");
         let b = g2.add_node("b");
+        assert!(shortest_path(&g2, a, b).unwrap().is_none());
         assert!(yen_k_shortest(&g2, a, b, 3).unwrap().is_empty());
     }
 
-    #[test]
-    fn yen_more_than_available_paths() {
-        let (g, ids) = diamond();
-        let paths = yen_k_shortest(&g, ids[0], ids[3], 100).unwrap();
-        assert_eq!(paths.len(), 4);
+    /// The tie-break rule spelled out: BFS distances from the source,
+    /// then walk back from the target, always to the lowest-id
+    /// neighbour one hop closer.
+    fn reference(g: &Graph, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+        let dist = traversal::bfs_distances(g, s).unwrap();
+        dist[t.index()].filter(|_| s != t)?;
+        let mut path = vec![t];
+        while let Some(&cur) = path.last().filter(|&&c| c != s) {
+            let neighbours = g.neighbors(cur).unwrap().iter().map(|&(u, _)| u);
+            let closer = neighbours.filter(|u| dist[u.index()].map(|d| d + 1) == dist[cur.index()]);
+            path.push(closer.min().unwrap());
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// On random graphs, `shortest_path` and the banned search match
+        /// the reference, the latter run on the graph without the banned
+        /// nodes' and links' edges.
+        #[test]
+        fn bfs_matches_tie_break_reference(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(2usize..=14);
+            let density = rng.gen_range(0.1..0.6);
+            let mut edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter(|_| rng.gen_bool(density))
+                .collect();
+            // Insertion order fixes adjacency order, which must not matter.
+            edges.shuffle(&mut rng);
+            let banned_nodes: Vec<NodeId> = (0..n).filter(|_| rng.gen_bool(0.15)).map(NodeId).collect();
+            let mut banned_links = Vec::new();
+            let (mut g, mut allowed) = (Graph::with_nodes(n), Graph::with_nodes(n));
+            for (i, j) in edges {
+                let l = g.add_link(NodeId(i), NodeId(j)).unwrap();
+                if rng.gen_bool(0.15) {
+                    banned_links.push(l);
+                } else if !banned_nodes.contains(&NodeId(i)) && !banned_nodes.contains(&NodeId(j)) {
+                    allowed.add_link(NodeId(i), NodeId(j)).unwrap();
+                }
+            }
+            let s = NodeId(rng.gen_range(0..n));
+            let t = NodeId(rng.gen_range(0..n));
+            let plain = shortest_path(&g, s, t).unwrap().map(|p| p.nodes().to_vec());
+            prop_assert_eq!(plain, reference(&g, s, t));
+            prop_assert_eq!(
+                avoiding(&g, s, t, &banned_nodes, &banned_links),
+                reference(&allowed, s, t)
+            );
+        }
     }
 }

@@ -18,8 +18,8 @@
 //!   materialized pseudo-inverse,
 //! * [`qr::Qr`] — Householder QR and column-pivoted QR (rank-revealing),
 //! * [`lstsq`] — least-squares solvers (QR-based, normal equations),
-//! * [`rank`] — numerical rank and the incremental rank tracker used by
-//!   greedy measurement-path selection.
+//! * [`rank`] — numerical rank and the exact sparse rank tracker
+//!   ([`rank::SparseRank`]) behind every identifiability decision.
 //!
 //! # Example
 //!

@@ -146,26 +146,6 @@ impl Vector {
         })
     }
 
-    /// `self += alpha * other` in place — the allocation-free variant of
-    /// [`Vector::axpy`], computing bit-identical entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the lengths differ.
-    pub fn axpy_in_place(&mut self, alpha: f64, other: &Vector) -> Result<(), LinalgError> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "axpy_in_place",
-                lhs: (self.len(), 1),
-                rhs: (other.len(), 1),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Scales every entry by `alpha`, returning a new vector.
     #[must_use]
     pub fn scaled(&self, alpha: f64) -> Vector {
@@ -394,19 +374,6 @@ mod tests {
         assert_eq!((&b - &a).as_slice(), &[9.0, 18.0]);
         assert_eq!((&a * 3.0).as_slice(), &[3.0, 6.0]);
         assert_eq!((-&a).as_slice(), &[-1.0, -2.0]);
-    }
-
-    #[test]
-    fn axpy_in_place_matches_axpy() {
-        let a = Vector::from(vec![1.0, 2.0, -3.5]);
-        let b = Vector::from(vec![0.1, -0.2, 0.7]);
-        let out = a.axpy(-1.75, &b).unwrap();
-        let mut inplace = a.clone();
-        inplace.axpy_in_place(-1.75, &b).unwrap();
-        for (x, y) in inplace.iter().zip(out.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(inplace.axpy_in_place(1.0, &Vector::zeros(2)).is_err());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -280,17 +281,28 @@ fn fleet_stream(
 ) -> Result<(tomo_serve::StreamOutcome, Vec<f64>), SimError> {
     let stop = AtomicBool::new(false);
     let addr = server.ingest_addr();
+    // The fleet starts only once the sidecar is querying: on a loaded
+    // machine the scheduler may otherwise run the whole phase before the
+    // sidecar's first query.
+    let (started, sidecar_started) = mpsc::channel();
     std::thread::scope(|scope| {
-        let query_thread = scope.spawn(|| {
+        let stop = &stop;
+        // Owning `started` drops it if the sidecar panics, so the fleet
+        // never waits on a dead sidecar.
+        let query_thread = scope.spawn(move || {
             let mut lat = Vec::new();
             while !stop.load(Ordering::Acquire) {
                 let start = Instant::now();
                 let _ = server.query();
                 lat.push(start.elapsed().as_secs_f64() * 1e6);
+                if lat.len() == 1 {
+                    let _ = started.send(());
+                }
                 std::thread::sleep(Duration::from_millis(1));
             }
             lat
         });
+        let _ = sidecar_started.recv();
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || -> Result<tomo_serve::StreamOutcome, String> {

@@ -32,6 +32,7 @@
 //! `BENCH_serve_load.json` baseline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,9 +195,14 @@ fn reference_bits(
 }
 
 /// Hammers the lock-free query path until `stop`: every loaded snapshot
-/// must self-check and versions must never regress. Returns query
-/// latencies (µs).
-fn query_hammer(server: &Server, stop: &AtomicBool) -> Result<Vec<f64>, String> {
+/// must self-check and versions must never regress. Signals `started`
+/// once its first query has run (dropping it on an early error). Returns
+/// query latencies (µs).
+fn query_hammer(
+    server: &Server,
+    stop: &AtomicBool,
+    started: Sender<()>,
+) -> Result<Vec<f64>, String> {
     let mut latencies = Vec::new();
     let mut last_version = 0u64;
     while !stop.load(Ordering::Acquire) {
@@ -214,6 +220,9 @@ fn query_hammer(server: &Server, stop: &AtomicBool) -> Result<Vec<f64>, String> 
         let start = Instant::now();
         let _ = server.query();
         latencies.push(start.elapsed().as_secs_f64() * 1e6);
+        if latencies.len() == 1 {
+            let _ = started.send(());
+        }
         std::thread::sleep(Duration::from_millis(1));
     }
     Ok(latencies)
@@ -244,7 +253,12 @@ fn run_point(
 
     let (tallies, latencies, elapsed) = std::thread::scope(
         |scope| -> Result<(Vec<ClientTally>, Vec<f64>, f64), SimError> {
-            let hammer = scope.spawn(|| query_hammer(&server, &stop));
+            // The fleet starts only once the hammer is querying: on a
+            // loaded machine the scheduler may otherwise run the whole
+            // ingest before the hammer's first query.
+            let (started, hammer_started) = mpsc::channel();
+            let hammer = scope.spawn(|| query_hammer(&server, &stop, started));
+            let _ = hammer_started.recv();
             let start = Instant::now();
             let handles: Vec<_> = (0..clients)
                 .map(|c| {

@@ -6,11 +6,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace (library plus the tomo-* binaries the smokes run)"
+cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (root suites plus every crate's unit tests and proptests)"
+cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy -- -D warnings
@@ -35,6 +35,24 @@ cargo test -q --test revised_equivalence
 
 echo "==> cargo test -q --test incremental_parity (rank-1 update vs rebuild)"
 cargo test -q --test incremental_parity
+
+echo "==> artifact contract (seed-42 figures byte-identical to artifacts/)"
+# Regenerate every committed figure artifact and compare bytes: any change
+# to placement, the LP layer or the trial streams that moves a single
+# number fails here.
+ARTIFACT_OUT="$(mktemp -d /tmp/tomo-artifacts.XXXXXX)"
+trap 'rm -rf "$ARTIFACT_OUT"' EXIT
+target/release/tomo-sim run all --seed 42 --out "$ARTIFACT_OUT" >/dev/null
+target/release/tomo-sim run gap --seed 42 --out "$ARTIFACT_OUT" >/dev/null
+for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
+  cmp "artifacts/$name.json" "$ARTIFACT_OUT/$name.json" || {
+    echo "ci: $name.json differs from artifacts/$name.json" >&2
+    exit 1
+  }
+done
+rm -rf "$ARTIFACT_OUT"
+trap - EXIT
+echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/"
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
 SMOKE_METRICS="$(mktemp /tmp/tomo-metrics.XXXXXX.json)"
