@@ -17,7 +17,7 @@
 use tomo_core::TomographySystem;
 use tomo_graph::LinkId;
 use tomo_linalg::{norms, CsrBuilder, CsrMatrix, Matrix, Vector};
-use tomo_lp::{LpProblem, LpStatus, Objective, Relation, VarId, WarmStart};
+use tomo_lp::{LpProblem, LpStatus, Objective, Relation, VarId};
 
 use crate::attacker::AttackerSet;
 use crate::outcome::{AttackOutcome, AttackSuccess};
@@ -69,9 +69,6 @@ pub struct ManipulationProblem<'a> {
     /// paths × |attacked paths|, same filter. Only built when the
     /// scenario evades detection.
     evasion_rows: Option<CsrMatrix>,
-    /// Optional shared simplex basis cache; see
-    /// [`ManipulationProblem::with_warm_start`].
-    warm: Option<&'a WarmStart>,
 }
 
 impl<'a> ManipulationProblem<'a> {
@@ -139,21 +136,7 @@ impl<'a> ManipulationProblem<'a> {
             estimator,
             goal_rows,
             evasion_rows,
-            warm: None,
         })
-    }
-
-    /// Attaches a shared [`WarmStart`] basis cache: subsequent solves
-    /// go through [`LpProblem::solve_warm`], reusing the optimal basis
-    /// of the previous structurally identical LP to skip simplex
-    /// phase 1. Results stay decision-identical (status, objective up
-    /// to solver tolerance) but are not bit-identical to cold solves —
-    /// callers whose outputs archive raw solution floats should stay
-    /// cold (see DESIGN.md §5d).
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: &'a WarmStart) -> Self {
-        self.warm = Some(warm);
-        self
     }
 
     /// The clean (pre-attack) estimate `x̂₀`.
@@ -280,10 +263,7 @@ impl<'a> ManipulationProblem<'a> {
             self.add_evasion_constraints(&mut lp, &vars);
         }
 
-        let sol = match self.warm {
-            Some(w) => lp.solve_warm(w)?,
-            None => lp.solve()?,
-        };
+        let sol = lp.solve()?;
         match sol.status() {
             LpStatus::Optimal => {
                 let mut manipulation = Vector::zeros(self.system.num_paths());

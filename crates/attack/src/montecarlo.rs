@@ -77,13 +77,6 @@ fn sample_attackers<R: Rng + ?Sized>(
 /// link, or the victim is not covered by any path — impossible on
 /// identifiable systems, kept for robustness).
 ///
-/// `warm` optionally shares a simplex basis cache across trials: trials
-/// with the same coalition shape produce structurally identical LPs, so
-/// later trials skip simplex phase 1 (see [`WarmStart`]). The success
-/// verdict and binned statistics are unaffected; raw damage floats may
-/// differ from a cold solve by solver tolerance, so pass `None` when
-/// archiving them.
-///
 /// # Errors
 ///
 /// Propagates attack-construction errors.
@@ -92,13 +85,9 @@ pub fn chosen_victim_trial<R: Rng + ?Sized>(
     scenario: &AttackScenario,
     delay_model: &DelayModel,
     num_attackers: usize,
-    warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> Result<Option<ChosenVictimTrial>, AttackError> {
-    Ok(
-        chosen_victim_trial_detailed(system, scenario, delay_model, num_attackers, warm, rng)?
-            .map(|d| d.trial),
-    )
+    Ok(chosen_victim_detail(system, scenario, delay_model, num_attackers, rng)?.map(|d| d.trial))
 }
 
 /// A chosen-victim trial's full context, beyond the summary record:
@@ -116,15 +105,15 @@ pub struct ChosenVictimTrialDetail {
     /// The manipulation vector `m` when the attack LP was feasible
     /// (attacked measurements are `y = R x + m`).
     pub manipulation: Option<Vector>,
-    /// Warm-start outcome of the attack LP solve: `Some(true)` basis
-    /// cache hit, `Some(false)` miss, `None` cold solve. Strictly
-    /// observational — feeds trace provenance, never the results.
-    pub warm_outcome: Option<bool>,
 }
 
 /// [`chosen_victim_trial`] with the sampled world attached — identical
 /// RNG draw sequence, so both variants produce the same trial for the
 /// same stream.
+///
+/// The `_warm` handle is ignored and the attack LP solves cold; the
+/// parameter is kept only because the benchmark in `perfbench/` still
+/// passes it, and goes once the benchmark stops calling it.
 ///
 /// # Errors
 ///
@@ -134,7 +123,19 @@ pub fn chosen_victim_trial_detailed<R: Rng + ?Sized>(
     scenario: &AttackScenario,
     delay_model: &DelayModel,
     num_attackers: usize,
-    warm: Option<&WarmStart>,
+    _warm: Option<&WarmStart>,
+    rng: &mut R,
+) -> Result<Option<ChosenVictimTrialDetail>, AttackError> {
+    chosen_victim_detail(system, scenario, delay_model, num_attackers, rng)
+}
+
+/// The chosen-victim trial behind [`chosen_victim_trial`],
+/// [`chosen_victim_trial_detailed`] and [`chosen_victim_trial_faulted`].
+fn chosen_victim_detail<R: Rng + ?Sized>(
+    system: &TomographySystem,
+    scenario: &AttackScenario,
+    delay_model: &DelayModel,
+    num_attackers: usize,
     rng: &mut R,
 ) -> Result<Option<ChosenVictimTrialDetail>, AttackError> {
     TRIALS.inc();
@@ -153,11 +154,7 @@ pub fn chosen_victim_trial_detailed<R: Rng + ?Sized>(
         return Ok(None);
     }
     let x = delay_model.sample(system.num_links(), rng);
-    // Drain any stale outcome from earlier solves on this thread so the
-    // take below reflects exactly the attack LP of *this* trial.
-    let _ = tomo_lp::take_last_warm_outcome();
-    let outcome = strategy::chosen_victim_warm(system, &attackers, scenario, &x, &[victim], warm)?;
-    let warm_outcome = tomo_lp::take_last_warm_outcome();
+    let outcome = strategy::chosen_victim(system, &attackers, scenario, &x, &[victim])?;
     let (success, damage, manipulation) = match outcome.success() {
         Some(s) => (true, s.damage, Some(s.manipulation.clone())),
         None => (false, 0.0, None),
@@ -172,7 +169,6 @@ pub fn chosen_victim_trial_detailed<R: Rng + ?Sized>(
         victim,
         true_delays: x,
         manipulation,
-        warm_outcome,
     }))
 }
 
@@ -226,13 +222,11 @@ pub fn is_injected_solver_fault(e: &AttackError) -> bool {
 /// # Errors
 ///
 /// Propagates attack-construction errors unrelated to fault injection.
-#[allow(clippy::too_many_arguments)] // mirrors chosen_victim_trial + the fault knobs
 pub fn chosen_victim_trial_faulted(
     system: &TomographySystem,
     scenario: &AttackScenario,
     delay_model: &DelayModel,
     num_attackers: usize,
-    warm: Option<&WarmStart>,
     solver_fault: Option<tomo_lp::chaos::SolveFault>,
     max_retries: u32,
     rng_seed: u64,
@@ -245,14 +239,7 @@ pub fn chosen_victim_trial_faulted(
             }
         }
         let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-        let result = chosen_victim_trial_detailed(
-            system,
-            scenario,
-            delay_model,
-            num_attackers,
-            warm,
-            &mut rng,
-        );
+        let result = chosen_victim_detail(system, scenario, delay_model, num_attackers, &mut rng);
         tomo_lp::chaos::disarm();
         match result {
             Ok(detail) => {
@@ -281,10 +268,6 @@ pub fn chosen_victim_trial_faulted(
 
 /// Runs one single-attacker maximum-damage trial (Fig. 8).
 ///
-/// `warm` is the optional shared basis cache; the recorded `damage` is
-/// an LP objective, so callers that persist it verbatim (the Fig. 8
-/// artifact does) must pass `None` to stay bit-reproducible.
-///
 /// # Errors
 ///
 /// Propagates attack-construction errors.
@@ -292,13 +275,12 @@ pub fn max_damage_trial<R: Rng + ?Sized>(
     system: &TomographySystem,
     scenario: &AttackScenario,
     delay_model: &DelayModel,
-    warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> Result<SingleAttackerTrial, AttackError> {
     TRIALS.inc();
     let attackers = AttackerSet::new(system, sample_attackers(system, 1, rng))?;
     let x = delay_model.sample(system.num_links(), rng);
-    let outcome = strategy::max_damage_warm(system, &attackers, scenario, &x, warm)?;
+    let outcome = strategy::max_damage(system, &attackers, scenario, &x)?;
     Ok(match outcome.success() {
         Some(s) => SingleAttackerTrial {
             success: true,
@@ -314,9 +296,6 @@ pub fn max_damage_trial<R: Rng + ?Sized>(
 /// Runs one single-attacker obfuscation trial (Fig. 8): success requires
 /// at least `min_victims` victim links in the uncertain state.
 ///
-/// `warm` follows the same contract as [`max_damage_trial`]: pass `None`
-/// when the damage floats are persisted verbatim.
-///
 /// # Errors
 ///
 /// Propagates attack-construction errors.
@@ -325,13 +304,12 @@ pub fn obfuscation_trial<R: Rng + ?Sized>(
     scenario: &AttackScenario,
     delay_model: &DelayModel,
     min_victims: usize,
-    warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> Result<SingleAttackerTrial, AttackError> {
     TRIALS.inc();
     let attackers = AttackerSet::new(system, sample_attackers(system, 1, rng))?;
     let x = delay_model.sample(system.num_links(), rng);
-    let outcome = strategy::obfuscation_warm(system, &attackers, scenario, &x, min_victims, warm)?;
+    let outcome = strategy::obfuscation(system, &attackers, scenario, &x, min_victims)?;
     Ok(match outcome.success() {
         Some(s) => SingleAttackerTrial {
             success: true,
@@ -371,14 +349,10 @@ pub fn coalition_sweep(
         return Ok(vec![0.0; max_attackers]);
     }
     system.warm_estimator_cache()?;
-    // One basis cache for the whole sweep: the curve aggregates success
-    // booleans only, so warm-started solves cannot change it. The handle
-    // is Sync and shared by reference across the executor's workers.
-    let warm = tomo_lp::warm_enabled().then(WarmStart::new);
     let records = exec.try_map(max_attackers * trials, |idx| {
         let k = idx / trials + 1;
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, idx as u64));
-        chosen_victim_trial(system, scenario, delay_model, k, warm.as_ref(), &mut rng)
+        chosen_victim_trial(system, scenario, delay_model, k, &mut rng)
     })?;
     let curve = records
         .chunks(trials)
@@ -482,8 +456,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut any_success = false;
         for _ in 0..30 {
-            if let Some(t) =
-                chosen_victim_trial(&system, &scenario, &delays, 2, None, &mut rng).unwrap()
+            if let Some(t) = chosen_victim_trial(&system, &scenario, &delays, 2, &mut rng).unwrap()
             {
                 assert!((0.0..=1.0).contains(&t.presence_ratio));
                 if t.perfect_cut {
@@ -508,7 +481,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut md_successes = 0;
         for _ in 0..10 {
-            let t = max_damage_trial(&system, &scenario, &delays, None, &mut rng).unwrap();
+            let t = max_damage_trial(&system, &scenario, &delays, &mut rng).unwrap();
             if t.success {
                 md_successes += 1;
                 assert!(t.damage > 0.0);
@@ -517,7 +490,7 @@ mod tests {
         // On Fig. 1 most single attackers can frame someone.
         assert!(md_successes > 0);
 
-        let t = obfuscation_trial(&system, &scenario, &delays, 2, None, &mut rng).unwrap();
+        let t = obfuscation_trial(&system, &scenario, &delays, 2, &mut rng).unwrap();
         // Either outcome is legitimate; record shape only.
         if !t.success {
             assert_eq!(t.damage, 0.0);
@@ -532,7 +505,6 @@ mod tests {
             &scenario,
             &delays,
             2,
-            None,
             &mut ChaCha8Rng::seed_from_u64(7),
         )
         .unwrap();
@@ -541,7 +513,6 @@ mod tests {
             &scenario,
             &delays,
             2,
-            None,
             &mut ChaCha8Rng::seed_from_u64(7),
         )
         .unwrap();
@@ -557,7 +528,6 @@ mod tests {
                 &scenario,
                 &delays,
                 2,
-                None,
                 &mut ChaCha8Rng::seed_from_u64(seed),
             )
             .unwrap();
@@ -585,7 +555,7 @@ mod tests {
     fn faulted_trial_without_fault_matches_plain_trial() {
         let (system, scenario, delays) = fig1_setup();
         let outcome =
-            chosen_victim_trial_faulted(&system, &scenario, &delays, 2, None, None, 1, 77).unwrap();
+            chosen_victim_trial_faulted(&system, &scenario, &delays, 2, None, 1, 77).unwrap();
         let FaultedTrial::Completed {
             detail,
             recovered_faults,
@@ -599,7 +569,6 @@ mod tests {
             &scenario,
             &delays,
             2,
-            None,
             &mut ChaCha8Rng::seed_from_u64(77),
         )
         .unwrap();
@@ -611,19 +580,11 @@ mod tests {
         let (system, scenario, delays) = fig1_setup();
         for fault in [
             tomo_lp::chaos::SolveFault::IterationExhaustion,
-            tomo_lp::chaos::SolveFault::SingularWarmBasis,
+            tomo_lp::chaos::SolveFault::SingularBasis,
         ] {
-            let outcome = chosen_victim_trial_faulted(
-                &system,
-                &scenario,
-                &delays,
-                2,
-                None,
-                Some(fault),
-                1,
-                77,
-            )
-            .unwrap();
+            let outcome =
+                chosen_victim_trial_faulted(&system, &scenario, &delays, 2, Some(fault), 1, 77)
+                    .unwrap();
             let FaultedTrial::Completed {
                 detail,
                 recovered_faults,
@@ -638,7 +599,6 @@ mod tests {
                 &scenario,
                 &delays,
                 2,
-                None,
                 &mut ChaCha8Rng::seed_from_u64(77),
             )
             .unwrap();
@@ -654,7 +614,6 @@ mod tests {
             &scenario,
             &delays,
             2,
-            None,
             Some(tomo_lp::chaos::SolveFault::IterationExhaustion),
             0,
             77,
@@ -670,7 +629,6 @@ mod tests {
             &scenario,
             &delays,
             2,
-            None,
             &mut ChaCha8Rng::seed_from_u64(77),
         )
         .is_ok());

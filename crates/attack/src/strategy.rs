@@ -76,26 +76,6 @@ pub fn chosen_victim(
     true_metrics: &Vector,
     victims: &[LinkId],
 ) -> Result<AttackOutcome, AttackError> {
-    chosen_victim_warm(system, attackers, scenario, true_metrics, victims, None)
-}
-
-/// [`chosen_victim`] with an optional shared simplex [`WarmStart`] basis
-/// cache for Monte-Carlo streams of structurally identical LPs. Results
-/// are decision-identical to the cold path (same feasibility verdict,
-/// objective within solver tolerance) but not bit-identical — see
-/// [`ManipulationProblem::with_warm_start`].
-///
-/// # Errors
-///
-/// Same contract as [`chosen_victim`].
-pub fn chosen_victim_warm(
-    system: &TomographySystem,
-    attackers: &AttackerSet,
-    scenario: &AttackScenario,
-    true_metrics: &Vector,
-    victims: &[LinkId],
-    warm: Option<&WarmStart>,
-) -> Result<AttackOutcome, AttackError> {
     if victims.is_empty() {
         return Err(AttackError::NoVictims);
     }
@@ -107,10 +87,7 @@ pub fn chosen_victim_warm(
             return Err(AttackError::VictimControlledByAttacker { link: v });
         }
     }
-    let mut prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
-    if let Some(w) = warm {
-        prob = prob.with_warm_start(w);
-    }
+    let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let outcome = solve_chosen_victim(&prob, attackers, victims)?;
     record_outcome(
         &CHOSEN_FEASIBLE,
@@ -119,6 +96,24 @@ pub fn chosen_victim_warm(
         &outcome,
     );
     Ok(outcome)
+}
+
+/// Inert forward to [`chosen_victim`], kept only because the benchmark in
+/// `perfbench/` still calls it: the `_warm` handle is ignored and every
+/// solve runs cold. The name goes once the benchmark stops calling it.
+///
+/// # Errors
+///
+/// Same contract as [`chosen_victim`].
+pub fn chosen_victim_warm(
+    system: &TomographySystem,
+    attackers: &AttackerSet,
+    scenario: &AttackScenario,
+    true_metrics: &Vector,
+    victims: &[LinkId],
+    _warm: Option<&WarmStart>,
+) -> Result<AttackOutcome, AttackError> {
+    chosen_victim(system, attackers, scenario, true_metrics, victims)
 }
 
 /// Inner chosen-victim solve reusing an existing LP factory (avoids
@@ -226,29 +221,7 @@ pub fn max_damage(
     scenario: &AttackScenario,
     true_metrics: &Vector,
 ) -> Result<AttackOutcome, AttackError> {
-    max_damage_warm(system, attackers, scenario, true_metrics, None)
-}
-
-/// [`max_damage`] with an optional shared simplex [`WarmStart`] basis
-/// cache. The victim scan solves one structurally identical LP per
-/// candidate, so even a single call benefits: the second candidate
-/// already reuses the first one's basis. Decision-identical to the cold
-/// path, not bit-identical.
-///
-/// # Errors
-///
-/// Same contract as [`max_damage`].
-pub fn max_damage_warm(
-    system: &TomographySystem,
-    attackers: &AttackerSet,
-    scenario: &AttackScenario,
-    true_metrics: &Vector,
-    warm: Option<&WarmStart>,
-) -> Result<AttackOutcome, AttackError> {
-    let mut prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
-    if let Some(w) = warm {
-        prob = prob.with_warm_start(w);
-    }
+    let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let b_u = scenario.thresholds.upper();
     let mut best: Option<AttackOutcome> = None;
     for j in 0..system.num_links() {
@@ -281,6 +254,23 @@ pub fn max_damage_warm(
         &outcome,
     );
     Ok(outcome)
+}
+
+/// Inert forward to [`max_damage`], kept only because the benchmark in
+/// `perfbench/` still calls it: the `_warm` handle is ignored and every
+/// solve runs cold. The name goes once the benchmark stops calling it.
+///
+/// # Errors
+///
+/// Same contract as [`max_damage`].
+pub fn max_damage_warm(
+    system: &TomographySystem,
+    attackers: &AttackerSet,
+    scenario: &AttackScenario,
+    true_metrics: &Vector,
+    _warm: Option<&WarmStart>,
+) -> Result<AttackOutcome, AttackError> {
+    max_damage(system, attackers, scenario, true_metrics)
 }
 
 /// Minimum-effort scapegoating: the dual of [`chosen_victim`] — satisfy
@@ -406,14 +396,19 @@ pub fn obfuscation(
     true_metrics: &Vector,
     min_victims: usize,
 ) -> Result<AttackOutcome, AttackError> {
-    obfuscation_warm(system, attackers, scenario, true_metrics, min_victims, None)
+    let outcome = obfuscation_inner(system, attackers, scenario, true_metrics, min_victims)?;
+    record_outcome(
+        &OBFUSC_FEASIBLE,
+        &OBFUSC_INFEASIBLE,
+        &OBFUSC_DAMAGE,
+        &outcome,
+    );
+    Ok(outcome)
 }
 
-/// [`obfuscation`] with an optional shared simplex [`WarmStart`] basis
-/// cache: the binary search over victim prefixes re-solves similar LPs,
-/// and cross-trial sharing reuses bases between Monte-Carlo trials with
-/// the same coalition shape. Decision-identical to the cold path, not
-/// bit-identical.
+/// Inert forward to [`obfuscation`], kept only because the benchmark in
+/// `perfbench/` still calls it: the `_warm` handle is ignored and every
+/// solve runs cold. The name goes once the benchmark stops calling it.
 ///
 /// # Errors
 ///
@@ -424,16 +419,9 @@ pub fn obfuscation_warm(
     scenario: &AttackScenario,
     true_metrics: &Vector,
     min_victims: usize,
-    warm: Option<&WarmStart>,
+    _warm: Option<&WarmStart>,
 ) -> Result<AttackOutcome, AttackError> {
-    let outcome = obfuscation_inner(system, attackers, scenario, true_metrics, min_victims, warm)?;
-    record_outcome(
-        &OBFUSC_FEASIBLE,
-        &OBFUSC_INFEASIBLE,
-        &OBFUSC_DAMAGE,
-        &outcome,
-    );
-    Ok(outcome)
+    obfuscation(system, attackers, scenario, true_metrics, min_victims)
 }
 
 fn obfuscation_inner(
@@ -442,12 +430,8 @@ fn obfuscation_inner(
     scenario: &AttackScenario,
     true_metrics: &Vector,
     min_victims: usize,
-    warm: Option<&WarmStart>,
 ) -> Result<AttackOutcome, AttackError> {
-    let mut prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
-    if let Some(w) = warm {
-        prob = prob.with_warm_start(w);
-    }
+    let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let b_l = scenario.thresholds.lower();
 
     // Candidate victims: non-attacker links the attackers can lift into

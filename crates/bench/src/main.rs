@@ -278,62 +278,6 @@ fn scale_gate(opts: &Options, available: usize) -> Result<bool, String> {
     Ok(secs > ceiling)
 }
 
-/// Cold-vs-warm simplex wall time on the smallest scale point's budget
-/// LP (`lp.simplex.warm` instrumentation path). Warm starts are a cache:
-/// they must never make the stream *slower*. The gate re-solves the same
-/// LP with a populated [`tomo_lp::WarmStart`] and fails only when the
-/// warm solve costs more than 1.5x the cold one — a regression in basis
-/// crash/reuse, not ordinary jitter.
-fn warm_gate(opts: &Options) -> Result<bool, String> {
-    if !tomo_lp::warm_enabled() {
-        println!("  lp warm: SKIP (TOMO_LP_WARM disabled)");
-        return Ok(false);
-    }
-    let lp = scale::budget_lp_workload(BASELINE_SEED, 1_000, 200)
-        .map_err(|e| format!("warm gate: {e}"))?;
-    let mut cold_best = f64::INFINITY;
-    let mut cold_objective = 0.0;
-    for _ in 0..opts.runs {
-        let start = Instant::now();
-        let solution = lp.solve().map_err(|e| format!("warm gate (cold): {e}"))?;
-        cold_best = cold_best.min(start.elapsed().as_secs_f64());
-        if !solution.is_optimal() {
-            return Err(format!(
-                "warm gate: cold budget LP unexpectedly {:?}",
-                solution.status()
-            ));
-        }
-        cold_objective = solution.objective_value();
-    }
-    let warm = tomo_lp::WarmStart::new();
-    // First warm solve populates the basis cache; time the reuse path.
-    lp.solve_warm(&warm)
-        .map_err(|e| format!("warm gate (seed): {e}"))?;
-    let mut warm_best = f64::INFINITY;
-    for _ in 0..opts.runs {
-        let start = Instant::now();
-        let solution = lp
-            .solve_warm(&warm)
-            .map_err(|e| format!("warm gate (warm): {e}"))?;
-        warm_best = warm_best.min(start.elapsed().as_secs_f64());
-        let tol = 1e-6 * (1.0 + cold_objective.abs());
-        if !solution.is_optimal() || (solution.objective_value() - cold_objective).abs() > tol {
-            return Err(format!(
-                "warm gate: warm solve diverged (status {:?}, objective {} vs cold {})",
-                solution.status(),
-                solution.objective_value(),
-                cold_objective
-            ));
-        }
-    }
-    let ceiling = cold_best * 1.5;
-    let verdict = if warm_best > ceiling { "FAIL" } else { "ok" };
-    println!(
-        "  lp warm: {warm_best:.3}s warm vs {cold_best:.3}s cold (ceiling {ceiling:.3}s) — {verdict}"
-    );
-    Ok(warm_best > ceiling)
-}
-
 /// The committed `tomo-serve` workload identity and gated tail.
 #[derive(Debug)]
 struct ServeBaseline {
@@ -598,9 +542,6 @@ fn regression_gate(opts: &Options) -> Result<bool, String> {
         failed = true;
     }
     if serve_load_gate(opts, available)? {
-        failed = true;
-    }
-    if warm_gate(opts)? {
         failed = true;
     }
     Ok(failed)

@@ -27,7 +27,6 @@ use tomo_attack::{strategy, AttackError, AttackOutcome};
 use tomo_core::delay::DelayModel;
 use tomo_core::TomographySystem;
 use tomo_graph::{LinkId, NodeId};
-use tomo_lp::{warm_enabled, WarmStart};
 use tomo_par::{derive_seed, Executor};
 
 use crate::{ConsistencyDetector, ResidualTally};
@@ -181,30 +180,15 @@ pub fn run_detection_experiment(
 ) -> Result<DetectionReport, AttackError> {
     let _span = tomo_obs::span("detect.experiment");
     system.warm_estimator_cache()?;
-    // Shared simplex basis cache for the whole experiment: the rational
-    // attacker re-solves the same stealthy/plain LP skeletons trial
-    // after trial. Fig. 9 records detector verdicts and integer tallies
-    // only — stealthy solutions satisfy the consistency rows to solver
-    // tolerance and plain attacks overshoot the threshold by orders of
-    // magnitude, so basis reuse cannot flip a verdict.
-    let lp_warm = warm_enabled().then(WarmStart::new);
     let per_trial = exec.try_map(config.trials, |trial| -> Result<_, AttackError> {
         let trial_seed = derive_seed(seed, trial as u64);
         let mut rng = ChaCha8Rng::seed_from_u64(trial_seed);
-        let outcome = run_one_trial(
-            system,
-            detector,
-            delay_model,
-            config,
-            lp_warm.as_ref(),
-            &mut rng,
-        )?;
+        let outcome = run_one_trial(system, detector, delay_model, config, &mut rng)?;
         if tomo_obs::tracing_enabled() {
             tomo_obs::record_trial(tomo_obs::TrialProvenance {
                 experiment: "detect.fig9".to_string(),
                 trial: trial as u64,
                 seed: trial_seed,
-                warm: tomo_lp::take_last_warm_outcome(),
                 verdict: Some(outcome.clean_detected),
                 residual: Some(outcome.clean_residual_l1),
                 ..tomo_obs::TrialProvenance::default()
@@ -234,7 +218,6 @@ fn run_one_trial<R: Rng + ?Sized>(
     detector: &ConsistencyDetector,
     delay_model: &DelayModel,
     config: &DetectionConfig,
-    lp_warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> Result<TrialOutcome, AttackError> {
     let mut report = DetectionReport::default();
@@ -263,13 +246,12 @@ fn run_one_trial<R: Rng + ?Sized>(
         .collect();
     if let Some(&victim) = free.as_slice().choose(rng) {
         let (outcome, _) = rational_attack(|evade| {
-            strategy::chosen_victim_warm(
+            strategy::chosen_victim(
                 system,
                 &attackers,
                 &config.scenario.with_evasion(evade),
                 &x,
                 &[victim],
-                lp_warm,
             )
         })?;
         tally(
@@ -285,13 +267,7 @@ fn run_one_trial<R: Rng + ?Sized>(
 
     // Maximum damage.
     let (outcome, _) = rational_attack(|evade| {
-        strategy::max_damage_warm(
-            system,
-            &attackers,
-            &config.scenario.with_evasion(evade),
-            &x,
-            lp_warm,
-        )
+        strategy::max_damage(system, &attackers, &config.scenario.with_evasion(evade), &x)
     })?;
     tally(
         system,
@@ -305,13 +281,12 @@ fn run_one_trial<R: Rng + ?Sized>(
 
     // Obfuscation.
     let (outcome, _) = rational_attack(|evade| {
-        strategy::obfuscation_warm(
+        strategy::obfuscation(
             system,
             &attackers,
             &config.scenario.with_evasion(evade),
             &x,
             config.obfuscation_min_victims,
-            lp_warm,
         )
     })?;
     tally(

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use tomo_core::{CoreError, TomographySystem};
 use tomo_graph::NodeId;
-use tomo_linalg::lstsq;
+use tomo_linalg::{lstsq, rank};
 use tomo_linalg::{norms, Matrix, Vector};
 
 /// Outcome of assessing one candidate node.
@@ -138,7 +138,7 @@ fn assess(system: &TomographySystem, observed: &Vector, v: NodeId) -> SuspectAss
     let sub_r: Matrix = system.routing_matrix().select_rows(&keep);
     // Redundancy condition: with rows == rank the subsystem is trivially
     // consistent and the check has no power.
-    if keep.len() <= lstsq::column_space_rank(&sub_r) {
+    if keep.len() <= rank::rank(&sub_r) {
         return SuspectAssessment::NotAssessable;
     }
     let sub_y: Vector = keep.iter().map(|&i| observed[i]).collect();

@@ -33,7 +33,7 @@ pub const LINK_FAILURE_DELAY_MS: f64 = 5000.0;
 pub enum SolverFaultKind {
     /// Force the simplex to report iteration exhaustion.
     IterationExhaustion,
-    /// Inject a singular basis into the warm-start crash path.
+    /// Make the attack LP report a singular basis.
     SingularBasis,
 }
 

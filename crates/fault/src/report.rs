@@ -18,7 +18,7 @@ pub struct FaultKindCounts {
     pub link_fail: u64,
     /// Forced simplex iteration exhaustions.
     pub lp_iteration: u64,
-    /// Singular warm-start basis injections.
+    /// Singular-basis injections.
     pub lp_singular: u64,
     /// Wire frames truncated mid-write (connection cut inside a frame).
     pub frame_truncate: u64,

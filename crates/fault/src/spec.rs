@@ -33,7 +33,7 @@ pub struct FaultSpec {
     pub link_fail: f64,
     /// Per-trial probability of forced simplex iteration exhaustion.
     pub lp_iter: f64,
-    /// Per-trial probability of a singular warm-start basis injection.
+    /// Per-trial probability of a singular-basis injection.
     pub lp_singular: f64,
     /// Per-frame probability of a wire-stream fault (truncate, garble,
     /// duplicate, or reorder — a uniform sub-draw picks which). Applies

@@ -23,17 +23,7 @@ static RIDGE_SOLVES: LazyCounter = LazyCounter::new("linalg.lstsq.ridge_solves")
 /// this, so the historical dense code path — and its byte-exact
 /// artifacts — is untouched; the Rocketfuel-scale sweep sits far above
 /// it, where the dense kernel's 256s/800MB cost was the measured wall.
-/// `TOMO_SPARSE_CHOL=0` disables the sparse route, `=force` enables it
-/// at any size (parity tests use both).
 pub const SPARSE_FACTOR_MIN_DIM: usize = 512;
-
-fn use_sparse_factor(dim: usize) -> bool {
-    match std::env::var("TOMO_SPARSE_CHOL") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if v.eq_ignore_ascii_case("force") => true,
-        _ => dim >= SPARSE_FACTOR_MIN_DIM,
-    }
-}
 
 /// The cached Gram factorization: dense (updatable by rank-1
 /// corrections) below [`SPARSE_FACTOR_MIN_DIM`], sparse above it.
@@ -122,7 +112,7 @@ impl NormalEquationsSolver {
     /// Returns [`LinalgError::NotPositiveDefinite`] if `a` lacks full
     /// column rank.
     pub fn from_sparse(a: CsrMatrix) -> Result<Self, LinalgError> {
-        let factor = if use_sparse_factor(a.cols()) {
+        let factor = if a.cols() >= SPARSE_FACTOR_MIN_DIM {
             GramFactor::Sparse(SparseCholesky::new(&a.gram_csr())?)
         } else {
             GramFactor::Dense(Cholesky::new(&a.gram())?)
@@ -270,14 +260,6 @@ pub fn residual_outside_column_space(a: &Matrix, b: &Vector) -> Result<Vector, L
         }
     }
     Ok(r)
-}
-
-/// Numerical rank of the column space (byproduct of the same
-/// Gram-Schmidt pass; cheaper than pivoted QR for tall-thin matrices and
-/// sufficient for redundancy checks).
-#[must_use]
-pub fn column_space_rank(a: &Matrix) -> usize {
-    crate::qr::PivotedQr::new(a).rank()
 }
 
 /// Solves the ridge-regularized least-squares problem
@@ -454,7 +436,6 @@ mod tests {
     fn residual_outside_column_space_handles_rank_deficiency() {
         // Two identical columns: rank 1, but the routine must not error.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![0.0, 0.0]]).unwrap();
-        assert_eq!(column_space_rank(&a), 1);
         let consistent = Vector::from(vec![2.0, 2.0, 0.0]);
         let r = residual_outside_column_space(&a, &consistent).unwrap();
         assert!(crate::norms::l2(&r) < 1e-9);

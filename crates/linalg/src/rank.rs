@@ -232,6 +232,12 @@ mod tests {
     }
 
     #[test]
+    fn rank_counts_duplicate_columns_once() {
+        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![0.0, 0.0]]).unwrap();
+        assert_eq!(rank(&a), 1);
+    }
+
+    #[test]
     fn rank_is_transpose_invariant_on_samples() {
         let a = Matrix::from_rows(&[
             vec![1.0, 0.0, 1.0, 0.0],

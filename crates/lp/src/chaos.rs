@@ -32,10 +32,10 @@ pub enum SolveFault {
     /// The solve reports [`LpError::IterationLimit`](crate::LpError::IterationLimit)
     /// as if the simplex had cycled to exhaustion.
     IterationExhaustion,
-    /// The solve attempts a crash from an all-slack (singular for the
-    /// constraint rows) basis hint and reports
-    /// [`LpError::SingularBasis`](crate::LpError::SingularBasis).
-    SingularWarmBasis,
+    /// The solve reports
+    /// [`LpError::SingularBasis`](crate::LpError::SingularBasis) as if
+    /// the basis matrix had turned out singular.
+    SingularBasis,
 }
 
 /// Arms `fault` for the next solve on the current thread, replacing any
@@ -55,7 +55,7 @@ pub(crate) fn take() -> Option<SolveFault> {
     let fault = ARMED.with(Cell::take);
     match fault {
         Some(SolveFault::IterationExhaustion) => FAULT_ITERATION.inc(),
-        Some(SolveFault::SingularWarmBasis) => FAULT_SINGULAR.inc(),
+        Some(SolveFault::SingularBasis) => FAULT_SINGULAR.inc(),
         None => {}
     }
     fault
@@ -71,7 +71,7 @@ mod tests {
         arm(SolveFault::IterationExhaustion);
         assert_eq!(take(), Some(SolveFault::IterationExhaustion));
         assert_eq!(take(), None, "take consumes");
-        arm(SolveFault::SingularWarmBasis);
+        arm(SolveFault::SingularBasis);
         disarm();
         assert_eq!(take(), None, "disarm clears");
     }

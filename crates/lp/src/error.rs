@@ -39,8 +39,9 @@ pub enum LpError {
         /// The limit that was hit.
         limit: usize,
     },
-    /// A basis (e.g. from a warm start) turned out singular and could not
-    /// be repaired by the crash procedure.
+    /// The basis matrix turned out singular: a revised-simplex
+    /// refactorization found no usable pivot, or the chaos seam injected
+    /// one.
     SingularBasis {
         /// Number of basic rows involved.
         rows: usize,

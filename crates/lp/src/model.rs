@@ -293,51 +293,6 @@ impl LpProblem {
         &self.variables[var.0].name
     }
 
-    /// Hash of the problem's *constraint skeleton*: objective direction,
-    /// variable count and bounds, and per-constraint relation and term
-    /// sparsity pattern — everything that determines the standard-form
-    /// tableau layout, but **not** the coefficient or right-hand-side
-    /// values. Two LPs with equal skeletons have interchangeable bases,
-    /// which is what [`WarmStart`](crate::WarmStart) keys on.
-    #[must_use]
-    pub fn skeleton_hash(&self) -> u64 {
-        // FNV-1a over the structural stream.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, x: u64) -> u64 {
-            (h ^ x).wrapping_mul(PRIME)
-        }
-        let mut h = OFFSET;
-        h = mix(
-            h,
-            match self.objective {
-                Objective::Maximize => 1,
-                Objective::Minimize => 2,
-            },
-        );
-        h = mix(h, self.variables.len() as u64);
-        for v in &self.variables {
-            h = mix(h, v.lower.to_bits());
-            h = mix(h, v.upper.map_or(u64::MAX, f64::to_bits));
-        }
-        h = mix(h, self.constraints.len() as u64);
-        for c in &self.constraints {
-            h = mix(
-                h,
-                match c.relation {
-                    Relation::Le => 3,
-                    Relation::Eq => 4,
-                    Relation::Ge => 5,
-                },
-            );
-            h = mix(h, c.terms.len() as u64);
-            for &(j, _) in &c.terms {
-                h = mix(h, j as u64);
-            }
-        }
-        h
-    }
-
     /// Evaluates each constraint at a solution: its left-hand-side value
     /// and whether it is *binding* (active within `tol`).
     ///
@@ -391,25 +346,7 @@ impl LpProblem {
     /// terminate within its safety bound (should not happen; Bland's rule
     /// guarantees finiteness).
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        simplex::solve(self)
-    }
-
-    /// Solves the problem, reusing (and updating) a cached basis from
-    /// `warm` for this problem's constraint skeleton.
-    ///
-    /// On a cache hit the solver *crashes* the remembered basis into the
-    /// fresh tableau, skips phase 1, and re-enters phase 2 from there;
-    /// if the basis turns out singular or infeasible under the new data
-    /// it falls back to a cold solve. Status and objective agree with
-    /// [`Self::solve`] up to solver tolerance; the vertex reached (and
-    /// thus low-order solution bits) may differ when optima are not
-    /// unique. See `lp.simplex.warm.*` metrics for hit/miss accounting.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::solve`].
-    pub fn solve_warm(&self, warm: &crate::WarmStart) -> Result<LpSolution, LpError> {
-        simplex::solve_warm(self, warm)
+        simplex::solve_with(self, crate::SolverMode::Auto)
     }
 
     /// Solves the problem with an explicitly chosen backend.
@@ -426,21 +363,7 @@ impl LpProblem {
     ///
     /// Same contract as [`Self::solve`].
     pub fn solve_with(&self, mode: crate::SolverMode) -> Result<LpSolution, LpError> {
-        simplex::solve_with(self, None, mode)
-    }
-
-    /// Solves with an explicit backend and a warm-start cache — the
-    /// composition of [`Self::solve_warm`] and [`Self::solve_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::solve`].
-    pub fn solve_warm_with(
-        &self,
-        warm: &crate::WarmStart,
-        mode: crate::SolverMode,
-    ) -> Result<LpSolution, LpError> {
-        simplex::solve_with(self, Some(warm), mode)
+        simplex::solve_with(self, mode)
     }
 }
 

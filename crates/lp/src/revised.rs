@@ -25,8 +25,8 @@
 //! rhs-sign normalization, `[structural | slacks | artificials]` column
 //! layout), the same Dantzig→Bland pricing switch, the same ratio-test
 //! tie-breaking on basis column index, the same phase-1 infeasibility
-//! test, artificial drive-out and ban, the same warm-start crash
-//! protocol, and the same counters/histograms. The two backends are
+//! test, artificial drive-out and ban, and the same counters and
+//! histograms. The two backends are
 //! therefore *decision-equivalent* — equal status, equal objective up
 //! to solver tolerance — though not bit-identical: reduced costs come
 //! from BTRAN instead of tableau elimination, so tie-breaking among
@@ -37,12 +37,10 @@ use tomo_obs::LazyCounter;
 
 use crate::model::{LpProblem, Objective, Relation};
 use crate::simplex::{
-    self, Crash, BLAND_SWITCH, COLD_PIVOTS, INFEASIBLE, ITERATIONS, MAX_ITER_BASE, OPTIMAL,
-    PHASE1_SECONDS, PHASE2_SECONDS, PIVOTS, SOLVES, UNBOUNDED, WARM_CRASH_OPS, WARM_HITS,
-    WARM_MISSES, WARM_PIVOTS,
+    BLAND_SWITCH, INFEASIBLE, ITERATIONS, MAX_ITER_BASE, OPTIMAL, PHASE1_SECONDS, PHASE2_SECONDS,
+    PIVOTS, SOLVES, SOLVE_PIVOTS, UNBOUNDED,
 };
 use crate::solution::{LpSolution, LpStatus};
-use crate::warm::WarmStart;
 use crate::{LpError, LP_TOL};
 
 static REVISED_SOLVES: LazyCounter = LazyCounter::new("lp.simplex.revised.solves");
@@ -475,64 +473,13 @@ impl Revised {
         }
         Ok(())
     }
-
-    /// Installs a remembered basis: factorizes it, recomputes basic
-    /// values, and classifies the result exactly like the dense crash.
-    fn try_install(&mut self, hint: &[usize]) -> Crash {
-        if hint.len() != self.m || hint.iter().any(|&c| c >= self.ncols) {
-            return Crash::Failed;
-        }
-        let Some(lu) = SparseLu::factor(&self.cols, hint) else {
-            return Crash::Failed;
-        };
-        WARM_CRASH_OPS.add(self.m as u64);
-        self.basis.copy_from_slice(hint);
-        self.in_basis.fill(false);
-        for &b in hint {
-            self.in_basis[b] = true;
-        }
-        self.lu = lu;
-        self.etas.clear();
-        self.compute_xb();
-        if self.xb.iter().any(|&v| v < -LP_TOL) {
-            return Crash::Failed;
-        }
-        let artificials_off = self
-            .basis
-            .iter()
-            .zip(&self.xb)
-            .all(|(&b, &v)| b < self.first_artificial || v <= LP_TOL);
-        if artificials_off {
-            Crash::Phase2Ready
-        } else {
-            Crash::Phase1Ready
-        }
-    }
-
-    /// Restores the all-slack/artificial starting basis (an identity
-    /// matrix, so the factorization cannot fail) after a failed crash.
-    fn restore_initial(&mut self, init_basis: &[usize]) {
-        self.basis.copy_from_slice(init_basis);
-        self.in_basis.fill(false);
-        for &b in init_basis {
-            self.in_basis[b] = true;
-        }
-        self.lu = SparseLu::factor(&self.cols, &self.basis)
-            .expect("initial slack/artificial basis is the identity");
-        self.etas.clear();
-        self.xb.copy_from_slice(&self.rhs);
-    }
 }
 
 /// Solves the model with the revised simplex; the sparse mirror of
-/// `simplex::solve_inner` (same flow, counters and warm protocol).
-pub(crate) fn solve_revised(
-    problem: &LpProblem,
-    warm: Option<&WarmStart>,
-) -> Result<LpSolution, LpError> {
+/// `simplex::solve_inner` (same flow and counters).
+pub(crate) fn solve_revised(problem: &LpProblem) -> Result<LpSolution, LpError> {
     SOLVES.inc();
     REVISED_SOLVES.inc();
-    simplex::set_last_warm(None);
     let n_struct = problem.variables.len();
 
     // Assemble rows in (sparse terms, relation, rhs) form over the
@@ -624,7 +571,6 @@ pub(crate) fn solve_revised(
         }
     }
     let first_artificial = n_struct + n_slack;
-    let init_basis = basis.clone();
     let mut in_basis = vec![false; ncols];
     for &b in &basis {
         in_basis[b] = true;
@@ -655,48 +601,14 @@ pub(crate) fn solve_revised(
         Some(crate::chaos::SolveFault::IterationExhaustion) => {
             return Err(LpError::IterationLimit { limit: 0 });
         }
-        Some(crate::chaos::SolveFault::SingularWarmBasis) => {
-            // Drive the install path with an all-duplicate basis hint —
-            // structurally singular for m ≥ 2 — then report it as
-            // unrepairable, exercising the same restore path a corrupt
-            // remembered basis would.
-            if st.try_install(&vec![0usize; m]) == Crash::Failed {
-                st.restore_initial(&init_basis);
-            }
+        Some(crate::chaos::SolveFault::SingularBasis) => {
             return Err(LpError::SingularBasis { rows: m });
         }
         None => {}
     }
 
-    // Warm start: same candidate/restore/accounting protocol as the
-    // dense backend. Row assignment of the hinted columns is delegated
-    // to the LU row permutation rather than crash elimination order —
-    // the basis *set* (and thus the vertex) is identical either way.
-    let skeleton = warm.map(|w| (w, problem.skeleton_hash()));
-    let mut crash = Crash::Failed;
-    if let Some((w, key)) = skeleton {
-        let candidates = w.candidates(key, m, ncols);
-        for hint in &candidates {
-            match st.try_install(hint) {
-                Crash::Failed => st.restore_initial(&init_basis),
-                state => {
-                    crash = state;
-                    break;
-                }
-            }
-        }
-        if crash == Crash::Failed {
-            WARM_MISSES.inc();
-        } else {
-            WARM_HITS.inc();
-        }
-        simplex::set_last_warm(Some(crash != Crash::Failed));
-    }
-    let warm_hit = crash != Crash::Failed;
-
-    // Phase 1: minimize the sum of artificials (skipped when the crash
-    // already produced an artificial-free feasible basis).
-    if !artificial_cols.is_empty() && crash != Crash::Phase2Ready {
+    // Phase 1: minimize the sum of artificials.
+    if !artificial_cols.is_empty() {
         let _phase1_timer = PHASE1_SECONDS.start_timer();
         let mut phase1_costs = vec![0.0; ncols];
         for &j in &artificial_cols {
@@ -712,14 +624,7 @@ pub(crate) fn solve_revised(
             .sum();
         if phase1_obj > LP_TOL * (1.0 + phase1_obj.abs()) {
             INFEASIBLE.inc();
-            if warm_hit {
-                WARM_PIVOTS.record(st.solve_pivots as f64);
-            } else {
-                COLD_PIVOTS.record(st.solve_pivots as f64);
-            }
-            if let Some((w, key)) = skeleton {
-                w.store(key, m, ncols, Some(st.basis.clone()), None);
-            }
+            SOLVE_PIVOTS.record(st.solve_pivots as f64);
             tomo_obs::debug!(
                 "lp.simplex",
                 "revised infeasible: phase-1 objective {phase1_obj:.3e}"
@@ -735,7 +640,6 @@ pub(crate) fn solve_revised(
     for &j in &artificial_cols {
         st.banned[j] = true;
     }
-    let phase1_basis = skeleton.map(|_| st.basis.clone());
 
     // Phase 2: real objective (converted to minimization over x').
     let sign = match problem.objective() {
@@ -747,25 +651,15 @@ pub(crate) fn solve_revised(
         phase2_costs[j] = sign * v.objective;
     }
     let optimal = PHASE2_SECONDS.time(|| st.optimize(&phase2_costs))?;
-    if warm_hit {
-        WARM_PIVOTS.record(st.solve_pivots as f64);
-    } else {
-        COLD_PIVOTS.record(st.solve_pivots as f64);
-    }
+    SOLVE_PIVOTS.record(st.solve_pivots as f64);
     if !optimal {
         UNBOUNDED.inc();
-        if let Some((w, key)) = skeleton {
-            w.store(key, m, ncols, phase1_basis, None);
-        }
         tomo_obs::warn!("lp.simplex", "revised: unbounded objective");
         return Ok(LpSolution::new(
             LpStatus::Unbounded,
             0.0,
             vec![0.0; n_struct],
         ));
-    }
-    if let Some((w, key)) = skeleton {
-        w.store(key, m, ncols, phase1_basis, Some(st.basis.clone()));
     }
 
     // Extract structural values (undo the lower-bound shift).
@@ -793,7 +687,7 @@ pub(crate) fn solve_revised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LpProblem, LpStatus, Objective, Relation, SolverMode, VarId, WarmStart};
+    use crate::{LpProblem, LpStatus, Objective, Relation, SolverMode, VarId};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
@@ -957,8 +851,8 @@ mod tests {
 
     #[test]
     fn revised_matches_dense_across_family_sweep() {
-        // The warm-equivalence family: Ge + Eq rows, upper bounds, a
-        // phase-1 requirement, swept across rhs values — both backends
+        // Ge + Eq rows, upper bounds, a phase-1 requirement, swept
+        // across rhs values — both backends
         // must agree on status and objective at every step.
         for step in 0..20 {
             let demand = 4.0 + f64::from(step) * 1.7;
@@ -985,55 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_composes_with_revised_backend() {
-        // Calling the backend directly bypasses the size gate, so the
-        // cache protocol itself is exercised at toy scale.
-        let warm = WarmStart::new();
-        let family = |demand: f64| {
-            let mut lp = LpProblem::new(Objective::Minimize);
-            let x = lp.add_variable("x", 0.0, Some(100.0)).unwrap();
-            let y = lp.add_variable("y", 0.0, Some(100.0)).unwrap();
-            lp.set_objective_coefficient(x, 2.0);
-            lp.set_objective_coefficient(y, 3.0);
-            lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, demand)
-                .unwrap();
-            lp.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Eq, demand / 4.0)
-                .unwrap();
-            lp
-        };
-        for step in 0..12 {
-            let demand = 4.0 + f64::from(step) * 1.9;
-            let lp = family(demand);
-            let cold = solve_revised(&lp, None).unwrap();
-            let hot = solve_revised(&lp, Some(&warm)).unwrap();
-            assert_eq!(cold.status(), hot.status(), "demand {demand}");
-            assert!(
-                (cold.objective_value() - hot.objective_value()).abs()
-                    <= 1e-7 * (1.0 + cold.objective_value().abs()),
-                "demand {demand}"
-            );
-        }
-        assert_eq!(warm.len(), 1, "the sweep shares one skeleton");
-
-        // Infeasible instances re-certify through the cached basis.
-        let hard = family(500.0);
-        assert_eq!(
-            solve_revised(&hard, Some(&warm)).unwrap().status(),
-            LpStatus::Infeasible
-        );
-        assert_eq!(
-            solve_revised(&hard, Some(&warm)).unwrap().status(),
-            LpStatus::Infeasible
-        );
-        // And a feasible instance afterwards still solves correctly.
-        let back = family(12.0);
-        let hot = solve_revised(&back, Some(&warm)).unwrap();
-        let cold = solve_revised(&back, None).unwrap();
-        assert!(hot.is_optimal());
-        assert_close(hot.objective_value(), cold.objective_value());
-    }
-
-    #[test]
     fn armed_faults_surface_identically_to_dense() {
         let mut lp = LpProblem::new(Objective::Minimize);
         let x = lp.add_variable("x", 0.0, Some(10.0)).unwrap();
@@ -1048,7 +893,7 @@ mod tests {
             Err(LpError::IterationLimit { .. }) => {}
             other => panic!("expected IterationLimit, got {other:?}"),
         }
-        crate::chaos::arm(crate::chaos::SolveFault::SingularWarmBasis);
+        crate::chaos::arm(crate::chaos::SolveFault::SingularBasis);
         match lp.solve_with(SolverMode::Revised) {
             Err(LpError::SingularBasis { rows }) => assert!(rows >= 2),
             other => panic!("expected SingularBasis, got {other:?}"),

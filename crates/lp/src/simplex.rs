@@ -10,7 +10,6 @@ use tomo_obs::{LazyCounter, LazyHistogram};
 
 use crate::model::{LpProblem, Objective, Relation};
 use crate::solution::{LpSolution, LpStatus};
-use crate::warm::WarmStart;
 use crate::{LpError, LP_TOL};
 
 pub(crate) static SOLVES: LazyCounter = LazyCounter::new("lp.simplex.solves");
@@ -21,35 +20,9 @@ pub(crate) static INFEASIBLE: LazyCounter = LazyCounter::new("lp.simplex.infeasi
 pub(crate) static UNBOUNDED: LazyCounter = LazyCounter::new("lp.simplex.unbounded");
 pub(crate) static PHASE1_SECONDS: LazyHistogram = LazyHistogram::new("lp.simplex.phase1_seconds");
 pub(crate) static PHASE2_SECONDS: LazyHistogram = LazyHistogram::new("lp.simplex.phase2_seconds");
-pub(crate) static WARM_HITS: LazyCounter = LazyCounter::new("lp.simplex.warm.hits");
-pub(crate) static WARM_MISSES: LazyCounter = LazyCounter::new("lp.simplex.warm.misses");
-pub(crate) static WARM_CRASH_OPS: LazyCounter = LazyCounter::new("lp.simplex.warm.crash_ops");
-pub(crate) static WARM_PIVOTS: LazyHistogram = LazyHistogram::new("lp.simplex.warm.pivots");
-pub(crate) static COLD_PIVOTS: LazyHistogram = LazyHistogram::new("lp.simplex.cold.pivots");
-static WARM_SKIPPED_SMALL: LazyCounter = LazyCounter::new("lp.simplex.warm.skipped_small");
-
-thread_local! {
-    /// Warm-start outcome of this thread's most recent solve: `None` for
-    /// a cold solve (no cache offered), `Some(hit)` when a [`WarmStart`]
-    /// was consulted. Read via [`take_last_warm_outcome`] by provenance
-    /// recording; thread-local so parallel trials never see each other's
-    /// solves.
-    static LAST_WARM: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
-}
-
-/// Takes (and clears) the calling thread's last solve's warm-start
-/// outcome: `Some(true)` cache hit, `Some(false)` miss, `None` when the
-/// last solve ran cold or no solve has happened since the last take.
-pub fn take_last_warm_outcome() -> Option<bool> {
-    LAST_WARM.with(|w| w.take())
-}
-
-/// Records a warm-start outcome for the current thread's solve (shared
-/// with the revised-simplex backend so both report through the same
-/// [`take_last_warm_outcome`] channel).
-pub(crate) fn set_last_warm(outcome: Option<bool>) {
-    LAST_WARM.with(|w| w.set(outcome));
-}
+/// Priced pivots per solve, one sample per solve that reaches the end of
+/// phase 1 (infeasible) or phase 2.
+pub(crate) static SOLVE_PIVOTS: LazyHistogram = LazyHistogram::new("lp.simplex.solve_pivots");
 
 /// Hard safety bound on simplex iterations per phase.
 pub(crate) const MAX_ITER_BASE: usize = 20_000;
@@ -59,11 +32,11 @@ pub(crate) const BLAND_SWITCH: usize = 2_000;
 /// Which simplex backend a solve should use.
 ///
 /// Both backends implement the same two-phase primal simplex — same
-/// pricing rules, ratio-test tie-breaking, phase-1 infeasibility test
-/// and warm-start protocol — so they are *decision-equivalent*: equal
+/// pricing rules, ratio-test tie-breaking and phase-1 infeasibility
+/// test — so they are *decision-equivalent*: equal
 /// [`LpStatus`](crate::LpStatus) and equal objective up to solver
 /// tolerance. Vertices (and thus low-order solution bits) may differ
-/// when the optimum is not unique, exactly like warm vs cold solves.
+/// when the optimum is not unique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMode {
     /// Pick by standard-form size: the dense tableau below
@@ -88,23 +61,6 @@ pub enum SolverMode {
 /// per-pivot O(m·ncols) traffic (and its memory footprint) loses to
 /// sparse FTRAN/BTRAN solves.
 pub(crate) const AUTO_REVISED_MIN_CELLS: usize = 1 << 20;
-
-/// Warm-start bases are only worth their crash cost on instances with
-/// at least this many standard-form cells; below it the cache is
-/// skipped (recorded in `lp.simplex.warm.skipped_small`) unless
-/// `TOMO_LP_WARM` forces it (`1` / `force` / `always`).
-pub(crate) const WARM_MIN_CELLS: usize = 1 << 18;
-
-/// `true` when `TOMO_LP_WARM` explicitly forces warm-starting even on
-/// instances below [`WARM_MIN_CELLS`] — the hook
-/// `scripts/bench_trajectory.sh` uses to compare cold vs warm pivot
-/// counts on the (small) fig7 workload.
-fn warm_forced() -> bool {
-    match std::env::var("TOMO_LP_WARM") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "force" | "always"),
-        Err(_) => false,
-    }
-}
 
 /// Standard-form dimensions `(m, ncols)` the assembly in `solve_inner`
 /// (and its sparse mirror in [`crate::revised`]) will produce, computed
@@ -175,18 +131,6 @@ fn resolve_mode(requested: SolverMode, m: usize, ncols: usize) -> SolverMode {
     }
 }
 
-/// Outcome of crashing a remembered basis into a fresh tableau.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Crash {
-    /// Basic feasible solution with zero artificial mass: skip phase 1.
-    Phase2Ready,
-    /// Primal feasible but artificials still carry weight: re-enter
-    /// phase 1 from this basis instead of the all-artificial start.
-    Phase1Ready,
-    /// Singular or primal-infeasible under the new data: solve cold.
-    Failed,
-}
-
 struct Tableau {
     /// (m+1) × (ncols+1); last row = reduced costs, last col = rhs.
     t: Vec<Vec<f64>>,
@@ -196,8 +140,8 @@ struct Tableau {
     ncols: usize,
     /// Columns that may never enter the basis (artificials in phase 2).
     banned: Vec<bool>,
-    /// Priced simplex pivots performed during this solve (crash
-    /// eliminations excluded) — feeds the warm/cold pivot histograms.
+    /// Priced simplex pivots performed during this solve — feeds the
+    /// `lp.simplex.solve_pivots` histogram.
     solve_pivots: u64,
 }
 
@@ -206,11 +150,13 @@ impl Tableau {
         self.t[i][self.ncols]
     }
 
-    /// Gauss-Jordan elimination making column `col` the unit vector of
-    /// row `row`: the shared kernel of [`Self::pivot`] and
-    /// [`Self::crash_basis`]. Splits the row storage instead of cloning
-    /// the pivot row, so no allocation happens per elimination.
-    fn eliminate(&mut self, row: usize, col: usize) {
+    /// One priced pivot: column `col` enters, row `row`'s basic variable
+    /// leaves. Gauss-Jordan elimination makes `col` the unit vector of
+    /// `row`; it splits the row storage instead of cloning the pivot
+    /// row, so no allocation happens per pivot.
+    fn pivot(&mut self, row: usize, col: usize) {
+        PIVOTS.inc();
+        self.solve_pivots += 1;
         let pivot = self.t[row][col];
         debug_assert!(pivot.abs() > LP_TOL, "pivot too small: {pivot}");
         let inv = 1.0 / pivot;
@@ -231,71 +177,6 @@ impl Tableau {
             r[col] = 0.0;
         }
         self.basis[row] = col;
-    }
-
-    /// One priced pivot: column `col` enters, row `row`'s basic variable
-    /// leaves.
-    fn pivot(&mut self, row: usize, col: usize) {
-        PIVOTS.inc();
-        self.solve_pivots += 1;
-        self.eliminate(row, col);
-    }
-
-    /// Installs a remembered basis into a freshly assembled tableau by
-    /// eliminating each hinted column in row order ("crash" start).
-    ///
-    /// [`Crash::Phase2Ready`] means every hinted pivot element was
-    /// usable, the resulting basic solution is primal feasible, and no
-    /// artificial column (index ≥ `first_artificial`) carries weight —
-    /// exactly the state a successful phase 1 would have produced, so
-    /// phase 2 can start immediately. [`Crash::Phase1Ready`] means the
-    /// basis is primal feasible but artificials still carry weight
-    /// (the remembered solve ended infeasible); phase 1 can re-enter
-    /// from here instead of the all-artificial start. On
-    /// [`Crash::Failed`] the tableau is left partially eliminated and
-    /// must be rebuilt by the caller.
-    fn crash_basis(&mut self, hint: &[usize], first_artificial: usize) -> Crash {
-        if hint.len() != self.m {
-            return Crash::Failed;
-        }
-        // The hint is a *set* of basis columns: install each by
-        // Gauss-Jordan elimination, choosing among still-unassigned rows
-        // the one with the largest pivot magnitude (partial pivoting).
-        // A fixed row order would spuriously reject nonsingular bases
-        // whenever an early row happens to have a zero in its hinted
-        // column.
-        let mut assigned = vec![false; self.m];
-        for &col in hint {
-            if col >= self.ncols {
-                return Crash::Failed;
-            }
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &done) in assigned.iter().enumerate() {
-                if done {
-                    continue;
-                }
-                let a = self.t[i][col].abs();
-                if a > LP_TOL && best.is_none_or(|(_, b)| a > b) {
-                    best = Some((i, a));
-                }
-            }
-            let Some((row, _)) = best else {
-                return Crash::Failed;
-            };
-            assigned[row] = true;
-            WARM_CRASH_OPS.inc();
-            self.eliminate(row, col);
-        }
-        if (0..self.m).any(|i| self.rhs(i) < -LP_TOL) {
-            return Crash::Failed;
-        }
-        let artificials_off =
-            (0..self.m).all(|i| self.basis[i] < first_artificial || self.rhs(i) <= LP_TOL);
-        if artificials_off {
-            Crash::Phase2Ready
-        } else {
-            Crash::Phase1Ready
-        }
     }
 
     /// Chooses the entering column, or `None` if optimal.
@@ -378,45 +259,19 @@ impl Tableau {
     }
 }
 
-/// Solves the model; see [`LpProblem::solve`].
-pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    solve_with(problem, None, SolverMode::Auto)
-}
-
-/// Solves the model with basis reuse; see [`LpProblem::solve_warm`].
-pub(crate) fn solve_warm(problem: &LpProblem, warm: &WarmStart) -> Result<LpSolution, LpError> {
-    solve_with(problem, Some(warm), SolverMode::Auto)
-}
-
 /// Mode-dispatching entry point shared by every public solve call:
-/// sizes the standard form, applies the warm-start size gate, resolves
-/// the backend and hands off to the dense tableau or the revised
-/// simplex.
-pub(crate) fn solve_with(
-    problem: &LpProblem,
-    warm: Option<&WarmStart>,
-    mode: SolverMode,
-) -> Result<LpSolution, LpError> {
+/// sizes the standard form, resolves the backend and hands off to the
+/// dense tableau or the revised simplex.
+pub(crate) fn solve_with(problem: &LpProblem, mode: SolverMode) -> Result<LpSolution, LpError> {
     let (m, ncols) = standard_dims(problem);
-    let warm = match warm {
-        Some(_) if m.saturating_mul(ncols) < WARM_MIN_CELLS && !warm_forced() => {
-            // At toy scale the crash + pristine-tableau bookkeeping costs
-            // more wall time than the pivots it saves, so the cache is
-            // bypassed (the solve runs cold and reports no warm outcome).
-            WARM_SKIPPED_SMALL.inc();
-            None
-        }
-        other => other,
-    };
     match resolve_mode(mode, m, ncols) {
-        SolverMode::Revised => crate::revised::solve_revised(problem, warm),
-        _ => solve_inner(problem, warm),
+        SolverMode::Revised => crate::revised::solve_revised(problem),
+        _ => solve_inner(problem),
     }
 }
 
-fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSolution, LpError> {
+fn solve_inner(problem: &LpProblem) -> Result<LpSolution, LpError> {
     SOLVES.inc();
-    LAST_WARM.with(|w| w.set(None));
     let n_struct = problem.variables.len();
 
     // Assemble rows in (dense coeffs, relation, rhs) form over the shifted
@@ -525,65 +380,14 @@ fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSoluti
         Some(crate::chaos::SolveFault::IterationExhaustion) => {
             return Err(LpError::IterationLimit { limit: 0 });
         }
-        Some(crate::chaos::SolveFault::SingularWarmBasis) => {
-            // Drive the crash procedure with an all-duplicate basis hint —
-            // structurally singular for m ≥ 2 — then report it as
-            // unrepairable, exercising the same restore path a corrupt
-            // remembered basis would.
-            let pristine_t = tab.t.clone();
-            let pristine_basis = tab.basis.clone();
-            if tab.crash_basis(&vec![0usize; m], first_artificial) == Crash::Failed {
-                tab.t = pristine_t;
-                tab.basis = pristine_basis;
-            }
+        Some(crate::chaos::SolveFault::SingularBasis) => {
             return Err(LpError::SingularBasis { rows: m });
         }
         None => {}
     }
 
-    // Warm start: try to crash a remembered basis for this constraint
-    // skeleton into the fresh tableau. `Phase2Ready` means we already
-    // hold a basic feasible solution with zero artificial mass —
-    // exactly what phase 1 exists to find — so phase 1 is skipped
-    // entirely. `Phase1Ready` (the remembered solve ended infeasible)
-    // means phase 1 re-enters from the crashed near-terminal basis
-    // instead of the all-artificial start, re-certifying in a handful
-    // of pivots.
-    let skeleton = warm.map(|w| (w, problem.skeleton_hash()));
-    let mut crash = Crash::Failed;
-    if let Some((w, key)) = skeleton {
-        let candidates = w.candidates(key, m, ncols);
-        if !candidates.is_empty() {
-            let pristine_t = tab.t.clone();
-            let pristine_basis = tab.basis.clone();
-            for hint in &candidates {
-                match tab.crash_basis(hint, first_artificial) {
-                    Crash::Failed => {
-                        tab.t.clone_from(&pristine_t);
-                        tab.basis.clone_from(&pristine_basis);
-                    }
-                    state => {
-                        crash = state;
-                        break;
-                    }
-                }
-            }
-        }
-        if crash == Crash::Failed {
-            WARM_MISSES.inc();
-        } else {
-            WARM_HITS.inc();
-        }
-        LAST_WARM.with(|w| w.set(Some(crash != Crash::Failed)));
-    }
-    let warm_hit = crash != Crash::Failed;
-
-    // Phase 1: minimize the sum of artificials (skipped when the crash
-    // already produced an artificial-free feasible basis; started from
-    // the crashed basis — rather than the all-artificial one — on a
-    // `Phase1Ready` crash, since `install_costs` re-prices against
-    // whatever basis the tableau currently holds).
-    if !artificial_cols.is_empty() && crash != Crash::Phase2Ready {
+    // Phase 1: minimize the sum of artificials.
+    if !artificial_cols.is_empty() {
         let _phase1_timer = PHASE1_SECONDS.start_timer();
         let mut phase1_costs = vec![0.0; ncols];
         for &j in &artificial_cols {
@@ -596,17 +400,7 @@ fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSoluti
         let phase1_obj = -tab.t[tab.m][ncols];
         if phase1_obj > LP_TOL * (1.0 + phase1_obj.abs()) {
             INFEASIBLE.inc();
-            if warm_hit {
-                WARM_PIVOTS.record(tab.solve_pivots as f64);
-            } else {
-                COLD_PIVOTS.record(tab.solve_pivots as f64);
-            }
-            // Remember the phase-1 terminal basis even though the LP is
-            // infeasible: the next solve of this skeleton re-certifies
-            // infeasibility from it in a handful of pivots.
-            if let Some((w, key)) = skeleton {
-                w.store(key, m, ncols, Some(tab.basis.clone()), None);
-            }
+            SOLVE_PIVOTS.record(tab.solve_pivots as f64);
             tomo_obs::debug!(
                 "lp.simplex",
                 "infeasible: phase-1 objective {phase1_obj:.3e}"
@@ -632,9 +426,6 @@ fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSoluti
     for &j in &artificial_cols {
         tab.banned[j] = true;
     }
-    // The feasible basis phase 1 (or the crash) ended with: worth
-    // remembering even if phase 2 wanders far from it.
-    let phase1_basis = skeleton.map(|_| tab.basis.clone());
 
     // Phase 2: real objective (converted to minimization over x').
     let sign = match problem.objective() {
@@ -649,25 +440,15 @@ fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSoluti
         tab.install_costs(&phase2_costs);
         tab.optimize()
     })?;
-    if warm_hit {
-        WARM_PIVOTS.record(tab.solve_pivots as f64);
-    } else {
-        COLD_PIVOTS.record(tab.solve_pivots as f64);
-    }
+    SOLVE_PIVOTS.record(tab.solve_pivots as f64);
     if !optimal {
         UNBOUNDED.inc();
-        if let Some((w, key)) = skeleton {
-            w.store(key, m, ncols, phase1_basis, None);
-        }
         tomo_obs::warn!("lp.simplex", "unbounded objective");
         return Ok(LpSolution::new(
             LpStatus::Unbounded,
             0.0,
             vec![0.0; n_struct],
         ));
-    }
-    if let Some((w, key)) = skeleton {
-        w.store(key, m, ncols, phase1_basis, Some(tab.basis.clone()));
     }
 
     // Extract structural values (undo the lower-bound shift).
@@ -695,36 +476,18 @@ fn solve_inner(problem: &LpProblem, warm: Option<&WarmStart>) -> Result<LpSoluti
 
 #[cfg(test)]
 mod tests {
-    use crate::{LpProblem, LpStatus, Objective, Relation, VarId, WarmStart};
+    use crate::{LpProblem, LpStatus, Objective, Relation, VarId};
     use std::sync::Mutex;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
 
-    /// Serializes tests that manipulate `TOMO_LP_WARM` — process-global
+    /// Serializes tests that manipulate `TOMO_LP_MODE` — process-global
     /// environment, so concurrent test threads would race otherwise.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-    /// Runs `f` with the warm-start size gate forced open (the test
-    /// problems here are all far below [`super::WARM_MIN_CELLS`]),
-    /// restoring the prior environment afterwards.
-    fn with_warm_forced(f: impl FnOnce()) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let prior = std::env::var("TOMO_LP_WARM").ok();
-        std::env::set_var("TOMO_LP_WARM", "force");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        match prior {
-            Some(v) => std::env::set_var("TOMO_LP_WARM", v),
-            None => std::env::remove_var("TOMO_LP_WARM"),
-        }
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
-        }
-    }
-
-    /// A small Ge/Eq-laden problem family parameterized by rhs, so warm
-    /// solves exercise the phase-1 skip across rhs changes.
+    /// A small Ge/Eq-laden problem family parameterized by rhs.
     fn family_instance(demand: f64) -> (LpProblem, VarId, VarId) {
         // min 2x + 3y s.t. x + y ≥ demand, x − y = demand/4, x,y ∈ [0, 100].
         let mut lp = LpProblem::new(Objective::Minimize);
@@ -749,166 +512,17 @@ mod tests {
             other => panic!("expected IterationLimit, got {other:?}"),
         }
 
-        crate::chaos::arm(crate::chaos::SolveFault::SingularWarmBasis);
+        crate::chaos::arm(crate::chaos::SolveFault::SingularBasis);
         match lp.solve() {
             Err(crate::LpError::SingularBasis { rows }) => assert!(rows >= 2),
             other => panic!("expected SingularBasis, got {other:?}"),
         }
 
-        // The fault is consumed: the very next solve is healthy, and a
-        // warm solve after a faulted one still matches cold.
-        let cold = lp.solve().unwrap();
-        assert!(cold.is_optimal());
-        let warm = WarmStart::new();
-        crate::chaos::arm(crate::chaos::SolveFault::SingularWarmBasis);
-        assert!(lp.solve_warm(&warm).is_err());
-        let hot = lp.solve_warm(&warm).unwrap();
-        assert_close(hot.objective_value(), cold.objective_value());
-    }
-
-    #[test]
-    fn warm_solve_matches_cold_across_rhs_sweep() {
-        with_warm_forced(|| {
-            let warm = WarmStart::new();
-            for step in 0..20 {
-                let demand = 4.0 + f64::from(step) * 1.7;
-                let (lp, x, y) = family_instance(demand);
-                let cold = lp.solve().unwrap();
-                let hot = lp.solve_warm(&warm).unwrap();
-                assert_eq!(cold.status(), hot.status(), "demand {demand}");
-                assert!(
-                    (cold.objective_value() - hot.objective_value()).abs()
-                        <= 1e-9 * (1.0 + cold.objective_value().abs()),
-                    "demand {demand}: cold {} warm {}",
-                    cold.objective_value(),
-                    hot.objective_value()
-                );
-                for v in [x, y] {
-                    assert!((cold.value(v) - hot.value(v)).abs() <= 1e-7);
-                }
-            }
-            // The sweep shares one skeleton.
-            assert_eq!(warm.len(), 1);
-        });
-    }
-
-    #[test]
-    fn warm_falls_back_cold_when_basis_goes_infeasible() {
-        with_warm_forced(|| {
-            let warm = WarmStart::new();
-            // Seed the cache at a comfortably feasible instance…
-            let (lp, _, _) = family_instance(10.0);
-            assert!(lp.solve_warm(&warm).unwrap().is_optimal());
-            // …then jump to an infeasible instance of the same skeleton
-            // (demand above both upper bounds combined).
-            let (hard, _, _) = family_instance(500.0);
-            let sol = hard.solve_warm(&warm).unwrap();
-            assert_eq!(sol.status(), LpStatus::Infeasible);
-            // And back: the cache must still warm the feasible region.
-            let (back, x, y) = family_instance(12.0);
-            let sol = back.solve_warm(&warm).unwrap();
-            assert!(sol.is_optimal());
-            let cold = back.solve().unwrap();
-            assert_close(sol.objective_value(), cold.objective_value());
-            assert_close(sol.value(x), cold.value(x));
-            assert_close(sol.value(y), cold.value(y));
-        });
-    }
-
-    #[test]
-    fn warm_reenters_phase1_on_repeated_infeasible_skeleton() {
-        with_warm_forced(|| {
-            let warm = WarmStart::new();
-            // The first infeasible solve must cache its phase-1 terminal
-            // basis (before this existed, infeasible solves stored nothing
-            // and streams of infeasible instances never warmed up).
-            let (a, _, _) = family_instance(500.0);
-            assert_eq!(a.solve_warm(&warm).unwrap().status(), LpStatus::Infeasible);
-            assert_eq!(warm.len(), 1, "infeasible solve must seed the cache");
-            // A second infeasible instance of the same skeleton crashes the
-            // cached basis and re-certifies infeasibility from it.
-            let (b, _, _) = family_instance(480.0);
-            assert_eq!(b.solve_warm(&warm).unwrap().status(), LpStatus::Infeasible);
-            assert_eq!(b.solve().unwrap().status(), LpStatus::Infeasible);
-            // And a feasible instance afterwards still solves correctly.
-            let (c, x, y) = family_instance(12.0);
-            let hot = c.solve_warm(&warm).unwrap();
-            let cold = c.solve().unwrap();
-            assert!(hot.is_optimal());
-            assert_close(hot.objective_value(), cold.objective_value());
-            assert_close(hot.value(x), cold.value(x));
-            assert_close(hot.value(y), cold.value(y));
-        });
-    }
-
-    #[test]
-    fn warm_handles_unbounded_and_all_le_problems() {
-        with_warm_forced(|| {
-            let warm = WarmStart::new();
-            // All-Le problem: no artificials, warm path must still work.
-            let mut lp = LpProblem::new(Objective::Maximize);
-            let x = lp.add_variable("x", 0.0, Some(7.0)).unwrap();
-            lp.set_objective_coefficient(x, 1.0);
-            lp.add_constraint(&[(x, 1.0)], Relation::Le, 5.0).unwrap();
-            assert_close(lp.solve_warm(&warm).unwrap().value(x), 5.0);
-            assert_close(lp.solve_warm(&warm).unwrap().value(x), 5.0);
-
-            // Unbounded problem solved warm twice.
-            let mut ub = LpProblem::new(Objective::Maximize);
-            let z = ub.add_variable("z", 0.0, None).unwrap();
-            ub.set_objective_coefficient(z, 1.0);
-            ub.add_constraint(&[(z, -1.0)], Relation::Le, 3.0).unwrap();
-            assert_eq!(ub.solve_warm(&warm).unwrap().status(), LpStatus::Unbounded);
-            assert_eq!(ub.solve_warm(&warm).unwrap().status(), LpStatus::Unbounded);
-        });
-    }
-
-    #[test]
-    fn skeleton_hash_separates_structure_not_data() {
-        let (a, _, _) = family_instance(10.0);
-        let (b, _, _) = family_instance(99.0);
-        // Same structure, different rhs: same skeleton.
-        assert_eq!(a.skeleton_hash(), b.skeleton_hash());
-        // Different relation: different skeleton.
-        let mut c = LpProblem::new(Objective::Minimize);
-        let x = c.add_variable("x", 0.0, Some(100.0)).unwrap();
-        let y = c.add_variable("y", 0.0, Some(100.0)).unwrap();
-        c.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 10.0)
-            .unwrap();
-        c.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Eq, 2.5)
-            .unwrap();
-        assert_ne!(a.skeleton_hash(), c.skeleton_hash());
-    }
-
-    #[test]
-    fn warm_cache_skipped_below_size_gate() {
-        // With TOMO_LP_WARM unset, toy problems (far below
-        // WARM_MIN_CELLS) must bypass the cache entirely: no slots
-        // stored, no hit/miss outcome recorded.
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let prior = std::env::var("TOMO_LP_WARM").ok();
-        std::env::remove_var("TOMO_LP_WARM");
-        let result = std::panic::catch_unwind(|| {
-            let warm = WarmStart::new();
-            let (lp, _, _) = family_instance(10.0);
-            let hot = lp.solve_warm(&warm).unwrap();
-            let cold = lp.solve().unwrap();
-            assert!(hot.is_optimal());
-            assert_close(hot.objective_value(), cold.objective_value());
-            assert!(warm.is_empty(), "gated solve must not touch the cache");
-            assert_eq!(
-                crate::take_last_warm_outcome(),
-                None,
-                "gated solve records no warm outcome"
-            );
-        });
-        match prior {
-            Some(v) => std::env::set_var("TOMO_LP_WARM", v),
-            None => std::env::remove_var("TOMO_LP_WARM"),
-        }
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
-        }
+        // The fault is consumed: the very next solve is healthy.
+        let sol = lp.solve().unwrap();
+        assert!(sol.is_optimal());
+        // x + y = 10, x − y = 2.5 → x = 6.25, y = 3.75, z = 23.75.
+        assert_close(sol.objective_value(), 23.75);
     }
 
     #[test]

@@ -156,9 +156,6 @@ pub struct TrialProvenance {
     pub seed: u64,
     /// Digest of the trial's fault plan (`None` when no fault layer).
     pub fault_digest: Option<u64>,
-    /// Simplex warm-start outcome of the trial's last LP solve:
-    /// `Some(true)` hit, `Some(false)` miss, `None` cold/no solve.
-    pub warm: Option<bool>,
     /// Whether estimation fell back to the degraded (rank-deficient) path.
     pub degraded: bool,
     /// Whether the degraded path used the ridge-regularized solve.
@@ -412,12 +409,6 @@ fn chrome_event(out: &mut String, event: &TraceEvent) {
             if let Some(d) = p.fault_digest {
                 push_arg(&mut args, "fault_digest", format!("\"{d:#018x}\""));
             }
-            let warm = match p.warm {
-                Some(true) => "hit",
-                Some(false) => "miss",
-                None => "cold",
-            };
-            push_arg(&mut args, "warm", json::string(warm));
             push_arg(&mut args, "degraded", p.degraded.to_string());
             push_arg(&mut args, "used_ridge", p.used_ridge.to_string());
             if let Some(v) = p.verdict {
@@ -609,7 +600,7 @@ mod tests {
                     trial: 3,
                     seed: 42,
                     fault_digest: Some(0xdead_beef),
-                    warm: Some(true),
+                    degraded: true,
                     verdict: Some(false),
                     residual: Some(0.25),
                     success: Some(true),
@@ -625,7 +616,7 @@ mod tests {
         assert!(rendered.contains("\"ph\": \"i\""));
         // The quoted/backslashed span name survives escaping.
         assert!(rendered.contains("trace.test.\\\"quoted\\\\name\\\""));
-        assert!(rendered.contains("\"warm\": \"hit\""));
+        assert!(rendered.contains("\"degraded\": true"));
         assert!(rendered.contains("\"fault_digest\""));
         assert!(rendered.contains("\"residual\": 0.25"));
     }

@@ -4,7 +4,7 @@
 //! point, runs chosen-victim attack trials on the Fig. 1 network while
 //! the fault plan sabotages measurements (probe loss, corruption, stale
 //! readings, mid-experiment link failures) and solves (forced simplex
-//! iteration exhaustion, singular warm bases). Every layer degrades
+//! iteration exhaustion, singular bases). Every layer degrades
 //! instead of aborting: solver faults retry deterministically and
 //! quarantine past the budget, lost/non-finite rows route estimation
 //! through [`TomographySystem::solve_degraded`], and panicking trials
@@ -13,10 +13,9 @@
 //! balanced [`FaultReport`] ledger (`injected == handled + quarantined`).
 //!
 //! Determinism: each sweep point derives its own fault plan and each
-//! trial its own ChaCha8 streams from `(seed, point, trial)`, results
-//! merge in trial order, and the attack LP always runs cold (`warm =
-//! None` — warm-started float paths are schedule-dependent), so the
-//! artifact is byte-identical for every thread count.
+//! trial its own ChaCha8 streams from `(seed, point, trial)` and results
+//! merge in trial order, so the artifact is byte-identical for every
+//! thread count.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -176,22 +175,18 @@ fn run_point(
                                 tomo_lp::chaos::SolveFault::IterationExhaustion
                             }
                             SolverFaultKind::SingularBasis => {
-                                tomo_lp::chaos::SolveFault::SingularWarmBasis
+                                tomo_lp::chaos::SolveFault::SingularBasis
                             }
                         });
                 let mut krng =
                     ChaCha8Rng::seed_from_u64(derive_seed(point_seed ^ COUNT_SALT, t as u64));
                 let k = krng.gen_range(1..=config.max_attackers.max(1));
                 let attack_seed = derive_seed(point_seed ^ ATTACK_SALT, t as u64);
-                // The attack LP runs cold: warm-started solves are
-                // schedule-dependent in their float paths, and this experiment
-                // consumes the manipulation vector itself.
                 let trial = match montecarlo::chosen_victim_trial_faulted(
                     system,
                     &scenario,
                     &delay_model,
                     k,
-                    None,
                     solver_fault,
                     config.solver_retries,
                     attack_seed,
@@ -308,7 +303,6 @@ fn run_point(
                     trial: t as u64,
                     seed: derive_seed(point_seed ^ ATTACK_SALT, t as u64),
                     fault_digest: fault_on.then(|| plan.trial_digest(t as u64)),
-                    warm: None, // the chaos attack LP always runs cold
                     degraded: outcome.degraded,
                     used_ridge: outcome.used_ridge,
                     verdict: Some(outcome.detected),

@@ -11,10 +11,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use tomo_attack::montecarlo::{chosen_victim_trial_detailed, ChosenVictimTrial, RatioBins};
+use tomo_attack::montecarlo::{chosen_victim_trial, ChosenVictimTrial, RatioBins};
 use tomo_attack::scenario::AttackScenario;
 use tomo_core::params;
-use tomo_lp::{warm_enabled, WarmStart};
 use tomo_par::{derive_seed, Executor};
 
 use crate::topologies::{build_system, NetworkKind};
@@ -73,7 +72,6 @@ fn run_family(
     config: &Fig7Config,
     master_seed: u64,
     exec: &Executor,
-    warm: Option<&WarmStart>,
 ) -> Result<Fig7Series, SimError> {
     let scenario = AttackScenario::paper_defaults();
     let delay_model = params::default_delay_model();
@@ -97,27 +95,17 @@ fn run_family(
                 let stream_seed = derive_seed(trial_seed, t as u64);
                 let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
                 let k = rng.gen_range(1..=config.max_attackers.max(1));
-                // The detailed variant draws the identical RNG sequence; the
-                // extra context feeds trace provenance and is dropped below.
-                let detail = chosen_victim_trial_detailed(
-                    &system,
-                    &scenario,
-                    &delay_model,
-                    k,
-                    warm,
-                    &mut rng,
-                )?;
+                let trial = chosen_victim_trial(&system, &scenario, &delay_model, k, &mut rng)?;
                 if tomo_obs::tracing_enabled() {
                     tomo_obs::record_trial(tomo_obs::TrialProvenance {
                         experiment: format!("fig7.{kind}.s{s}"),
                         trial: t as u64,
                         seed: stream_seed,
-                        warm: detail.as_ref().and_then(|d| d.warm_outcome),
-                        success: detail.as_ref().map(|d| d.trial.success),
+                        success: trial.as_ref().map(|r| r.success),
                         ..tomo_obs::TrialProvenance::default()
                     });
                 }
-                Ok(detail.map(|d| d.trial))
+                Ok(trial)
             },
         )?;
         trials.extend(outcomes.into_iter().flatten());
@@ -140,19 +128,11 @@ fn run_family(
 /// Returns [`SimError`] on substrate failure.
 pub fn run(seed: u64, config: &Fig7Config, exec: &Executor) -> Result<Fig7Result, SimError> {
     let _span = tomo_obs::span("sim.fig7");
-    // One simplex basis cache across both families, shared by every
-    // worker thread: trials with the same coalition shape reuse each
-    // other's terminal bases — skipping phase 1 outright for feasible
-    // repeats and re-certifying infeasible ones in a few pivots.
-    // Fig. 7 aggregates only success/ratio tallies (integers), so
-    // warm-started solves leave the artifact byte-identical;
-    // TOMO_LP_WARM=0 forces the cold path for A/B runs.
-    let warm = warm_enabled().then(WarmStart::new);
     Ok(Fig7Result {
         seed,
         config: *config,
-        wireline: run_family(NetworkKind::Wireline, config, seed, exec, warm.as_ref())?,
-        wireless: run_family(NetworkKind::Wireless, config, seed, exec, warm.as_ref())?,
+        wireline: run_family(NetworkKind::Wireline, config, seed, exec)?,
+        wireless: run_family(NetworkKind::Wireless, config, seed, exec)?,
     })
 }
 

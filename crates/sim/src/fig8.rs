@@ -92,16 +92,12 @@ fn run_family(
         let trial_seed = sys_seed ^ 0x5a5a_5a5a;
         let outcomes = exec.try_map(config.trials_per_system, |t| {
             let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(trial_seed, t as u64));
-            // Deliberately cold (no WarmStart): fig8.json archives the
-            // raw mean-damage floats, and warm-started solves land on
-            // ULP-different vertices of the optimal face.
-            let md = max_damage_trial(&system, &scenario, &delay_model, None, &mut rng)?;
+            let md = max_damage_trial(&system, &scenario, &delay_model, &mut rng)?;
             let ob = obfuscation_trial(
                 &system,
                 &scenario,
                 &delay_model,
                 config.obfuscation_min_victims,
-                None,
                 &mut rng,
             )?;
             Ok::<_, SimError>((md.success, md.damage, ob.success))

@@ -404,27 +404,6 @@ fn budget_lp(routing: &CsrMatrix) -> Result<LpProblem, SimError> {
     Ok(lp)
 }
 
-/// Builds the budget LP of a standalone topology at roughly `target`
-/// links — the smallest sweep point's LP workload, exposed so the bench
-/// regression gate can compare cold vs warm-started simplex wall time
-/// on the exact shape this sweep solves.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on generation or LP-construction failure.
-pub fn budget_lp_workload(
-    seed: u64,
-    target: usize,
-    extra_paths: usize,
-) -> Result<LpProblem, SimError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, GRAPH_STREAM));
-    let graph = isp::generate(&isp_config_for(target), &mut rng)?;
-    let mut paths = one_hop_paths(&graph)?;
-    paths.extend(sample_extra_paths(&graph, extra_paths, &mut rng)?);
-    let routing = tomo_core::build_routing_csr(&paths, graph.num_links())?;
-    budget_lp(&routing)
-}
-
 fn run_point(
     config: &ScaleConfig,
     target: usize,
@@ -627,7 +606,6 @@ pub fn run(seed: u64, config: &ScaleConfig) -> Result<ScaleResult, SimError> {
                 experiment: format!("scale.L{target}"),
                 trial: i as u64,
                 seed: point_seed,
-                warm: tomo_lp::take_last_warm_outcome(),
                 ..tomo_obs::TrialProvenance::default()
             });
         }

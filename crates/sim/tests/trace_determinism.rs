@@ -73,9 +73,9 @@ fn provenance_set(trace: &serde_json::Value) -> Vec<String> {
                     .map_or_else(|| "-".to_string(), |v| serde_json::to_string(v).unwrap())
             };
             format!(
-                "{name} seed={} warm={} success={}",
+                "{name} seed={} degraded={} success={}",
                 field("seed"),
-                field("warm"),
+                field("degraded"),
                 field("success"),
             )
         })

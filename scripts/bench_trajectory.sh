@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Wall-clock scaling of the parallel Monte-Carlo engine, plus a cold vs
-# warm-start A/B of the simplex layer.
+# Wall-clock scaling of the parallel Monte-Carlo engine, plus the
+# fault-layer, tracing, scale, incremental and serve baselines.
 #
-# Usage: scripts/bench_trajectory.sh [OUT_JSON] [LP_OUT_JSON] [CHAOS_OUT_JSON] [OBS_OUT_JSON] [SCALE_OUT_JSON] [INC_OUT_JSON] [SERVE_OUT_JSON] [SERVE_LOAD_OUT_JSON]
+# Usage: scripts/bench_trajectory.sh [OUT_JSON] [CHAOS_OUT_JSON] [OBS_OUT_JSON] [SCALE_OUT_JSON] [INC_OUT_JSON] [SERVE_OUT_JSON] [SERVE_LOAD_OUT_JSON]
 #
 # Runs the fig7 quick workload through the release tomo-sim binary at the
 # thread counts this machine can honestly measure (1, 2, and max — but
@@ -10,11 +10,8 @@
 # verifies the JSON artifacts are byte-identical across thread counts
 # (including an untimed 2-thread oversubscription smoke on single-core
 # machines), and writes BENCH_montecarlo.json (default: repo root) with
-# wall-clock, trials/sec, and the core count per point. Then reruns the
-# same workload single threaded with the LP basis cache disabled
-# (TOMO_LP_WARM=0) and enabled, and writes BENCH_lp.json comparing wall
-# time, simplex pivot counts, and the warm hit/miss/crash counters. Then
-# A/Bs the fault-injection machinery at rate zero (--faults off) against
+# wall-clock, trials/sec, and the core count per point. Then A/Bs the
+# fault-injection machinery at rate zero (--faults off) against
 # the TOMO_FAULT=0 bypass and writes BENCH_chaos.json asserting the
 # overhead stays below 10%. Then A/Bs span/provenance tracing
 # (--trace-out) against an untraced run and writes BENCH_obs.json
@@ -45,13 +42,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT_JSON="${1:-BENCH_montecarlo.json}"
-LP_OUT_JSON="${2:-BENCH_lp.json}"
-CHAOS_OUT_JSON="${3:-BENCH_chaos.json}"
-OBS_OUT_JSON="${4:-BENCH_obs.json}"
-SCALE_OUT_JSON="${5:-BENCH_scale.json}"
-INC_OUT_JSON="${6:-BENCH_incremental.json}"
-SERVE_OUT_JSON="${7:-BENCH_serve.json}"
-SERVE_LOAD_OUT_JSON="${8:-BENCH_serve_load.json}"
+CHAOS_OUT_JSON="${2:-BENCH_chaos.json}"
+OBS_OUT_JSON="${3:-BENCH_obs.json}"
+SCALE_OUT_JSON="${4:-BENCH_scale.json}"
+INC_OUT_JSON="${5:-BENCH_incremental.json}"
+SERVE_OUT_JSON="${6:-BENCH_serve.json}"
+SERVE_LOAD_OUT_JSON="${7:-BENCH_serve_load.json}"
 SEED=42
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 
@@ -147,71 +143,6 @@ echo "BENCH artifacts byte-identical across thread counts"
   echo "}"
 } > "$OUT_JSON"
 echo "BENCH wrote $OUT_JSON"
-
-# --- Cold vs warm simplex A/B -------------------------------------------
-# Single threaded so solve order (and therefore the basis cache state) is
-# deterministic for a given seed. Counters come from the --metrics
-# snapshot; the artifact bytes must not depend on the cache.
-measure_lp() { # warm_flag(0|1) tag -> best wall secs; metrics in $WORK/lp_$tag.json
-  local flag="$1" tag="$2" best="" t0 t1 secs
-  for _ in 1 2 3; do
-    t0=$(date +%s.%N)
-    TOMO_LP_WARM="$flag" "$BIN" run fig7 --quick --seed "$SEED" --threads 1 \
-      --out "$WORK/lp_$tag" --metrics "$WORK/lp_$tag.json" >/dev/null
-    t1=$(date +%s.%N)
-    secs=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
-    if [ -z "$best" ] || awk -v a="$secs" -v b="$best" 'BEGIN{exit !(a<b)}'; then
-      best="$secs"
-    fi
-  done
-  echo "$best"
-}
-
-COLD_SECS=$(measure_lp 0 cold)
-WARM_SECS=$(measure_lp 1 warm)
-
-if ! cmp -s "$WORK/lp_cold/fig7.json" "$WORK/lp_warm/fig7.json"; then
-  echo "BENCH ERROR: fig7.json differs between cold and warm LP runs" >&2
-  exit 1
-fi
-echo "BENCH artifacts byte-identical cold vs warm"
-
-python3 - "$WORK/lp_cold.json" "$WORK/lp_warm.json" \
-  "$COLD_SECS" "$WARM_SECS" "$LP_OUT_JSON" <<'PY'
-import json, sys
-
-cold_metrics, warm_metrics, cold_secs, warm_secs, out_path = sys.argv[1:6]
-cold = json.load(open(cold_metrics)).get("counters", {})
-warm = json.load(open(warm_metrics)).get("counters", {})
-
-def point(counters, secs):
-    return {
-        "wall_secs": float(secs),
-        "solves": counters.get("lp.simplex.solves", 0),
-        "pivots": counters.get("lp.simplex.pivots", 0),
-        "iterations": counters.get("lp.simplex.iterations", 0),
-        "warm_hits": counters.get("lp.simplex.warm.hits", 0),
-        "warm_misses": counters.get("lp.simplex.warm.misses", 0),
-        "warm_crash_ops": counters.get("lp.simplex.warm.crash_ops", 0),
-    }
-
-report = {
-    "workload": "tomo-sim run fig7 --quick --seed 42 --threads 1",
-    "runs_per_point": 3,
-    "cold": point(cold, cold_secs),
-    "warm": point(warm, warm_secs),
-}
-cp, wp = report["cold"]["pivots"], report["warm"]["pivots"]
-if not wp < cp:
-    sys.exit(f"BENCH ERROR: warm pivots {wp} not below cold pivots {cp}")
-if report["warm"]["warm_hits"] < 1:
-    sys.exit("BENCH ERROR: warm run recorded no cache hits")
-json.dump(report, open(out_path, "w"), indent=2)
-open(out_path, "a").write("\n")
-print(f"BENCH lp cold pivots={cp} warm pivots={wp} "
-      f"hits={report['warm']['warm_hits']} misses={report['warm']['warm_misses']}")
-PY
-echo "BENCH wrote $LP_OUT_JSON"
 
 # --- Fault-layer overhead A/B -------------------------------------------
 # The chaos harness with every rate at zero draws nothing, so the only

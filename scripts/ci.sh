@@ -6,6 +6,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every smoke below writes under one work dir. The one trap removes it
+# and stops any daemon a failed step left running.
+WORK="$(mktemp -d /tmp/tomo-ci.XXXXXX)"
+SERVE_PID=""
+DAEMON_PID=""
+trap 'kill $SERVE_PID $DAEMON_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
+
 echo "==> cargo build --release --workspace (library plus the tomo-* binaries the smokes run)"
 cargo build --release --workspace
 
@@ -18,30 +25,17 @@ cargo clippy -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo test -q --test par_determinism (thread-count invariance)"
-cargo test -q --test par_determinism
-
-echo "==> cargo test -q --test sparse_parity (CSR/dense bit parity)"
-cargo test -q --test sparse_parity
-
-echo "==> cargo test -q --test warm_equivalence (warm vs cold simplex)"
-cargo test -q --test warm_equivalence
-
-echo "==> cargo test -q --test kernel_parity (blocked vs unblocked kernels)"
-cargo test -q --test kernel_parity
-
-echo "==> cargo test -q --test revised_equivalence (revised vs dense simplex)"
-cargo test -q --test revised_equivalence
-
-echo "==> cargo test -q --test incremental_parity (rank-1 update vs rebuild)"
-cargo test -q --test incremental_parity
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml (benchmark build + tiny oracle runs)"
+# The benchmark is a workspace of its own that builds against these
+# crates; its tests run all four workloads at tiny size with their
+# oracles, so a library change that breaks the benchmark fails here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> artifact contract (seed-42 figures byte-identical to artifacts/)"
 # Regenerate every committed figure artifact and compare bytes: any change
 # to placement, the LP layer or the trial streams that moves a single
 # number fails here.
-ARTIFACT_OUT="$(mktemp -d /tmp/tomo-artifacts.XXXXXX)"
-trap 'rm -rf "$ARTIFACT_OUT"' EXIT
+ARTIFACT_OUT="$WORK/artifacts"
 target/release/tomo-sim run all --seed 42 --out "$ARTIFACT_OUT" >/dev/null
 target/release/tomo-sim run gap --seed 42 --out "$ARTIFACT_OUT" >/dev/null
 for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
@@ -50,66 +44,29 @@ for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
     exit 1
   }
 done
-rm -rf "$ARTIFACT_OUT"
-trap - EXIT
 echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/"
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
-SMOKE_METRICS="$(mktemp /tmp/tomo-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS"' EXIT
+SMOKE_METRICS="$WORK/smoke-metrics.json"
 target/release/tomo-sim run fig7 --quick --threads 2 --metrics "$SMOKE_METRICS" >/dev/null
-grep -q '"par.workers": 2' "$SMOKE_METRICS" || {
-  echo "ci: expected par.workers = 2 in $SMOKE_METRICS" >&2
-  exit 1
-}
-echo "ci: 2-thread smoke reported par.workers = 2"
-
-echo "==> tomo-sim warm-start smoke (fig7 --quick --threads 1 --metrics)"
-# Single threaded so the solve order — and therefore which skeleton
-# repeats find a cached basis — is deterministic for the fixed seed.
-# fig7's LPs sit below the warm size gate, so the default run must
-# *skip* the cache (and count the skips); forcing the cache on must
-# then produce hits. Both runs must agree on the artifact bytes.
-WARM_METRICS="$(mktemp /tmp/tomo-warm-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS"' EXIT
-target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
-  --metrics "$WARM_METRICS" >/dev/null
-python3 - "$WARM_METRICS" <<'PY'
+python3 - "$SMOKE_METRICS" <<'PY'
 import json, sys
-snapshot = json.load(open(sys.argv[1]))
-counters = snapshot.get("counters", {})
-hits = counters.get("lp.simplex.warm.hits", 0)
-skipped = counters.get("lp.simplex.warm.skipped_small", 0)
-nnz = snapshot.get("gauges", {}).get("linalg.sparse.nnz", 0)
-if skipped < 1:
-    sys.exit(f"ci: expected lp.simplex.warm.skipped_small > 0, got {skipped}")
-if hits != 0:
-    sys.exit(f"ci: size-gated run should not hit the cache, got hits={hits}")
+gauges = json.load(open(sys.argv[1])).get("gauges", {})
+workers = gauges.get("par.workers")
+nnz = gauges.get("linalg.sparse.nnz", 0)
+if workers != 2:
+    sys.exit(f"ci: expected par.workers = 2, got {workers}")
 if nnz < 1:
     sys.exit(f"ci: expected linalg.sparse.nnz > 0, got {nnz}")
-print(f"ci: warm-start smoke skipped the cache below the size gate "
-      f"(skipped_small={skipped}, sparse nnz={nnz})")
-PY
-WARM_FORCED_METRICS="$(mktemp /tmp/tomo-warm-forced-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS"' EXIT
-TOMO_LP_WARM=force target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
-  --metrics "$WARM_FORCED_METRICS" >/dev/null
-python3 - "$WARM_FORCED_METRICS" <<'PY'
-import json, sys
-counters = json.load(open(sys.argv[1])).get("counters", {})
-hits = counters.get("lp.simplex.warm.hits", 0)
-if hits < 1:
-    sys.exit(f"ci: expected lp.simplex.warm.hits > 0 under TOMO_LP_WARM=force, got {hits}")
-print(f"ci: forced warm-start smoke hit the basis cache (hits={hits})")
+print(f"ci: 2-thread smoke reported par.workers = 2 (sparse nnz={nnz})")
 PY
 
 echo "==> tomo-sim scale smoke (scale --quick --threads 1 --metrics)"
 # The smallest sweep point must still cross the sparse-kernel gauge and
 # route its budget LP through the revised simplex, and the artifact must
 # land on disk.
-SCALE_METRICS="$(mktemp /tmp/tomo-scale-metrics.XXXXXX.json)"
-SCALE_OUT="$(mktemp -d /tmp/tomo-scale-out.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS"; rm -rf "$SCALE_OUT"' EXIT
+SCALE_METRICS="$WORK/scale-metrics.json"
+SCALE_OUT="$WORK/scale"
 target/release/tomo-sim run scale --quick --seed 42 --threads 1 \
   --metrics "$SCALE_METRICS" --out "$SCALE_OUT" >/dev/null
 python3 - "$SCALE_METRICS" "$SCALE_OUT/scale.json" <<'PY'
@@ -132,9 +89,8 @@ PY
 echo "==> tomo-sim chaos smoke (chaos --quick --threads 2 --metrics)"
 # Default fault mix (measurement faults only): faults must fire, every
 # one must be absorbed by a degradation path, and the run must exit 0.
-CHAOS_METRICS="$(mktemp /tmp/tomo-chaos-metrics.XXXXXX.json)"
-CHAOS_OUT="$(mktemp -d /tmp/tomo-chaos-out.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"' EXIT
+CHAOS_METRICS="$WORK/chaos-metrics.json"
+CHAOS_OUT="$WORK/chaos"
 target/release/tomo-sim run chaos --quick --seed 42 --threads 2 \
   --metrics "$CHAOS_METRICS" --out "$CHAOS_OUT" >/dev/null
 python3 - "$CHAOS_METRICS" "$CHAOS_OUT/chaos.json" <<'PY'
@@ -185,8 +141,7 @@ PY
 echo "==> tomo-sim trace smoke (fig7 --quick --trace-out)"
 # --trace-out must emit valid Chrome trace-event JSON with one span and
 # one provenance instant per Monte-Carlo trial (fig7 --quick = 80).
-TRACE_JSON="$(mktemp /tmp/tomo-trace.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"' EXIT
+TRACE_JSON="$WORK/trace.json"
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 2 \
   --trace-out "$TRACE_JSON" >/dev/null 2>&1
 python3 - "$TRACE_JSON" <<'PY'
@@ -202,7 +157,7 @@ orphans = [e for e in instants
            if str(e["args"].get("parent_id", "0")) == "0"]
 if orphans:
     sys.exit(f"ci: {len(orphans)} provenance instants have no parent span")
-keys = {"seed", "warm", "trial"}
+keys = {"seed", "trial", "degraded"}
 missing = [e for e in instants if not keys <= set(e["args"])]
 if missing:
     sys.exit(f"ci: {len(missing)} provenance instants missing {keys}")
@@ -217,7 +172,6 @@ SERVE_PORT=9184
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
   --serve-metrics "$SERVE_PORT" >/dev/null 2>&1 &
 SERVE_PID=$!
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"; kill "$SERVE_PID" 2>/dev/null || true' EXIT
 python3 - "$SERVE_PORT" <<'PY'
 import sys, time, urllib.request
 port = sys.argv[1]
@@ -242,12 +196,12 @@ echo "==> tomo-serve smoke (daemon + faulted probe + HTTP + shutdown)"
 # Boot the streaming daemon on ephemeral ports, stream faulted batches
 # at it with tomo-probe, check the delivery ledger balances, hit every
 # HTTP endpoint, then shut it down over HTTP and require a clean exit.
-SERVE_WORK="$(mktemp -d /tmp/tomo-serve-smoke.XXXXXX)"
+SERVE_WORK="$WORK/serve"
+mkdir -p "$SERVE_WORK"
 SERVE_LOG="$SERVE_WORK/daemon.log"
 target/release/tomo-serve --ingest-port 0 --http-port 0 \
   --journal "$SERVE_WORK/journal.bin" --max-secs 120 > "$SERVE_LOG" &
 DAEMON_PID=$!
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 50); do
   grep -q '^http_addr=' "$SERVE_LOG" 2>/dev/null && break
   sleep 0.1
@@ -311,8 +265,7 @@ echo "==> tomo-sim serve-chaos smoke (live daemon kill/restart sweep)"
 # The sweep itself enforces the invariants (balanced ledger, bit-exact
 # reconvergence after a mid-sweep restart, p99 under SLO) and exits
 # non-zero on any violation.
-SERVE_CHAOS_OUT="$(mktemp -d /tmp/tomo-serve-chaos.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK" "$SERVE_CHAOS_OUT"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
+SERVE_CHAOS_OUT="$WORK/serve-chaos"
 target/release/tomo-sim run serve-chaos --quick --seed 42 \
   --out "$SERVE_CHAOS_OUT" >/dev/null
 python3 - "$SERVE_CHAOS_OUT/serve_chaos.json" <<'PY'
@@ -341,8 +294,7 @@ echo "==> tomo-sim serve-load smoke (concurrent clients vs one daemon, --quick)"
 # daemon with query hammering; the run itself enforces bit-exact final
 # state vs the single-client reference and snapshot self-checks, and
 # exits non-zero on any violation. The smoke re-checks the artifact.
-SERVE_LOAD_OUT="$(mktemp -d /tmp/tomo-serve-load.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK" "$SERVE_CHAOS_OUT" "$SERVE_LOAD_OUT"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
+SERVE_LOAD_OUT="$WORK/serve-load"
 target/release/tomo-sim run serve-load --quick --seed 42 \
   --out "$SERVE_LOAD_OUT" >/dev/null
 python3 - "$SERVE_LOAD_OUT/serve_load.json" <<'PY'

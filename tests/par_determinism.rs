@@ -55,45 +55,6 @@ fn fig9_artifact_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The simplex warm-start cache must be invisible in the artifacts:
-/// fig. 7 aggregates integer tallies whose inputs (LP feasibility,
-/// cut structure) are decision-stable, so running the same seed with
-/// the basis cache disabled must serialize to the same bytes.
-///
-/// `TOMO_LP_WARM` is process-global; tests that race with this one can
-/// only be pushed onto the cold path, which never changes their
-/// assertions (thread-count invariance holds warm or cold).
-#[test]
-fn fig7_artifact_identical_with_and_without_warm_start() {
-    let config = fig7_config();
-    std::env::set_var("TOMO_LP_WARM", "0");
-    let cold = fig7::run(42, &config, &Executor::new(2)).unwrap();
-    std::env::remove_var("TOMO_LP_WARM");
-    let warm = fig7::run(42, &config, &Executor::new(2)).unwrap();
-    assert_eq!(
-        serde_json::to_string(&cold).unwrap(),
-        serde_json::to_string(&warm).unwrap(),
-        "warm-started fig7 run changed the artifact bytes"
-    );
-}
-
-/// Same guarantee for fig. 9, whose trials route through the detection
-/// experiment (rational attacker: stealthy and plain variants) and thus
-/// exercise the warm path inside `detect::experiment` as well.
-#[test]
-fn fig9_artifact_identical_with_and_without_warm_start() {
-    let config = fig9_config();
-    std::env::set_var("TOMO_LP_WARM", "0");
-    let cold = fig9::run(42, &config, &Executor::new(2)).unwrap();
-    std::env::remove_var("TOMO_LP_WARM");
-    let warm = fig9::run(42, &config, &Executor::new(2)).unwrap();
-    assert_eq!(
-        serde_json::to_string(&cold).unwrap(),
-        serde_json::to_string(&warm).unwrap(),
-        "warm-started fig9 run changed the artifact bytes"
-    );
-}
-
 /// The chaos sweep must stay byte-identical across thread counts even
 /// with every fault kind firing: fault draws come from per-trial plan
 /// streams, trial RNGs reseed per retry attempt, and solver sabotage is
@@ -123,15 +84,41 @@ fn chaos_artifact_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// `Executor::from_env` sizes the pool from `TOMO_THREADS`, and the
+/// artifact it produces matches the sequential baseline. Values that are
+/// not a positive integer fall back to the available parallelism.
+///
+/// This is the only test in this binary that writes the environment, and
+/// every other test here passes its executor explicitly, so it cannot
+/// race another test.
 #[test]
 fn executor_from_env_respects_tomo_threads() {
-    // `TOMO_THREADS` is read at construction; whatever it says, the
-    // artifact must match the sequential baseline.
     let config = fig7_config();
     let baseline = fig7::run(7, &config, &Executor::single_threaded()).unwrap();
-    let parallel = fig7::run(7, &config, &Executor::new(5)).unwrap();
+    let fallback = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+
+    let prior = std::env::var("TOMO_THREADS").ok();
+    std::env::set_var("TOMO_THREADS", "5");
+    let from_env = Executor::from_env();
+    let fallbacks: Vec<(&str, usize)> = ["0", "abc"]
+        .into_iter()
+        .map(|bad| {
+            std::env::set_var("TOMO_THREADS", bad);
+            (bad, Executor::from_env().threads())
+        })
+        .collect();
+    match prior {
+        Some(v) => std::env::set_var("TOMO_THREADS", v),
+        None => std::env::remove_var("TOMO_THREADS"),
+    }
+
+    assert_eq!(from_env.threads(), 5);
+    let parallel = fig7::run(7, &config, &from_env).unwrap();
     assert_eq!(
         serde_json::to_string(&baseline).unwrap(),
         serde_json::to_string(&parallel).unwrap(),
     );
+    for (bad, threads) in fallbacks {
+        assert_eq!(threads, fallback, "TOMO_THREADS={bad:?} must fall back");
+    }
 }

@@ -188,8 +188,7 @@ fn theorem_2_success_increases_with_presence_ratio() {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7e57);
         for _ in 0..25 {
             let k = rng.gen_range(1..=3);
-            if let Some(t) =
-                chosen_victim_trial(&system, &scenario, &delays, k, None, &mut rng).unwrap()
+            if let Some(t) = chosen_victim_trial(&system, &scenario, &delays, k, &mut rng).unwrap()
             {
                 trials.push(t);
             }
