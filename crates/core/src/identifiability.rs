@@ -49,7 +49,10 @@ impl IdentifiabilityReport {
 /// then identifiable iff the unit row `e_j` does not raise the rank,
 /// i.e. `e_j` already lies in the row space of `R`.
 #[must_use]
-pub fn analyze_paths(paths: &[Path], num_links: usize) -> IdentifiabilityReport {
+pub fn analyze_paths<'a>(
+    paths: impl IntoIterator<Item = &'a Path>,
+    num_links: usize,
+) -> IdentifiabilityReport {
     let mut tracker = path_rank(paths, num_links);
     let identifiable = (0..num_links)
         .map(|j| !tracker.would_increase([j]))
@@ -63,7 +66,10 @@ pub fn analyze_paths(paths: &[Path], num_links: usize) -> IdentifiabilityReport 
 
 /// Exact rank tracker over the paths' routing rows, stopping once they
 /// span every link.
-pub(crate) fn path_rank(paths: &[Path], num_links: usize) -> SparseRank {
+pub(crate) fn path_rank<'a>(
+    paths: impl IntoIterator<Item = &'a Path>,
+    num_links: usize,
+) -> SparseRank {
     let mut tracker = SparseRank::new(num_links);
     for p in paths {
         if tracker.is_full() {

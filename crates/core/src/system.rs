@@ -1,10 +1,8 @@
 use std::sync::OnceLock;
 
 use tomo_graph::{Graph, LinkId, NodeId, Path};
-use tomo_linalg::cholesky::Cholesky;
-use tomo_linalg::incremental::pseudo_inverse_drop_row;
 use tomo_linalg::lstsq::NormalEquationsSolver;
-use tomo_linalg::{CsrMatrix, LinalgError, Matrix, Vector};
+use tomo_linalg::{CsrBuilder, CsrMatrix, LinalgError, Matrix, Vector};
 use tomo_obs::LazyCounter;
 
 use crate::{CoreError, LinkState, StateThresholds};
@@ -15,8 +13,6 @@ static DEGRADED_SOLVES: LazyCounter = LazyCounter::new("core.degraded.solves");
 static DEGRADED_RIDGE: LazyCounter = LazyCounter::new("core.degraded.ridge");
 static KERNEL_DENSE: LazyCounter = LazyCounter::new("core.kernel.dense");
 static KERNEL_SPARSE: LazyCounter = LazyCounter::new("core.kernel.sparse");
-static DELTA_SOLVES: LazyCounter = LazyCounter::new("core.estimator_cache.delta_solves");
-static DELTA_COLLAPSES: LazyCounter = LazyCounter::new("core.estimator_cache.delta_collapses");
 
 /// Routing matrices with at most this many cells (`|P|·|L|`) take the
 /// dense construction path: materialize the dense `R` eagerly and
@@ -57,148 +53,6 @@ pub const DEFAULT_RIDGE_LAMBDA: f64 = 1e-6;
 struct EstimatorCache {
     pseudo_inverse: OnceLock<Matrix>,
     projector: OnceLock<Matrix>,
-}
-
-impl EstimatorCache {
-    /// Derives the estimator for the system *minus* the routing rows in
-    /// `dropped` (ascending) from the cached operators, by rank-1
-    /// downdates of the Gram factor and Sherman–Morrison updates of the
-    /// pseudo-inverse (when one is materialized) — never by
-    /// refactorizing. One factor clone per delta batch; each dropped row
-    /// then costs O(n²) rotations instead of a fresh factorization.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotPositiveDefinite`] when removing some row
-    /// collapses the Gram rank — the incremental engine's *rank
-    /// certificate*; callers fall back to the ridge rebuild path.
-    fn apply_path_delta(
-        &self,
-        solver: &NormalEquationsSolver,
-        routing: &CsrMatrix,
-        dropped: &[usize],
-    ) -> Result<DeltaEstimator, LinalgError> {
-        let chol0 = solver.dense_factor().ok_or(LinalgError::InvalidShape {
-            reason: "apply_path_delta requires the dense Gram factor".to_string(),
-        })?;
-        let n = routing.cols();
-        let mut chol = chol0.clone();
-        let mut pinv = self.pseudo_inverse.get().cloned();
-        // Pseudo-inverse columns correspond to surviving original rows;
-        // track which original row each current column is.
-        let mut col_map: Vec<usize> = (0..routing.rows()).collect();
-        let mut w = Vector::zeros(n);
-        for &row in dropped {
-            let entries: Vec<(usize, f64)> = routing.row_iter(row).collect();
-            if let Some(p) = pinv.take() {
-                let col = col_map
-                    .binary_search(&row)
-                    .expect("dropped rows are ascending and unique");
-                pinv = Some(pseudo_inverse_drop_row(&p, &chol, col, &entries)?);
-                col_map.remove(col);
-            }
-            for &(j, v) in &entries {
-                w[j] = v;
-            }
-            let downdated = chol.rank1_downdate(&w);
-            for &(j, _) in &entries {
-                w[j] = 0.0;
-            }
-            downdated?;
-        }
-        Ok(DeltaEstimator {
-            chol,
-            pinv,
-            dropped: dropped.to_vec(),
-        })
-    }
-}
-
-/// The estimator of a system with routing rows removed, derived from the
-/// cached full-system operators by rank-1 downdates (see
-/// [`TomographySystem::apply_path_delta`]). Its existence certifies that
-/// the surviving rows still span every link.
-#[derive(Debug, Clone)]
-pub struct DeltaEstimator {
-    chol: Cholesky,
-    pinv: Option<Matrix>,
-    dropped: Vec<usize>,
-}
-
-impl DeltaEstimator {
-    /// The downdated Gram factor.
-    #[must_use]
-    pub fn factor(&self) -> &Cholesky {
-        &self.chol
-    }
-
-    /// The Sherman–Morrison-updated pseudo-inverse, present iff the full
-    /// system's pseudo-inverse was already materialized when the delta
-    /// was applied. Columns follow the surviving rows in ascending
-    /// order.
-    #[must_use]
-    pub fn pseudo_inverse(&self) -> Option<&Matrix> {
-        self.pinv.as_ref()
-    }
-
-    /// The rows this estimator excludes (ascending).
-    #[must_use]
-    pub fn dropped_rows(&self) -> &[usize] {
-        &self.dropped
-    }
-
-    /// Least-squares estimate from the surviving measurements:
-    /// `x̂ = (R′ᵀR′)⁻¹ R′ᵀ y′`, computed against the *full* routing CSR
-    /// by zero-padding the dropped rows (their coefficients multiply
-    /// zeros, so the product equals the restricted `R′ᵀy′` exactly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] on shape mismatches.
-    pub fn solve(
-        &self,
-        routing: &CsrMatrix,
-        surviving_rows: &[usize],
-        y_sub: &Vector,
-    ) -> Result<Vector, CoreError> {
-        if y_sub.len() != surviving_rows.len() {
-            return Err(CoreError::DimensionMismatch {
-                context: "delta_estimator: surviving measurement vector",
-                expected: surviving_rows.len(),
-                got: y_sub.len(),
-            });
-        }
-        let mut y_full = Vector::zeros(routing.rows());
-        for (k, &row) in surviving_rows.iter().enumerate() {
-            y_full[row] = y_sub[k];
-        }
-        let atb = routing.mul_transpose_vec(&y_full)?;
-        Ok(self.chol.solve(&atb)?)
-    }
-}
-
-/// How [`TomographySystem::solve_degraded_with`] derives the degraded
-/// estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedMode {
-    /// Incremental when available (dense Gram factor cached, rank
-    /// plausibly survives, `TOMO_INCREMENTAL` not `0`), rebuild
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Force the rank-1 downdate path (falls back to rebuild only when
-    /// no dense factor exists or the downdate certifies rank collapse).
-    Incremental,
-    /// Force the historical rebuild path (row-subset rank check, QR or
-    /// ridge) — the `TOMO_INCREMENTAL=0` behavior.
-    Rebuild,
-}
-
-/// `false` when the `TOMO_INCREMENTAL` environment variable is `0` —
-/// the escape hatch that pins every degraded solve to the rebuild path.
-#[must_use]
-pub fn incremental_enabled() -> bool {
-    std::env::var("TOMO_INCREMENTAL").map_or(true, |v| v != "0")
 }
 
 /// A complete network-tomography measurement system: topology, monitors,
@@ -473,13 +327,18 @@ impl TomographySystem {
     ///
     /// `surviving_rows` are the path indices whose measurements arrived
     /// (ascending, duplicate-free) and `y_sub` their readings, in the same
-    /// order. When the surviving rows still span all links, this is the
-    /// exact least-squares inversion restricted to those rows. When rank
-    /// collapsed below `|L|`, the exact estimator no longer exists: the
-    /// solve falls back to ridge regularization
-    /// ([`tomo_linalg::lstsq::solve_ridge`] with [`DEFAULT_RIDGE_LAMBDA`])
-    /// and reports which links became unidentifiable so downstream
-    /// detection can ignore their coordinates. Never panics on rank
+    /// order. The surviving routing rows `R′` go through the same
+    /// [`NormalEquationsSolver`] as the full system: Eq. 2 on a row
+    /// subset. When they still span all links, this is the exact
+    /// least-squares inversion restricted to those rows. When the Gram
+    /// factorization reports a rank collapse, the exact estimator no
+    /// longer exists: the rank and the links the surviving paths cannot
+    /// determine come from the exact sparse rank tracker (as in
+    /// [`crate::identifiability::analyze_paths`]), so downstream detection
+    /// can ignore their coordinates, and the estimate is the ridge
+    /// solution of `min ‖R′x − y′‖² + λ′‖x‖²` with
+    /// `λ′ = DEFAULT_RIDGE_LAMBDA · (1 + mean diag R′ᵀR′)`, solved as least
+    /// squares on `R′` stacked over `√λ′·I`. Never panics on rank
     /// deficiency.
     ///
     /// # Errors
@@ -493,22 +352,6 @@ impl TomographySystem {
         &self,
         surviving_rows: &[usize],
         y_sub: &Vector,
-    ) -> Result<DegradedSolve, CoreError> {
-        self.solve_degraded_with(surviving_rows, y_sub, DegradedMode::Auto)
-    }
-
-    /// [`Self::solve_degraded`] with an explicit engine choice — the
-    /// seam parity tests use to pin the incremental path against the
-    /// rebuild path without racing on `TOMO_INCREMENTAL`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::solve_degraded`].
-    pub fn solve_degraded_with(
-        &self,
-        surviving_rows: &[usize],
-        y_sub: &Vector,
-        mode: DegradedMode,
     ) -> Result<DegradedSolve, CoreError> {
         if y_sub.len() != surviving_rows.len() || surviving_rows.is_empty() {
             return Err(CoreError::DimensionMismatch {
@@ -533,95 +376,68 @@ impl TomographySystem {
             }
         }
         DEGRADED_SOLVES.inc();
-        let try_incremental = match mode {
-            DegradedMode::Rebuild => false,
-            DegradedMode::Incremental => true,
-            DegradedMode::Auto => incremental_enabled(),
-        } && surviving_rows.len() < self.num_paths()
-            && surviving_rows.len() >= self.num_links()
-            && self.solver.dense_factor().is_some();
-        if try_incremental {
-            let dropped = complement_rows(surviving_rows, self.num_paths());
-            match self
-                .cache
-                .apply_path_delta(&self.solver, &self.routing_csr, &dropped)
-            {
-                Ok(delta) => {
-                    DELTA_SOLVES.inc();
-                    let estimate = delta.solve(&self.routing_csr, surviving_rows, y_sub)?;
-                    return Ok(DegradedSolve {
-                        estimate,
-                        surviving_rows: surviving_rows.to_vec(),
-                        rank: self.num_links(),
-                        unidentifiable: Vec::new(),
-                        used_ridge: false,
-                    });
-                }
-                Err(LinalgError::NotPositiveDefinite { .. }) => {
-                    // Rank collapsed: the downdate is the certificate.
-                    // Fall through to the rebuild path, which quantifies
-                    // the collapse (rank, unidentifiable links) and
-                    // ridge-regularizes.
-                    DELTA_COLLAPSES.inc();
-                }
-                Err(e) => return Err(e.into()),
+        let n = self.num_links();
+        match NormalEquationsSolver::from_sparse(self.surviving_csr(surviving_rows, None)?) {
+            Ok(solver) => {
+                return Ok(DegradedSolve {
+                    estimate: solver.solve(y_sub)?,
+                    surviving_rows: surviving_rows.to_vec(),
+                    rank: n,
+                    unidentifiable: Vec::new(),
+                    used_ridge: false,
+                });
             }
-        }
-        let r_sub = self.routing_matrix().select_rows(surviving_rows);
-        let rank = tomo_linalg::rank::rank(&r_sub);
-        if rank == self.num_links() {
-            let estimate = tomo_linalg::lstsq::solve(&r_sub, y_sub)?;
-            return Ok(DegradedSolve {
-                estimate,
-                surviving_rows: surviving_rows.to_vec(),
-                rank,
-                unidentifiable: Vec::new(),
-                used_ridge: false,
-            });
+            Err(LinalgError::NotPositiveDefinite { .. }) => {}
+            Err(e) => return Err(e.into()),
         }
         DEGRADED_RIDGE.inc();
-        let estimate = tomo_linalg::lstsq::solve_ridge(&r_sub, y_sub, DEFAULT_RIDGE_LAMBDA)?;
-        let unidentifiable = tomo_linalg::lstsq::unidentifiable_columns(&r_sub)
-            .into_iter()
-            .map(LinkId)
+        let report = crate::identifiability::analyze_paths(
+            surviving_rows.iter().map(|&row| &self.paths[row]),
+            n,
+        );
+        // The trace of R′ᵀR′ is the sum of the squared entries of R′.
+        let trace: f64 = surviving_rows
+            .iter()
+            .flat_map(|&row| self.routing_csr.row_iter(row))
+            .map(|(_, v)| v * v)
+            .sum();
+        let shift = DEFAULT_RIDGE_LAMBDA * (1.0 + trace / n as f64);
+        // The Gram of R′ stacked over √λ′·I is R′ᵀR′ + λ′I, positive
+        // definite for any λ′ > 0; the stacked rows measure zero.
+        let stacked = self.surviving_csr(surviving_rows, Some(shift.sqrt()))?;
+        let y_stacked: Vector = y_sub
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0.0, n))
             .collect();
+        let estimate = NormalEquationsSolver::from_sparse(stacked)?.solve(&y_stacked)?;
         Ok(DegradedSolve {
             estimate,
             surviving_rows: surviving_rows.to_vec(),
-            rank,
-            unidentifiable,
+            rank: report.rank,
+            unidentifiable: report.unidentifiable_links(),
             used_ridge: true,
         })
     }
 
-    /// Derives the estimator for this system minus the routing rows in
-    /// `dropped` (ascending, duplicate-free) by rank-1 downdates of the
-    /// cached Gram factor — and Sherman–Morrison updates of the cached
-    /// pseudo-inverse when one is materialized — instead of a fresh
-    /// (ridge-)refactorization. This is the seam `tomo-fault` link-fail
-    /// and stale-row faults ride through [`Self::solve_degraded`].
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::DimensionMismatch`] if `dropped` is not strictly
-    ///   ascending in range.
-    /// * [`CoreError::Linalg`] with `NotPositiveDefinite` when removing
-    ///   the rows collapses the Gram rank (the caller's cue to use the
-    ///   ridge path), or `InvalidShape` when no dense factor is cached
-    ///   (sparse-factor systems rebuild instead).
-    pub fn apply_path_delta(&self, dropped: &[usize]) -> Result<DeltaEstimator, CoreError> {
-        for (k, &row) in dropped.iter().enumerate() {
-            if row >= self.num_paths() || (k > 0 && dropped[k - 1] >= row) {
-                return Err(CoreError::DimensionMismatch {
-                    context: "apply_path_delta: dropped rows must be strictly ascending",
-                    expected: self.num_paths(),
-                    got: row,
-                });
+    /// The routing rows `surviving_rows` in CSR form, stacked over
+    /// `scale · I` (one extra row per link) when `identity_scale` is set.
+    fn surviving_csr(
+        &self,
+        surviving_rows: &[usize],
+        identity_scale: Option<f64>,
+    ) -> Result<CsrMatrix, CoreError> {
+        let n = self.num_links();
+        let mut b = CsrBuilder::new(n);
+        for &row in surviving_rows {
+            b.push_row(self.routing_csr.row_iter(row))?;
+        }
+        if let Some(scale) = identity_scale {
+            for j in 0..n {
+                b.push_row([(j, scale)])?;
             }
         }
-        Ok(self
-            .cache
-            .apply_path_delta(&self.solver, &self.routing_csr, dropped)?)
+        Ok(b.finish())
     }
 
     /// Classifies the estimate per Definition 1.
@@ -737,21 +553,6 @@ pub struct SystemDiagnostics {
     pub mean_path_length: f64,
 }
 
-/// Ascending complement of `surviving` (strictly ascending) in
-/// `0..total`.
-fn complement_rows(surviving: &[usize], total: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(total - surviving.len());
-    let mut it = surviving.iter().copied().peekable();
-    for row in 0..total {
-        if it.peek() == Some(&row) {
-            it.next();
-        } else {
-            out.push(row);
-        }
-    }
-    out
-}
-
 /// Builds the 0/1 routing matrix `R` (Eq. 1: `R[i][j] = 1` iff link `j`
 /// lies on path `i`) in CSR form straight from the paths' link lists,
 /// without a dense intermediate.
@@ -863,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_solve_ridge_flags_unidentifiable_links() {
+    fn degraded_ridge_flags_unidentifiable_links() {
         let sys = tiny_system();
         let x = Vector::from(vec![5.0, 7.0, 11.0]);
         let y = sys.measure(&x).unwrap();
@@ -1033,13 +834,19 @@ mod tests {
         for (a, b) in e_d.iter().zip(e_s.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "same solver, same bits");
         }
-        // The lazy dense view expands to the same matrix.
-        assert_eq!(sparse_sys.routing_matrix(), dense_sys.routing_matrix());
-        // Degraded solves (which need the dense view) still work.
+        // Degraded solves work on the CSR rows alone, exact and ridge,
+        // without materializing the dense view.
         let rows = [0usize, 1, 2];
         let y_sub = Vector::from(vec![y_s[0], y_s[1], y_s[2]]);
         let d = sparse_sys.solve_degraded(&rows, &y_sub).unwrap();
         assert!(d.estimate.approx_eq(&x, 1e-9));
+        let ridge = sparse_sys
+            .solve_degraded(&[2, 3], &Vector::from(vec![y_s[2], y_s[3]]))
+            .unwrap();
+        assert!(ridge.used_ridge);
+        assert!(sparse_sys.routing.get().is_none());
+        // The lazy dense view expands to the same matrix.
+        assert_eq!(sparse_sys.routing_matrix(), dense_sys.routing_matrix());
     }
 
     #[test]
@@ -1062,74 +869,6 @@ mod tests {
             }
             other => panic!("expected NotIdentifiable, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn incremental_and_rebuild_degraded_solves_agree() {
-        let sys = tiny_system();
-        let x = Vector::from(vec![5.0, 7.0, 11.0]);
-        let y = sys.measure(&x).unwrap();
-        let rows = [0usize, 1, 2];
-        let y_sub = Vector::from(vec![y[0], y[1], y[2]]);
-        let inc = sys
-            .solve_degraded_with(&rows, &y_sub, DegradedMode::Incremental)
-            .unwrap();
-        let reb = sys
-            .solve_degraded_with(&rows, &y_sub, DegradedMode::Rebuild)
-            .unwrap();
-        assert!(!inc.used_ridge);
-        assert_eq!(inc.rank, reb.rank);
-        assert_eq!(inc.unidentifiable, reb.unidentifiable);
-        assert!(inc.estimate.approx_eq(&reb.estimate, 1e-9));
-        assert!(inc.estimate.approx_eq(&x, 1e-9));
-    }
-
-    #[test]
-    fn incremental_mode_falls_back_on_rank_collapse() {
-        let sys = tiny_system();
-        let x = Vector::from(vec![5.0, 7.0, 11.0]);
-        let y = sys.measure(&x).unwrap();
-        // Rows {2, 3} leave links 0 and 1 aliased: the downdate chain
-        // must certify the collapse and the ridge rebuild must take
-        // over, identically to the forced-rebuild result.
-        let rows = [2usize, 3];
-        let y_sub = Vector::from(vec![y[2], y[3]]);
-        let inc = sys
-            .solve_degraded_with(&rows, &y_sub, DegradedMode::Incremental)
-            .unwrap();
-        let reb = sys
-            .solve_degraded_with(&rows, &y_sub, DegradedMode::Rebuild)
-            .unwrap();
-        assert!(inc.used_ridge && reb.used_ridge);
-        assert_eq!(inc.rank, 2);
-        assert_eq!(inc.unidentifiable, vec![LinkId(0), LinkId(1)]);
-        for (a, b) in inc.estimate.iter().zip(reb.estimate.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "identical ridge fallback");
-        }
-    }
-
-    #[test]
-    fn apply_path_delta_updates_factor_and_pinv() {
-        let sys = tiny_system();
-        // Materialize the pseudo-inverse first so the delta path has to
-        // Sherman–Morrison it.
-        sys.warm_estimator_cache().unwrap();
-        let delta = sys.apply_path_delta(&[3]).unwrap();
-        assert_eq!(delta.dropped_rows(), &[3]);
-        let pinv = delta.pseudo_inverse().expect("cache was warm");
-        assert_eq!(pinv.shape(), (3, 3));
-        // Against a cold rebuild of the 3-row system.
-        let g = sys.graph().clone();
-        let monitors = sys.monitors().to_vec();
-        let paths = sys.paths()[..3].to_vec();
-        let small = TomographySystem::new(g, monitors, paths).unwrap();
-        let cold_pinv = small.estimator_matrix().unwrap();
-        assert!(pinv.approx_eq(cold_pinv, 1e-9));
-        // Validation and the rank certificate.
-        assert!(sys.apply_path_delta(&[3, 3]).is_err());
-        assert!(sys.apply_path_delta(&[9]).is_err());
-        let err = sys.apply_path_delta(&[0, 3]).unwrap_err();
-        assert!(matches!(err, CoreError::Linalg(_)));
     }
 
     #[test]

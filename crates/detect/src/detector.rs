@@ -126,27 +126,38 @@ impl ConsistencyDetector {
         system: &TomographySystem,
         observed: &Vector,
     ) -> Result<Verdict, CoreError> {
+        Ok(self.inspect_with_estimate(system, observed)?.0)
+    }
+
+    /// [`Self::inspect`], also returning the estimate it judged.
+    fn inspect_with_estimate(
+        &self,
+        system: &TomographySystem,
+        observed: &Vector,
+    ) -> Result<(Verdict, Vector), CoreError> {
         let estimate = system.estimate(observed)?;
         let reprojected = system.routing_csr().mul_vec(&estimate)?;
         let residual_l1 = norms::l1(&(&reprojected - observed));
         let min_estimate = estimate.min().unwrap_or(0.0);
         let implausible = self.plausibility_tol.is_some_and(|tol| min_estimate < -tol);
-        Ok(Verdict {
+        let verdict = Verdict {
             residual_l1,
             min_estimate,
             detected: residual_l1 > self.alpha || implausible,
-        })
+        };
+        Ok((verdict, estimate))
     }
 
     /// Runs the check(s) on a *surviving subset* of measurements — the
     /// detector's graceful-degradation path after probe loss.
     ///
-    /// With every row surviving this routes through [`inspect`]
-    /// (Self::inspect) and is bit-identical to it. Otherwise the estimate
-    /// comes from [`TomographySystem::solve_degraded`]; the residual is
+    /// With every row surviving this routes through [`Self::inspect`]
+    /// and is bit-identical to it. Otherwise the estimate comes from one
+    /// [`TomographySystem::solve_degraded`]; the residual is
     /// accumulated over the surviving rows only, and the plausibility
     /// check skips links flagged unidentifiable (their ridge coordinates
-    /// carry no information and must not trigger detection).
+    /// carry no information and must not trigger detection). Either way
+    /// the judged estimate is returned with the verdict.
     ///
     /// # Errors
     ///
@@ -160,9 +171,10 @@ impl ConsistencyDetector {
     ) -> Result<DegradedVerdict, CoreError> {
         if surviving_rows.len() == system.num_paths() {
             // Full survival: defer to the exact path (also re-validates).
-            let verdict = self.inspect(system, observed_sub)?;
+            let (verdict, estimate) = self.inspect_with_estimate(system, observed_sub)?;
             return Ok(DegradedVerdict {
                 verdict,
+                estimate,
                 degraded: false,
                 rank: system.num_links(),
                 used_ridge: false,
@@ -170,23 +182,25 @@ impl ConsistencyDetector {
             });
         }
         let solve = system.solve_degraded(surviving_rows, observed_sub)?;
-        let routing = system.routing_matrix();
+        let routing = system.routing_csr();
         let mut residual_l1 = 0.0;
         for (k, &row) in surviving_rows.iter().enumerate() {
             let reprojected: f64 = routing
-                .row(row)
-                .iter()
-                .zip(solve.estimate.iter())
-                .map(|(r, x)| r * x)
+                .row_iter(row)
+                .map(|(j, r)| r * solve.estimate[j])
                 .sum();
             residual_l1 += (reprojected - observed_sub[k]).abs();
+        }
+        let mut unidentifiable = vec![false; system.num_links()];
+        for link in &solve.unidentifiable {
+            unidentifiable[link.index()] = true;
         }
         let min_estimate = solve
             .estimate
             .iter()
-            .enumerate()
-            .filter(|(j, _)| !solve.unidentifiable.contains(&LinkId(*j)))
-            .map(|(_, &v)| v)
+            .zip(&unidentifiable)
+            .filter(|(_, &skip)| !skip)
+            .map(|(&v, _)| v)
             .fold(f64::INFINITY, f64::min);
         let min_estimate = if min_estimate.is_finite() {
             min_estimate
@@ -200,6 +214,7 @@ impl ConsistencyDetector {
                 min_estimate,
                 detected: residual_l1 > self.alpha || implausible,
             },
+            estimate: solve.estimate,
             degraded: true,
             rank: solve.rank,
             used_ridge: solve.used_ridge,
@@ -213,6 +228,10 @@ impl ConsistencyDetector {
 pub struct DegradedVerdict {
     /// The detection decision.
     pub verdict: Verdict,
+    /// The estimate the decision judged: [`TomographySystem::estimate`]
+    /// when every row survived, [`TomographySystem::solve_degraded`]'s
+    /// otherwise.
+    pub estimate: Vector,
     /// `false` when every measurement survived (the decision then equals
     /// [`ConsistencyDetector::inspect`] exactly).
     pub degraded: bool,
@@ -426,6 +445,31 @@ mod tests {
             .unwrap();
         assert!(deg.degraded);
         assert!(deg.verdict.detected, "residual {}", deg.verdict.residual_l1);
+    }
+
+    #[test]
+    fn degraded_verdict_carries_the_solved_estimate() {
+        // One solve per round: the verdict's estimate is bit for bit the
+        // one solve_degraded (or, with every row surviving, estimate)
+        // returns — exact subset, rank collapse and full survival alike.
+        let system = fig1::fig1_system().unwrap();
+        let detector = ConsistencyDetector::recommended();
+        let x: Vector = (0..10).map(|j| 5.0 + j as f64).collect();
+        let y = system.measure(&x).unwrap();
+        let exact: Vec<usize> = (0..system.num_paths()).filter(|&i| i != 5).collect();
+        let collapsed: Vec<usize> = (0..4).collect();
+        let bits = |v: &Vector| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for rows in [exact, collapsed] {
+            let y_sub: Vector = rows.iter().map(|&i| y[i]).collect();
+            let deg = detector.inspect_degraded(&system, &rows, &y_sub).unwrap();
+            let solve = system.solve_degraded(&rows, &y_sub).unwrap();
+            assert!(deg.degraded);
+            assert_eq!(deg.used_ridge, solve.used_ridge);
+            assert_eq!(bits(&deg.estimate), bits(&solve.estimate));
+        }
+        let all: Vec<usize> = (0..system.num_paths()).collect();
+        let full = detector.inspect_degraded(&system, &all, &y).unwrap();
+        assert_eq!(bits(&full.estimate), bits(&system.estimate(&y).unwrap()));
     }
 
     #[test]

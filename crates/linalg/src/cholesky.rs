@@ -5,13 +5,9 @@
 //! selection guarantees; Cholesky is then the cheapest stable solver.
 
 use crate::{LinalgError, Matrix, Vector};
-use tomo_obs::{LazyCounter, LazyHistogram};
+use tomo_obs::LazyHistogram;
 
 static FACTOR_SECONDS: LazyHistogram = LazyHistogram::new("linalg.cholesky.factor_seconds");
-/// Counts every rank-1 factor modification — updates *and* downdates —
-/// so CI smokes can assert the incremental path actually ran.
-static CHOL_UPDATES: LazyCounter = LazyCounter::new("linalg.chol.updates");
-static CHOL_DOWNDATES: LazyCounter = LazyCounter::new("linalg.chol.downdates");
 
 /// Matrix dimension at/above which [`Cholesky::new`] dispatches to the
 /// cache-blocked factorization. Below it the flat column loop wins (and
@@ -207,152 +203,6 @@ impl Cholesky {
             kb = ke;
         }
         Ok(Cholesky { l })
-    }
-
-    /// Wraps an already-computed lower-triangular factor.
-    ///
-    /// No validation beyond squareness is performed; the caller promises
-    /// `l` is a genuine Cholesky factor (or a zero-padded one that will
-    /// be completed by [`Cholesky::rank1_update`] before any solve).
-    pub(crate) fn from_lower_unchecked(l: Matrix) -> Self {
-        debug_assert!(l.is_square());
-        Cholesky { l }
-    }
-
-    /// Returns a copy of this factor padded with zero rows/columns to
-    /// `dim` — the factor of the original matrix embedded in a larger
-    /// all-zero one. The new columns are *not* positive-definite yet;
-    /// a subsequent [`Cholesky::rank1_update`] touching a padded column
-    /// seeds its diagonal (see there), and [`Cholesky::solve`] must not
-    /// be called while any diagonal is still zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidShape`] if `dim < self.dim()`.
-    pub fn padded(&self, dim: usize) -> Result<Self, LinalgError> {
-        let n = self.dim();
-        if dim < n {
-            return Err(LinalgError::InvalidShape {
-                reason: "cholesky padded target smaller than current dimension".to_string(),
-            });
-        }
-        let mut l = Matrix::zeros(dim, dim);
-        for i in 0..n {
-            l.as_mut_slice()[i * dim..i * dim + i + 1]
-                .copy_from_slice(&self.l.as_slice()[i * self.l.cols()..i * self.l.cols() + i + 1]);
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Rank-1 update: replaces the factor of `A` with the factor of
-    /// `A + w wᵀ` in place, via the standard sequence of Givens-style
-    /// column rotations (O(n²), no refactorization).
-    ///
-    /// Columns with `w[k] == 0` are skipped exactly — the rotation there
-    /// is the identity — so sparse corrections cost `O(Σ_{k ∈ supp(w)}
-    /// (n − k))`. A column whose diagonal is still zero (a padded column
-    /// from [`Cholesky::padded`]) is *seeded*: the remaining correction
-    /// becomes that column verbatim, which is what makes one-hop path
-    /// rows on freshly grown links O(n) instead of a refactorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `w.len() != dim()`.
-    pub fn rank1_update(&mut self, w: &Vector) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if w.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_rank1_update",
-                lhs: (n, n),
-                rhs: (w.len(), 1),
-            });
-        }
-        CHOL_UPDATES.inc();
-        let mut w = w.clone();
-        let wv = w.as_mut_slice();
-        let d = self.l.as_mut_slice();
-        for k in 0..n {
-            let wk = wv[k];
-            if wk == 0.0 {
-                continue;
-            }
-            let lkk = d[k * n + k];
-            if lkk == 0.0 {
-                // Padded column: A's column k was all-zero, so the
-                // updated column is exactly the correction vector.
-                let sign = if wk < 0.0 { -1.0 } else { 1.0 };
-                d[k * n + k] = wk.abs();
-                for i in (k + 1)..n {
-                    d[i * n + k] = sign * wv[i];
-                }
-                // The rotation consumed all remaining weight.
-                return Ok(());
-            }
-            let r = lkk.hypot(wk);
-            let c = r / lkk;
-            let s = wk / lkk;
-            d[k * n + k] = r;
-            for i in (k + 1)..n {
-                let lik = (d[i * n + k] + s * wv[i]) / c;
-                d[i * n + k] = lik;
-                wv[i] = c * wv[i] - s * lik;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rank-1 downdate: replaces the factor of `A` with the factor of
-    /// `A − w wᵀ` in place, via hyperbolic rotations (O(n²)).
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] if `w.len() != dim()`.
-    /// * [`LinalgError::NotPositiveDefinite`] if the downdated matrix is
-    ///   not positive definite — removing `w wᵀ` collapsed the rank. The
-    ///   reported `index` is the first column whose pivot went
-    ///   non-positive, exactly like [`Cholesky::new`]. **On error the
-    ///   factor is left partially downdated and must be discarded**;
-    ///   callers that need transactionality clone first (one clone per
-    ///   delta batch, not per row — see `tomo-core`'s
-    ///   `EstimatorCache::apply_path_delta`).
-    pub fn rank1_downdate(&mut self, w: &Vector) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if w.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_rank1_downdate",
-                lhs: (n, n),
-                rhs: (w.len(), 1),
-            });
-        }
-        CHOL_UPDATES.inc();
-        CHOL_DOWNDATES.inc();
-        let mut w = w.clone();
-        let wv = w.as_mut_slice();
-        let d = self.l.as_mut_slice();
-        for k in 0..n {
-            let wk = wv[k];
-            if wk == 0.0 {
-                continue;
-            }
-            let lkk = d[k * n + k];
-            // Pivot after removing the correction: lkk² − wk², with the
-            // same relative tolerance family as the factorizations.
-            let pivot = (lkk - wk) * (lkk + wk);
-            let tol = 1e-12 * (1.0 + lkk * lkk);
-            if pivot <= tol {
-                return Err(LinalgError::NotPositiveDefinite { index: k });
-            }
-            let r = pivot.sqrt();
-            let c = r / lkk;
-            let s = wk / lkk;
-            d[k * n + k] = r;
-            for i in (k + 1)..n {
-                let lik = (d[i * n + k] - s * wv[i]) / c;
-                d[i * n + k] = lik;
-                wv[i] = c * wv[i] - s * lik;
-            }
-        }
-        Ok(())
     }
 
     /// Dimension of the factorized matrix.
@@ -553,86 +403,6 @@ mod tests {
         let s_new = Cholesky::new(&small).unwrap();
         let s_un = Cholesky::factor_unblocked(&small).unwrap();
         assert_eq!(s_new.l(), s_un.l());
-    }
-
-    #[test]
-    fn rank1_update_matches_fresh_factor() {
-        let a = spd();
-        let w = Vector::from(vec![0.5, -1.0, 2.0]);
-        let mut chol = Cholesky::new(&a).unwrap();
-        chol.rank1_update(&w).unwrap();
-        let mut updated = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                updated[(i, j)] += w[i] * w[j];
-            }
-        }
-        let fresh = Cholesky::new(&updated).unwrap();
-        assert!(chol.l().approx_eq(fresh.l(), 1e-10));
-    }
-
-    #[test]
-    fn rank1_downdate_reverses_update() {
-        let a = spd();
-        let w = Vector::from(vec![1.0, 0.0, -0.5]);
-        let original = Cholesky::new(&a).unwrap();
-        let mut chol = original.clone();
-        chol.rank1_update(&w).unwrap();
-        chol.rank1_downdate(&w).unwrap();
-        assert!(chol.l().approx_eq(original.l(), 1e-9));
-    }
-
-    #[test]
-    fn rank1_downdate_detects_rank_collapse() {
-        // Gram of the identity: removing any row's own outer product
-        // zeroes a pivot, which must surface as NotPositiveDefinite at
-        // that column.
-        let mut chol = Cholesky::new(&Matrix::identity(3)).unwrap();
-        let err = chol
-            .rank1_downdate(&Vector::from(vec![0.0, 1.0, 0.0]))
-            .unwrap_err();
-        assert!(matches!(err, LinalgError::NotPositiveDefinite { index: 1 }));
-    }
-
-    #[test]
-    fn padded_update_seeds_new_columns() {
-        let a = spd();
-        let chol = Cholesky::new(&a).unwrap();
-        let mut grown = chol.padded(5).unwrap();
-        assert_eq!(grown.dim(), 5);
-        // One-hop row on the new link 3, then on link 4.
-        grown
-            .rank1_update(&Vector::from(vec![0.0, 0.0, 0.0, 1.0, 0.0]))
-            .unwrap();
-        grown
-            .rank1_update(&Vector::from(vec![0.0, 0.0, 0.0, 0.0, 1.0]))
-            .unwrap();
-        // A multi-hop row spanning old and new links.
-        let r = Vector::from(vec![1.0, 0.0, 1.0, 1.0, 0.0]);
-        grown.rank1_update(&r).unwrap();
-        let mut big = Matrix::identity(5);
-        for i in 0..3 {
-            for j in 0..3 {
-                big[(i, j)] = a[(i, j)];
-            }
-        }
-        big[(3, 3)] = 1.0;
-        big[(4, 4)] = 1.0;
-        for i in 0..5 {
-            for j in 0..5 {
-                big[(i, j)] += r[i] * r[j];
-            }
-        }
-        let fresh = Cholesky::new(&big).unwrap();
-        assert!(grown.l().approx_eq(fresh.l(), 1e-10));
-        assert!(chol.padded(2).is_err());
-    }
-
-    #[test]
-    fn rank1_rejects_wrong_length() {
-        let mut chol = Cholesky::new(&spd()).unwrap();
-        assert!(chol.rank1_update(&Vector::zeros(2)).is_err());
-        assert!(chol.rank1_downdate(&Vector::zeros(4)).is_err());
     }
 
     #[test]

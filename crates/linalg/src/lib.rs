@@ -8,16 +8,15 @@
 //!   are bit-identical to the dense ones,
 //! * [`lu::Lu`] — LU decomposition with partial pivoting (solve, inverse,
 //!   determinant),
-//! * [`cholesky::Cholesky`] — SPD factorization used for the normal
-//!   equations `RᵀR`, with rank-1 update/downdate for path deltas,
+//! * [`cholesky::Cholesky`] — dense SPD factorization of the normal
+//!   equations `RᵀR` for small systems,
 //! * [`sparse_chol::SparseCholesky`] — up-looking sparse factorization
 //!   of CSR Gram matrices (the Rocketfuel-scale build kernel),
-//! * [`incremental`] — the delta engine: [`incremental::IncrementalNormalSolver`]
-//!   absorbs path add/drop deltas by rank-1 rotations with a
-//!   refactor-after-K drift cadence, plus Sherman–Morrison updates of a
-//!   materialized pseudo-inverse,
 //! * [`qr::Qr`] — Householder QR and column-pivoted QR (rank-revealing),
-//! * [`lstsq`] — least-squares solvers (QR-based, normal equations),
+//! * [`lstsq`] — least-squares solvers: the QR reference and
+//!   [`lstsq::NormalEquationsSolver`], the one normal-equations path
+//!   (dense Cholesky below [`lstsq::SPARSE_FACTOR_MIN_DIM`] links,
+//!   [`sparse_chol::SparseCholesky`] at or above it),
 //! * [`rank`] — numerical rank and the exact sparse rank tracker
 //!   ([`rank::SparseRank`]) behind every identifiability decision.
 //!
@@ -48,7 +47,6 @@ mod sparse;
 mod vector;
 
 pub mod cholesky;
-pub mod incremental;
 pub mod lstsq;
 pub mod lu;
 pub mod norms;

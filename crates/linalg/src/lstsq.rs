@@ -12,10 +12,9 @@ use crate::cholesky::Cholesky;
 use crate::qr::Qr;
 use crate::sparse_chol::SparseCholesky;
 use crate::{CsrMatrix, LinalgError, Matrix, Vector};
-use tomo_obs::{LazyCounter, LazyHistogram};
+use tomo_obs::LazyHistogram;
 
 static SOLVE_SECONDS: LazyHistogram = LazyHistogram::new("linalg.lstsq.solve_seconds");
-static RIDGE_SOLVES: LazyCounter = LazyCounter::new("linalg.lstsq.ridge_solves");
 
 /// Gram dimension at/above which [`NormalEquationsSolver::from_sparse`]
 /// factorizes with the sparse kernel instead of the dense one. Every
@@ -25,8 +24,8 @@ static RIDGE_SOLVES: LazyCounter = LazyCounter::new("linalg.lstsq.ridge_solves")
 /// it, where the dense kernel's 256s/800MB cost was the measured wall.
 pub const SPARSE_FACTOR_MIN_DIM: usize = 512;
 
-/// The cached Gram factorization: dense (updatable by rank-1
-/// corrections) below [`SPARSE_FACTOR_MIN_DIM`], sparse above it.
+/// The cached Gram factorization: dense below [`SPARSE_FACTOR_MIN_DIM`],
+/// sparse at or above it.
 #[derive(Debug, Clone)]
 enum GramFactor {
     Dense(Cholesky),
@@ -124,17 +123,6 @@ impl NormalEquationsSolver {
     #[must_use]
     pub fn matrix(&self) -> &CsrMatrix {
         &self.a
-    }
-
-    /// The cached dense Gram factor, when this solver holds one — the
-    /// representation the rank-1 update/downdate engine needs. `None`
-    /// on the sparse route (callers fall back to rebuilding).
-    #[must_use]
-    pub fn dense_factor(&self) -> Option<&Cholesky> {
-        match &self.factor {
-            GramFactor::Dense(chol) => Some(chol),
-            GramFactor::Sparse(_) => None,
-        }
     }
 
     /// Which factor kind construction chose: `"dense"` or `"sparse"`.
@@ -262,87 +250,6 @@ pub fn residual_outside_column_space(a: &Matrix, b: &Vector) -> Result<Vector, L
     Ok(r)
 }
 
-/// Solves the ridge-regularized least-squares problem
-/// `min ‖A x − b‖₂² + λ′ ‖x‖₂²` via Cholesky on `AᵀA + λ′ I`.
-///
-/// The actual shift is `λ′ = λ · (1 + mean(diag(AᵀA)))` — scaling by the
-/// Gram diagonal keeps the regularization meaningful whether the matrix
-/// entries are O(1) routing indicators or O(10³) delay columns. For any
-/// `λ > 0` the shifted Gram matrix is symmetric positive definite, so
-/// this succeeds even when `A` is rank deficient: it is the degraded
-/// fallback after probe loss has destroyed identifiability.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] if `b.len() != A.rows()`.
-///
-/// # Panics
-///
-/// Panics if `lambda` is not finite and strictly positive.
-pub fn solve_ridge(a: &Matrix, b: &Vector, lambda: f64) -> Result<Vector, LinalgError> {
-    assert!(
-        lambda.is_finite() && lambda > 0.0,
-        "ridge lambda must be finite and > 0, got {lambda}"
-    );
-    if b.len() != a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "solve_ridge",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    RIDGE_SOLVES.inc();
-    let _timer = SOLVE_SECONDS.start_timer();
-    let mut gram = a.mul_transpose_self();
-    let n = gram.rows();
-    let mean_diag = if n == 0 {
-        0.0
-    } else {
-        (0..n).map(|j| gram[(j, j)]).sum::<f64>() / n as f64
-    };
-    let shift = lambda * (1.0 + mean_diag);
-    for j in 0..n {
-        gram[(j, j)] += shift;
-    }
-    let atb = a.mul_transpose_vec(b)?;
-    Cholesky::new(&gram)?.solve(&atb)
-}
-
-/// Columns of `a` whose coordinate is not determined by the rows — the
-/// *unidentifiable* links after probe loss, in tomography terms.
-///
-/// Builds an orthonormal basis `{qₖ}` of the row space (two-pass modified
-/// Gram-Schmidt over the rows); column `j` is identifiable iff the
-/// indicator `eⱼ` lies in the row space, i.e. `Σₖ qₖ[j]² = 1`. Returns
-/// the indices where `1 − Σₖ qₖ[j]²` exceeds a small tolerance, in
-/// ascending order. Empty iff `a` has full column rank.
-#[must_use]
-pub fn unidentifiable_columns(a: &Matrix) -> Vec<usize> {
-    let mut basis: Vec<Vector> = Vec::new();
-    let tol = crate::DEFAULT_TOL * (1.0 + a.max_abs());
-    for i in 0..a.rows() {
-        let mut q = Vector::from(a.row(i).to_vec());
-        for _ in 0..2 {
-            for e in &basis {
-                let c = q.dot(e).expect("same length");
-                if c != 0.0 {
-                    q = q.axpy(-c, e).expect("same length");
-                }
-            }
-        }
-        let norm = crate::norms::l2(&q);
-        if norm > tol {
-            basis.push(q.scaled(1.0 / norm));
-        }
-    }
-    (0..a.cols())
-        .filter(|&j| {
-            let projected: f64 = basis.iter().map(|q| q[j] * q[j]).sum();
-            1.0 - projected > 1e-7
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,88 +351,6 @@ mod tests {
         assert!(crate::norms::l2(&r) > 0.5);
         // Dimension check.
         assert!(residual_outside_column_space(&a, &Vector::zeros(2)).is_err());
-    }
-
-    #[test]
-    fn ridge_approaches_exact_solution_on_full_rank() {
-        let a = routing_like(13, 12, 6).expect("full-rank instance");
-        let b: Vector = (0..12).map(|i| (i as f64) * 2.1 - 5.0).collect();
-        let exact = solve(&a, &b).unwrap();
-        let ridged = solve_ridge(&a, &b, 1e-10).unwrap();
-        assert!(ridged.approx_eq(&exact, 1e-6));
-    }
-
-    #[test]
-    fn ridge_survives_rank_deficiency() {
-        // Two identical columns: exact solvers reject, ridge succeeds
-        // and splits the weight between the twins.
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
-        let b = Vector::from(vec![2.0, 2.0, 4.0]);
-        assert!(solve(&a, &b).is_err());
-        let x = solve_ridge(&a, &b, 1e-6).unwrap();
-        assert!(x.iter().all(|v| v.is_finite()));
-        assert!(
-            (x[0] - x[1]).abs() < 1e-6,
-            "symmetric columns, symmetric weights"
-        );
-        assert!((x[0] + x[1] - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ridge_validates_input() {
-        let a = Matrix::identity(3);
-        assert!(solve_ridge(&a, &Vector::zeros(2), 1e-6).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "ridge lambda")]
-    fn ridge_rejects_nonpositive_lambda() {
-        let a = Matrix::identity(2);
-        let _ = solve_ridge(&a, &Vector::zeros(2), 0.0);
-    }
-
-    #[test]
-    fn unidentifiable_columns_empty_on_full_rank() {
-        let a = routing_like(17, 12, 6).expect("full-rank instance");
-        assert!(unidentifiable_columns(&a).is_empty());
-    }
-
-    #[test]
-    fn unidentifiable_columns_flags_unseen_and_aliased() {
-        // Column 2 is never measured; columns 0 and 1 always appear
-        // together, so none of {0, 1, 2} is identifiable but column 3 is.
-        let a = Matrix::from_rows(&[
-            vec![1.0, 1.0, 0.0, 0.0],
-            vec![1.0, 1.0, 0.0, 1.0],
-            vec![0.0, 0.0, 0.0, 1.0],
-        ])
-        .unwrap();
-        assert_eq!(unidentifiable_columns(&a), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn unidentifiable_columns_matches_rank_augmentation() {
-        // Brute-force cross-check: column j is identifiable iff appending
-        // eⱼ as a row does NOT raise the rank of the row space.
-        for seed in 0..12u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-            let a = Matrix::from_fn(6, 8, |_, _| if rng.gen_bool(0.35) { 1.0 } else { 0.0 });
-            let base_rank = crate::rank::rank(&a);
-            let flagged = unidentifiable_columns(&a);
-            for j in 0..a.cols() {
-                let mut rows: Vec<Vec<f64>> = (0..a.rows()).map(|i| a.row(i).to_vec()).collect();
-                let mut e = vec![0.0; a.cols()];
-                e[j] = 1.0;
-                rows.push(e);
-                let augmented = Matrix::from_rows(&rows).unwrap();
-                let expect_unidentifiable = crate::rank::rank(&augmented) > base_rank;
-                assert_eq!(
-                    flagged.contains(&j),
-                    expect_unidentifiable,
-                    "seed {seed} col {j}"
-                );
-            }
-        }
     }
 
     proptest! {

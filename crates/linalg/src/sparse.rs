@@ -523,142 +523,6 @@ impl CsrBuilder {
         Ok(())
     }
 
-    /// Starts a builder pre-populated with the rows of `m`.
-    #[must_use]
-    pub fn from_matrix(m: &CsrMatrix) -> Self {
-        CsrBuilder {
-            cols: m.cols,
-            indptr: m.indptr.clone(),
-            indices: m.indices.clone(),
-            values: m.values.clone(),
-        }
-    }
-
-    /// Number of rows pushed so far.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.indptr.len() - 1
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Column indices of row `i` (ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn row_indices(&self, i: usize) -> &[usize] {
-        assert!(i < self.rows(), "row {i} out of range");
-        &self.indices[self.indptr[i]..self.indptr[i + 1]]
-    }
-
-    /// Values of row `i`, parallel to [`CsrBuilder::row_indices`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn row_values(&self, i: usize) -> &[f64] {
-        assert!(i < self.rows(), "row {i} out of range");
-        &self.values[self.indptr[i]..self.indptr[i + 1]]
-    }
-
-    /// Widens the matrix to `cols` columns (existing entries keep their
-    /// indices — new columns are appended on the right, all zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidShape`] if `cols` shrinks the
-    /// matrix.
-    pub fn grow_cols(&mut self, cols: usize) -> Result<(), LinalgError> {
-        if cols < self.cols {
-            return Err(LinalgError::InvalidShape {
-                reason: format!(
-                    "grow_cols cannot shrink from {} to {cols} columns",
-                    self.cols
-                ),
-            });
-        }
-        self.cols = cols;
-        Ok(())
-    }
-
-    /// Appends one unit-coefficient path row over `links` (link indices
-    /// in any order, duplicates collapsed) and returns the sorted,
-    /// deduplicated support — the rank-1 Gram correction `+r rᵀ` this
-    /// delta induces, without reassembling the Gram matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidShape`] when `links` is empty or an
-    /// index is out of range.
-    pub fn add_path_row(&mut self, links: &[usize]) -> Result<Vec<usize>, LinalgError> {
-        if links.is_empty() {
-            return Err(LinalgError::InvalidShape {
-                reason: format!("path row {} has no links", self.rows()),
-            });
-        }
-        let mut support = links.to_vec();
-        support.sort_unstable();
-        support.dedup();
-        self.push_row(support.iter().map(|&c| (c, 1.0)))?;
-        Ok(support)
-    }
-
-    /// Removes row `row` and returns its `(column, value)` entries —
-    /// the rank-1 Gram correction `−r rᵀ` this delta induces. Rows
-    /// after `row` shift down by one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidShape`] if `row` is out of range.
-    pub fn drop_path_row(&mut self, row: usize) -> Result<Vec<(usize, f64)>, LinalgError> {
-        if row >= self.rows() {
-            return Err(LinalgError::InvalidShape {
-                reason: format!(
-                    "drop_path_row: row {row} out of range for {} rows",
-                    self.rows()
-                ),
-            });
-        }
-        let start = self.indptr[row];
-        let end = self.indptr[row + 1];
-        let removed: Vec<(usize, f64)> = self.indices[start..end]
-            .iter()
-            .copied()
-            .zip(self.values[start..end].iter().copied())
-            .collect();
-        self.indices.drain(start..end);
-        self.values.drain(start..end);
-        let width = end - start;
-        self.indptr.remove(row + 1);
-        for p in &mut self.indptr[row + 1..] {
-            *p -= width;
-        }
-        Ok(removed)
-    }
-
-    /// Clones the current rows into a standalone [`CsrMatrix`] without
-    /// consuming the builder (used by refactor cadences and parity
-    /// checks that need a matrix snapshot mid-stream).
-    #[must_use]
-    pub fn snapshot(&self) -> CsrMatrix {
-        let csr = CsrMatrix {
-            rows: self.indptr.len() - 1,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.clone(),
-        };
-        csr.publish_stats();
-        csr
-    }
-
     /// Consumes the builder and returns the finished matrix.
     #[must_use]
     pub fn finish(self) -> CsrMatrix {
@@ -865,7 +729,6 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(b.rows(), dense.shape().0);
         assert_eq!(b.finish(), CsrMatrix::from_dense(&dense));
     }
 
@@ -876,36 +739,9 @@ mod tests {
         assert!(b.push_row([(1, 1.0), (1, 2.0)]).is_err());
         assert!(b.push_row([(2, 1.0), (0, 2.0)]).is_err());
         // Failed pushes must not leave partial entries behind.
-        assert_eq!(b.rows(), 0);
         b.push_row([(0, 1.0), (2, 2.0)]).unwrap();
         let csr = b.finish();
         assert_eq!(csr.shape(), (1, 3));
         assert_eq!(csr.nnz(), 2);
-    }
-
-    #[test]
-    fn builder_delta_api_roundtrip() {
-        let mut b =
-            CsrBuilder::from_matrix(&CsrMatrix::from_paths(&[vec![0], vec![1]], 2).unwrap());
-        assert_eq!(b.cols(), 2);
-        b.grow_cols(4).unwrap();
-        assert!(b.grow_cols(1).is_err());
-        // Unsorted with a duplicate: support comes back sorted/deduped.
-        let support = b.add_path_row(&[3, 0, 3]).unwrap();
-        assert_eq!(support, vec![0, 3]);
-        assert!(b.add_path_row(&[]).is_err());
-        assert!(b.add_path_row(&[9]).is_err());
-        assert_eq!(b.rows(), 3);
-        let removed = b.drop_path_row(1).unwrap();
-        assert_eq!(removed, vec![(1, 1.0)]);
-        assert!(b.drop_path_row(5).is_err());
-        let snap = b.snapshot();
-        assert_eq!(snap.shape(), (2, 4));
-        assert_eq!(snap.row_indices(0), &[0]);
-        assert_eq!(snap.row_indices(1), &[0, 3]);
-        assert_eq!(b.row_indices(1), &[0, 3]);
-        assert_eq!(b.row_values(1), &[1.0, 1.0]);
-        // snapshot() leaves the builder usable; finish() agrees with it.
-        assert_eq!(b.finish(), snap);
     }
 }

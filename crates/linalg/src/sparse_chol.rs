@@ -26,7 +26,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{CsrMatrix, LinalgError, Matrix, Vector};
+use crate::{CsrMatrix, LinalgError, Vector};
 use tomo_obs::{LazyGauge, LazyHistogram};
 
 static SPARSE_FACTOR_SECONDS: LazyHistogram =
@@ -178,31 +178,26 @@ impl SparseCholesky {
         }
         Ok(x)
     }
-
-    /// Expands the factor into a dense [`Cholesky`] — the updatable
-    /// representation the rank-1 delta engine needs. Used by the
-    /// incremental solver's refactor cadence so a periodic
-    /// re-factorization costs sparse-factor time, not dense O(n³).
-    ///
-    /// [`Cholesky`]: crate::cholesky::Cholesky
-    #[must_use]
-    pub fn to_dense_factor(&self) -> crate::cholesky::Cholesky {
-        let n = self.n;
-        let mut l = Matrix::zeros(n, n);
-        for k in 0..n {
-            l[(k, k)] = self.diag[k];
-            for &(i, lik) in &self.cols[k] {
-                l[(i, k)] = lik;
-            }
-        }
-        crate::cholesky::Cholesky::from_lower_unchecked(l)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cholesky::Cholesky;
+    use crate::Matrix;
+
+    /// The factor expanded to a dense lower-triangular matrix, for
+    /// comparison against the dense kernel.
+    fn to_dense_factor(f: &SparseCholesky) -> Matrix {
+        let mut l = Matrix::zeros(f.n, f.n);
+        for k in 0..f.n {
+            l[(k, k)] = f.diag[k];
+            for &(i, lik) in &f.cols[k] {
+                l[(i, k)] = lik;
+            }
+        }
+        l
+    }
 
     /// A routing-like sparse system: one-hop rows plus overlapping
     /// multi-hop paths.
@@ -226,10 +221,10 @@ mod tests {
         let gram = a.gram_csr();
         let sparse = SparseCholesky::new(&gram).unwrap();
         let dense = Cholesky::factor_unblocked(&gram.to_dense()).unwrap();
-        let expanded = sparse.to_dense_factor();
-        assert!(expanded.l().approx_eq(dense.l(), 1e-12));
+        let expanded = to_dense_factor(&sparse);
+        assert!(expanded.approx_eq(dense.l(), 1e-12));
         // On this fixture the subtraction chains line up bit for bit.
-        for (x, y) in expanded.l().as_slice().iter().zip(dense.l().as_slice()) {
+        for (x, y) in expanded.as_slice().iter().zip(dense.l().as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

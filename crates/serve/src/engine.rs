@@ -9,13 +9,14 @@
 //! reordered frames harmless, and what makes journal replay after a
 //! crash reconverge to bit-identical state.
 //!
-//! Queries answer from the slot table through the PR 7 incremental
-//! machinery: full path coverage estimates via the cached normal-
-//! equations factor, partial coverage routes through
-//! [`TomographySystem::solve_degraded`] (rank-1 downdates, ridge
-//! fallback) so the daemon keeps answering while probes are missing.
-//! Answers are cached and invalidated per applied batch, so a query
-//! burst between ingests costs one solve, not N.
+//! Queries answer from the slot table with one detector call per answer
+//! ([`ConsistencyDetector::inspect_degraded`]), whose verdict carries the
+//! estimate it judged: full path coverage estimates via the system's
+//! cached normal-equations factor, partial coverage refactors the
+//! covered rows through [`TomographySystem::solve_degraded`] (ridge
+//! fallback on rank collapse) so the daemon keeps answering while
+//! probes are missing. Answers are cached and invalidated per applied
+//! batch, so a query burst between ingests costs one solve, not N.
 
 use std::collections::BTreeSet;
 
@@ -149,37 +150,19 @@ pub(crate) fn solve_answer(
     num_paths: usize,
 ) -> Result<QueryAnswer, QueryError> {
     SOLVES.inc();
-    if covered.len() == num_paths {
-        let y = Vector::from(values.to_vec());
-        let estimate = system.estimate(&y)?;
-        let verdict = detector.inspect(system, &y)?;
-        Ok(QueryAnswer {
-            epoch,
-            coverage: num_paths,
-            num_paths,
-            estimate_bits: estimate.iter().map(|v| v.to_bits()).collect(),
-            verdict,
-            degraded: false,
-            rank: system.num_links(),
-            used_ridge: false,
-            unidentifiable: 0,
-        })
-    } else {
-        let y_sub = Vector::from(values.to_vec());
-        let solve = system.solve_degraded(covered, &y_sub)?;
-        let degraded = detector.inspect_degraded(system, covered, &y_sub)?;
-        Ok(QueryAnswer {
-            epoch,
-            coverage: covered.len(),
-            num_paths,
-            estimate_bits: solve.estimate.iter().map(|v| v.to_bits()).collect(),
-            verdict: degraded.verdict,
-            degraded: true,
-            rank: degraded.rank,
-            used_ridge: degraded.used_ridge,
-            unidentifiable: degraded.unidentifiable.len(),
-        })
-    }
+    let y = Vector::from(values.to_vec());
+    let judged = detector.inspect_degraded(system, covered, &y)?;
+    Ok(QueryAnswer {
+        epoch,
+        coverage: covered.len(),
+        num_paths,
+        estimate_bits: judged.estimate.iter().map(|v| v.to_bits()).collect(),
+        verdict: judged.verdict,
+        degraded: judged.degraded,
+        rank: judged.rank,
+        used_ridge: judged.used_ridge,
+        unidentifiable: judged.unidentifiable.len(),
+    })
 }
 
 /// The daemon's estimation state. Single-writer (the apply worker);

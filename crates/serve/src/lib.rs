@@ -14,8 +14,8 @@
 //!   capacity the daemon says `Reject(QueueFull)` with an adaptive
 //!   retry hint instead of buffering without bound.
 //! * [`engine`] — the online estimator state: last-writer-wins slot
-//!   table over PR 7's incremental solver, dedup watermark, quarantine
-//!   of non-finite or out-of-range rows.
+//!   table answered through the detector's degraded-coverage path,
+//!   dedup watermark, quarantine of non-finite or out-of-range rows.
 //! * [`snapshot`] — the lock-free query path: immutable
 //!   [`snapshot::EngineSnapshot`]s published through a double-buffered
 //!   [`snapshot::SnapshotStore`], so queries never contend with ingest.

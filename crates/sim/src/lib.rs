@@ -46,7 +46,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod gap;
-pub mod incremental;
 pub mod noise;
 pub mod report;
 pub mod scale;

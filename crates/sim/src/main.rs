@@ -1,7 +1,7 @@
 //! `tomo-sim` — command-line runner for the paper's evaluation figures.
 //!
 //! ```text
-//! tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|incremental|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC]
+//! tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC]
 //! tomo-sim list
 //! ```
 //!
@@ -18,8 +18,8 @@ use std::process::ExitCode;
 
 use tomo_par::Executor;
 use tomo_sim::{
-    ablation, chaos, defense, fig2, fig4, fig5, fig6, fig7, fig8, fig9, gap, incremental, noise,
-    report, scale, serve_chaos, serve_load, SimError,
+    ablation, chaos, defense, fig2, fig4, fig5, fig6, fig7, fig8, fig9, gap, noise, report, scale,
+    serve_chaos, serve_load, SimError,
 };
 
 #[derive(Debug, PartialEq)]
@@ -203,7 +203,7 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
 const DEFAULT_METRICS_PORT: u16 = 9184;
 
 fn usage() -> String {
-    "usage:\n  tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|incremental|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC] [--trace-out FILE] [--serve-metrics PORT] [--max-links N]\n  tomo-sim serve-metrics [--port N]\n  tomo-sim list\n\n--faults (chaos and serve-chaos) is a comma list of rates, e.g. \"loss=0.05,corrupt=0.01\";\nkeys: loss, corrupt, stale, link_fail, lp_iter, lp_singular, frame; \"off\" disables all\n(serve-chaos draws only the frame family).\n--max-links (scale only) caps the sweep's largest topology (default 10000).\n--trace-out enables span/provenance tracing and writes Chrome trace-event\nJSON (open at https://ui.perfetto.dev). --serve-metrics exposes Prometheus\ntext at http://127.0.0.1:PORT/metrics for the duration of the run;\nthe serve-metrics command runs the same endpoint standalone (default port 9184)."
+    "usage:\n  tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC] [--trace-out FILE] [--serve-metrics PORT] [--max-links N]\n  tomo-sim serve-metrics [--port N]\n  tomo-sim list\n\n--faults (chaos and serve-chaos) is a comma list of rates, e.g. \"loss=0.05,corrupt=0.01\";\nkeys: loss, corrupt, stale, link_fail, lp_iter, lp_singular, frame; \"off\" disables all\n(serve-chaos draws only the frame family).\n--max-links (scale only) caps the sweep's largest topology (default 10000).\n--trace-out enables span/provenance tracing and writes Chrome trace-event\nJSON (open at https://ui.perfetto.dev). --serve-metrics exposes Prometheus\ntext at http://127.0.0.1:PORT/metrics for the duration of the run;\nthe serve-metrics command runs the same endpoint standalone (default port 9184)."
         .to_string()
 }
 
@@ -402,18 +402,6 @@ fn run_one(name: &str, args: &Args, exec: &Executor) -> Result<(), SimError> {
                 scale::write_artifact(&r, &p)?;
             }
         }
-        "incremental" => {
-            let config = if args.quick {
-                incremental::IncrementalConfig::quick()
-            } else {
-                incremental::IncrementalConfig::default()
-            };
-            let r = incremental::run(seed, &config)?;
-            println!("{}", incremental::render(&r));
-            if let Some(p) = artifact("incremental.json") {
-                incremental::write_artifact(&r, &p)?;
-            }
-        }
         other => return Err(SimError(format!("unknown figure {other:?}"))),
     }
     Ok(())
@@ -469,7 +457,6 @@ fn main() -> ExitCode {
              serve-chaos  live tomo-serve daemon: wire faults, kill/restart, SLO (--faults)\n\
              serve-load  many concurrent probe clients vs one daemon: throughput, tail, identity\n\
              scale  Rocketfuel-scale kernel sweep, 1k-50k links (--max-links)\n\
-             incremental  cold-rebuild vs rank-1-delta solver benchmark\n\
              all   everything above (figures only)"
         );
         return ExitCode::SUCCESS;

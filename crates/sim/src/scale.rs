@@ -29,16 +29,13 @@
 //!   (at small sizes) the dense tableau for the speedup ratio.
 //!
 //! The sweep is **nested**: one ISP topology is generated at the
-//! largest executed target and every smaller point is the prefix of its
-//! first `m` links (the generator emits ring → chords → access uplinks,
-//! so every prefix is connected and link indices agree across points).
-//! That nesting is what lets an [`IncrementalNormalSolver`] *chain*
-//! carry the factorized normal equations from point to point: stepping
-//! 5k → 10k links absorbs the new one-hop rows as rank-1 seeds and
-//! churns a bounded number of extra paths through `add_path_row` /
-//! `drop_path_row` deltas instead of rebuilding the system cold. The
-//! per-point delta wall time lands next to the cold build time in the
-//! artifact.
+//! largest configured target and every smaller point is the prefix of
+//! its first `m` links (the generator emits ring → chords → access
+//! uplinks, so every prefix is connected and link indices agree across
+//! points). The extra paths nest too: the first point samples
+//! `extra_paths` of them, and each later point keeps all but the most
+//! recent `chain_churn`, which it resamples on its own prefix. Every
+//! point then builds its system cold.
 //!
 //! Every path set contains one one-hop path per link (all nodes are
 //! monitors), so `R` contains a permuted identity and identifiability
@@ -58,7 +55,6 @@ use tomo_core::{KernelKind, TomographySystem};
 use tomo_graph::isp::{self, IspConfig};
 use tomo_graph::shortest::shortest_path;
 use tomo_graph::{Graph, Path};
-use tomo_linalg::incremental::IncrementalNormalSolver;
 use tomo_linalg::sparse_chol::SparseCholesky;
 use tomo_linalg::{CsrMatrix, Vector};
 use tomo_lp::{LpProblem, Objective, Relation, SolverMode, VarId};
@@ -83,10 +79,9 @@ pub struct ScaleConfig {
     /// Extra multi-hop shortest paths added on top of the per-link
     /// one-hop paths (capped, so path count stays `links + O(1)`).
     pub extra_paths: usize,
-    /// Extra paths the incremental chain replaces (drop + re-sample)
-    /// when stepping between sweep points — bounds the number of dense
-    /// rank-1 downdates per step while still exercising the drop path
-    /// at scale.
+    /// Extra paths resampled between sweep points: each point after the
+    /// first drops the most recent `chain_churn` extras and samples that
+    /// many fresh ones on its own prefix.
     pub chain_churn: usize,
     /// Run the dense Gram/LP baselines only for sweep points whose
     /// *target* is at or below this many links — above it the dense
@@ -167,15 +162,6 @@ pub struct ScalePoint {
     pub system_build_seconds: Option<f64>,
     /// One measure + estimate round trip seconds.
     pub estimate_seconds: Option<f64>,
-    /// Seconds the incremental chain spent stepping from the previous
-    /// sweep point to this one (`None` at the chain-initializing first
-    /// point).
-    pub incremental_build_seconds: Option<f64>,
-    /// Rows the chain added in that step (new one-hops + churned
-    /// extras).
-    pub incremental_rows_added: usize,
-    /// Rows the chain dropped in that step (churned extras).
-    pub incremental_rows_dropped: usize,
     /// Budget-LP revised-simplex solve seconds.
     pub lp_revised_seconds: f64,
     /// Simplex pivots the revised solve spent.
@@ -217,8 +203,8 @@ pub(crate) fn isp_config_for(target_links: usize) -> IspConfig {
 /// renumbered in first-touch order. The ISP generator emits the
 /// backbone ring, then chords, then access uplinks into the
 /// already-connected core, so every link prefix is connected; link `i`
-/// of the prefix is link `i` of `full`, which is what lets the
-/// incremental chain reuse column indices across sweep points.
+/// of the prefix is link `i` of `full`, which is what lets the extra
+/// paths carry over between sweep points.
 fn prefix_graph(full: &Graph, m: usize) -> Result<Graph, SimError> {
     let mut g = Graph::new();
     let mut map: Vec<Option<tomo_graph::NodeId>> = vec![None; full.num_nodes()];
@@ -273,108 +259,11 @@ pub(crate) fn sample_extra_paths(
     Ok(out)
 }
 
-/// The factorized normal equations carried between sweep points, plus
-/// the bookkeeping needed to churn extra paths through row deltas.
-struct ChainState {
-    solver: IncrementalNormalSolver,
-    /// Links covered at the previous point.
+/// The extra (multi-hop) paths carried between sweep points, oldest
+/// first, and the link count of the point that last resampled them.
+struct Extras {
     links: usize,
-    /// Extra (multi-hop) paths currently in the system, parallel to
-    /// `extra_rows`.
-    extras: Vec<Path>,
-    /// Current solver row index of each extra path (ascending).
-    extra_rows: Vec<usize>,
-}
-
-/// What the chain did stepping into the current point.
-struct ChainStep {
-    seconds: Option<f64>,
-    rows_added: usize,
-    rows_dropped: usize,
-}
-
-fn chain_err(e: tomo_linalg::LinalgError) -> SimError {
-    SimError(format!("scale chain: {e}"))
-}
-
-/// Initializes the chain (first point) or advances it by deltas: grow
-/// the column space, seed the new links' one-hop rows, replace the
-/// churned extras. Returns the step record; `chain` afterwards holds
-/// the factor for exactly `one-hops(m) + extras`.
-fn advance_chain(
-    chain: &mut Option<ChainState>,
-    one_hops: &[Path],
-    fresh_extras: Vec<Path>,
-    m: usize,
-) -> Result<ChainStep, SimError> {
-    match chain.take() {
-        None => {
-            let mut paths: Vec<Path> = one_hops.to_vec();
-            paths.extend(fresh_extras.iter().cloned());
-            let routing = tomo_core::build_routing_csr(&paths, m)?;
-            let solver = IncrementalNormalSolver::from_sparse(routing).map_err(chain_err)?;
-            let extra_rows = (m..paths.len()).collect();
-            *chain = Some(ChainState {
-                solver,
-                links: m,
-                extras: fresh_extras,
-                extra_rows,
-            });
-            Ok(ChainStep {
-                seconds: None,
-                rows_added: 0,
-                rows_dropped: 0,
-            })
-        }
-        Some(mut c) => {
-            let churn = fresh_extras.len().min(c.extras.len());
-            let new_links = m - c.links;
-            let t = Instant::now();
-            c.solver.grow_cols(m).map_err(chain_err)?;
-            // New links enter as one-hop rows: each seeds its fresh
-            // (zero-diagonal) column, so these rank-1 updates are O(n)
-            // instead of O(n²).
-            for l in c.links..m {
-                c.solver.add_path_row(&[l]).map_err(chain_err)?;
-            }
-            // Churn: drop the most recent extras (descending row order,
-            // so surviving indices stay valid) and add the fresh ones.
-            for _ in 0..churn {
-                let row = c.extra_rows.pop().expect("churn <= extras");
-                c.extras.pop();
-                c.solver.drop_path_row(row).map_err(chain_err)?;
-            }
-            for p in fresh_extras {
-                let links: Vec<usize> = p.links().iter().map(|l| l.0).collect();
-                let row = c.solver.add_path_row(&links).map_err(chain_err)?;
-                c.extras.push(p);
-                c.extra_rows.push(row);
-            }
-            let seconds = t.elapsed().as_secs_f64();
-            c.links = m;
-            let step = ChainStep {
-                seconds: Some(seconds),
-                rows_added: new_links + churn,
-                rows_dropped: churn,
-            };
-            *chain = Some(c);
-            Ok(step)
-        }
-    }
-}
-
-/// Update-vs-rebuild parity: the chained factor must reproduce the
-/// link metrics from its own snapshot's measurements.
-fn check_chain_parity(chain: &ChainState, m: usize) -> Result<(), SimError> {
-    let x: Vector = (0..m).map(|i| 100.0 + (i % 7) as f64).collect();
-    let y = chain.solver.snapshot().mul_vec(&x).map_err(chain_err)?;
-    let x_hat = chain.solver.solve(&y).map_err(chain_err)?;
-    if !x_hat.approx_eq(&x, 1e-4) {
-        return Err(SimError(format!(
-            "scale chain: incremental solve does not reproduce link metrics at {m} links"
-        )));
-    }
-    Ok(())
+    paths: Vec<Path>,
 }
 
 /// The budget LP over a routing matrix: maximize total manipulation
@@ -410,7 +299,6 @@ fn run_point(
     graph: &Graph,
     paths: &[Path],
     path_enum_seconds: f64,
-    step: &ChainStep,
 ) -> Result<ScalePoint, SimError> {
     let _span = tomo_obs::span("sim.scale.point");
     let links = graph.num_links();
@@ -520,9 +408,6 @@ fn run_point(
         gram_dense_seconds,
         system_build_seconds,
         estimate_seconds,
-        incremental_build_seconds: step.seconds,
-        incremental_rows_added: step.rows_added,
-        incremental_rows_dropped: step.rows_dropped,
         lp_revised_seconds,
         lp_revised_pivots,
         lp_objective: revised.objective_value(),
@@ -533,17 +418,17 @@ fn run_point(
 
 /// Runs the scale sweep: every configured point with `target ≤
 /// max_links`, as nested prefixes of one topology generated at the
-/// largest executed target, each point's extras on its own derived RNG
-/// stream. The incremental chain steps through the points in sweep
-/// order; a point smaller than its predecessor re-initializes the
-/// chain.
+/// largest configured target, each point's fresh extras on its own
+/// derived RNG stream. The extras carry through the points in sweep
+/// order (see the module docs); a point smaller than its predecessor
+/// resamples all of them.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] on generation failure, a non-optimal budget LP,
-/// a dense/sparse disagreement, or an update-vs-rebuild parity failure
-/// in the incremental chain (all of which indicate a kernel bug, not an
-/// unlucky seed).
+/// a dense/sparse disagreement, or an estimate that does not reproduce
+/// the link metrics (all of which indicate a kernel bug, not an unlucky
+/// seed).
 pub fn run(seed: u64, config: &ScaleConfig) -> Result<ScaleResult, SimError> {
     let _span = tomo_obs::span("sim.scale");
     let executed: Vec<(usize, usize)> = config
@@ -567,7 +452,7 @@ pub fn run(seed: u64, config: &ScaleConfig) -> Result<ScaleResult, SimError> {
     let mut graph_rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, GRAPH_STREAM));
     let full_graph = isp::generate(&isp_config_for(max_target), &mut graph_rng)?;
 
-    let mut chain: Option<ChainState> = None;
+    let mut carried: Option<Extras> = None;
     let mut points = Vec::new();
     for (i, target) in executed {
         let point_seed = derive_seed(seed, i as u64);
@@ -581,26 +466,35 @@ pub fn run(seed: u64, config: &ScaleConfig) -> Result<ScaleResult, SimError> {
         } else {
             target
         };
-        if chain.as_ref().is_some_and(|c| m < c.links) {
-            chain = None; // non-ascending sweep: restart the chain
+        if carried.as_ref().is_some_and(|e| m < e.links) {
+            carried = None; // non-ascending sweep: resample every extra
         }
         let graph = prefix_graph(&full_graph, m)?;
         let t = Instant::now();
         let one_hops = one_hop_paths(&graph)?;
-        let fresh_count = match &chain {
+        let fresh_count = match &carried {
             None => config.extra_paths,
-            Some(c) => config.chain_churn.min(c.extras.len()),
+            Some(e) => config.chain_churn.min(e.paths.len()),
         };
-        let fresh_extras = sample_extra_paths(&graph, fresh_count, &mut rng)?;
+        let fresh = sample_extra_paths(&graph, fresh_count, &mut rng)?;
         let path_enum_seconds = t.elapsed().as_secs_f64();
 
-        let step = advance_chain(&mut chain, &one_hops, fresh_extras, m)?;
-        let c = chain.as_ref().expect("chain initialized");
-        check_chain_parity(c, m)?;
-
+        let extras = match carried.take() {
+            None => Extras {
+                links: m,
+                paths: fresh,
+            },
+            Some(mut e) => {
+                e.paths.truncate(e.paths.len() - fresh.len());
+                e.paths.extend(fresh);
+                e.links = m;
+                e
+            }
+        };
         let mut paths = one_hops;
-        paths.extend(c.extras.iter().cloned());
-        let point = run_point(config, target, &graph, &paths, path_enum_seconds, &step)?;
+        paths.extend(extras.paths.iter().cloned());
+        carried = Some(extras);
+        let point = run_point(config, target, &graph, &paths, path_enum_seconds)?;
         if tomo_obs::tracing_enabled() {
             tomo_obs::record_trial(tomo_obs::TrialProvenance {
                 experiment: format!("scale.L{target}"),
@@ -644,16 +538,9 @@ pub fn render(result: &ScaleResult) -> String {
     }
     for p in &result.points {
         out.push_str(&format!(
-            "{} links: build breakdown — paths {:.3}s, gram {:.3}s, factor {:.3}s",
+            "{} links: build breakdown — paths {:.3}s, gram {:.3}s, factor {:.3}s\n",
             p.links, p.path_enum_seconds, p.gram_sparse_seconds, p.factor_seconds
         ));
-        if let Some(s) = p.incremental_build_seconds {
-            out.push_str(&format!(
-                "; chain delta {:.3}s (+{}/−{} rows)",
-                s, p.incremental_rows_added, p.incremental_rows_dropped
-            ));
-        }
-        out.push('\n');
     }
     for p in &result.points {
         let (Some(gd), Some(ld)) = (p.gram_dense_seconds, p.lp_dense_seconds) else {
@@ -688,7 +575,7 @@ mod tests {
     use super::*;
 
     /// A miniature sweep that exercises both kernels, both LP backends,
-    /// and a chain step in test time.
+    /// and an extras resample in test time.
     fn tiny_config() -> ScaleConfig {
         ScaleConfig {
             sweep: vec![150, 400],
@@ -717,17 +604,14 @@ mod tests {
         let small = &r.points[0];
         assert_eq!(small.kernel, "dense");
         assert!(small.gram_dense_seconds.is_some());
-        assert!(small.incremental_build_seconds.is_none(), "chain init");
         let dense_obj = small.lp_dense_objective.expect("dense baseline ran");
         assert!((dense_obj - small.lp_objective).abs() <= 1e-6 * (1.0 + dense_obj.abs()));
-        // Second point exceeds the dense baseline gate and is reached
-        // by a chain step: new one-hop rows plus the churned extras.
+        // Second point exceeds the dense baseline gate; its extras are
+        // the first point's with the churned ones resampled, not added.
         let big = &r.points[1];
         assert!(big.gram_dense_seconds.is_none());
         assert!(big.lp_dense_seconds.is_none());
-        assert!(big.incremental_build_seconds.is_some());
-        assert!(big.incremental_rows_added >= big.links - small.links);
-        assert_eq!(big.incremental_rows_dropped, 8);
+        assert_eq!(big.paths - big.links, small.paths - small.links);
     }
 
     #[test]
@@ -771,7 +655,6 @@ mod tests {
         assert!(s.contains("scale"));
         assert!(s.contains("kernel"));
         assert!(s.contains("dense"), "speedup line for the small point");
-        assert!(s.contains("chain delta"), "chain step line for point 2");
         assert!(s.contains("build breakdown"));
     }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Wall-clock scaling of the parallel Monte-Carlo engine, plus the
-# fault-layer, tracing, scale, incremental and serve baselines.
+# fault-layer, tracing, scale and serve baselines.
 #
-# Usage: scripts/bench_trajectory.sh [OUT_JSON] [CHAOS_OUT_JSON] [OBS_OUT_JSON] [SCALE_OUT_JSON] [INC_OUT_JSON] [SERVE_OUT_JSON] [SERVE_LOAD_OUT_JSON]
+# Usage: scripts/bench_trajectory.sh [OUT_JSON] [CHAOS_OUT_JSON] [OBS_OUT_JSON] [SCALE_OUT_JSON] [SERVE_OUT_JSON] [SERVE_LOAD_OUT_JSON]
 #
 # Runs the fig7 quick workload through the release tomo-sim binary at the
 # thread counts this machine can honestly measure (1, 2, and max — but
@@ -20,12 +20,8 @@
 # BENCH_scale.json with per-point sparse/dense timings and the core
 # count, asserting the sparse path beats the dense baseline >= 3x on the
 # largest point where the dense kernels still finish and that the
-# 10k-link system build stays >= 2x under the pre-incremental-engine
-# 256.5s baseline. Finally runs the cold-rebuild vs rank-1-delta
-# benchmark (tomo-sim run incremental) and writes BENCH_incremental.json,
-# asserting the incremental engine wins >= 5x at the 5k-link point and
-# that every per-point `cores` field honestly reports the single thread
-# the timed kernels use. Finally runs the tomo-serve ingest/query
+# 10k-link system build stays >= 2x under the 256.5s dense-factor
+# baseline. Finally runs the tomo-serve ingest/query
 # workload (tomo-serve bench: one in-process daemon, a probe client
 # streaming 400 full-coverage batches, a query thread hammering the
 # engine mid-ingest) three times, keeps the best-p99 run, and writes
@@ -45,9 +41,8 @@ OUT_JSON="${1:-BENCH_montecarlo.json}"
 CHAOS_OUT_JSON="${2:-BENCH_chaos.json}"
 OBS_OUT_JSON="${3:-BENCH_obs.json}"
 SCALE_OUT_JSON="${4:-BENCH_scale.json}"
-INC_OUT_JSON="${5:-BENCH_incremental.json}"
-SERVE_OUT_JSON="${6:-BENCH_serve.json}"
-SERVE_LOAD_OUT_JSON="${7:-BENCH_serve_load.json}"
+SERVE_OUT_JSON="${5:-BENCH_serve.json}"
+SERVE_LOAD_OUT_JSON="${6:-BENCH_serve_load.json}"
 SEED=42
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 
@@ -302,9 +297,6 @@ for p in result["points"]:
         "system_build_seconds": p["system_build_seconds"],
         "path_enum_seconds": p["path_enum_seconds"],
         "factor_seconds": p["factor_seconds"],
-        "incremental_build_seconds": p["incremental_build_seconds"],
-        "incremental_rows_added": p["incremental_rows_added"],
-        "incremental_rows_dropped": p["incremental_rows_dropped"],
         "lp_revised_seconds": p["lp_revised_seconds"],
         "lp_revised_pivots": p["lp_revised_pivots"],
         "lp_dense_seconds": p["lp_dense_seconds"],
@@ -325,10 +317,10 @@ if best_speedup < 3.0:
     sys.exit(f"BENCH ERROR: sparse path only {best_speedup}x vs dense "
              f"at {best_links} links (need >= 3x)")
 
-# System-build hot path: before the sparse Gram factorization + chain
-# reuse landed, the 10k-link TomographySystem build (dense Gram assembly
-# feeding a dense O(n^3) Cholesky) took 256.5s on this machine. The
-# overhaul must hold at least a 2x improvement.
+# System-build hot path: before the sparse Gram factorization landed,
+# the 10k-link TomographySystem build (dense Gram assembly feeding a
+# dense O(n^3) Cholesky) took 256.5s on this machine. The overhaul must
+# hold at least a 2x improvement.
 BUILD_10K_BEFORE = 256.534226
 ten_k = [p for p in points
          if p["target_links"] == 10_000 and p["system_build_seconds"] is not None]
@@ -364,54 +356,6 @@ print(f"BENCH scale sparse vs dense speedup={best_speedup}x "
       f"at {best_links} links")
 PY
 echo "BENCH wrote $SCALE_OUT_JSON"
-
-# --- Incremental engine: cold rebuild vs rank-1 delta --------------------
-# Replays a path add/drop sweep at each target; every event is timed both
-# as a rank-1 factor rotation and as a from-scratch rebuild of the same
-# solver (tomo-sim run incremental times both and checks parity). The
-# rank-1 engine must win >= 5x at the 5k-link point, and every point's
-# `cores` must honestly report the one thread the timed kernels use.
-echo "BENCH incremental engine (tomo-sim run incremental --seed $SEED --threads 1)"
-mkdir -p "$WORK/incremental"
-"$BIN" run incremental --seed "$SEED" --threads 1 --out "$WORK/incremental"
-
-python3 - "$WORK/incremental/incremental.json" "$CORES" "$INC_OUT_JSON" <<'PY'
-import json, sys
-
-inc_path, cores, out_path = sys.argv[1:4]
-result = json.load(open(inc_path))
-cores = int(cores)
-
-for p in result["points"]:
-    if p["cores"] != 1:
-        sys.exit(f"BENCH ERROR: point at {p['links']} links claims "
-                 f"{p['cores']} cores; the delta kernels are single-threaded")
-    if p["cores"] > cores:
-        sys.exit(f"BENCH ERROR: point at {p['links']} links claims more "
-                 f"cores than this machine has ({cores})")
-
-five_k = [p for p in result["points"] if p["target_links"] == 5_000]
-if not five_k:
-    sys.exit("BENCH ERROR: incremental sweep has no 5k-link point")
-speedup = five_k[0]["speedup"]
-if speedup < 5.0:
-    sys.exit(f"BENCH ERROR: incremental engine only {speedup:.1f}x vs "
-             f"cold rebuild at 5k links (need >= 5x)")
-
-report = {
-    "workload": "tomo-sim run incremental --seed 42 --threads 1",
-    "seed": result["seed"],
-    "cores": cores,
-    "points": result["points"],
-}
-json.dump(report, open(out_path, "w"), indent=2)
-open(out_path, "a").write("\n")
-for p in result["points"]:
-    print(f"BENCH incremental links={p['links']} events={p['events']} "
-          f"cold={p['cold_rebuild_seconds']:.3f}s "
-          f"incr={p['incremental_seconds']:.4f}s speedup={p['speedup']:.1f}x")
-PY
-echo "BENCH wrote $INC_OUT_JSON"
 
 # --- tomo-serve: ingest throughput + query tail under load ---------------
 # The daemon bench runs fully in-process (server, probe client, and a

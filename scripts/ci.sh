@@ -111,31 +111,25 @@ print(f"ci: chaos smoke injected {injected} faults, "
       f"0 quarantined)")
 PY
 
-echo "==> incremental engine smoke (rank-1 deltas on the chaos path)"
-# The chaos smoke above ran with the incremental engine at its default
-# (enabled): degraded solves must have flowed through the rank-1
-# update/downdate path — not the from-scratch rebuild — while keeping
-# the fault ledger balanced. The update-vs-rebuild parity suite gating
-# byte-identity ran under `cargo test` above; this checks the live
-# counters of a real run.
+echo "==> degraded-branch smoke (exact and ridge degraded solves on the chaos path)"
+# The chaos smoke above loses probes on every sweep point: most degraded
+# solves must keep full rank and take the exact branch, and at least one
+# must collapse the rank and take the ridge branch, with the fault ledger
+# balanced.
 python3 - "$CHAOS_METRICS" "$CHAOS_OUT/chaos.json" <<'PY'
 import json, sys
 counters = json.load(open(sys.argv[1])).get("counters", {})
 artifact = json.load(open(sys.argv[2]))
-updates = counters.get("linalg.chol.updates", 0)
-if updates < 1:
-    sys.exit(f"ci: expected linalg.chol.updates > 0 on the chaos path, "
-             f"got {updates}")
-delta_solves = counters.get("core.estimator_cache.delta_solves", 0)
-if delta_solves < 1:
-    sys.exit(f"ci: expected core.estimator_cache.delta_solves > 0, "
-             f"got {delta_solves}")
+solves = counters.get("core.degraded.solves", 0)
+ridge = counters.get("core.degraded.ridge", 0)
+if not solves > ridge >= 1:
+    sys.exit(f"ci: expected core.degraded.solves > core.degraded.ridge >= 1, "
+             f"got {solves} solves and {ridge} ridge")
 totals = artifact["totals"]
 if totals["injected"] != totals["handled"] + totals["quarantined"]:
-    sys.exit(f"ci: chaos fault ledger unbalanced with incremental "
-             f"engine on: {totals}")
-print(f"ci: incremental smoke absorbed {updates} rank-1 factor deltas "
-      f"across {delta_solves} delta solves, ledger balanced")
+    sys.exit(f"ci: chaos fault ledger unbalanced: {totals}")
+print(f"ci: degraded smoke made {solves} degraded solves, {ridge} of them "
+      f"ridge, ledger balanced")
 PY
 
 echo "==> tomo-sim trace smoke (fig7 --quick --trace-out)"
