@@ -154,6 +154,14 @@ pub fn shortest_path(
 /// One scratch search state serves every spur search, and candidates
 /// stay node sequences: only the returned paths are built as [`Path`]s.
 ///
+/// Lawler's pruning: each candidate keeps the spur index it deviated
+/// at, and when it is accepted its spur loop starts there. A spur node
+/// before the deviation has the root and the bans it had when that
+/// root was last searched — an accepted path that adds a new next link
+/// at a root deviates at or before that root, and so searched it
+/// itself — so the search would only find a path already accepted or
+/// queued. The output is that of the unpruned loop.
+///
 /// # Errors
 ///
 /// Returns [`GraphError::UnknownNode`] for missing endpoints.
@@ -172,11 +180,14 @@ pub fn yen_k_shortest(
     }
     result.push(Path::from_nodes(graph, &search.path)?);
 
-    let mut candidates: Vec<Vec<NodeId>> = Vec::new();
+    // Each candidate with the spur index it deviated at.
+    let mut candidates: Vec<(Vec<NodeId>, usize)> = Vec::new();
+    let mut deviation = 0;
     while result.len() < k {
         let last = result.len() - 1;
-        // Each node of the previous path (except the final node) is a spur.
-        for spur_idx in 0..result[last].nodes().len() - 1 {
+        // Each node of the previous path from its deviation on (except
+        // the final node) is a spur.
+        for spur_idx in deviation..result[last].nodes().len() - 1 {
             search.stamp += 1; // clears all bans and marks
             let root = &result[last].nodes()[..=spur_idx];
             // Ban the next link of every accepted path sharing this root.
@@ -202,18 +213,20 @@ pub fn yen_k_shortest(
                     && nodes[spur_idx..] == *spur
             };
             if !result.iter().any(|p| is_total(p.nodes()))
-                && !candidates.iter().any(|c| is_total(c))
+                && !candidates.iter().any(|(c, _)| is_total(c))
             {
-                candidates.push([prefix, spur].concat());
+                candidates.push(([prefix, spur].concat(), spur_idx));
             }
         }
         let Some(best) = (0..candidates.len()).min_by(|&a, &b| {
-            let (a, b) = (&candidates[a], &candidates[b]);
+            let (a, b) = (&candidates[a].0, &candidates[b].0);
             a.len().cmp(&b.len()).then_with(|| a.cmp(b))
         }) else {
             break;
         };
-        result.push(Path::from_nodes(graph, &candidates.swap_remove(best))?);
+        let (nodes, spur_idx) = candidates.swap_remove(best);
+        deviation = spur_idx;
+        result.push(Path::from_nodes(graph, &nodes)?);
     }
     Ok(result)
 }
@@ -345,8 +358,78 @@ mod tests {
         Some(path)
     }
 
+    /// Yen's loop without Lawler's pruning — every node of each accepted
+    /// path is a spur — kept as the reference for [`yen_k_shortest`].
+    fn yen_unpruned(graph: &Graph, source: NodeId, target: NodeId, k: usize) -> Vec<Path> {
+        let mut result: Vec<Path> = Vec::new();
+        let mut search = Search::new(graph);
+        if k == 0 || !search.run(graph, source, target) {
+            return result;
+        }
+        result.push(Path::from_nodes(graph, &search.path).unwrap());
+        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
+        while result.len() < k {
+            let last = result.len() - 1;
+            for spur_idx in 0..result[last].nodes().len() - 1 {
+                search.stamp += 1;
+                let root = &result[last].nodes()[..=spur_idx];
+                for p in &result {
+                    if p.nodes().len() > spur_idx + 1 && p.nodes()[..=spur_idx] == *root {
+                        search.ban_link(p.links()[spur_idx]);
+                    }
+                }
+                for &n in &root[..spur_idx] {
+                    search.ban_node(n);
+                }
+                if !search.run(graph, root[spur_idx], target) {
+                    continue;
+                }
+                let total = [&root[..spur_idx], search.path.as_slice()].concat();
+                if !result.iter().any(|p| p.nodes() == total) && !candidates.contains(&total) {
+                    candidates.push(total);
+                }
+            }
+            let Some(best) = (0..candidates.len()).min_by(|&a, &b| {
+                let (a, b) = (&candidates[a], &candidates[b]);
+                a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+            }) else {
+                break;
+            };
+            result.push(Path::from_nodes(graph, &candidates.swap_remove(best)).unwrap());
+        }
+        result
+    }
+
+    /// A random graph on 2..=14 nodes, edges inserted in random order.
+    fn random_graph(rng: &mut ChaCha8Rng) -> Graph {
+        let n = rng.gen_range(2usize..=14);
+        let density = rng.gen_range(0.1..0.6);
+        let mut edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .filter(|_| rng.gen_bool(density))
+            .collect();
+        edges.shuffle(rng);
+        let mut g = Graph::with_nodes(n);
+        for (i, j) in edges {
+            g.add_link(NodeId(i), NodeId(j)).unwrap();
+        }
+        g
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Lawler's pruning changes no output: the same paths in the same
+        /// order as the loop that searches every spur.
+        #[test]
+        fn pruned_yen_matches_unpruned(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = random_graph(&mut rng);
+            let s = NodeId(rng.gen_range(0..g.num_nodes()));
+            let t = NodeId(rng.gen_range(0..g.num_nodes()));
+            let k = rng.gen_range(1usize..=8);
+            prop_assert_eq!(yen_k_shortest(&g, s, t, k).unwrap(), yen_unpruned(&g, s, t, k));
+        }
 
         /// On random graphs, `shortest_path` and the banned search match
         /// the reference, the latter run on the graph without the banned

@@ -219,6 +219,17 @@ impl Cholesky {
 
     /// Solves `A x = b` via forward/back substitution.
     ///
+    /// Bit-identical to the textbook loops: row `i` of the forward sweep
+    /// computes `(b[i] − L[i][0]·z[0] − … − L[i][i−1]·z[i−1]) / L[i][i]`
+    /// left to right, and row `i` of the backward sweep computes
+    /// `(z[i] − L[i+1][i]·x[i+1] − … − L[n−1][i]·x[n−1]) / L[i][i]` in
+    /// that order. The forward sweep runs four rows `i0..i0+4` side by
+    /// side: they share one pass over the solved prefix `z[..i0]`, each
+    /// keeping its own chain, then finish their in-block terms in order.
+    /// Each backward row needs the `x` just solved, so that sweep stays
+    /// one dependent chain; it only walks the factor's rows as slices
+    /// instead of indexing the matrix.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`.
@@ -231,24 +242,57 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
+        let l = self.l.as_slice();
+        let mut out = b.clone();
+        let x = out.as_mut_slice();
         // Forward: L z = b.
-        let mut x = b.clone();
-        for i in 0..n {
-            let mut sum = x[i];
-            for j in 0..i {
-                sum -= self.l[(i, j)] * x[j];
+        let mut i = 0;
+        while i + 4 <= n {
+            let (r0, rest) = l[i * n..(i + 4) * n].split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            let (solved, block) = x.split_at_mut(i);
+            let (p0, p1, p2, p3) = (&r0[..i], &r1[..i], &r2[..i], &r3[..i]);
+            let (mut s0, mut s1, mut s2, mut s3) = (block[0], block[1], block[2], block[3]);
+            for (j, &xj) in solved.iter().enumerate() {
+                s0 -= p0[j] * xj;
+                s1 -= p1[j] * xj;
+                s2 -= p2[j] * xj;
+                s3 -= p3[j] * xj;
             }
-            x[i] = sum / self.l[(i, i)];
+            let z0 = s0 / r0[i];
+            s1 -= r1[i] * z0;
+            let z1 = s1 / r1[i + 1];
+            s2 -= r2[i] * z0;
+            s2 -= r2[i + 1] * z1;
+            let z2 = s2 / r2[i + 2];
+            s3 -= r3[i] * z0;
+            s3 -= r3[i + 1] * z1;
+            s3 -= r3[i + 2] * z2;
+            let z3 = s3 / r3[i + 3];
+            block[..4].copy_from_slice(&[z0, z1, z2, z3]);
+            i += 4;
         }
-        // Backward: Lᵀ x = z.
+        while i < n {
+            let row = &l[i * n..=i * n + i];
+            let (solved, rest) = x.split_at_mut(i);
+            let mut sum = rest[0];
+            for (&a, &xj) in row.iter().zip(solved.iter()) {
+                sum -= a * xj;
+            }
+            rest[0] = sum / row[i];
+            i += 1;
+        }
+        // Backward: Lᵀ x = z, down column i of L below the diagonal.
         for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in (i + 1)..n {
-                sum -= self.l[(j, i)] * x[j];
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut sum = head[i];
+            for (row, &xj) in l[(i + 1) * n..].chunks_exact(n).zip(solved.iter()) {
+                sum -= row[i] * xj;
             }
-            x[i] = sum / self.l[(i, i)];
+            head[i] = sum / l[i * n + i];
         }
-        Ok(x)
+        Ok(out)
     }
 
     /// Solves `A X = B` column by column.
@@ -289,6 +333,10 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn spd() -> Matrix {
         // Gram matrix of a full-column-rank matrix is SPD.
@@ -403,6 +451,96 @@ mod tests {
         let s_new = Cholesky::new(&small).unwrap();
         let s_un = Cholesky::factor_unblocked(&small).unwrap();
         assert_eq!(s_new.l(), s_un.l());
+    }
+
+    /// The textbook substitution loops [`Cholesky::solve`] replaced, kept
+    /// as its bit-for-bit reference.
+    fn textbook_solve(l: &Matrix, b: &Vector) -> Vector {
+        let n = l.rows();
+        let mut x = b.clone();
+        for i in 0..n {
+            let mut sum = x[i];
+            for j in 0..i {
+                sum -= l[(i, j)] * x[j];
+            }
+            x[i] = sum / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for j in (i + 1)..n {
+                sum -= l[(j, i)] * x[j];
+            }
+            x[i] = sum / l[(i, i)];
+        }
+        x
+    }
+
+    /// A full-column-rank 0/1 routing-like matrix with `n` columns: a
+    /// unit lower-triangular block (random 0/1 below the diagonal) plus
+    /// up to `n` random 0/1 rows, shuffled.
+    fn random_routing(rng: &mut ChaCha8Rng, n: usize) -> Matrix {
+        let bit = |rng: &mut ChaCha8Rng| if rng.gen_bool(0.4) { 1.0 } else { 0.0 };
+        let mut rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let mut row: Vec<f64> = (0..i).map(|_| bit(rng)).collect();
+                row.push(1.0);
+                row.resize(n, 0.0);
+                row
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..=n) {
+            rows.push((0..n).map(|_| bit(rng)).collect());
+        }
+        rows.shuffle(rng);
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    /// `solve` and `solve_mat` on the Gram of `r` against the textbook
+    /// loops, bit for bit, for random right-hand sides.
+    fn check_solves_match_textbook(rng: &mut ChaCha8Rng, r: &Matrix) {
+        let n = r.cols();
+        let chol = Cholesky::new(&r.gram()).unwrap();
+        let b: Vector = (0..n).map(|_| rng.gen_range(-50.0..100.0)).collect();
+        let want = textbook_solve(chol.l(), &b);
+        let got = chol.solve(&b).unwrap();
+        for (g, w) in got.iter().zip(want.iter()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "solve differs at n = {n}");
+        }
+        let bm = Matrix::from_fn(n, rng.gen_range(1..=4), |_, _| rng.gen_range(-1.0..1.0));
+        let got = chol.solve_mat(&bm).unwrap();
+        for j in 0..bm.cols() {
+            let want = textbook_solve(chol.l(), &bm.col(j));
+            for i in 0..n {
+                assert_eq!(
+                    got[(i, j)].to_bits(),
+                    want[i].to_bits(),
+                    "solve_mat differs at n = {n}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Small systems, every residue of `n mod 4` for the four-row
+        /// forward blocks.
+        #[test]
+        fn solve_matches_textbook_loops(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..=13);
+            let r = random_routing(&mut rng, n);
+            check_solves_match_textbook(&mut rng, &r);
+        }
+    }
+
+    #[test]
+    fn blocked_factor_solve_matches_textbook_loops() {
+        // 131 columns: above BLOCK_THRESHOLD and 131 mod 4 = 3, so the
+        // forward sweep ends on a ragged tail.
+        let mut rng = ChaCha8Rng::seed_from_u64(131);
+        let r = random_routing(&mut rng, BLOCK_THRESHOLD + 3);
+        check_solves_match_textbook(&mut rng, &r);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Revised two-phase primal simplex with a sparse LU basis factorization.
 //!
-//! The dense tableau in [`crate::simplex`] rewrites the entire
-//! `(m+1)×(ncols+1)` tableau on every pivot. At Rocketfuel scale (a
-//! 10k-link budget LP is ~10k rows × ~20k columns) that is hundreds of
-//! megabytes of memory traffic *per pivot* and an unusable solver. This
-//! module keeps the constraint matrix as sparse columns and represents
-//! the basis inverse implicitly:
+//! The dense tableau in [`crate::simplex`] holds the entire
+//! `(m+1)×(ncols+1)` tableau, and each pivot reads every row's
+//! pivot-column entry and scans the full pivot row. At Rocketfuel scale
+//! (a 10k-link budget LP is ~10k rows × ~20k columns) that is ~1.6 GB
+//! of cells and an unusable solver. This module keeps the constraint
+//! matrix as sparse columns and represents the basis inverse
+//! implicitly:
 //!
 //! * a sparse LU factorization of the basis `B` — Gilbert–Peierls
 //!   left-looking factorization with partial pivoting (the `cs_lu`

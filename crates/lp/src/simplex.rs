@@ -46,8 +46,10 @@ pub enum SolverMode {
     /// the size heuristic but not an explicit mode choice in code.
     #[default]
     Auto,
-    /// Dense tableau pivots: fastest on small instances, O(m·ncols)
-    /// memory traffic per pivot.
+    /// Dense tableau pivots: fastest on small instances. A pivot
+    /// updates the other rows only at the pivot row's nonzeros, so its
+    /// work is rows × (pivot-row nonzeros); the tableau still holds all
+    /// `m·ncols` cells.
     Dense,
     /// Revised simplex over sparse columns with a sparse-LU basis
     /// factorization and product-form eta updates: the only viable
@@ -57,9 +59,10 @@ pub enum SolverMode {
 
 /// `Auto` switches to the revised backend when the standard form holds
 /// at least this many tableau cells (`m·ncols`). Below it the dense
-/// tableau's contiguous row arithmetic wins; above it the tableau's
-/// per-pivot O(m·ncols) traffic (and its memory footprint) loses to
-/// sparse FTRAN/BTRAN solves.
+/// tableau wins: a pivot touches rows × (pivot-row nonzeros) cells.
+/// Above it the tableau's `m·ncols` footprint, and the full-width scan
+/// of each pivot row, lose to the revised backend's sparse columns and
+/// FTRAN/BTRAN solves.
 pub(crate) const AUTO_REVISED_MIN_CELLS: usize = 1 << 20;
 
 /// Standard-form dimensions `(m, ncols)` the assembly in `solve_inner`
@@ -143,6 +146,9 @@ struct Tableau {
     /// Priced simplex pivots performed during this solve — feeds the
     /// `lp.simplex.solve_pivots` histogram.
     solve_pivots: u64,
+    /// Scratch for [`Tableau::pivot`]: the scaled pivot row's nonzero
+    /// `(column, value)` pairs, reused across pivots.
+    nz: Vec<(usize, f64)>,
 }
 
 impl Tableau {
@@ -152,26 +158,41 @@ impl Tableau {
 
     /// One priced pivot: column `col` enters, row `row`'s basic variable
     /// leaves. Gauss-Jordan elimination makes `col` the unit vector of
-    /// `row`; it splits the row storage instead of cloning the pivot
-    /// row, so no allocation happens per pivot.
+    /// `row`.
+    ///
+    /// The scaled pivot row's nonzeros are collected once, and every
+    /// other row is updated only at those columns, so a pivot costs
+    /// rows × (pivot-row nonzeros) multiply-subtracts instead of
+    /// rows × columns. Every cell the full-row elimination leaves
+    /// nonzero gets the same f64 operations, bit for bit: a zero
+    /// pivot-row entry would subtract `factor·0 = ±0`, which leaves any
+    /// nonzero cell unchanged. The only cell it could alter is a zero
+    /// whose sign it flips (`−0 − (−0) = +0`), and no decision reads a
+    /// zero's sign: pricing tests `< −LP_TOL`, the ratio test
+    /// `> LP_TOL`, elimination skips rows with `factor == 0.0`,
+    /// [`Tableau::install_costs`] acts only when `cb != 0.0`, the
+    /// artificial pivot-out tests `abs() > LP_TOL`, and extracted values
+    /// go through `max(0.0)` and then `+= lower`.
     fn pivot(&mut self, row: usize, col: usize) {
         PIVOTS.inc();
         self.solve_pivots += 1;
         let pivot = self.t[row][col];
         debug_assert!(pivot.abs() > LP_TOL, "pivot too small: {pivot}");
         let inv = 1.0 / pivot;
-        for v in self.t[row].iter_mut() {
+        self.nz.clear();
+        for (j, v) in self.t[row].iter_mut().enumerate() {
             *v *= inv;
+            if *v != 0.0 {
+                self.nz.push((j, *v));
+            }
         }
-        let (head, rest) = self.t.split_at_mut(row);
-        let (pivot_row, tail) = rest.split_first_mut().expect("row < m+1");
-        for r in head.iter_mut().chain(tail.iter_mut()) {
+        for (i, r) in self.t.iter_mut().enumerate() {
             let factor = r[col];
-            if factor == 0.0 {
+            if i == row || factor == 0.0 {
                 continue;
             }
-            for (a, &p) in r.iter_mut().zip(pivot_row.iter()) {
-                *a -= factor * p;
+            for &(j, p) in &self.nz {
+                r[j] -= factor * p;
             }
             // Kill residual round-off in the pivot column.
             r[col] = 0.0;
@@ -370,6 +391,7 @@ fn solve_inner(problem: &LpProblem) -> Result<LpSolution, LpError> {
         ncols,
         banned: vec![false; ncols],
         solve_pivots: 0,
+        nz: Vec::new(),
     };
     let first_artificial = n_struct + n_slack;
 
@@ -476,7 +498,11 @@ fn solve_inner(problem: &LpProblem) -> Result<LpSolution, LpError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{LpProblem, LpStatus, Objective, Relation, VarId};
+    use crate::{LpProblem, LpStatus, Objective, Relation, VarId, LP_TOL};
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use std::sync::Mutex;
 
     fn assert_close(a: f64, b: f64) {
@@ -783,6 +809,80 @@ mod tests {
         lp.set_objective_coefficient(x, 1.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0).unwrap();
         assert_eq!(lp.solve().unwrap().status(), LpStatus::Infeasible);
+    }
+
+    /// The dense-row elimination [`super::Tableau::pivot`] replaced,
+    /// kept as its reference: every other row is updated at every column.
+    fn dense_row_pivot(t: &mut [Vec<f64>], row: usize, col: usize) {
+        let inv = 1.0 / t[row][col];
+        for v in t[row].iter_mut() {
+            *v *= inv;
+        }
+        let pivot_row = t[row].clone();
+        for (i, r) in t.iter_mut().enumerate() {
+            let factor = r[col];
+            if i == row || factor == 0.0 {
+                continue;
+            }
+            for (a, &p) in r.iter_mut().zip(&pivot_row) {
+                *a -= factor * p;
+            }
+            r[col] = 0.0;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random tableaux seeded with zeros and negated zeros, then a
+        /// random run of valid pivots: after each one, every cell equals
+        /// the dense-row elimination's bit for bit, or both are zero.
+        #[test]
+        fn sparse_row_pivot_matches_dense_row_elimination(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let m = rng.gen_range(1usize..=8);
+            let ncols = rng.gen_range(1usize..=10);
+            let t: Vec<Vec<f64>> = (0..=m)
+                .map(|_| {
+                    (0..=ncols)
+                        .map(|_| match rng.gen_range(0..10) {
+                            0..=3 => 0.0,
+                            4 => -0.0,
+                            5 => rng.gen_range(-1.0..1.0),
+                            _ => f64::from(rng.gen_range(-4i32..=4)) / f64::from(rng.gen_range(1i32..=3)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut reference = t.clone();
+            let mut tab = super::Tableau {
+                t,
+                basis: vec![0; m],
+                m,
+                ncols,
+                banned: vec![false; ncols],
+                solve_pivots: 0,
+                nz: Vec::new(),
+            };
+            for _ in 0..rng.gen_range(1..=12) {
+                let valid: Vec<(usize, usize)> = (0..m)
+                    .flat_map(|i| (0..ncols).map(move |j| (i, j)))
+                    .filter(|&(i, j)| tab.t[i][j].abs() > LP_TOL)
+                    .collect();
+                let Some(&(row, col)) = valid.choose(&mut rng) else {
+                    break;
+                };
+                tab.pivot(row, col);
+                dense_row_pivot(&mut reference, row, col);
+                prop_assert_eq!(tab.basis[row], col);
+                for (got, want) in tab.t.iter().flatten().zip(reference.iter().flatten()) {
+                    prop_assert!(
+                        got.to_bits() == want.to_bits() || (*got == 0.0 && *want == 0.0),
+                        "pivot ({}, {}): {} vs dense-row {}", row, col, got, want
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,10 @@ echo "==> artifact contract (seed-42 figures byte-identical to artifacts/)"
 # to placement, the LP layer or the trial streams that moves a single
 # number fails here.
 ARTIFACT_OUT="$WORK/artifacts"
-target/release/tomo-sim run all --seed 42 --out "$ARTIFACT_OUT" >/dev/null
-target/release/tomo-sim run gap --seed 42 --out "$ARTIFACT_OUT" >/dev/null
+target/release/tomo-sim run all --seed 42 --out "$ARTIFACT_OUT" \
+  --metrics "$WORK/all-metrics.json" >/dev/null
+target/release/tomo-sim run gap --seed 42 --out "$ARTIFACT_OUT" \
+  --metrics "$WORK/gap-metrics.json" >/dev/null
 for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
   cmp "artifacts/$name.json" "$ARTIFACT_OUT/$name.json" || {
     echo "ci: $name.json differs from artifacts/$name.json" >&2
@@ -45,6 +47,25 @@ for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
   }
 done
 echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/"
+# Same bytes could hide a changed search: pin the LP layer's decisions
+# too. Every dense-tableau solve, pivot and iteration, and each solve's
+# outcome, must repeat exactly.
+python3 - "$WORK/all-metrics.json" "$WORK/gap-metrics.json" <<'PY'
+import json, sys
+expected = {
+    "all": {"solves": 5323, "pivots": 293218, "iterations": 301479,
+            "optimal": 3197, "infeasible": 2126},
+    "gap": {"solves": 81, "pivots": 21008, "iterations": 21041,
+            "optimal": 18, "infeasible": 63},
+}
+for run, path in zip(("all", "gap"), sys.argv[1:]):
+    counters = json.load(open(path)).get("counters", {})
+    got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
+    if got != expected[run]:
+        sys.exit(f"ci: run {run} lp.simplex counters {got} != {expected[run]}")
+print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible match "
+      "for run all and run gap")
+PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
 SMOKE_METRICS="$WORK/smoke-metrics.json"
