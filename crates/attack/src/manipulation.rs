@@ -3,7 +3,8 @@
 //!
 //! With estimator matrix `A = (RᵀR)⁻¹Rᵀ` and clean estimate `x̂₀`, a
 //! manipulation `m` shifts the tomography output linearly:
-//! `x̂(m) = x̂₀ + A m`. Every strategy is then
+//! `x̂(m) = x̂₀ + A m`. Since `m` is zero off the attacked paths, only
+//! their columns of `A` enter the LP. Every strategy is then
 //!
 //! ```text
 //! maximize   Σᵢ mᵢ                               (damage, Definition 2)
@@ -16,7 +17,7 @@
 
 use tomo_core::TomographySystem;
 use tomo_graph::LinkId;
-use tomo_linalg::{norms, CsrBuilder, CsrMatrix, Matrix, Vector};
+use tomo_linalg::{norms, CsrBuilder, CsrMatrix, Vector};
 use tomo_lp::{LpProblem, LpStatus, Objective, Relation, VarId};
 
 use crate::attacker::AttackerSet;
@@ -43,8 +44,8 @@ pub enum LinkGoal {
 
 /// A reusable manipulation-LP factory for one (system, attackers,
 /// baseline) instance. Strategies call [`ManipulationProblem::solve`]
-/// with different goal sets; the expensive pieces (estimator matrix,
-/// clean measurements) are computed once.
+/// with different goal sets; the expensive pieces (the attacked columns
+/// of the estimator and projector, clean measurements) are fetched once.
 #[derive(Debug, Clone)]
 pub struct ManipulationProblem<'a> {
     system: &'a TomographySystem,
@@ -54,10 +55,11 @@ pub struct ManipulationProblem<'a> {
     clean_measurements: Vector,
     /// Clean estimate `x̂₀` (equals the true metrics in a noise-free run).
     baseline_estimate: Vector,
-    /// `A = (RᵀR)⁻¹Rᵀ`, links × paths — borrowed from the system's
-    /// estimator cache (materialized once per system, shared across
-    /// trials and worker threads).
-    estimator: &'a Matrix,
+    /// The columns `A[:, i]` of `A = (RᵀR)⁻¹Rᵀ` for the attacked paths
+    /// `i`, in attacked-path order — borrowed from the system's column
+    /// cache (each computed once per system, shared across trials and
+    /// worker threads).
+    estimator_columns: Vec<&'a Vector>,
     /// Sparse LP coefficient rows, links × |attacked paths|: row `j`
     /// holds the estimator entries `A[j, i]` over attacked paths `i`
     /// with `|A[j, i]| > 1e-12`, column `c` being the position of path
@@ -92,17 +94,19 @@ impl<'a> ManipulationProblem<'a> {
         }
         let clean_measurements = system.measure(true_metrics)?;
         let baseline_estimate = system.estimate(&clean_measurements)?;
-        let estimator = system.estimator_matrix()?;
         let attacked = attackers.attacked_paths();
+        let estimator_columns = attacked
+            .iter()
+            .map(|&i| system.estimator_column(i))
+            .collect::<Result<Vec<_>, _>>()?;
 
-        // Pre-filter the estimator down to the attacked columns once:
-        // the same |A[j,i]| > 1e-12 cut, in the same attacked-path
-        // order, that constraint assembly used to redo per solve.
+        // Filter the attacked columns once per problem (|A[j,i]| > 1e-12,
+        // attacked-path order); every solve slices these rows.
         let mut goal_builder = CsrBuilder::new(attacked.len());
         for j in 0..system.num_links() {
             goal_builder
-                .push_row(attacked.iter().enumerate().filter_map(|(c, &i)| {
-                    let a = estimator[(j, i)];
+                .push_row(estimator_columns.iter().enumerate().filter_map(|(c, col)| {
+                    let a = col[j];
                     (a.abs() > 1e-12).then_some((c, a))
                 }))
                 .expect("columns ascend with attacked-path order");
@@ -110,16 +114,25 @@ impl<'a> ManipulationProblem<'a> {
         let goal_rows = goal_builder.finish();
 
         let evasion_rows = if scenario.evade_detection {
-            let projector = system.projector()?;
+            let projector_columns = attacked
+                .iter()
+                .map(|&k| system.projector_column(k))
+                .collect::<Result<Vec<_>, _>>()?;
             let mut b = CsrBuilder::new(attacked.len());
             for row in 0..system.num_paths() {
-                b.push_row(attacked.iter().enumerate().filter_map(|(c, &k)| {
-                    let mut p = projector[(row, k)];
-                    if row == k {
-                        p -= 1.0;
-                    }
-                    (p.abs() > 1e-12).then_some((c, p))
-                }))
+                b.push_row(
+                    attacked
+                        .iter()
+                        .zip(&projector_columns)
+                        .enumerate()
+                        .filter_map(|(c, (&k, col))| {
+                            let mut p = col[row];
+                            if row == k {
+                                p -= 1.0;
+                            }
+                            (p.abs() > 1e-12).then_some((c, p))
+                        }),
+                )
                 .expect("columns ascend with attacked-path order");
             }
             Some(b.finish())
@@ -133,7 +146,7 @@ impl<'a> ManipulationProblem<'a> {
             scenario,
             clean_measurements,
             baseline_estimate,
-            estimator,
+            estimator_columns,
             goal_rows,
             evasion_rows,
         })
@@ -158,10 +171,9 @@ impl<'a> ManipulationProblem<'a> {
     #[must_use]
     pub fn max_upward_shift(&self, link: LinkId) -> f64 {
         let j = link.index();
-        self.attackers
-            .attacked_paths()
+        self.estimator_columns
             .iter()
-            .map(|&i| self.estimator[(j, i)].max(0.0))
+            .map(|col| col[j].max(0.0))
             .sum::<f64>()
             * self.scenario.path_cap
     }
@@ -560,7 +572,11 @@ mod tests {
             .expect("Theorem 3: perfect cut admits an undetectable attack");
         // The consistency residual ‖R x̂ − y′‖₁ vanishes.
         let y_attacked = &prob.clean_measurements().clone() + &s.manipulation;
-        let reproj = system.routing_matrix().mul_vec(&s.estimate).unwrap();
+        let reproj = system
+            .routing_csr()
+            .to_dense()
+            .mul_vec(&s.estimate)
+            .unwrap();
         let residual = tomo_linalg::norms::l1(&(&reproj - &y_attacked));
         assert!(residual < 1e-4, "residual {residual}");
         assert_eq!(s.states[victim.index()], tomo_core::LinkState::Abnormal);

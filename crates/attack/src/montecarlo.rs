@@ -348,7 +348,6 @@ pub fn coalition_sweep(
     if trials == 0 {
         return Ok(vec![0.0; max_attackers]);
     }
-    system.warm_estimator_cache()?;
     let records = exec.try_map(max_attackers * trials, |idx| {
         let k = idx / trials + 1;
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, idx as u64));

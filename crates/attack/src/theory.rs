@@ -74,10 +74,7 @@ pub fn perfect_cut_attack(
     }
 
     // m = R Δx̂ (Eq. 15).
-    let manipulation = system
-        .routing_matrix()
-        .mul_vec(&delta)
-        .expect("delta has |L| entries");
+    let manipulation = system.measure(&delta)?;
 
     // Respect the practical per-path cap.
     if manipulation.iter().any(|&m| m > scenario.path_cap + 1e-9) {
@@ -157,7 +154,11 @@ mod tests {
         }
         // Theorem 3 premise: measurements are perfectly consistent.
         let y_attacked = &system.measure(&x).unwrap() + &s.manipulation;
-        let recon = system.routing_matrix().mul_vec(&s.estimate).unwrap();
+        let recon = system
+            .routing_csr()
+            .to_dense()
+            .mul_vec(&s.estimate)
+            .unwrap();
         assert!(recon.approx_eq(&y_attacked, 1e-6));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Measures the three products the tomography stack actually runs per
 //! trial — `R x` (measurement), `Rᵀ y` (adjoint / consistency check),
-//! and the Gram matrix `RᵀR` (estimator cache) — on both substrates, so
+//! and the Gram matrix `RᵀR` (system build) — on both substrates, so
 //! the speedup claimed in DESIGN.md §5d is regenerable. Routing
 //! matrices are 0/1 with a handful of nonzeros per row, so the CSR side
 //! should win by roughly the density factor reported in
@@ -38,7 +38,7 @@ fn large_isp_system(seed: u64) -> TomographySystem {
 }
 
 fn bench_system(c: &mut Criterion, label: &str, system: &TomographySystem) {
-    let dense = system.routing_matrix();
+    let dense = &system.routing_csr().to_dense();
     let csr = system.routing_csr();
     let (rows, cols) = (dense.rows(), dense.cols());
 

@@ -82,7 +82,7 @@ mod tests {
         let sys = fig1_system().unwrap();
         assert_eq!(sys.num_paths(), 23);
         assert_eq!(sys.num_links(), 10);
-        assert_eq!(tomo_linalg::rank::rank(sys.routing_matrix()), 10);
+        assert_eq!(tomo_linalg::rank::rank(&sys.routing_csr().to_dense()), 10);
     }
 
     #[test]
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn every_link_is_covered_by_some_path() {
         let sys = fig1_system().unwrap();
-        let r = sys.routing_matrix();
+        let r = sys.routing_csr().to_dense();
         for j in 0..10 {
             let covered = (0..23).any(|i| r[(i, j)] == 1.0);
             assert!(covered, "link {j} uncovered");

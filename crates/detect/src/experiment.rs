@@ -179,7 +179,6 @@ pub fn run_detection_experiment(
     exec: &Executor,
 ) -> Result<DetectionReport, AttackError> {
     let _span = tomo_obs::span("detect.experiment");
-    system.warm_estimator_cache()?;
     let per_trial = exec.try_map(config.trials, |trial| -> Result<_, AttackError> {
         let trial_seed = derive_seed(seed, trial as u64);
         let mut rng = ChaCha8Rng::seed_from_u64(trial_seed);

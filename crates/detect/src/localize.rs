@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use tomo_core::{CoreError, TomographySystem};
 use tomo_graph::NodeId;
 use tomo_linalg::{lstsq, rank};
-use tomo_linalg::{norms, Matrix, Vector};
+use tomo_linalg::{norms, Vector};
 
 /// Outcome of assessing one candidate node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -135,7 +135,9 @@ fn assess(system: &TomographySystem, observed: &Vector, v: NodeId) -> SuspectAss
     if keep.is_empty() {
         return SuspectAssessment::NotAssessable;
     }
-    let sub_r: Matrix = system.routing_matrix().select_rows(&keep);
+    let Ok(sub_r) = system.surviving_csr(&keep, None).map(|csr| csr.to_dense()) else {
+        return SuspectAssessment::NotAssessable;
+    };
     // Redundancy condition: with rows == rank the subsystem is trivially
     // consistent and the check has no power.
     if keep.len() <= rank::rank(&sub_r) {

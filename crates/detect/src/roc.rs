@@ -95,7 +95,6 @@ pub fn collect_residuals(
     use rand::seq::SliceRandom;
 
     let _span = tomo_obs::span("detect.roc.collect");
-    system.warm_estimator_cache()?;
     let zero_detector = ConsistencyDetector::new(0.0).expect("0 is valid");
     let nodes: Vec<_> = system.graph().nodes().collect();
 

@@ -295,30 +295,6 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.rows() != dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_solve_mat",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        Ok(out)
-    }
-
     /// Determinant of the factorized matrix (product of squared pivots).
     #[must_use]
     pub fn det(&self) -> f64 {
@@ -401,23 +377,21 @@ mod tests {
     }
 
     #[test]
-    fn solve_mat_identity_gives_inverse() {
+    fn solving_unit_columns_gives_inverse() {
         let a = spd();
-        let inv = Cholesky::new(&a)
-            .unwrap()
-            .solve_mat(&Matrix::identity(3))
-            .unwrap();
-        assert!(a
-            .mul_mat(&inv)
-            .unwrap()
-            .approx_eq(&Matrix::identity(3), 1e-9));
+        let chol = Cholesky::new(&a).unwrap();
+        for j in 0..3 {
+            let mut e = Vector::zeros(3);
+            e[j] = 1.0;
+            let col = chol.solve(&e).unwrap();
+            assert!(a.mul_vec(&col).unwrap().approx_eq(&e, 1e-9), "column {j}");
+        }
     }
 
     #[test]
     fn solve_rejects_wrong_length() {
         let chol = Cholesky::new(&spd()).unwrap();
         assert!(chol.solve(&Vector::zeros(2)).is_err());
-        assert!(chol.solve_mat(&Matrix::zeros(2, 1)).is_err());
     }
 
     /// A deterministic SPD matrix big enough to span several panels
@@ -495,8 +469,8 @@ mod tests {
         Matrix::from_rows(&rows).unwrap()
     }
 
-    /// `solve` and `solve_mat` on the Gram of `r` against the textbook
-    /// loops, bit for bit, for random right-hand sides.
+    /// `solve` on the Gram of `r` against the textbook loops, bit for
+    /// bit, for a random right-hand side.
     fn check_solves_match_textbook(rng: &mut ChaCha8Rng, r: &Matrix) {
         let n = r.cols();
         let chol = Cholesky::new(&r.gram()).unwrap();
@@ -505,18 +479,6 @@ mod tests {
         let got = chol.solve(&b).unwrap();
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(g.to_bits(), w.to_bits(), "solve differs at n = {n}");
-        }
-        let bm = Matrix::from_fn(n, rng.gen_range(1..=4), |_, _| rng.gen_range(-1.0..1.0));
-        let got = chol.solve_mat(&bm).unwrap();
-        for j in 0..bm.cols() {
-            let want = textbook_solve(chol.l(), &bm.col(j));
-            for i in 0..n {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[i].to_bits(),
-                    "solve_mat differs at n = {n}"
-                );
-            }
         }
     }
 

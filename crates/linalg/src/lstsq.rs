@@ -3,10 +3,9 @@
 //!
 //! Two routes are provided and cross-checked in tests:
 //!
-//! * [`solve`] — Householder QR (numerically robust, the default),
-//! * [`solve_normal_equations`] — Cholesky on `RᵀR` (the paper's literal
-//!   formula; faster when the same `R` is reused, see
-//!   [`NormalEquationsSolver`]).
+//! * [`solve`] — Householder QR (numerically robust, one-shot),
+//! * [`NormalEquationsSolver`] — Cholesky on `RᵀR` (the paper's literal
+//!   formula), factorized once and reused for every right-hand side.
 
 use crate::cholesky::Cholesky;
 use crate::qr::Qr;
@@ -55,27 +54,11 @@ pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
     SOLVE_SECONDS.time(|| Qr::new(a).solve_lstsq(b))
 }
 
-/// Solves `min ‖A x − b‖₂` via the normal equations `(AᵀA) x = Aᵀ b`,
-/// exactly the paper's Eq. (2).
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != A.rows()`.
-/// * [`LinalgError::NotPositiveDefinite`] if `A` lacks full column rank
-///   (the Gram matrix is then singular).
-pub fn solve_normal_equations(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
-    let _timer = SOLVE_SECONDS.start_timer();
-    let atb = a.mul_transpose_vec(b)?;
-    Cholesky::new(&a.mul_transpose_self())?.solve(&atb)
-}
-
 /// A reusable least-squares solver that factorizes `A` once and then solves
 /// for many right-hand sides — the common pattern in Monte-Carlo attack
-/// experiments where the routing matrix `R` is fixed per instance.
-///
-/// Also exposes the *estimator matrix* `A⁺ = (AᵀA)⁻¹Aᵀ`, which the attack
-/// LPs need explicitly (the estimate responds linearly to manipulations:
-/// `x̂(m) = x̂₀ + A⁺ m`).
+/// experiments where the routing matrix `R` is fixed per instance. Column
+/// `i` of the estimator matrix `A⁺ = (AᵀA)⁻¹Aᵀ` is the solve of the unit
+/// vector `eᵢ`.
 #[derive(Debug, Clone)]
 pub struct NormalEquationsSolver {
     a: CsrMatrix,
@@ -144,42 +127,6 @@ impl NormalEquationsSolver {
         match &self.factor {
             GramFactor::Dense(chol) => chol.solve(&atb),
             GramFactor::Sparse(chol) => chol.solve(&atb),
-        }
-    }
-
-    /// Materializes the Moore-Penrose pseudo-inverse `(AᵀA)⁻¹Aᵀ`
-    /// (size `n × m`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates internal solve errors (cannot occur after successful
-    /// construction).
-    pub fn pseudo_inverse(&self) -> Result<Matrix, LinalgError> {
-        match &self.factor {
-            GramFactor::Dense(chol) => {
-                // Solve (AᵀA) Z = Aᵀ columnwise.
-                let at = self.a.to_dense().transpose();
-                chol.solve_mat(&at)
-            }
-            GramFactor::Sparse(chol) => {
-                // Column j of Aᵀ is row j of A, scattered sparse.
-                let (m, n) = self.a.shape();
-                let mut out = Matrix::zeros(n, m);
-                let mut col = Vector::zeros(n);
-                for j in 0..m {
-                    for (k, v) in self.a.row_iter(j) {
-                        col[k] = v;
-                    }
-                    let z = chol.solve(&col)?;
-                    for i in 0..n {
-                        out[(i, j)] = z[i];
-                    }
-                    for (k, _) in self.a.row_iter(j) {
-                        col[k] = 0.0;
-                    }
-                }
-                Ok(out)
-            }
         }
     }
 }
@@ -275,7 +222,7 @@ mod tests {
         let a = routing_like(7, 12, 6).expect("full-rank instance");
         let b: Vector = (0..12).map(|i| (i as f64) * 1.7 - 3.0).collect();
         let x_qr = solve(&a, &b).unwrap();
-        let x_ne = solve_normal_equations(&a, &b).unwrap();
+        let x_ne = NormalEquationsSolver::new(a).unwrap().solve(&b).unwrap();
         assert!(x_qr.approx_eq(&x_ne, 1e-8));
     }
 
@@ -301,31 +248,29 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_inverse_is_left_inverse() {
+    fn unit_solves_form_a_left_inverse() {
+        // Column i of (AᵀA)⁻¹Aᵀ is solve(eᵢ); the columns times A give I.
         let a = routing_like(5, 11, 6).expect("full-rank instance");
         let solver = NormalEquationsSolver::new(a.clone()).unwrap();
-        let pinv = solver.pseudo_inverse().unwrap();
-        assert_eq!(pinv.shape(), (6, 11));
-        let prod = pinv.mul_mat(&a).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(6), 1e-9));
-    }
-
-    #[test]
-    fn pseudo_inverse_reproduces_estimates() {
-        let a = routing_like(9, 10, 5).expect("full-rank instance");
-        let solver = NormalEquationsSolver::new(a.clone()).unwrap();
-        let pinv = solver.pseudo_inverse().unwrap();
-        let b: Vector = (0..10).map(|i| i as f64 * 0.3).collect();
-        let via_pinv = pinv.mul_vec(&b).unwrap();
-        let via_solve = solver.solve(&b).unwrap();
-        assert!(via_pinv.approx_eq(&via_solve, 1e-9));
+        let mut pinv = Matrix::zeros(6, 11);
+        for i in 0..11 {
+            let mut e = Vector::zeros(11);
+            e[i] = 1.0;
+            let col = solver.solve(&e).unwrap();
+            for j in 0..6 {
+                pinv[(j, i)] = col[j];
+            }
+        }
+        assert!(pinv
+            .mul_mat(&a)
+            .unwrap()
+            .approx_eq(&Matrix::identity(6), 1e-9));
     }
 
     #[test]
     fn rank_deficient_rejected() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]]).unwrap();
         assert!(solve(&a, &Vector::zeros(3)).is_err());
-        assert!(solve_normal_equations(&a, &Vector::zeros(3)).is_err());
         assert!(NormalEquationsSolver::new(a).is_err());
     }
 
@@ -368,7 +313,7 @@ mod tests {
                 let atr = a.mul_transpose_vec(&r).unwrap();
                 prop_assert!(atr.approx_eq(&Vector::zeros(6), 1e-7));
 
-                let x_ne = solve_normal_equations(&a, &b).unwrap();
+                let x_ne = NormalEquationsSolver::new(a).unwrap().solve(&b).unwrap();
                 prop_assert!(x.approx_eq(&x_ne, 1e-6));
             }
         }

@@ -1,21 +1,12 @@
 //! LU decomposition with partial pivoting.
 //!
-//! Used for solving square linear systems (e.g. inverting the normal
-//! equations `RᵀR x̂ = Rᵀy` when a Cholesky factorization is not wanted)
-//! and for computing inverses/determinants in tests and diagnostics.
+//! The general square solver: inverses, determinants and the 1-norm
+//! condition number, and the reference the Cholesky tests check against.
 
 use crate::{LinalgError, Matrix, Vector, DEFAULT_TOL};
 use tomo_obs::LazyHistogram;
 
 static FACTOR_SECONDS: LazyHistogram = LazyHistogram::new("linalg.lu.factor_seconds");
-
-/// Matrix dimension at/above which [`Lu::new`] dispatches to the
-/// cache-blocked factorization (same rationale as the Cholesky gate:
-/// committed-artifact workloads stay on the historical path).
-pub const BLOCK_THRESHOLD: usize = 128;
-
-/// Panel width of the blocked factorization.
-pub const BLOCK: usize = 64;
 
 /// An LU factorization `P A = L U` of a square matrix with partial pivoting.
 ///
@@ -49,21 +40,6 @@ impl Lu {
     /// * [`LinalgError::NotSquare`] if `a` is not square.
     /// * [`LinalgError::Singular`] if a pivot is numerically zero.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        if a.is_square() && a.rows() >= BLOCK_THRESHOLD {
-            Self::factor_blocked(a)
-        } else {
-            Self::factor_unblocked(a)
-        }
-    }
-
-    /// The flat (unblocked) elimination. Public so benches and parity
-    /// tests can pin the blocked path against it; [`Lu::new`] uses it
-    /// below [`BLOCK_THRESHOLD`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Lu::new`].
-    pub fn factor_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { dims: a.shape() });
         }
@@ -105,124 +81,6 @@ impl Lu {
                     lu[(i, j)] -= factor * ukj;
                 }
             }
-        }
-        Ok(Lu { lu, perm, swaps })
-    }
-
-    /// Cache-blocked right-looking elimination, bit-identical to
-    /// [`Lu::factor_unblocked`].
-    ///
-    /// Pivot selection only reads column `k`, which the panel sweep
-    /// keeps fully updated, so the pivot sequence — and hence the row
-    /// permutation — is identical to the unblocked loop's. Each trailing
-    /// entry then receives the *same per-entry subtraction chain*
-    /// (`lu[i][j] -= factor_ik · u[k][j]`, `k` ascending, skipping
-    /// exactly the `factor == 0.0` terms the unblocked loop skips):
-    /// in-panel terms land during the panel sweep, cross-panel terms
-    /// during each panel's trailing update. Blocking buys locality (the
-    /// `BLOCK × trailing` U-slab is reused across all rows) and four-way
-    /// instruction-level parallelism in the trailing update.
-    ///
-    /// # Errors
-    ///
-    /// See [`Lu::new`].
-    pub fn factor_blocked(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { dims: a.shape() });
-        }
-        let _timer = FACTOR_SECONDS.start_timer();
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0;
-        let tol = DEFAULT_TOL * (1.0 + a.max_abs());
-
-        let mut factors = [0.0f64; BLOCK];
-        let mut kb = 0;
-        while kb < n {
-            let ke = (kb + BLOCK).min(n);
-            // Panel sweep: columns kb..ke with full partial pivoting.
-            // Row swaps move whole rows (exactly as the unblocked loop
-            // does), so not-yet-updated trailing columns travel with
-            // their row and the deferred terms still apply to the right
-            // values. Updates here touch panel columns only.
-            for k in kb..ke {
-                let mut pivot_row = k;
-                let mut pivot_val = lu[(k, k)].abs();
-                for i in (k + 1)..n {
-                    let v = lu[(i, k)].abs();
-                    if v > pivot_val {
-                        pivot_val = v;
-                        pivot_row = i;
-                    }
-                }
-                if pivot_val <= tol {
-                    return Err(LinalgError::Singular { pivot: k });
-                }
-                if pivot_row != k {
-                    lu.swap_rows(k, pivot_row);
-                    perm.swap(k, pivot_row);
-                    swaps += 1;
-                }
-                let pivot = lu[(k, k)];
-                for i in (k + 1)..n {
-                    let factor = lu[(i, k)] / pivot;
-                    lu[(i, k)] = factor;
-                    if factor == 0.0 {
-                        continue;
-                    }
-                    for j in (k + 1)..ke {
-                        let ukj = lu[(k, j)];
-                        lu[(i, j)] -= factor * ukj;
-                    }
-                }
-            }
-            // Trailing update: columns ke..n of every row below the
-            // panel head receive this panel's terms, k ascending,
-            // skipping zero factors exactly like the unblocked loop.
-            if ke < n {
-                let d = lu.as_mut_slice();
-                for i in (kb + 1)..n {
-                    let kend = ke.min(i);
-                    let bs = kend - kb;
-                    let (lo, hi) = d.split_at_mut(i * n);
-                    let ri = &mut hi[..n];
-                    factors[..bs].copy_from_slice(&ri[kb..kend]);
-                    let fi = &factors[..bs];
-                    let mut j = ke;
-                    while j + 4 <= n {
-                        let (mut v0, mut v1, mut v2, mut v3) =
-                            (ri[j], ri[j + 1], ri[j + 2], ri[j + 3]);
-                        for (k, &f) in fi.iter().enumerate() {
-                            if f == 0.0 {
-                                continue;
-                            }
-                            let u = &lo[(kb + k) * n + j..(kb + k) * n + j + 4];
-                            v0 -= f * u[0];
-                            v1 -= f * u[1];
-                            v2 -= f * u[2];
-                            v3 -= f * u[3];
-                        }
-                        ri[j] = v0;
-                        ri[j + 1] = v1;
-                        ri[j + 2] = v2;
-                        ri[j + 3] = v3;
-                        j += 4;
-                    }
-                    while j < n {
-                        let mut v = ri[j];
-                        for (k, &f) in fi.iter().enumerate() {
-                            if f == 0.0 {
-                                continue;
-                            }
-                            v -= f * lo[(kb + k) * n + j];
-                        }
-                        ri[j] = v;
-                        j += 1;
-                    }
-                }
-            }
-            kb = ke;
         }
         Ok(Lu { lu, perm, swaps })
     }
@@ -448,69 +306,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 100.0]]).unwrap();
         let k = condition_number_1(&a).unwrap();
         assert!((k - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn blocked_matches_unblocked_bitwise() {
-        // Pivot-heavy (no diagonal dominance) with exact zeros sprinkled
-        // in to exercise the factor == 0.0 skip, spanning two panels
-        // plus a ragged tail. The sine argument must not be affine in
-        // (i, j): sin(αi + βj) matrices are exactly rank 2.
-        let n = BLOCK_THRESHOLD + 41;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            if (i * 3 + j * 5) % 11 == 0 {
-                0.0
-            } else {
-                ((i * j + 3 * i + 7 * j) as f64).sin() * 2.0
-            }
-        });
-        let blocked = Lu::factor_blocked(&a).unwrap();
-        let unblocked = Lu::factor_unblocked(&a).unwrap();
-        assert_eq!(blocked.perm, unblocked.perm);
-        assert_eq!(blocked.swaps, unblocked.swaps);
-        assert!(blocked.swaps > 0, "test matrix should force pivoting");
-        for (x, y) in blocked
-            .lu
-            .as_slice()
-            .iter()
-            .zip(unblocked.lu.as_slice().iter())
-        {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // The public constructor dispatches to the blocked path here…
-        let via_new = Lu::new(&a).unwrap();
-        assert_eq!(via_new.lu, blocked.lu);
-        assert_eq!(via_new.perm, blocked.perm);
-        // …and both agree with the unblocked path below the threshold.
-        let small = Matrix::from_fn(BLOCK_THRESHOLD - 1, BLOCK_THRESHOLD - 1, |i, j| {
-            ((i * j + 2 * i + 3 * j) as f64).cos() * 1.5
-        });
-        let s_blocked = Lu::factor_blocked(&small).unwrap();
-        let s_new = Lu::new(&small).unwrap();
-        assert_eq!(s_new.lu, s_blocked.lu);
-    }
-
-    #[test]
-    fn blocked_rejects_singular_and_non_square() {
-        // Duplicate rows at blocked scale: both paths report Singular at
-        // the same pivot (the duplicate row sits past the first panel).
-        let n = BLOCK_THRESHOLD + 9;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let ii = if i == 135 { 3 } else { i };
-            ((ii * j + 2 * ii + 9 * j) as f64).sin()
-        });
-        let blocked = Lu::factor_blocked(&a).unwrap_err();
-        let unblocked = Lu::factor_unblocked(&a).unwrap_err();
-        match (blocked, unblocked) {
-            (LinalgError::Singular { pivot: b }, LinalgError::Singular { pivot: u }) => {
-                assert_eq!(b, u);
-            }
-            other => panic!("expected Singular pair, got {other:?}"),
-        }
-        assert!(matches!(
-            Lu::factor_blocked(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub(crate) const BLAND_SWITCH: usize = 2_000;
 pub enum SolverMode {
     /// Pick by standard-form size: the dense tableau below
     /// [`AUTO_REVISED_MIN_CELLS`] cells (`m·ncols`), the revised simplex
-    /// at or above it. The `TOMO_LP_MODE` environment variable
-    /// (`dense` / `revised`, case-insensitive, read per solve) overrides
-    /// the size heuristic but not an explicit mode choice in code.
+    /// at or above it.
     #[default]
     Auto,
     /// Dense tableau pivots: fastest on small instances. A pivot
@@ -112,19 +110,12 @@ pub(crate) fn standard_dims(problem: &LpProblem) -> (usize, usize) {
     (m, n_struct + n_slack + n_art)
 }
 
-/// Resolves the backend for one solve: explicit choice > `TOMO_LP_MODE`
-/// environment override > size heuristic.
+/// Resolves the backend for one solve: an explicit choice passes
+/// through; `Auto` picks by standard-form size.
 fn resolve_mode(requested: SolverMode, m: usize, ncols: usize) -> SolverMode {
     match requested {
         SolverMode::Dense | SolverMode::Revised => requested,
         SolverMode::Auto => {
-            if let Ok(v) = std::env::var("TOMO_LP_MODE") {
-                match v.to_ascii_lowercase().as_str() {
-                    "dense" | "tableau" => return SolverMode::Dense,
-                    "revised" | "sparse" => return SolverMode::Revised,
-                    _ => {}
-                }
-            }
             if m.saturating_mul(ncols) >= AUTO_REVISED_MIN_CELLS {
                 SolverMode::Revised
             } else {
@@ -503,15 +494,10 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use std::sync::Mutex;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
-
-    /// Serializes tests that manipulate `TOMO_LP_MODE` — process-global
-    /// environment, so concurrent test threads would race otherwise.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     /// A small Ge/Eq-laden problem family parameterized by rhs.
     fn family_instance(demand: f64) -> (LpProblem, VarId, VarId) {
@@ -583,40 +569,18 @@ mod tests {
     #[test]
     fn mode_resolution_precedence() {
         use super::{resolve_mode, SolverMode, AUTO_REVISED_MIN_CELLS};
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let prior = std::env::var("TOMO_LP_MODE").ok();
-        std::env::remove_var("TOMO_LP_MODE");
-        let result = std::panic::catch_unwind(|| {
-            // Explicit modes pass through untouched.
-            assert_eq!(
-                resolve_mode(SolverMode::Dense, 1 << 20, 1 << 20),
-                SolverMode::Dense
-            );
-            assert_eq!(resolve_mode(SolverMode::Revised, 2, 2), SolverMode::Revised);
-            // Auto picks by cell count.
-            assert_eq!(resolve_mode(SolverMode::Auto, 10, 20), SolverMode::Dense);
-            assert_eq!(
-                resolve_mode(SolverMode::Auto, AUTO_REVISED_MIN_CELLS, 1),
-                SolverMode::Revised
-            );
-            // The env override steers Auto only.
-            std::env::set_var("TOMO_LP_MODE", "revised");
-            assert_eq!(resolve_mode(SolverMode::Auto, 2, 2), SolverMode::Revised);
-            assert_eq!(resolve_mode(SolverMode::Dense, 2, 2), SolverMode::Dense);
-            std::env::set_var("TOMO_LP_MODE", "dense");
-            assert_eq!(
-                resolve_mode(SolverMode::Auto, AUTO_REVISED_MIN_CELLS, 2),
-                SolverMode::Dense
-            );
-            assert_eq!(resolve_mode(SolverMode::Revised, 2, 2), SolverMode::Revised);
-        });
-        match prior {
-            Some(v) => std::env::set_var("TOMO_LP_MODE", v),
-            None => std::env::remove_var("TOMO_LP_MODE"),
-        }
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
-        }
+        // Explicit modes pass through untouched.
+        assert_eq!(
+            resolve_mode(SolverMode::Dense, 1 << 20, 1 << 20),
+            SolverMode::Dense
+        );
+        assert_eq!(resolve_mode(SolverMode::Revised, 2, 2), SolverMode::Revised);
+        // Auto picks by cell count.
+        assert_eq!(resolve_mode(SolverMode::Auto, 10, 20), SolverMode::Dense);
+        assert_eq!(
+            resolve_mode(SolverMode::Auto, AUTO_REVISED_MIN_CELLS, 1),
+            SolverMode::Revised
+        );
     }
 
     #[test]

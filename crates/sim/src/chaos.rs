@@ -387,7 +387,6 @@ pub fn run(
         ));
     }
     let system = fig1::fig1_system()?;
-    system.warm_estimator_cache()?;
     let detector = ConsistencyDetector::recommended();
     let mut points = Vec::with_capacity(config.scales.len());
     let mut totals = FaultReport::default();

@@ -57,7 +57,6 @@ fn campaign(
 ) -> Result<PlacementDefenseStats, SimError> {
     let scenario = AttackScenario::paper_defaults();
     let delays = params::default_delay_model();
-    system.warm_estimator_cache()?;
     let nodes: Vec<_> = system.graph().nodes().collect();
     if nodes.is_empty() {
         return Err(SimError("defense: topology has no nodes".into()));

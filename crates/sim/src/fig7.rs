@@ -87,7 +87,6 @@ fn run_family(
                 NetworkKind::Wireless => 500_000,
             });
         let system = build_system(kind, sys_seed)?;
-        system.warm_estimator_cache()?;
         let trial_seed = sys_seed ^ 0xabcd_ef01;
         let outcomes = exec.try_map(
             config.trials_per_system,

@@ -75,7 +75,6 @@ fn run_family(
     exec: &Executor,
 ) -> Result<GapSeries, SimError> {
     let system = build_system(kind, seed)?;
-    system.warm_estimator_cache()?;
     let delays = params::default_delay_model();
     let plain = AttackScenario::paper_defaults();
     let honest = AttackScenario::paper_defaults_stealthy();

@@ -71,7 +71,6 @@ pub fn run_noise_sweep(
 ) -> Result<NoiseSweepResult, SimError> {
     let _span = tomo_obs::span("sim.noise");
     let system = fig1::fig1_system()?;
-    system.warm_estimator_cache()?;
     let detector = ConsistencyDetector::paper_default();
     let delay_model = params::default_delay_model();
     let scenario = AttackScenario::paper_defaults();

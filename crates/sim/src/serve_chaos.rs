@@ -442,7 +442,6 @@ pub fn run(
         )));
     }
     let system = Arc::new(fig1::fig1_system()?);
-    system.warm_estimator_cache()?;
 
     // The uninterrupted fault-free reference every point must hit.
     let reference = Server::start(

@@ -362,7 +362,6 @@ pub fn run(seed: u64, config: &ServeLoadConfig) -> Result<ServeLoadResult, SimEr
         )));
     }
     let system = Arc::new(fig1::fig1_system()?);
-    system.warm_estimator_cache()?;
 
     let x = Vector::filled(system.num_links(), 10.0);
     let y = system.measure(&x)?;

@@ -19,8 +19,10 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace (root suites plus every crate's unit tests and proptests)"
 cargo test -q --workspace
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Every package and every target: libraries, binaries, tests, benches
+# and examples.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -32,25 +34,29 @@ echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml (benchmar
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> artifact contract (seed-42 figures byte-identical to artifacts/)"
-# Regenerate every committed figure artifact and compare bytes: any change
-# to placement, the LP layer or the trial streams that moves a single
-# number fails here.
-ARTIFACT_OUT="$WORK/artifacts"
-target/release/tomo-sim run all --seed 42 --out "$ARTIFACT_OUT" \
-  --metrics "$WORK/all-metrics.json" >/dev/null
-target/release/tomo-sim run gap --seed 42 --out "$ARTIFACT_OUT" \
-  --metrics "$WORK/gap-metrics.json" >/dev/null
-for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
-  cmp "artifacts/$name.json" "$ARTIFACT_OUT/$name.json" || {
-    echo "ci: $name.json differs from artifacts/$name.json" >&2
-    exit 1
-  }
+# Regenerate every committed figure artifact, at 1 and at 2 threads, and
+# compare bytes: any change to placement, the LP layer or the trial
+# streams that moves a single number fails here.
+for threads in 1 2; do
+  ARTIFACT_OUT="$WORK/artifacts-t$threads"
+  target/release/tomo-sim run all --seed 42 --threads "$threads" \
+    --out "$ARTIFACT_OUT" --metrics "$WORK/all-metrics-t$threads.json" >/dev/null
+  target/release/tomo-sim run gap --seed 42 --threads "$threads" \
+    --out "$ARTIFACT_OUT" --metrics "$WORK/gap-metrics-t$threads.json" >/dev/null
+  for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
+    cmp "artifacts/$name.json" "$ARTIFACT_OUT/$name.json" || {
+      echo "ci: $name.json at $threads threads differs from artifacts/$name.json" >&2
+      exit 1
+    }
+  done
 done
-echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/"
+echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads"
 # Same bytes could hide a changed search: pin the LP layer's decisions
 # too. Every dense-tableau solve, pivot and iteration, and each solve's
-# outcome, must repeat exactly.
-python3 - "$WORK/all-metrics.json" "$WORK/gap-metrics.json" <<'PY'
+# outcome, must repeat exactly. The estimator and projector columns are
+# computed on first use, so the number of distinct columns a run builds
+# is pinned as well, at both thread counts.
+python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
     "all": {"solves": 5323, "pivots": 293218, "iterations": 301479,
@@ -58,13 +64,23 @@ expected = {
     "gap": {"solves": 81, "pivots": 21008, "iterations": 21041,
             "optimal": 18, "infeasible": 63},
 }
-for run, path in zip(("all", "gap"), sys.argv[1:]):
-    counters = json.load(open(path)).get("counters", {})
-    got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
-    if got != expected[run]:
-        sys.exit(f"ci: run {run} lp.simplex counters {got} != {expected[run]}")
-print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible match "
-      "for run all and run gap")
+expected_builds = {"all": 2828, "gap": 834}
+for threads in (1, 2):
+    for run in ("all", "gap"):
+        path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
+        counters = json.load(open(path)).get("counters", {})
+        got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
+        if got != expected[run]:
+            sys.exit(f"ci: run {run} at {threads} threads: lp.simplex "
+                     f"counters {got} != {expected[run]}")
+        builds = counters.get("core.estimator_cache.builds", 0)
+        if builds != expected_builds[run]:
+            sys.exit(f"ci: run {run} at {threads} threads: "
+                     f"core.estimator_cache.builds {builds} != "
+                     f"{expected_builds[run]}")
+print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible and "
+      "core.estimator_cache.builds match for run all and run gap at 1 and "
+      "2 threads")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"

@@ -26,11 +26,15 @@ fn hand_built_lp_matches_strategy_output() {
         .into_success()
         .unwrap();
 
-    // Hand-built LP: variables = manipulations on attacked paths.
-    let estimator = system.estimator_matrix().unwrap();
+    // Hand-built LP: variables = manipulations on attacked paths, with
+    // coefficients from the attacked columns of the estimator.
     let y = system.measure(&x).unwrap();
     let x0 = system.estimate(&y).unwrap();
     let attacked = attackers.attacked_paths();
+    let columns: Vec<&Vector> = attacked
+        .iter()
+        .map(|&i| system.estimator_column(i).unwrap())
+        .collect();
 
     let mut lp = LpProblem::new(Objective::Maximize);
     let vars: Vec<_> = attacked
@@ -45,10 +49,10 @@ fn hand_built_lp_matches_strategy_output() {
     }
     let victim = topo.paper_link(10).index();
     let terms = |j: usize| -> Vec<_> {
-        attacked
+        columns
             .iter()
             .zip(vars.iter())
-            .map(|(&i, &v)| (v, estimator[(j, i)]))
+            .map(|(col, &v)| (v, col[j]))
             .collect()
     };
     lp.add_constraint(

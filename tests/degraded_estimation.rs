@@ -90,7 +90,7 @@ proptest! {
         let y_sub = Vector::zeros(rows.len());
 
         let solve = system.solve_degraded(&rows, &y_sub).unwrap();
-        let r_sub = system.routing_matrix().select_rows(&rows);
+        let r_sub = system.routing_csr().to_dense().select_rows(&rows);
         let expected = brute_force_unidentifiable(&r_sub, 1e-9);
         let got: Vec<usize> = solve.unidentifiable.iter().map(|l| l.index()).collect();
         prop_assert_eq!(got, expected);
@@ -103,7 +103,7 @@ proptest! {
     fn full_rank_subsets_recover_exactly(seed in 0u64..1000) {
         let system = fig1_system().unwrap();
         let rows = random_rows(seed, 12 + (seed % 12) as usize);
-        let r_sub = system.routing_matrix().select_rows(&rows);
+        let r_sub = system.routing_csr().to_dense().select_rows(&rows);
         prop_assume!(rank_with_tol(&r_sub, 1e-9) == system.num_links());
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0bad_cafe);
@@ -188,7 +188,8 @@ fn sparse_factor_subset_matches_qr_reference() {
     assert!(!solve.used_ridge);
     assert_eq!(solve.rank, n);
     assert!(solve.unidentifiable.is_empty());
-    let reference = lstsq::solve(&system.routing_matrix().select_rows(&rows), &y_sub).unwrap();
+    let reference =
+        lstsq::solve(&system.routing_csr().to_dense().select_rows(&rows), &y_sub).unwrap();
     assert!(solve.estimate.approx_eq(&reference, 1e-6));
     assert!(solve.estimate.approx_eq(&x, 1e-6));
 }

@@ -82,7 +82,7 @@ fn run_family_pipeline(system: TomographySystem, seed: u64) {
 }
 
 fn tomo_rank(system: &TomographySystem) -> usize {
-    scapegoat_tomography::linalg::rank::rank(system.routing_matrix())
+    scapegoat_tomography::linalg::rank::rank(&system.routing_csr().to_dense())
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! their unblocked references, across the blocking threshold.
 //!
 //! DESIGN.md §5g's contract: blocking is a *scheduling* change, not a
-//! numerical one. The blocked right-looking Cholesky/LU apply exactly
+//! numerical one. The blocked right-looking Cholesky applies exactly
 //! the same per-entry update terms in the same ascending-`k` order as
-//! the unblocked loops, so factors — and everything derived from them
-//! (solves, determinants, the solver stack's artifacts) — match bit for
-//! bit. The in-crate unit tests pin single sizes; these proptests sweep
-//! random matrices on both sides of `BLOCK_THRESHOLD` and at the
-//! boundary itself, plus the blocked `mul_transpose_self` against an
+//! the unblocked loop, so factors — and everything derived from them
+//! (solves, the solver stack's artifacts) — match bit for bit. The
+//! in-crate unit tests pin single sizes; these proptests sweep random
+//! matrices on both sides of `BLOCK_THRESHOLD` and at the boundary
+//! itself, plus the blocked `mul_transpose_self` against an
 //! independently coded ascending-row reference.
 
 use proptest::prelude::*;
@@ -17,7 +17,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use scapegoat_tomography::linalg::cholesky::{self, Cholesky};
-use scapegoat_tomography::linalg::lu::{self, Lu};
 use scapegoat_tomography::linalg::{Matrix, Vector};
 
 /// A dense symmetric positive-definite matrix with non-separable entries
@@ -29,20 +28,6 @@ fn random_spd(n: usize, seed: u64) -> Matrix {
     Matrix::from_fn(n, n, |i, j| {
         let (a, b) = (i.min(j), i.max(j));
         let off = ((a * b + 3 * a + 7 * b) as f64).sin();
-        if i == j {
-            off + n as f64 * jitter[i]
-        } else {
-            off
-        }
-    })
-}
-
-/// A dense nonsingular general matrix (diagonally dominant, asymmetric).
-fn random_square(n: usize, seed: u64) -> Matrix {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let jitter: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
-    Matrix::from_fn(n, n, |i, j| {
-        let off = ((i * j + 5 * i + 2 * j) as f64).sin();
         if i == j {
             off + n as f64 * jitter[i]
         } else {
@@ -108,30 +93,6 @@ proptest! {
                 &unblocked.solve(&b).unwrap(),
                 "cholesky solve",
             );
-        }
-    }
-
-    /// Blocked and unblocked partial-pivoting LU agree bitwise on solves
-    /// and determinants (pivot choices included) around the threshold.
-    #[test]
-    fn lu_blocked_is_bit_identical(seed in 0u64..1000) {
-        for (k, &n) in threshold_sizes(lu::BLOCK_THRESHOLD).iter().enumerate() {
-            let a = random_square(n, seed.wrapping_add(k as u64));
-            let blocked = Lu::factor_blocked(&a).unwrap();
-            let unblocked = Lu::factor_unblocked(&a).unwrap();
-            let b = random_vector(n, seed ^ 0xfeed);
-            assert_bits_eq(
-                &blocked.solve(&b).unwrap(),
-                &unblocked.solve(&b).unwrap(),
-                "lu solve",
-            );
-            assert_eq!(
-                blocked.det().to_bits(),
-                unblocked.det().to_bits(),
-                "lu determinant"
-            );
-            let auto = Lu::new(&a).unwrap();
-            assert_bits_eq(&auto.solve(&b).unwrap(), &blocked.solve(&b).unwrap(), "lu auto");
         }
     }
 

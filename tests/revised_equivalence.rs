@@ -6,12 +6,8 @@
 //! so tie-breaks at non-unique optima may diverge), but every *decision*
 //! an experiment consumes has a unique answer: feasibility status,
 //! optimal objective value, and constraint satisfaction of the returned
-//! vertex. These tests pin that contract on random LP families via
-//! [`LpProblem::solve_with`] and on the fig. 7 chosen-victim workload
-//! via the `TOMO_LP_MODE` override that the `scale` experiment's large
-//! instances rely on.
-
-use std::sync::Mutex;
+//! vertex. These tests pin that contract via [`LpProblem::solve_with`]
+//! on random LP families and on hand-built fig. 7 chosen-victim LPs.
 
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -20,9 +16,6 @@ use rand_chacha::ChaCha8Rng;
 
 use scapegoat_tomography::lp::{LpProblem, Objective, Relation, SolverMode, VarId};
 use scapegoat_tomography::prelude::*;
-
-/// Serializes tests that flip the process-wide `TOMO_LP_MODE` override.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// A random LP that is feasible by construction (`x = 0` satisfies every
 /// `Le` row; `Ge`/`Eq` rows get rhs ≤ 0 coverage via sign flips) yet
@@ -98,14 +91,64 @@ proptest! {
     }
 }
 
+/// The chosen-victim LP `strategy::chosen_victim` solves, built by hand
+/// from the attacked columns of the estimator: maximize `Σ m` over the
+/// attacked paths, push the victim above `b_u + margin` and keep every
+/// attacker-controlled link below `b_l − margin`.
+fn chosen_victim_lp(
+    system: &TomographySystem,
+    attackers: &AttackerSet,
+    x: &Vector,
+    victim: LinkId,
+) -> LpProblem {
+    let scenario = AttackScenario::paper_defaults();
+    let x0 = system.estimate(&system.measure(x).unwrap()).unwrap();
+    let attacked = attackers.attacked_paths();
+    let columns: Vec<&Vector> = attacked
+        .iter()
+        .map(|&i| system.estimator_column(i).unwrap())
+        .collect();
+    let mut lp = LpProblem::new(Objective::Maximize);
+    let vars: Vec<VarId> = attacked
+        .iter()
+        .map(|&i| {
+            lp.add_variable(format!("m_{i}"), 0.0, Some(scenario.path_cap))
+                .unwrap()
+        })
+        .collect();
+    for &v in &vars {
+        lp.set_objective_coefficient(v, 1.0);
+    }
+    let terms = |j: usize| -> Vec<(VarId, f64)> {
+        vars.iter()
+            .zip(&columns)
+            .map(|(&v, col)| (v, col[j]))
+            .collect()
+    };
+    let j = victim.index();
+    lp.add_constraint(
+        &terms(j),
+        Relation::Ge,
+        scenario.thresholds.upper() + scenario.margin - x0[j],
+    )
+    .unwrap();
+    for &l in attackers.controlled_links() {
+        let j = l.index();
+        lp.add_constraint(
+            &terms(j),
+            Relation::Le,
+            scenario.thresholds.lower() - scenario.margin - x0[j],
+        )
+        .unwrap();
+    }
+    lp
+}
+
 /// The fig. 7 chosen-victim workload — the LPs the paper's evaluation
 /// actually solves — reaches identical feasibility verdicts and damage
-/// under `TOMO_LP_MODE=dense` and `TOMO_LP_MODE=revised`.
+/// under `SolverMode::Dense` and `SolverMode::Revised`.
 #[test]
 fn fig7_scenario_sweep_is_backend_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let prior = std::env::var("TOMO_LP_MODE").ok();
-
     let mut rng = ChaCha8Rng::seed_from_u64(1701);
     let config = scapegoat_tomography::graph::isp::IspConfig {
         backbone_nodes: 6,
@@ -117,66 +160,41 @@ fn fig7_scenario_sweep_is_backend_invariant() {
     let system = random_placement(&graph, &PlacementConfig::default(), &mut rng).unwrap();
     let nodes: Vec<NodeId> = system.graph().nodes().collect();
 
-    let run_sweep = |mode: &str| {
-        std::env::set_var("TOMO_LP_MODE", mode);
-        let mut verdicts = Vec::new();
-        for trial in 0..10u64 {
-            let mut trng = ChaCha8Rng::seed_from_u64(0xf1c7 ^ (trial << 16));
-            let coalition: Vec<NodeId> = (0..2)
-                .map(|_| nodes[trng.gen_range(0..nodes.len())])
-                .collect();
-            let Ok(attackers) = AttackerSet::new(&system, coalition) else {
-                verdicts.push(None);
-                continue;
-            };
-            let victim = (0..system.num_links())
-                .map(LinkId)
-                .find(|&l| !attackers.controls_link(l));
-            let Some(victim) = victim else {
-                verdicts.push(None);
-                continue;
-            };
-            let x = params::default_delay_model().sample(system.num_links(), &mut trng);
-            let outcome = chosen_victim(
-                &system,
-                &attackers,
-                &AttackScenario::paper_defaults(),
-                &x,
-                &[victim],
-            )
-            .unwrap();
-            verdicts.push(Some((
-                outcome.is_success(),
-                outcome.success().map(|s| s.damage),
-            )));
-        }
-        verdicts
-    };
-
-    let dense = run_sweep("dense");
-    let revised = run_sweep("revised");
-    match prior {
-        Some(v) => std::env::set_var("TOMO_LP_MODE", v),
-        None => std::env::remove_var("TOMO_LP_MODE"),
-    }
-
-    assert_eq!(dense.len(), revised.len());
     let mut attacks = 0;
-    for (t, (d, r)) in dense.iter().zip(&revised).enumerate() {
-        match (d, r) {
-            (None, None) => {}
-            (Some((df, dd)), Some((rf, rd))) => {
-                assert_eq!(df, rf, "trial {t}: feasibility flipped across backends");
-                if let (Some(dd), Some(rd)) = (dd, rd) {
-                    let scale = 1.0 + dd.abs();
-                    assert!(
-                        (dd - rd).abs() <= 1e-6 * scale,
-                        "trial {t}: damage diverged (dense {dd} vs revised {rd})"
-                    );
-                    attacks += 1;
-                }
-            }
-            other => panic!("trial {t}: instance construction diverged: {other:?}"),
+    for trial in 0..10u64 {
+        let mut trng = ChaCha8Rng::seed_from_u64(0xf1c7 ^ (trial << 16));
+        let coalition: Vec<NodeId> = (0..2)
+            .map(|_| nodes[trng.gen_range(0..nodes.len())])
+            .collect();
+        let Ok(attackers) = AttackerSet::new(&system, coalition) else {
+            continue;
+        };
+        let victim = (0..system.num_links())
+            .map(LinkId)
+            .find(|&l| !attackers.controls_link(l));
+        let Some(victim) = victim else {
+            continue;
+        };
+        if attackers.attacked_paths().is_empty() {
+            continue;
+        }
+        let x = params::default_delay_model().sample(system.num_links(), &mut trng);
+        let lp = chosen_victim_lp(&system, &attackers, &x, victim);
+        let dense = lp.solve_with(SolverMode::Dense).unwrap();
+        let revised = lp.solve_with(SolverMode::Revised).unwrap();
+        assert_eq!(
+            dense.is_optimal(),
+            revised.is_optimal(),
+            "trial {trial}: feasibility flipped across backends"
+        );
+        if dense.is_optimal() {
+            let (dd, rd) = (dense.objective_value(), revised.objective_value());
+            let scale = 1.0 + dd.abs();
+            assert!(
+                (dd - rd).abs() <= 1e-6 * scale,
+                "trial {trial}: damage diverged (dense {dd} vs revised {rd})"
+            );
+            attacks += 1;
         }
     }
     assert!(attacks > 0, "sweep never produced a feasible attack");

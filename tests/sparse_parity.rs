@@ -84,10 +84,10 @@ proptest! {
     #[test]
     fn csr_reconstructs_dense_routing((family, seed) in (0u8..3, 0u64..1000)) {
         let system = random_system(family, seed);
-        let dense = system.routing_matrix();
+        let dense = system.routing_csr().to_dense();
         let csr = system.routing_csr();
-        assert_matrix_bits_eq(&csr.to_dense(), dense, "to_dense");
-        prop_assert!(*csr == CsrMatrix::from_dense(dense));
+        assert_matrix_bits_eq(&csr.to_dense(), &dense, "to_dense");
+        prop_assert!(*csr == CsrMatrix::from_dense(&dense));
     }
 
     /// `R x` (measurement direction) is bit-identical sparse vs dense.
@@ -102,7 +102,7 @@ proptest! {
                 .map(|_| rng.gen_range(-100.0..100.0))
                 .collect::<Vec<_>>(),
         );
-        let dense = system.routing_matrix().mul_vec(&x).unwrap();
+        let dense = system.routing_csr().to_dense().mul_vec(&x).unwrap();
         let sparse = system.routing_csr().mul_vec(&x).unwrap();
         assert_bits_eq(&sparse, &dense, "mul_vec");
     }
@@ -117,7 +117,7 @@ proptest! {
                 .map(|_| rng.gen_range(-100.0..100.0))
                 .collect::<Vec<_>>(),
         );
-        let dense = system.routing_matrix().mul_transpose_vec(&y).unwrap();
+        let dense = system.routing_csr().to_dense().mul_transpose_vec(&y).unwrap();
         let sparse = system.routing_csr().mul_transpose_vec(&y).unwrap();
         assert_bits_eq(&sparse, &dense, "mul_transpose_vec");
     }
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn gram_bit_identical((family, seed) in (0u8..3, 0u64..500)) {
         let system = random_system(family, seed);
-        let dense = system.routing_matrix().gram();
+        let dense = system.routing_csr().to_dense().gram();
         let sparse = system.routing_csr().gram();
         assert_matrix_bits_eq(&sparse, &dense, "gram");
     }
@@ -142,7 +142,7 @@ proptest! {
         assert_matrix_bits_eq(&all_sparse.to_dense(), &csr.gram(), "gram_csr vs gram");
         assert_matrix_bits_eq(
             &all_sparse.to_dense(),
-            &system.routing_matrix().gram(),
+            &system.routing_csr().to_dense().gram(),
             "gram_csr vs dense gram",
         );
         // Symmetry holds structurally, not just numerically.
@@ -156,7 +156,7 @@ proptest! {
         let system = random_system(family, seed);
         let csr = system.routing_csr();
         let t = csr.transpose();
-        assert_matrix_bits_eq(&t.to_dense(), &system.routing_matrix().transpose(), "transpose");
+        assert_matrix_bits_eq(&t.to_dense(), &system.routing_csr().to_dense().transpose(), "transpose");
         prop_assert!(t.transpose() == *csr, "double transpose is the identity");
         prop_assert_eq!(t.nnz(), csr.nnz());
     }
