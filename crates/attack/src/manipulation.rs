@@ -55,11 +55,6 @@ pub struct ManipulationProblem<'a> {
     clean_measurements: Vector,
     /// Clean estimate `x̂₀` (equals the true metrics in a noise-free run).
     baseline_estimate: Vector,
-    /// The columns `A[:, i]` of `A = (RᵀR)⁻¹Rᵀ` for the attacked paths
-    /// `i`, in attacked-path order — borrowed from the system's column
-    /// cache (each computed once per system, shared across trials and
-    /// worker threads).
-    estimator_columns: Vec<&'a Vector>,
     /// Sparse LP coefficient rows, links × |attacked paths|: row `j`
     /// holds the estimator entries `A[j, i]` over attacked paths `i`
     /// with `|A[j, i]| > 1e-12`, column `c` being the position of path
@@ -67,9 +62,17 @@ pub struct ManipulationProblem<'a> {
     /// per problem; every goal and plausibility constraint is a row
     /// slice of this matrix instead of a fresh dense scan per solve.
     goal_rows: CsrMatrix,
-    /// Consistency rows `(R·A − I)` restricted to attacked columns,
-    /// paths × |attacked paths|, same filter. Only built when the
-    /// scenario evades detection.
+    /// Per link `j`, the range `(lo_j, hi_j)` of the estimate shift
+    /// `Σᵢ A[j,i]·mᵢ` over the box `m ∈ [0, cap]^S`:
+    /// `lo_j = Σᵢ min(A[j,i], 0)·cap` and `hi_j = Σᵢ max(A[j,i], 0)·cap`,
+    /// summed over the unfiltered attacked columns in attacked-path
+    /// order. A goal or plausibility row whose rhs these bounds clear
+    /// strictly holds everywhere in the box and is left out of the LP.
+    shift_bounds: Vec<(f64, f64)>,
+    /// Eq. (23) consistency rows `(R·A − I)[S, S]`, |attacked paths| ×
+    /// |attacked paths|, same filter: row `r` is attacked path
+    /// `attacked_paths()[r]`. Only built when the scenario evades
+    /// detection.
     evasion_rows: Option<CsrMatrix>,
 }
 
@@ -113,21 +116,40 @@ impl<'a> ManipulationProblem<'a> {
         }
         let goal_rows = goal_builder.finish();
 
+        // Box bounds from the unfiltered columns, one contiguous pass per
+        // column. Each link's sums run in attacked-path order from −0.0,
+        // as `Iterator::sum` does, so `max_upward_shift` keeps its bits.
+        let mut shift_bounds = vec![(-0.0, -0.0); system.num_links()];
+        for col in &estimator_columns {
+            for ((lo, hi), &a) in shift_bounds.iter_mut().zip(col.iter()) {
+                *lo += a.min(0.0);
+                *hi += a.max(0.0);
+            }
+        }
+        for (lo, hi) in &mut shift_bounds {
+            *lo *= scenario.path_cap;
+            *hi *= scenario.path_cap;
+        }
+
+        // Eq. (23) on the attacked coordinates only: `I − P` is a
+        // symmetric projector, so for m supported on S,
+        // ‖(I − P)·m‖² = mᵀ·(I − P)[S, S]·m, and the PSD block
+        // (I − P)[S, S] has exactly the null space of all |P| rows.
         let evasion_rows = if scenario.evade_detection {
             let projector_columns = attacked
                 .iter()
-                .map(|&k| system.projector_column(k))
+                .map(|&i| system.projector_column(i))
                 .collect::<Result<Vec<_>, _>>()?;
             let mut b = CsrBuilder::new(attacked.len());
-            for row in 0..system.num_paths() {
+            for &k in attacked {
                 b.push_row(
                     attacked
                         .iter()
                         .zip(&projector_columns)
                         .enumerate()
-                        .filter_map(|(c, (&k, col))| {
-                            let mut p = col[row];
-                            if row == k {
+                        .filter_map(|(c, (&i, col))| {
+                            let mut p = col[k];
+                            if i == k {
                                 p -= 1.0;
                             }
                             (p.abs() > 1e-12).then_some((c, p))
@@ -146,8 +168,8 @@ impl<'a> ManipulationProblem<'a> {
             scenario,
             clean_measurements,
             baseline_estimate,
-            estimator_columns,
             goal_rows,
+            shift_bounds,
             evasion_rows,
         })
     }
@@ -165,17 +187,13 @@ impl<'a> ManipulationProblem<'a> {
     }
 
     /// Largest achievable upward shift of link `j`'s estimate:
-    /// `Σᵢ max(A[j,i], 0) · cap` over attacked paths. A cheap feasibility
+    /// `Σᵢ max(A[j,i], 0) · cap` over attacked paths, looked up from the
+    /// box bounds computed once in [`Self::new`]. A cheap feasibility
     /// pre-filter for victim candidates (if even this bound cannot reach
     /// `b_u`, the abnormal goal is hopeless).
     #[must_use]
     pub fn max_upward_shift(&self, link: LinkId) -> f64 {
-        let j = link.index();
-        self.estimator_columns
-            .iter()
-            .map(|col| col[j].max(0.0))
-            .sum::<f64>()
-            * self.scenario.path_cap
+        self.shift_bounds[link.index()].1
     }
 
     /// Solves the manipulation LP for the given per-link goals.
@@ -250,13 +268,8 @@ impl<'a> ManipulationProblem<'a> {
 
         for &(link, goal) in goals {
             let j = link.index();
-            let cols = self.goal_rows.row_indices(j);
-            let vals = self.goal_rows.row_values(j);
             let base = self.baseline_estimate[j];
-            let mut push = |rel: Relation, rhs: f64| {
-                lp.add_sparse_row(&vars, cols, vals, rel, rhs)
-                    .expect("finite coefficients, ascending columns");
-            };
+            let mut push = |rel: Relation, rhs: f64| self.add_link_row(&mut lp, &vars, j, rel, rhs);
             match goal {
                 LinkGoal::Normal => push(Relation::Le, b_l - eps - base),
                 LinkGoal::Abnormal => push(Relation::Ge, b_u + eps - base),
@@ -292,16 +305,51 @@ impl<'a> ManipulationProblem<'a> {
         }
     }
 
+    /// Adds link `j`'s estimate-shift row `Σᵢ A[j,i]·mᵢ  relation  rhs`
+    /// unless the box bounds clear `rhs` strictly: a `Le` row with
+    /// `hi_j < rhs` or a `Ge` row with `lo_j > rhs` holds for every `m`
+    /// in `[0, cap]^S`. The bounds sum the unfiltered columns, so they
+    /// enclose the filtered row's range and a skipped row holds
+    /// everywhere in the box.
+    fn add_link_row(
+        &self,
+        lp: &mut LpProblem,
+        vars: &[VarId],
+        j: usize,
+        relation: Relation,
+        rhs: f64,
+    ) {
+        let (lo, hi) = self.shift_bounds[j];
+        let implied = match relation {
+            Relation::Le => hi < rhs,
+            Relation::Ge => lo > rhs,
+            Relation::Eq => false,
+        };
+        if !implied {
+            lp.add_sparse_row(
+                vars,
+                self.goal_rows.row_indices(j),
+                self.goal_rows.row_values(j),
+                relation,
+                rhs,
+            )
+            .expect("finite coefficients, ascending columns");
+        }
+    }
+
     /// Adds the detection-evasion constraints of Theorem 3's
     /// undetectable branch:
     ///
-    /// * consistency: `(R A − I) m = 0` row per measurement path, so the
-    ///   Eq. (23) check `R x̂ = y′` holds with equality,
+    /// * consistency: `(R A − I)[k, S]·m = 0`, one row per attacked path
+    ///   `k`, so the Eq. (23) check `R x̂ = y′` holds with equality on
+    ///   every measurement path (the S-block has the null space of all
+    ///   |P| rows, see [`Self::new`]),
     /// * plausibility: `x̂(m)ⱼ ≥ 0` per link (negative delay estimates
-    ///   would expose the attack to a trivial sanity check).
+    ///   would expose the attack to a trivial sanity check), except
+    ///   where the box bounds already imply it.
     fn add_evasion_constraints(&self, lp: &mut LpProblem, vars: &[VarId]) {
-        // (R·A − I) restricted to attacked columns, pre-filtered into
-        // CSR rows at construction (computed once, not per LP solve).
+        // (R·A − I)[S, S], pre-filtered into CSR rows at construction
+        // (computed once, not per LP solve).
         let evasion = self
             .evasion_rows
             .as_ref()
@@ -317,16 +365,8 @@ impl<'a> ManipulationProblem<'a> {
             return; // the gap exploit: consistent but implausible
         }
         for j in 0..self.goal_rows.rows() {
-            let cols = self.goal_rows.row_indices(j);
-            if !cols.is_empty() {
-                lp.add_sparse_row(
-                    vars,
-                    cols,
-                    self.goal_rows.row_values(j),
-                    Relation::Ge,
-                    -self.baseline_estimate[j],
-                )
-                .expect("finite coefficients, ascending columns");
+            if !self.goal_rows.row_indices(j).is_empty() {
+                self.add_link_row(lp, vars, j, Relation::Ge, -self.baseline_estimate[j]);
             }
         }
     }
@@ -534,6 +574,44 @@ mod tests {
             let shift = s.estimate[victim.index()] - x[victim.index()];
             assert!(shift <= prob.max_upward_shift(victim) + 1e-6);
         }
+    }
+
+    #[test]
+    fn max_upward_shift_is_the_column_sum_bit_for_bit() {
+        let (system, topo, x) = setup();
+        let attackers = AttackerSet::new(&system, topo.attackers.clone()).unwrap();
+        let scenario = AttackScenario::paper_defaults();
+        let prob = ManipulationProblem::new(&system, &attackers, scenario, &x).unwrap();
+        let columns: Vec<&Vector> = attackers
+            .attacked_paths()
+            .iter()
+            .map(|&i| system.estimator_column(i).unwrap())
+            .collect();
+        for j in 0..system.num_links() {
+            let column_sum =
+                columns.iter().map(|col| col[j].max(0.0)).sum::<f64>() * scenario.path_cap;
+            assert_eq!(
+                prob.max_upward_shift(LinkId(j)).to_bits(),
+                column_sum.to_bits(),
+                "link {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn evasion_rows_are_the_attacked_block() {
+        let (system, topo, x) = setup();
+        let attackers = AttackerSet::new(&system, topo.attackers.clone()).unwrap();
+        let prob = ManipulationProblem::new(
+            &system,
+            &attackers,
+            AttackScenario::paper_defaults_stealthy(),
+            &x,
+        )
+        .unwrap();
+        let evasion = prob.evasion_rows.as_ref().unwrap();
+        assert_eq!(evasion.rows(), attackers.attacked_paths().len());
+        assert!(evasion.rows() < system.num_paths());
     }
 
     #[test]

@@ -268,9 +268,10 @@ impl TomographySystem {
 
     /// Column `path` of the consistency projector `P = R·A`
     /// (|paths| × |paths|): [`Self::measure`] (Eq. 1) of the estimator
-    /// column. `(I − P) y` is the residual the detector inspects, and the
-    /// stealth constraints of the attack LPs are written against the
-    /// attacked columns of `P − I`.
+    /// column. `(I − P) y` is the residual the detector inspects. `P` is
+    /// symmetric, so this column is also row `path`: the stealth
+    /// constraints of the attack LPs read the attacked rows of the
+    /// attacked columns, the block `(P − I)[S, S]`.
     ///
     /// Cached like [`Self::estimator_column`].
     ///

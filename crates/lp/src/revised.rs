@@ -38,8 +38,8 @@ use tomo_obs::LazyCounter;
 
 use crate::model::{LpProblem, Objective, Relation};
 use crate::simplex::{
-    BLAND_SWITCH, INFEASIBLE, ITERATIONS, MAX_ITER_BASE, OPTIMAL, PHASE1_SECONDS, PHASE2_SECONDS,
-    PIVOTS, SOLVES, SOLVE_PIVOTS, UNBOUNDED,
+    phase1_infeasible, BLAND_SWITCH, INFEASIBLE, ITERATIONS, MAX_ITER_BASE, OPTIMAL,
+    PHASE1_SECONDS, PHASE2_SECONDS, PIVOTS, ROWS, SOLVES, SOLVE_PIVOTS, UNBOUNDED,
 };
 use crate::solution::{LpSolution, LpStatus};
 use crate::{LpError, LP_TOL};
@@ -514,6 +514,7 @@ pub(crate) fn solve_revised(problem: &LpProblem) -> Result<LpSolution, LpError> 
         }
     }
     let m = rows.len();
+    ROWS.add(m as u64);
 
     // Normalize to rhs ≥ 0.
     for r in rows.iter_mut() {
@@ -623,7 +624,7 @@ pub(crate) fn solve_revised(problem: &LpProblem) -> Result<LpSolution, LpError> 
             .zip(&st.xb)
             .map(|(&b, &v)| phase1_costs[b] * v)
             .sum();
-        if phase1_obj > LP_TOL * (1.0 + phase1_obj.abs()) {
+        if phase1_infeasible(phase1_obj) {
             INFEASIBLE.inc();
             SOLVE_PIVOTS.record(st.solve_pivots as f64);
             tomo_obs::debug!(

@@ -13,6 +13,9 @@ use crate::solution::{LpSolution, LpStatus};
 use crate::{LpError, LP_TOL};
 
 pub(crate) static SOLVES: LazyCounter = LazyCounter::new("lp.simplex.solves");
+/// Standard-form rows (user constraints plus upper-bound rows), summed
+/// over solves.
+pub(crate) static ROWS: LazyCounter = LazyCounter::new("lp.simplex.rows");
 pub(crate) static PIVOTS: LazyCounter = LazyCounter::new("lp.simplex.pivots");
 pub(crate) static ITERATIONS: LazyCounter = LazyCounter::new("lp.simplex.iterations");
 pub(crate) static OPTIMAL: LazyCounter = LazyCounter::new("lp.simplex.optimal");
@@ -23,6 +26,12 @@ pub(crate) static PHASE2_SECONDS: LazyHistogram = LazyHistogram::new("lp.simplex
 /// Priced pivots per solve, one sample per solve that reaches the end of
 /// phase 1 (infeasible) or phase 2.
 pub(crate) static SOLVE_PIVOTS: LazyHistogram = LazyHistogram::new("lp.simplex.solve_pivots");
+/// `|phase-1 objective|` at the feasibility decision of every solve that
+/// runs phase 1, split by verdict. Their extremes show how far both
+/// verdicts sit from the [`LP_TOL`] threshold.
+static PHASE1_FEASIBLE: LazyHistogram = LazyHistogram::new("lp.simplex.phase1_objective.feasible");
+static PHASE1_INFEASIBLE: LazyHistogram =
+    LazyHistogram::new("lp.simplex.phase1_objective.infeasible");
 
 /// Hard safety bound on simplex iterations per phase.
 pub(crate) const MAX_ITER_BASE: usize = 20_000;
@@ -108,6 +117,21 @@ pub(crate) fn standard_dims(problem: &LpProblem) -> (usize, usize) {
     m += n_upper;
     n_slack += n_upper;
     (m, n_struct + n_slack + n_art)
+}
+
+/// The phase-1 verdict both backends share: the LP is infeasible when
+/// the minimized sum of artificials exceeds `LP_TOL·(1 + |obj|)`.
+/// Records `|obj|` into the verdict's `lp.simplex.phase1_objective.*`
+/// histogram.
+pub(crate) fn phase1_infeasible(phase1_obj: f64) -> bool {
+    let infeasible = phase1_obj > LP_TOL * (1.0 + phase1_obj.abs());
+    let margin = if infeasible {
+        &PHASE1_INFEASIBLE
+    } else {
+        &PHASE1_FEASIBLE
+    };
+    margin.record(phase1_obj.abs());
+    infeasible
 }
 
 /// Resolves the backend for one solve: an explicit choice passes
@@ -322,6 +346,7 @@ fn solve_inner(problem: &LpProblem) -> Result<LpSolution, LpError> {
     }
 
     let m = rows.len();
+    ROWS.add(m as u64);
 
     // Normalize to rhs ≥ 0.
     for r in rows.iter_mut() {
@@ -411,7 +436,7 @@ fn solve_inner(problem: &LpProblem) -> Result<LpSolution, LpError> {
         debug_assert!(optimal, "phase-1 LP is bounded below by 0");
         // Objective value = −cost-row rhs.
         let phase1_obj = -tab.t[tab.m][ncols];
-        if phase1_obj > LP_TOL * (1.0 + phase1_obj.abs()) {
+        if phase1_infeasible(phase1_obj) {
             INFEASIBLE.inc();
             SOLVE_PIVOTS.record(tab.solve_pivots as f64);
             tomo_obs::debug!(

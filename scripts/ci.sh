@@ -52,23 +52,28 @@ for threads in 1 2; do
 done
 echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads"
 # Same bytes could hide a changed search: pin the LP layer's decisions
-# too. Every dense-tableau solve, pivot and iteration, and each solve's
-# outcome, must repeat exactly. The estimator and projector columns are
+# too. Every dense-tableau solve, pivot and iteration, each solve's
+# outcome, and the standard-form rows summed over solves must repeat
+# exactly (box-implied rows never pivot, so only the row count would
+# show them coming back). The phase-1 objective must keep both verdicts
+# far from LP_TOL = 1e-7: every infeasible solve ends at >= 1e-2, every
+# feasible one at <= 1e-8. The estimator and projector columns are
 # computed on first use, so the number of distinct columns a run builds
 # is pinned as well, at both thread counts.
 python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
-    "all": {"solves": 5323, "pivots": 293218, "iterations": 301479,
-            "optimal": 3197, "infeasible": 2126},
-    "gap": {"solves": 81, "pivots": 21008, "iterations": 21041,
-            "optimal": 18, "infeasible": 63},
+    "all": {"solves": 5323, "pivots": 291693, "iterations": 299971,
+            "optimal": 3197, "infeasible": 2126, "rows": 382025},
+    "gap": {"solves": 81, "pivots": 4522, "iterations": 4554,
+            "optimal": 18, "infeasible": 63, "rows": 5582},
 }
 expected_builds = {"all": 2828, "gap": 834}
 for threads in (1, 2):
     for run in ("all", "gap"):
         path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
-        counters = json.load(open(path)).get("counters", {})
+        metrics = json.load(open(path))
+        counters = metrics.get("counters", {})
         got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
         if got != expected[run]:
             sys.exit(f"ci: run {run} at {threads} threads: lp.simplex "
@@ -78,9 +83,19 @@ for threads in (1, 2):
             sys.exit(f"ci: run {run} at {threads} threads: "
                      f"core.estimator_cache.builds {builds} != "
                      f"{expected_builds[run]}")
-print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible and "
-      "core.estimator_cache.builds match for run all and run gap at 1 and "
-      "2 threads")
+        margin = metrics.get("histograms", {})
+        feasible = margin.get("lp.simplex.phase1_objective.feasible")
+        infeasible = margin.get("lp.simplex.phase1_objective.infeasible")
+        if not feasible or not infeasible:
+            sys.exit(f"ci: run {run} at {threads} threads: no phase-1 "
+                     f"objective histograms in {path}")
+        if infeasible["min"] < 1e-2 or feasible["max"] > 1e-8:
+            sys.exit(f"ci: run {run} at {threads} threads: phase-1 margin "
+                     f"drifted toward LP_TOL: infeasible min "
+                     f"{infeasible['min']}, feasible max {feasible['max']}")
+print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
+      "the phase-1 verdict margin and core.estimator_cache.builds match "
+      "for run all and run gap at 1 and 2 threads")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
