@@ -253,8 +253,8 @@ impl<'a> ManipulationProblem<'a> {
         let mut lp = LpProblem::new(direction);
         let vars: Vec<VarId> = attacked
             .iter()
-            .map(|&i| {
-                lp.add_variable(format!("m_{i}"), 0.0, Some(self.scenario.path_cap))
+            .map(|_| {
+                lp.add_variable(0.0, Some(self.scenario.path_cap))
                     .expect("valid bounds")
             })
             .collect();

@@ -70,7 +70,7 @@ fn full_block_lp(
     let mut lp = LpProblem::new(direction);
     let vars: Vec<VarId> = attacked
         .iter()
-        .map(|&i| lp.add_variable(format!("m_{i}"), 0.0, Some(cap)).unwrap())
+        .map(|_| lp.add_variable(0.0, Some(cap)).unwrap())
         .collect();
     for &v in &vars {
         lp.set_objective_coefficient(v, 1.0);

@@ -53,7 +53,7 @@ fn bench_lp(c: &mut Criterion) {
     let build = |rng: &mut ChaCha8Rng| {
         let mut lp = LpProblem::new(Objective::Maximize);
         let vars: Vec<_> = (0..60)
-            .map(|i| lp.add_variable(format!("m{i}"), 0.0, Some(2000.0)).unwrap())
+            .map(|_| lp.add_variable(0.0, Some(2000.0)).unwrap())
             .collect();
         for &v in &vars {
             lp.set_objective_coefficient(v, 1.0);

@@ -1,7 +1,7 @@
 //! The paper's experimental parameters (Section V-A), collected in one
 //! place so every crate and bench agrees on them.
 
-use crate::delay::{DelayModel, GaussianNoise};
+use crate::delay::DelayModel;
 use crate::StateThresholds;
 
 /// Lower state threshold `b_l`: links below 100 ms are *normal*.
@@ -45,13 +45,6 @@ pub fn default_thresholds() -> StateThresholds {
 #[must_use]
 pub fn default_delay_model() -> DelayModel {
     DelayModel::uniform(DELAY_MIN_MS, DELAY_MAX_MS).expect("constants are ordered")
-}
-
-/// A mild measurement-noise model for the Remark-4 detector experiments
-/// (the paper's main runs are noise-free).
-#[must_use]
-pub fn default_noise_model() -> GaussianNoise {
-    GaussianNoise::new(1.0).expect("positive std")
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //! placements behind the committed artifacts depend on exactly this rule:
 //! changing it changes which measurement paths get chosen.
 
+use rand::Rng;
+
 use crate::{Graph, GraphError, LinkId, NodeId, Path};
 
 /// Scratch state of one breadth-first search, reused across the spur
@@ -229,6 +231,59 @@ pub fn yen_k_shortest(
         result.push(Path::from_nodes(graph, &nodes)?);
     }
     Ok(result)
+}
+
+/// One one-hop path per link, in link order. With every node a
+/// monitor, these rows embed a permuted identity in the routing matrix,
+/// so they make any topology identifiable.
+///
+/// # Errors
+///
+/// Propagates [`GraphError`] from path construction.
+pub fn one_hop_paths(graph: &Graph) -> Result<Vec<Path>, GraphError> {
+    graph
+        .links()
+        .map(|l| {
+            let (a, b) = graph.endpoints(l)?;
+            Path::from_nodes(graph, &[a, b])
+        })
+        .collect()
+}
+
+/// Up to `extra` multi-hop shortest paths between node pairs drawn from
+/// `rng`. A guard bounds the attempts at 20 per wanted path, so the
+/// count can fall short on tiny graphs. A graph with fewer than two
+/// nodes has no pair to draw: it yields no path and leaves `rng`
+/// untouched.
+///
+/// # Errors
+///
+/// Propagates [`GraphError`] from the shortest-path search.
+pub fn sample_extra_paths<R: Rng + ?Sized>(
+    graph: &Graph,
+    extra: usize,
+    rng: &mut R,
+) -> Result<Vec<Path>, GraphError> {
+    let n = graph.num_nodes();
+    if extra == 0 || n < 2 {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::with_capacity(extra);
+    let mut guard = 0;
+    while out.len() < extra && guard < extra * 20 {
+        guard += 1;
+        let u = NodeId(rng.gen_range(0..n));
+        let v = NodeId(rng.gen_range(0..n));
+        if u == v {
+            continue;
+        }
+        if let Some(p) = shortest_path(graph, u, v)? {
+            if p.num_links() > 1 {
+                out.push(p);
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

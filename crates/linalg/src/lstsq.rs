@@ -108,15 +108,6 @@ impl NormalEquationsSolver {
         &self.a
     }
 
-    /// Which factor kind construction chose: `"dense"` or `"sparse"`.
-    #[must_use]
-    pub fn factor_kind(&self) -> &'static str {
-        match &self.factor {
-            GramFactor::Dense(_) => "dense",
-            GramFactor::Sparse(_) => "sparse",
-        }
-    }
-
     /// Solves `min ‖A x − b‖₂` for one right-hand side.
     ///
     /// # Errors

@@ -2,8 +2,8 @@
 //!
 //! The fault layer (`tomo-fault`) decides *when* a solve should break;
 //! this module is *how*: the caller arms a [`SolveFault`] on the current
-//! thread immediately before a solve, and the simplex consumes it at a
-//! fixed point early in `solve_inner`, turning it into a typed
+//! thread immediately before a solve, and the simplex driver consumes it
+//! once the solve is counted and before phase 1, turning it into a typed
 //! [`LpError`](crate::LpError) instead of a wrong answer or a panic.
 //!
 //! The armed slot is thread-local. Monte-Carlo trials run entirely on one

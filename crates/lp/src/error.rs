@@ -20,8 +20,8 @@ pub enum LpError {
     },
     /// A variable was declared with `lower > upper`.
     InvalidBounds {
-        /// Variable name.
-        name: String,
+        /// Index the variable would have had.
+        index: usize,
         /// Declared lower bound.
         lower: f64,
         /// Declared upper bound.
@@ -57,8 +57,12 @@ impl fmt::Display for LpError {
                     "unknown variable index {index} (problem has {count} variables)"
                 )
             }
-            LpError::InvalidBounds { name, lower, upper } => {
-                write!(f, "variable {name} has invalid bounds [{lower}, {upper}]")
+            LpError::InvalidBounds {
+                index,
+                lower,
+                upper,
+            } => {
+                write!(f, "variable {index} has invalid bounds [{lower}, {upper}]")
             }
             LpError::NonFiniteCoefficient { context } => {
                 write!(f, "non-finite coefficient in {context}")
@@ -84,11 +88,11 @@ mod tests {
         let e = LpError::UnknownVariable { index: 7, count: 3 };
         assert!(e.to_string().contains('7'));
         let e = LpError::InvalidBounds {
-            name: "m_1".into(),
+            index: 5,
             lower: 2.0,
             upper: 1.0,
         };
-        assert!(e.to_string().contains("m_1"));
+        assert!(e.to_string().contains("variable 5"));
         assert!(LpError::NonFiniteCoefficient {
             context: "objective"
         }

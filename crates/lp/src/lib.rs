@@ -10,13 +10,16 @@
 //! solver must report [`LpStatus::Infeasible`] reliably, not merely find
 //! optima.
 //!
-//! Two interchangeable backends share one model API: a dense two-phase
-//! tableau simplex (Dantzig pricing with an automatic fallback to
-//! Bland's rule to guarantee termination under degeneracy) for small
-//! instances, and a sparse-basis revised simplex (Gilbert–Peierls LU
-//! factorization with product-form eta updates and periodic
-//! refactorization) for Rocketfuel-scale problems. [`SolverMode::Auto`]
-//! picks by problem size; `solve_with` forces a backend explicitly.
+//! Every solve builds one standard form (lower bounds shifted out, upper
+//! bounds as rows, rhs made non-negative, slack, surplus and artificial
+//! columns) and runs one two-phase primal simplex over it: Dantzig
+//! pricing with an automatic fallback to Bland's rule to guarantee
+//! termination under degeneracy. Only the basis representation differs
+//! between the two backends: a dense tableau for small instances, and a
+//! sparse LU factorization (Gilbert–Peierls, with product-form eta
+//! updates and periodic refactorization) for Rocketfuel-scale problems.
+//! [`SolverMode::Auto`] picks by the standard form's size;
+//! [`LpProblem::solve_with`] forces a backend explicitly.
 //!
 //! # Example
 //!
@@ -26,8 +29,8 @@
 //! # fn main() -> Result<(), tomo_lp::LpError> {
 //! // maximize 3x + 2y  s.t.  x + y ≤ 4,  x ≤ 2,  x,y ≥ 0
 //! let mut lp = LpProblem::new(Objective::Maximize);
-//! let x = lp.add_variable("x", 0.0, None)?;
-//! let y = lp.add_variable("y", 0.0, None)?;
+//! let x = lp.add_variable(0.0, None)?;
+//! let y = lp.add_variable(0.0, None)?;
 //! lp.set_objective_coefficient(x, 3.0);
 //! lp.set_objective_coefficient(y, 2.0);
 //! lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)?;
@@ -46,10 +49,12 @@
 
 pub mod chaos;
 mod error;
+mod form;
 mod model;
 mod revised;
 mod simplex;
 mod solution;
+mod tableau;
 
 pub use error::LpError;
 pub use model::{ConstraintActivity, LpProblem, Objective, Relation, VarId};

@@ -38,7 +38,6 @@ impl VarId {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub(crate) name: String,
     pub(crate) lower: f64,
     pub(crate) upper: Option<f64>,
     pub(crate) objective: f64,
@@ -119,13 +118,7 @@ impl LpProblem {
     /// * [`LpError::InvalidBounds`] if `upper < lower`.
     /// * [`LpError::NonFiniteCoefficient`] if a bound is NaN or `lower` is
     ///   infinite (upper may only be omitted, not infinite).
-    pub fn add_variable(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: Option<f64>,
-    ) -> Result<VarId, LpError> {
-        let name = name.into();
+    pub fn add_variable(&mut self, lower: f64, upper: Option<f64>) -> Result<VarId, LpError> {
         if !lower.is_finite() || upper.is_some_and(|u| !u.is_finite()) {
             return Err(LpError::NonFiniteCoefficient {
                 context: "variable bounds",
@@ -134,7 +127,7 @@ impl LpProblem {
         if let Some(u) = upper {
             if u < lower {
                 return Err(LpError::InvalidBounds {
-                    name,
+                    index: self.variables.len(),
                     lower,
                     upper: u,
                 });
@@ -142,7 +135,6 @@ impl LpProblem {
         }
         let id = VarId(self.variables.len());
         self.variables.push(Variable {
-            name,
             lower,
             upper,
             objective: 0.0,
@@ -283,16 +275,6 @@ impl LpProblem {
         Ok(())
     }
 
-    /// Name of a variable (for diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to this problem.
-    #[must_use]
-    pub fn variable_name(&self, var: VarId) -> &str {
-        &self.variables[var.0].name
-    }
-
     /// Evaluates each constraint at a solution: its left-hand-side value
     /// and whether it is *binding* (active within `tol`).
     ///
@@ -353,11 +335,13 @@ impl LpProblem {
     ///
     /// [`SolverMode::Auto`](crate::SolverMode::Auto) reproduces
     /// [`Self::solve`]; [`SolverMode::Dense`](crate::SolverMode::Dense)
-    /// and [`SolverMode::Revised`](crate::SolverMode::Revised) force the
-    /// tableau and sparse revised simplex respectively regardless of
-    /// problem size. The backends are decision-equivalent: same status
-    /// and objective up to solver tolerance, though degenerate optima
-    /// may surface as different (equally optimal) vertices.
+    /// and [`SolverMode::Revised`](crate::SolverMode::Revised) keep the
+    /// basis as a dense tableau or as a sparse LU factorization
+    /// respectively, regardless of problem size. Both run the same
+    /// two-phase simplex over the same standard form, so they are
+    /// decision-equivalent: same status and objective up to solver
+    /// tolerance, though degenerate optima may surface as different
+    /// (equally optimal) vertices.
     ///
     /// # Errors
     ///
@@ -375,8 +359,8 @@ mod tests {
     fn constraint_activity_reports_binding_rows() {
         // max x + y s.t. x + y ≤ 4 (binding), x ≤ 100 (slack).
         let mut lp = LpProblem::new(Objective::Maximize);
-        let x = lp.add_variable("x", 0.0, None).unwrap();
-        let y = lp.add_variable("y", 0.0, None).unwrap();
+        let x = lp.add_variable(0.0, None).unwrap();
+        let y = lp.add_variable(0.0, None).unwrap();
         lp.set_objective_coefficient(x, 1.0);
         lp.set_objective_coefficient(y, 1.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
@@ -396,7 +380,7 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn constraint_activity_rejects_foreign_solution() {
         let mut lp = LpProblem::new(Objective::Maximize);
-        let _ = lp.add_variable("x", 0.0, Some(1.0)).unwrap();
+        let _ = lp.add_variable(0.0, Some(1.0)).unwrap();
         let other = LpProblem::new(Objective::Maximize).solve().unwrap();
         let _ = lp.constraint_activity(&other, 1e-7);
     }
@@ -404,20 +388,19 @@ mod tests {
     #[test]
     fn add_variable_validates_bounds() {
         let mut lp = LpProblem::new(Objective::Maximize);
-        assert!(lp.add_variable("x", 0.0, Some(-1.0)).is_err());
-        assert!(lp.add_variable("x", f64::NAN, None).is_err());
-        assert!(lp.add_variable("x", 0.0, Some(f64::INFINITY)).is_err());
-        assert!(lp.add_variable("x", f64::NEG_INFINITY, None).is_err());
-        let id = lp.add_variable("x", 0.0, Some(1.0)).unwrap();
+        assert!(lp.add_variable(0.0, Some(-1.0)).is_err());
+        assert!(lp.add_variable(f64::NAN, None).is_err());
+        assert!(lp.add_variable(0.0, Some(f64::INFINITY)).is_err());
+        assert!(lp.add_variable(f64::NEG_INFINITY, None).is_err());
+        let id = lp.add_variable(0.0, Some(1.0)).unwrap();
         assert_eq!(id.index(), 0);
         assert_eq!(lp.num_variables(), 1);
-        assert_eq!(lp.variable_name(id), "x");
     }
 
     #[test]
     fn add_constraint_validates() {
         let mut lp = LpProblem::new(Objective::Minimize);
-        let x = lp.add_variable("x", 0.0, None).unwrap();
+        let x = lp.add_variable(0.0, None).unwrap();
         assert!(lp
             .add_constraint(&[(VarId(5), 1.0)], Relation::Le, 1.0)
             .is_err());
@@ -438,7 +421,7 @@ mod tests {
         let build = |sparse: bool| {
             let mut lp = LpProblem::new(Objective::Maximize);
             let vars: Vec<VarId> = (0..4)
-                .map(|i| lp.add_variable(format!("m{i}"), 0.0, Some(10.0)).unwrap())
+                .map(|_| lp.add_variable(0.0, Some(10.0)).unwrap())
                 .collect();
             for &v in &vars {
                 lp.set_objective_coefficient(v, 1.0);
@@ -473,8 +456,8 @@ mod tests {
     fn sparse_row_validates_structure() {
         let mut lp = LpProblem::new(Objective::Maximize);
         let vars = vec![
-            lp.add_variable("a", 0.0, None).unwrap(),
-            lp.add_variable("b", 0.0, None).unwrap(),
+            lp.add_variable(0.0, None).unwrap(),
+            lp.add_variable(0.0, None).unwrap(),
         ];
         // Index out of range for the vars slice.
         assert!(lp
@@ -507,7 +490,7 @@ mod tests {
     #[test]
     fn duplicate_terms_are_merged() {
         let mut lp = LpProblem::new(Objective::Maximize);
-        let x = lp.add_variable("x", 0.0, Some(10.0)).unwrap();
+        let x = lp.add_variable(0.0, Some(10.0)).unwrap();
         lp.set_objective_coefficient(x, 1.0);
         // x + x ≤ 4  ⟹  x ≤ 2.
         lp.add_constraint(&[(x, 1.0), (x, 1.0)], Relation::Le, 4.0)
@@ -521,7 +504,7 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn non_finite_objective_panics() {
         let mut lp = LpProblem::new(Objective::Maximize);
-        let x = lp.add_variable("x", 0.0, None).unwrap();
+        let x = lp.add_variable(0.0, None).unwrap();
         lp.set_objective_coefficient(x, f64::INFINITY);
     }
 }

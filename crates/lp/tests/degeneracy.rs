@@ -17,10 +17,10 @@ use tomo_lp::{LpProblem, LpStatus, Objective, Relation};
 #[test]
 fn beale_cycling_example_terminates_at_optimum() {
     let mut lp = LpProblem::new(Objective::Minimize);
-    let x4 = lp.add_variable("x4", 0.0, None).unwrap();
-    let x5 = lp.add_variable("x5", 0.0, None).unwrap();
-    let x6 = lp.add_variable("x6", 0.0, None).unwrap();
-    let x7 = lp.add_variable("x7", 0.0, None).unwrap();
+    let x4 = lp.add_variable(0.0, None).unwrap();
+    let x5 = lp.add_variable(0.0, None).unwrap();
+    let x6 = lp.add_variable(0.0, None).unwrap();
+    let x7 = lp.add_variable(0.0, None).unwrap();
     lp.set_objective_coefficient(x4, -0.75);
     lp.set_objective_coefficient(x5, 150.0);
     lp.set_objective_coefficient(x6, -0.02);
@@ -59,10 +59,10 @@ fn kuhn_degenerate_example_terminates() {
     // Unbounded? Kuhn's instance is bounded with objective 0 at origin…
     // the point of the test is termination with a consistent verdict.
     let mut lp = LpProblem::new(Objective::Minimize);
-    let x1 = lp.add_variable("x1", 0.0, None).unwrap();
-    let x2 = lp.add_variable("x2", 0.0, None).unwrap();
-    let x3 = lp.add_variable("x3", 0.0, None).unwrap();
-    let x4 = lp.add_variable("x4", 0.0, None).unwrap();
+    let x1 = lp.add_variable(0.0, None).unwrap();
+    let x2 = lp.add_variable(0.0, None).unwrap();
+    let x3 = lp.add_variable(0.0, None).unwrap();
+    let x4 = lp.add_variable(0.0, None).unwrap();
     lp.set_objective_coefficient(x1, -2.0);
     lp.set_objective_coefficient(x2, -3.0);
     lp.set_objective_coefficient(x3, 1.0);
@@ -95,7 +95,7 @@ fn degenerate_assignment_like_instance() {
     let mut vars = Vec::new();
     for i in 0..n {
         for j in 0..n {
-            let v = lp.add_variable(format!("x{i}{j}"), 0.0, Some(1.0)).unwrap();
+            let v = lp.add_variable(0.0, Some(1.0)).unwrap();
             // Objective rewards the diagonal.
             lp.set_objective_coefficient(v, if i == j { 2.0 } else { 1.0 });
             vars.push(v);
@@ -122,8 +122,8 @@ fn degenerate_assignment_like_instance() {
 #[test]
 fn redundant_equalities_on_degenerate_vertex() {
     let mut lp = LpProblem::new(Objective::Maximize);
-    let x = lp.add_variable("x", 0.0, Some(10.0)).unwrap();
-    let y = lp.add_variable("y", 0.0, Some(10.0)).unwrap();
+    let x = lp.add_variable(0.0, Some(10.0)).unwrap();
+    let y = lp.add_variable(0.0, Some(10.0)).unwrap();
     lp.set_objective_coefficient(x, 1.0);
     lp.set_objective_coefficient(y, 1.0);
     for k in 1..=5 {

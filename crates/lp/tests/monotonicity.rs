@@ -21,7 +21,7 @@ struct Instance {
 fn build(instance: &Instance, rows: usize, cap: f64) -> (LpProblem, Vec<VarId>) {
     let mut lp = LpProblem::new(Objective::Maximize);
     let vars: Vec<VarId> = (0..instance.c.len())
-        .map(|i| lp.add_variable(format!("x{i}"), 0.0, Some(cap)).unwrap())
+        .map(|_| lp.add_variable(0.0, Some(cap)).unwrap())
         .collect();
     for (i, &v) in vars.iter().enumerate() {
         lp.set_objective_coefficient(v, instance.c[i]);

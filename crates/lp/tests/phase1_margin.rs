@@ -13,7 +13,7 @@ fn phase1_objective_is_recorded_under_its_verdict() {
     for (solves, mode) in [(1, SolverMode::Dense), (2, SolverMode::Revised)] {
         // x ∈ [0, 1] but x ≥ 3.5: phase 1 stops 2.5 short.
         let mut infeasible = LpProblem::new(Objective::Maximize);
-        let x = infeasible.add_variable("x", 0.0, Some(1.0)).unwrap();
+        let x = infeasible.add_variable(0.0, Some(1.0)).unwrap();
         infeasible.set_objective_coefficient(x, 1.0);
         infeasible
             .add_constraint(&[(x, 1.0)], Relation::Ge, 3.5)
@@ -25,8 +25,8 @@ fn phase1_objective_is_recorded_under_its_verdict() {
 
         // min 2x + 3y s.t. x + y ≥ 10, x − y = 2.5: phase 1 reaches 0.
         let mut feasible = LpProblem::new(Objective::Minimize);
-        let x = feasible.add_variable("x", 0.0, Some(100.0)).unwrap();
-        let y = feasible.add_variable("y", 0.0, Some(100.0)).unwrap();
+        let x = feasible.add_variable(0.0, Some(100.0)).unwrap();
+        let y = feasible.add_variable(0.0, Some(100.0)).unwrap();
         feasible.set_objective_coefficient(x, 2.0);
         feasible.set_objective_coefficient(y, 3.0);
         feasible

@@ -125,8 +125,7 @@ fn solve_with_simplex(lp: &BoxedLp) -> (LpStatus, f64) {
     let mut problem = LpProblem::new(Objective::Maximize);
     let vars: Vec<_> =
         lp.u.iter()
-            .enumerate()
-            .map(|(i, &u)| problem.add_variable(format!("x{i}"), 0.0, Some(u)).unwrap())
+            .map(|&u| problem.add_variable(0.0, Some(u)).unwrap())
             .collect();
     for (i, &v) in vars.iter().enumerate() {
         problem.set_objective_coefficient(v, lp.c[i]);

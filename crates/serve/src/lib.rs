@@ -29,7 +29,7 @@
 //! * [`client`] — the `tomo-probe` side: lockstep delivery with
 //!   jittered exponential backoff and deliberate wire-fault injection
 //!   for chaos runs.
-//! * [`bench`] — the ingest-throughput / query-latency workload behind
+//! * [`bench`](mod@bench) — the ingest-throughput / query-latency workload behind
 //!   `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]

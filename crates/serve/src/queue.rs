@@ -240,12 +240,6 @@ impl<T> ShardedQueue<T> {
         })
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Maps a path-group key (e.g. a batch's smallest path id) to its
     /// shard, via FNV-1a so adjacent groups spread across shards.
     #[must_use]

@@ -14,12 +14,12 @@
 
 use std::path::Path as FsPath;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tomo_core::{CoreError, TomographySystem};
 use tomo_graph::rocketfuel::{from_cch_file, from_edge_list_file};
-use tomo_graph::shortest::shortest_path;
-use tomo_graph::{Graph, GraphError, NodeId, Path};
+use tomo_graph::shortest::{one_hop_paths, sample_extra_paths};
+use tomo_graph::{GraphError, NodeId};
 
 /// Why a topology file could not be turned into a servable system.
 #[derive(Debug)]
@@ -81,52 +81,6 @@ pub fn load_system(
         &mut ChaCha8Rng::seed_from_u64(paths_seed),
     )?);
     Ok(TomographySystem::new(graph, monitors, paths)?)
-}
-
-/// One measurement path per link — the identity rows that make any
-/// topology identifiable.
-fn one_hop_paths(graph: &Graph) -> Result<Vec<Path>, GraphError> {
-    graph
-        .links()
-        .map(|l| {
-            let (a, b) = graph.endpoints(l)?;
-            Path::from_nodes(graph, &[a, b])
-        })
-        .collect()
-}
-
-/// Up to `extra` multi-hop shortest paths between seeded random node
-/// pairs (a bounded number of attempts, so the count can fall short on
-/// tiny graphs).
-fn sample_extra_paths(
-    graph: &Graph,
-    extra: usize,
-    rng: &mut ChaCha8Rng,
-) -> Result<Vec<Path>, GraphError> {
-    let n = graph.num_nodes();
-    if extra == 0 || n < 2 {
-        // No pair to sample. A parsed-but-degenerate graph (zero or one
-        // node) falls through to `TomographySystem::new`, which rejects
-        // it with a typed `TopologyError::Core` — sampling here would
-        // panic on an empty `gen_range`.
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::with_capacity(extra);
-    let mut guard = 0;
-    while out.len() < extra && guard < extra * 20 {
-        guard += 1;
-        let u = NodeId(rng.gen_range(0..n));
-        let v = NodeId(rng.gen_range(0..n));
-        if u == v {
-            continue;
-        }
-        if let Some(p) = shortest_path(graph, u, v)? {
-            if p.num_links() > 1 {
-                out.push(p);
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

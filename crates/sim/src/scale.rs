@@ -46,14 +46,13 @@
 
 use std::time::Instant;
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use tomo_core::{KernelKind, TomographySystem};
 use tomo_graph::isp::{self, IspConfig};
-use tomo_graph::shortest::shortest_path;
+use tomo_graph::shortest::{one_hop_paths, sample_extra_paths};
 use tomo_graph::{Graph, Path};
 use tomo_linalg::sparse_chol::SparseCholesky;
 use tomo_linalg::{CsrMatrix, Vector};
@@ -220,45 +219,6 @@ fn prefix_graph(full: &Graph, m: usize) -> Result<Graph, SimError> {
     Ok(g)
 }
 
-/// One one-hop path per link (all nodes are monitors, so `R` embeds a
-/// permuted identity).
-pub(crate) fn one_hop_paths(graph: &Graph) -> Result<Vec<Path>, SimError> {
-    graph
-        .links()
-        .map(|l| {
-            let (a, b) = graph.endpoints(l)?;
-            Ok(Path::from_nodes(graph, &[a, b])?)
-        })
-        .collect()
-}
-
-/// Up to `extra` multi-hop shortest paths between seeded random node
-/// pairs (a guard bounds the sampling attempts, so the count can fall
-/// short on tiny graphs).
-pub(crate) fn sample_extra_paths(
-    graph: &Graph,
-    extra: usize,
-    rng: &mut ChaCha8Rng,
-) -> Result<Vec<Path>, SimError> {
-    let n = graph.num_nodes();
-    let mut out = Vec::with_capacity(extra);
-    let mut guard = 0;
-    while out.len() < extra && guard < extra * 20 {
-        guard += 1;
-        let u = tomo_graph::NodeId(rng.gen_range(0..n));
-        let v = tomo_graph::NodeId(rng.gen_range(0..n));
-        if u == v {
-            continue;
-        }
-        if let Some(p) = shortest_path(graph, u, v)? {
-            if p.num_links() > 1 {
-                out.push(p);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// The extra (multi-hop) paths carried between sweep points, oldest
 /// first, and the link count of the point that last resampled them.
 struct Extras {
@@ -275,7 +235,7 @@ fn budget_lp(routing: &CsrMatrix) -> Result<LpProblem, SimError> {
     let lp_err = |e: tomo_lp::LpError| SimError(format!("budget LP: {e}"));
     let mut lp = LpProblem::new(Objective::Maximize);
     let vars: Vec<VarId> = (0..routing.rows())
-        .map(|p| lp.add_variable(format!("m{p}"), 0.0, None))
+        .map(|_| lp.add_variable(0.0, None))
         .collect::<Result<_, _>>()
         .map_err(lp_err)?;
     for &v in &vars {

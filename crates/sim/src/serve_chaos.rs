@@ -145,7 +145,8 @@ pub struct ServeChaosResult {
     pub totals: FaultReport,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// The nearest-rank `p`-quantile of ascending `sorted` (0 when empty).
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

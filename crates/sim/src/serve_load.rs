@@ -44,6 +44,7 @@ use tomo_linalg::Vector;
 use tomo_par::derive_seed;
 use tomo_serve::{ProbeClient, ProbeRow, ServeConfig, Server};
 
+use crate::serve_chaos::percentile;
 use crate::SimError;
 
 /// Serve-load configuration.
@@ -140,14 +141,6 @@ pub struct ServeLoadResult {
 /// Batches pipelined per ack round trip (well under the client's
 /// default `max_unacked` resend buffer).
 pub const SEND_WINDOW: usize = 32;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 /// The rows of batch `b`: deterministic, grouped, independent of the
 /// client count. `y` is the full consistent measurement vector.

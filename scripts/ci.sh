@@ -27,6 +27,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# Every public doc must build without warnings: a stale or ambiguous
+# intra-doc link (an item renamed, deleted or made private) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml (benchmark build + tiny oracle runs)"
 # The benchmark is a workspace of its own that builds against these
 # crates; its tests run all four workloads at tiny size with their

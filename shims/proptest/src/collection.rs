@@ -46,7 +46,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec`](fn@vec).
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -39,10 +39,7 @@ fn hand_built_lp_matches_strategy_output() {
     let mut lp = LpProblem::new(Objective::Maximize);
     let vars: Vec<_> = attacked
         .iter()
-        .map(|&i| {
-            lp.add_variable(format!("m_{i}"), 0.0, Some(scenario.path_cap))
-                .unwrap()
-        })
+        .map(|_| lp.add_variable(0.0, Some(scenario.path_cap)).unwrap())
         .collect();
     for &v in &vars {
         lp.set_objective_coefficient(v, 1.0);

@@ -31,14 +31,14 @@ fn random_lp(seed: u64) -> LpProblem {
         Objective::Minimize
     });
     let vars: Vec<VarId> = (0..nvars)
-        .map(|i| {
+        .map(|_| {
             let lower = if rng.gen_range(0..3) == 0 {
                 rng.gen_range(-2.0..0.0)
             } else {
                 0.0
             };
             let upper = (rng.gen_range(0..4) != 0).then(|| lower + rng.gen_range(0.5..8.0));
-            lp.add_variable(format!("x{i}"), lower, upper).unwrap()
+            lp.add_variable(lower, upper).unwrap()
         })
         .collect();
     for &v in &vars {
@@ -111,10 +111,7 @@ fn chosen_victim_lp(
     let mut lp = LpProblem::new(Objective::Maximize);
     let vars: Vec<VarId> = attacked
         .iter()
-        .map(|&i| {
-            lp.add_variable(format!("m_{i}"), 0.0, Some(scenario.path_cap))
-                .unwrap()
-        })
+        .map(|_| lp.add_variable(0.0, Some(scenario.path_cap)).unwrap())
         .collect();
     for &v in &vars {
         lp.set_objective_coefficient(v, 1.0);
