@@ -52,7 +52,4 @@ pub mod selection;
 
 pub use error::CoreError;
 pub use state::{LinkState, StateThresholds};
-pub use system::{
-    build_routing_csr, DegradedSolve, KernelKind, TomographySystem, DEFAULT_RIDGE_LAMBDA,
-    DENSE_KERNEL_MAX_CELLS,
-};
+pub use system::{build_routing_csr, DegradedSolve, TomographySystem, DEFAULT_RIDGE_LAMBDA};

@@ -11,29 +11,6 @@ static ESTIMATOR_HITS: LazyCounter = LazyCounter::new("core.estimator_cache.hits
 static ESTIMATOR_BUILDS: LazyCounter = LazyCounter::new("core.estimator_cache.builds");
 static DEGRADED_SOLVES: LazyCounter = LazyCounter::new("core.degraded.solves");
 static DEGRADED_RIDGE: LazyCounter = LazyCounter::new("core.degraded.ridge");
-static KERNEL_DENSE: LazyCounter = LazyCounter::new("core.kernel.dense");
-static KERNEL_SPARSE: LazyCounter = LazyCounter::new("core.kernel.sparse");
-
-/// Routing matrices with at most this many cells (`|P|·|L|`) take the
-/// dense construction kernel, which certifies identifiability with an
-/// exact sparse rank computation (`tomo_linalg::rank::SparseRank`)
-/// before factoring. Above the gate that pre-check, whose elimination
-/// fill-in grows with the system, is skipped: the Cholesky factorization
-/// of the Gram matrix, which construction performs anyway, becomes the
-/// identifiability certificate instead. The rank check is the only
-/// difference between the two kernels.
-pub const DENSE_KERNEL_MAX_CELLS: usize = 1 << 20;
-
-/// Which construction/validation kernel a [`TomographySystem`] selected
-/// (see [`TomographySystem::kernel`]). Both keep `R` in CSR form only and
-/// factor it the same way; they differ only in the identifiability check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Identifiability certified by the exact `SparseRank` computation.
-    Dense,
-    /// Identifiability certified by the Gram Cholesky alone.
-    Sparse,
-}
 
 /// Regularization strength for the ridge fallback of
 /// [`TomographySystem::solve_degraded`]: small enough to leave
@@ -64,11 +41,15 @@ pub struct TomographySystem {
     /// Column `i` of the projector `P = R·A`, filled on first use
     /// ([`Self::projector_column`]).
     projector_columns: Vec<OnceLock<Vector>>,
-    kernel: KernelKind,
 }
 
 impl TomographySystem {
     /// Builds and validates a measurement system.
+    ///
+    /// Identifiability is decided exactly, at every size, before the Gram
+    /// matrix is factored: the path rows go through the sparse rank
+    /// tracker `tomo_linalg::rank::SparseRank`, the same check
+    /// [`crate::identifiability::analyze_paths`] runs.
     ///
     /// # Errors
     ///
@@ -76,20 +57,9 @@ impl TomographySystem {
     /// * [`CoreError::NoPaths`] with an empty path set,
     /// * [`CoreError::PathNotBetweenMonitors`] if some path's endpoints
     ///   are not two distinct monitors,
-    /// * [`CoreError::NotIdentifiable`] if `R` lacks full column rank.
+    /// * [`CoreError::NotIdentifiable`] with the exact rank if `R` lacks
+    ///   full column rank.
     pub fn new(graph: Graph, monitors: Vec<NodeId>, paths: Vec<Path>) -> Result<Self, CoreError> {
-        Self::new_gated(graph, monitors, paths, DENSE_KERNEL_MAX_CELLS)
-    }
-
-    /// [`Self::new`] with an explicit dense-kernel gate, the testing
-    /// seam for exercising the sparse construction path on small
-    /// systems (`dense_gate_cells = 0` forces it).
-    fn new_gated(
-        graph: Graph,
-        monitors: Vec<NodeId>,
-        paths: Vec<Path>,
-        dense_gate_cells: usize,
-    ) -> Result<Self, CoreError> {
         let mut unique = monitors.clone();
         unique.sort();
         unique.dedup();
@@ -111,40 +81,14 @@ impl TomographySystem {
         }
         let num_links = graph.num_links();
         let routing_csr = build_routing_csr(&paths, num_links)?;
-        let cells = paths.len().saturating_mul(num_links);
-        let kernel = if cells <= dense_gate_cells {
-            KernelKind::Dense
-        } else {
-            KernelKind::Sparse
-        };
-        if kernel == KernelKind::Dense {
-            KERNEL_DENSE.inc();
-            let rank = crate::identifiability::path_rank(&paths, num_links).rank();
-            if rank < num_links {
-                return Err(CoreError::NotIdentifiable {
-                    rank,
-                    links: num_links,
-                });
-            }
-        } else {
-            KERNEL_SPARSE.inc();
+        let rank = crate::identifiability::path_rank(&paths, num_links).rank();
+        if rank < num_links {
+            return Err(CoreError::NotIdentifiable {
+                rank,
+                links: num_links,
+            });
         }
-        // The Gram Cholesky below doubles as the identifiability
-        // certificate on the sparse path: it succeeds iff RᵀR is
-        // positive definite, i.e. iff R has full column rank. The
-        // failing pivot index is a lower bound on the achieved rank.
-        let solver = match NormalEquationsSolver::from_sparse(routing_csr.clone()) {
-            Ok(s) => s,
-            Err(tomo_linalg::LinalgError::NotPositiveDefinite { index })
-                if kernel == KernelKind::Sparse =>
-            {
-                return Err(CoreError::NotIdentifiable {
-                    rank: index,
-                    links: num_links,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let solver = NormalEquationsSolver::from_sparse(routing_csr.clone())?;
         let columns = || (0..paths.len()).map(|_| OnceLock::new()).collect();
         Ok(TomographySystem {
             graph,
@@ -154,16 +98,7 @@ impl TomographySystem {
             paths,
             routing_csr,
             solver,
-            kernel,
         })
-    }
-
-    /// Which construction/validation kernel the size gauge selected:
-    /// [`KernelKind::Dense`] at or below [`DENSE_KERNEL_MAX_CELLS`]
-    /// routing cells, [`KernelKind::Sparse`] above.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// The network topology.
@@ -789,60 +724,31 @@ mod tests {
     }
 
     #[test]
-    fn sparse_kernel_matches_dense_kernel() {
-        // Rebuild the tiny system with the dense gate forced shut: the
-        // sparse construction path must accept it and produce identical
-        // estimates.
-        let dense_sys = tiny_system();
-        let g = dense_sys.graph().clone();
-        let monitors = dense_sys.monitors().to_vec();
-        let paths = dense_sys.paths().to_vec();
-        let sparse_sys = TomographySystem::new_gated(g, monitors, paths, 0).unwrap();
-        assert_eq!(dense_sys.kernel(), KernelKind::Dense);
-        assert_eq!(sparse_sys.kernel(), KernelKind::Sparse);
-
-        let x = Vector::from(vec![5.0, 7.0, 11.0]);
-        let y_d = dense_sys.measure(&x).unwrap();
-        let y_s = sparse_sys.measure(&x).unwrap();
-        for (a, b) in y_d.iter().zip(y_s.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let e_d = dense_sys.estimate(&y_d).unwrap();
-        let e_s = sparse_sys.estimate(&y_s).unwrap();
-        for (a, b) in e_d.iter().zip(e_s.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "same solver, same bits");
-        }
-        // Degraded solves work on the CSR rows alone, exact and ridge.
-        let rows = [0usize, 1, 2];
-        let y_sub = Vector::from(vec![y_s[0], y_s[1], y_s[2]]);
-        let d = sparse_sys.solve_degraded(&rows, &y_sub).unwrap();
-        assert!(d.estimate.approx_eq(&x, 1e-9));
-        let ridge = sparse_sys
-            .solve_degraded(&[2, 3], &Vector::from(vec![y_s[2], y_s[3]]))
-            .unwrap();
-        assert!(ridge.used_ridge);
-    }
-
-    #[test]
-    fn sparse_kernel_rejects_rank_deficiency_via_cholesky() {
-        // One path over two links: not identifiable. The sparse path
-        // must report NotIdentifiable (from the Gram Cholesky), not a
-        // raw linalg error.
+    fn rank_deficiency_reports_the_exact_rank_above_a_million_cells() {
+        // A line m0 - v - m1 - n3 - … - n1100 where only v is not a
+        // monitor: links 0 and 1 appear only together, on m0 - v - m1,
+        // and every other link has its own one-hop path. R is 1,099 ×
+        // 1,100 (over 2²⁰ cells) with rank 1,099; the Gram's first
+        // failing pivot would be index 1.
         let mut g = Graph::new();
-        let m0 = g.add_node("m0");
-        let v = g.add_node("v");
-        let m1 = g.add_node("m1");
-        g.add_link(m0, v).unwrap();
-        g.add_link(v, m1).unwrap();
-        let p = Path::from_nodes(&g, &[m0, v, m1]).unwrap();
-        let err = TomographySystem::new_gated(g, vec![m0, m1], vec![p], 0).unwrap_err();
-        match err {
-            CoreError::NotIdentifiable { rank, links } => {
-                assert!(rank < links, "rank bound {rank} must be below {links}");
-                assert_eq!(links, 2);
-            }
-            other => panic!("expected NotIdentifiable, got {other:?}"),
+        let nodes: Vec<NodeId> = (0..=1100).map(|i| g.add_node(format!("n{i}"))).collect();
+        for w in nodes.windows(2) {
+            g.add_link(w[0], w[1]).unwrap();
         }
+        let mut paths = vec![Path::from_nodes(&g, &nodes[..3]).unwrap()];
+        for w in nodes[2..].windows(2) {
+            paths.push(Path::from_nodes(&g, w).unwrap());
+        }
+        let monitors: Vec<NodeId> = nodes.iter().copied().filter(|&n| n != nodes[1]).collect();
+        assert!(paths.len() * g.num_links() > 1 << 20);
+        let err = TomographySystem::new(g, monitors, paths).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::NotIdentifiable {
+                rank: 1099,
+                links: 1100
+            }
+        ));
     }
 
     #[test]

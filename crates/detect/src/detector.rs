@@ -119,8 +119,9 @@ impl ConsistencyDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DimensionMismatch`] if `y′` has the wrong
-    /// length.
+    /// * [`CoreError::NonFiniteMeasurement`] if a reading is NaN or
+    ///   infinite (a corrupted round is an error, never a clean verdict),
+    /// * [`CoreError::DimensionMismatch`] if `y′` has the wrong length.
     pub fn inspect(
         &self,
         system: &TomographySystem,
@@ -135,17 +136,24 @@ impl ConsistencyDetector {
         system: &TomographySystem,
         observed: &Vector,
     ) -> Result<(Verdict, Vector), CoreError> {
+        ensure_finite(observed)?;
         let estimate = system.estimate(observed)?;
         let reprojected = system.routing_csr().mul_vec(&estimate)?;
         let residual_l1 = norms::l1(&(&reprojected - observed));
-        let min_estimate = estimate.min().unwrap_or(0.0);
+        let verdict = self.verdict(residual_l1, estimate.min().unwrap_or(0.0));
+        Ok((verdict, estimate))
+    }
+
+    /// The decision itself: flag when the residual exceeds α or, with
+    /// the plausibility check on, when the smallest judged estimate is
+    /// below `−tol`.
+    pub(crate) fn verdict(&self, residual_l1: f64, min_estimate: f64) -> Verdict {
         let implausible = self.plausibility_tol.is_some_and(|tol| min_estimate < -tol);
-        let verdict = Verdict {
+        Verdict {
             residual_l1,
             min_estimate,
             detected: residual_l1 > self.alpha || implausible,
-        };
-        Ok((verdict, estimate))
+        }
     }
 
     /// Runs the check(s) on a *surviving subset* of measurements — the
@@ -161,8 +169,9 @@ impl ConsistencyDetector {
     ///
     /// # Errors
     ///
-    /// Propagates the validation errors of
-    /// [`TomographySystem::solve_degraded`].
+    /// Propagates the validation errors of [`Self::inspect`] when every
+    /// row survives and of [`TomographySystem::solve_degraded`]
+    /// otherwise, including [`CoreError::NonFiniteMeasurement`].
     pub fn inspect_degraded(
         &self,
         system: &TomographySystem,
@@ -207,19 +216,23 @@ impl ConsistencyDetector {
         } else {
             0.0
         };
-        let implausible = self.plausibility_tol.is_some_and(|tol| min_estimate < -tol);
         Ok(DegradedVerdict {
-            verdict: Verdict {
-                residual_l1,
-                min_estimate,
-                detected: residual_l1 > self.alpha || implausible,
-            },
+            verdict: self.verdict(residual_l1, min_estimate),
             estimate: solve.estimate,
             degraded: true,
             rank: solve.rank,
             used_ridge: solve.used_ridge,
             unidentifiable: solve.unidentifiable,
         })
+    }
+}
+
+/// Rejects a measurement vector holding a NaN or infinite reading, the
+/// check outside measurements pass where they enter detection.
+pub(crate) fn ensure_finite(observed: &Vector) -> Result<(), CoreError> {
+    match observed.iter().position(|v| !v.is_finite()) {
+        Some(row) => Err(CoreError::NonFiniteMeasurement { row }),
+        None => Ok(()),
     }
 }
 
@@ -470,6 +483,26 @@ mod tests {
         let all: Vec<usize> = (0..system.num_paths()).collect();
         let full = detector.inspect_degraded(&system, &all, &y).unwrap();
         assert_eq!(bits(&full.estimate), bits(&system.estimate(&y).unwrap()));
+    }
+
+    #[test]
+    fn non_finite_readings_are_errors_not_verdicts() {
+        let system = fig1::fig1_system().unwrap();
+        let detector = ConsistencyDetector::recommended();
+        let all: Vec<usize> = (0..system.num_paths()).collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut y = system.measure(&Vector::filled(10, 15.0)).unwrap();
+            y[4] = bad;
+            for err in [
+                detector.inspect(&system, &y).unwrap_err(),
+                detector.inspect_degraded(&system, &all, &y).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, CoreError::NonFiniteMeasurement { row: 4 }),
+                    "{bad}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,23 +12,33 @@
 //! `R_v`, `y′_v` the corresponding row selections. The *residual score*
 //! of `v` is the ℓ1 norm of the component of `y′_v` outside the column
 //! space of `R_v` — the subsystem's consistency residual, well-defined
-//! even when `R_v` is rank-deficient. The check only has power when the
-//! subsystem retains redundancy (`|P_v| > rank(R_v)`); a node whose
-//! exclusion leaves a redundancy-free subsystem is reported as
-//! non-assessable. True attackers score ≈ 0; innocent nodes keep the
-//! inconsistency and score high.
+//! even when `R_v` is rank-deficient. It is computed on the sparse
+//! stack: exact elimination ([`SparseRank`]) over the columns of `R_v`
+//! picks a column basis `C` (link `j` joins `C` iff its column is
+//! independent of the columns before it), and the score is the Eq. 2
+//! least-squares residual `‖R_C x̂ − y′_v‖₁` on those columns. The check
+//! only has power when the subsystem retains redundancy
+//! (`|P_v| > rank(R_v) = |C|`); a node whose exclusion leaves a
+//! redundancy-free subsystem is reported as non-assessable. True
+//! attackers score ≈ 0; innocent nodes keep the inconsistency and score
+//! high.
 //!
 //! Limits mirror Theorem 3: perfect-cut (consistent) attacks produce no
 //! residual at all, so there is nothing to localize; and when several
 //! nodes lie on exactly the same path sets, they are indistinguishable
 //! (reported as tied scores).
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use tomo_core::{CoreError, TomographySystem};
 use tomo_graph::NodeId;
-use tomo_linalg::{lstsq, rank};
-use tomo_linalg::{norms, Vector};
+use tomo_linalg::lstsq::NormalEquationsSolver;
+use tomo_linalg::rank::SparseRank;
+use tomo_linalg::{norms, CsrBuilder, Vector};
+
+use crate::detector::ensure_finite;
 
 /// Outcome of assessing one candidate node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,8 +89,10 @@ impl LocalizationReport {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::DimensionMismatch`] if `observed` has the wrong
-/// length; linear-algebra errors are absorbed into
+/// * [`CoreError::DimensionMismatch`] if `observed` has the wrong length,
+/// * [`CoreError::NonFiniteMeasurement`] if a reading is NaN or infinite.
+///
+/// Linear-algebra errors on a candidate's subsystem are absorbed into
 /// [`SuspectAssessment::NotAssessable`].
 pub fn localize(
     system: &TomographySystem,
@@ -93,6 +105,7 @@ pub fn localize(
             got: observed.len(),
         });
     }
+    ensure_finite(observed)?;
     let estimate = system.estimate(observed)?;
     let reprojected = system.routing_csr().mul_vec(&estimate)?;
     let full_residual = norms::l1(&(&reprojected - observed));
@@ -105,17 +118,11 @@ pub fn localize(
             assessment: assess(system, observed, v),
         })
         .collect();
-    scores.sort_by(|a, b| match (&a.assessment, &b.assessment) {
-        (SuspectAssessment::Residual(x), SuspectAssessment::Residual(y)) => {
-            x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal)
-        }
-        (SuspectAssessment::Residual(_), SuspectAssessment::NotAssessable) => {
-            std::cmp::Ordering::Less
-        }
-        (SuspectAssessment::NotAssessable, SuspectAssessment::Residual(_)) => {
-            std::cmp::Ordering::Greater
-        }
-        _ => std::cmp::Ordering::Equal,
+    scores.sort_by(|a, b| match (a.assessment, b.assessment) {
+        (SuspectAssessment::Residual(x), SuspectAssessment::Residual(y)) => x.total_cmp(&y),
+        (SuspectAssessment::Residual(_), SuspectAssessment::NotAssessable) => Ordering::Less,
+        (SuspectAssessment::NotAssessable, SuspectAssessment::Residual(_)) => Ordering::Greater,
+        (SuspectAssessment::NotAssessable, SuspectAssessment::NotAssessable) => Ordering::Equal,
     });
     Ok(LocalizationReport {
         full_residual,
@@ -135,17 +142,44 @@ fn assess(system: &TomographySystem, observed: &Vector, v: NodeId) -> SuspectAss
     if keep.is_empty() {
         return SuspectAssessment::NotAssessable;
     }
-    let Ok(sub_r) = system.surviving_csr(&keep, None).map(|csr| csr.to_dense()) else {
+    let Ok(kept) = system.surviving_csr(&keep, None) else {
         return SuspectAssessment::NotAssessable;
     };
+    // Row j of the transpose is link j's column over the kept rows.
+    let columns = kept.transpose();
+    let mut tracker = SparseRank::new(keep.len());
+    let mut position = vec![None; columns.rows()];
+    let mut basis_len = 0;
+    for (j, slot) in position.iter_mut().enumerate() {
+        if tracker.try_add(columns.row_indices(j).iter().copied()) {
+            *slot = Some(basis_len);
+            basis_len += 1;
+        }
+    }
     // Redundancy condition: with rows == rank the subsystem is trivially
     // consistent and the check has no power.
-    if keep.len() <= rank::rank(&sub_r) {
+    if keep.len() <= basis_len {
         return SuspectAssessment::NotAssessable;
     }
+    // R_C: the kept rows restricted to the basis columns, renumbered.
+    let mut r_c = CsrBuilder::new(basis_len);
+    for i in 0..kept.rows() {
+        let row = kept
+            .row_iter(i)
+            .filter_map(|(j, r)| position[j].map(|k| (k, r)));
+        if r_c.push_row(row).is_err() {
+            return SuspectAssessment::NotAssessable;
+        }
+    }
     let sub_y: Vector = keep.iter().map(|&i| observed[i]).collect();
-    match lstsq::residual_outside_column_space(&sub_r, &sub_y) {
-        Ok(residual) => SuspectAssessment::Residual(norms::l1(&residual)),
+    let Ok(solver) = NormalEquationsSolver::from_sparse(r_c.finish()) else {
+        return SuspectAssessment::NotAssessable;
+    };
+    match solver
+        .solve(&sub_y)
+        .and_then(|x| solver.matrix().mul_vec(&x))
+    {
+        Ok(reprojected) => SuspectAssessment::Residual(norms::l1(&(&reprojected - &sub_y))),
         Err(_) => SuspectAssessment::NotAssessable,
     }
 }
@@ -254,6 +288,79 @@ mod tests {
     fn wrong_length_rejected() {
         let system = fig1::fig1_system().unwrap();
         assert!(localize(&system, &Vector::zeros(3)).is_err());
+    }
+
+    /// The NotAssessable set, `suspects(1e-3)` and `suspects(1.0)`, as
+    /// sorted node indices.
+    fn decision_sets(report: &LocalizationReport) -> [Vec<usize>; 3] {
+        let sorted = |nodes: Vec<NodeId>| {
+            let mut ids: Vec<usize> = nodes.into_iter().map(|n| n.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let not_assessable = report
+            .scores
+            .iter()
+            .filter(|s| s.assessment == SuspectAssessment::NotAssessable)
+            .map(|s| s.node)
+            .collect();
+        [
+            sorted(not_assessable),
+            sorted(report.suspects(1e-3)),
+            sorted(report.suspects(1.0)),
+        ]
+    }
+
+    #[test]
+    fn decisions_match_the_dense_qr_path() {
+        // Recorded from the dense pivoted-QR rank and Gram-Schmidt
+        // residual this module used before it moved to SparseRank and
+        // the normal equations.
+        let fig1_clean = {
+            let system = fig1::fig1_system().unwrap();
+            let y = system.measure(&Vector::filled(10, 10.0)).unwrap();
+            (system, y)
+        };
+        let fig1_attacked = {
+            let system = fig1::fig1_system().unwrap();
+            let attackers =
+                AttackerSet::new(&system, fig1::fig1_topology().attackers.clone()).unwrap();
+            let x = Vector::filled(10, 10.0);
+            let outcome =
+                strategy::max_damage(&system, &attackers, &AttackScenario::paper_defaults(), &x)
+                    .unwrap();
+            let y = &system.measure(&x).unwrap() + &outcome.success().unwrap().manipulation;
+            (system, y)
+        };
+        let (s7, y7, _) = attacked_measurements(7);
+        let (s9, y9, _) = attacked_measurements(9);
+        let seed7_suspects = vec![4, 5, 6, 19, 30, 32, 63, 80, 92];
+        let seed9_suspects = vec![2, 3, 23, 51, 78, 88, 97];
+        let fig1_suspects = vec![1, 2, 3, 4, 5];
+        let cases = [
+            ((s7, y7), [vec![], seed7_suspects.clone(), seed7_suspects]),
+            ((s9, y9), [vec![], seed9_suspects.clone(), seed9_suspects]),
+            (
+                fig1_clean,
+                [vec![0, 6], fig1_suspects.clone(), fig1_suspects],
+            ),
+            (fig1_attacked, [vec![0, 6], vec![], vec![]]),
+        ];
+        for (k, ((system, y), want)) in cases.iter().enumerate() {
+            let report = localize(system, y).unwrap();
+            assert_eq!(&decision_sets(&report), want, "case {k}");
+        }
+    }
+
+    #[test]
+    fn non_finite_readings_are_rejected() {
+        let system = fig1::fig1_system().unwrap();
+        let mut y = system.measure(&Vector::filled(10, 10.0)).unwrap();
+        y[2] = f64::NAN;
+        assert!(matches!(
+            localize(&system, &y),
+            Err(CoreError::NonFiniteMeasurement { row: 2 })
+        ));
     }
 
     #[test]

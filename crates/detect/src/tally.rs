@@ -60,7 +60,7 @@ impl ResidualTally {
         let estimate = system.estimate(y_base)?;
         let reprojected = system.routing_csr().mul_vec(&estimate)?;
         let residual = &reprojected - y_base;
-        let verdict = verdict_of(detector, &residual, &estimate);
+        let verdict = detector.verdict(norms::l1(&residual), estimate.min().unwrap_or(0.0));
         Ok(ResidualTally {
             base_estimate: estimate,
             base_residual: residual,
@@ -100,22 +100,7 @@ impl ResidualTally {
         let r_dx = system.routing_csr().mul_vec(&dx)?;
         let residual = &(&self.base_residual + &r_dx) - delta;
         let estimate = &self.base_estimate + &dx;
-        Ok(verdict_of(detector, &residual, &estimate))
-    }
-}
-
-/// The Eq. (23) + plausibility decision on a residual vector and an
-/// estimate — the same formula as [`ConsistencyDetector::inspect`].
-fn verdict_of(detector: &ConsistencyDetector, residual: &Vector, estimate: &Vector) -> Verdict {
-    let residual_l1 = norms::l1(residual);
-    let min_estimate = estimate.min().unwrap_or(0.0);
-    let implausible = detector
-        .plausibility_tol()
-        .is_some_and(|tol| min_estimate < -tol);
-    Verdict {
-        residual_l1,
-        min_estimate,
-        detected: residual_l1 > detector.alpha() || implausible,
+        Ok(detector.verdict(norms::l1(&residual), estimate.min().unwrap_or(0.0)))
     }
 }
 

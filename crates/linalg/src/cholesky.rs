@@ -9,11 +9,6 @@ use tomo_obs::LazyHistogram;
 
 static FACTOR_SECONDS: LazyHistogram = LazyHistogram::new("linalg.cholesky.factor_seconds");
 
-/// Matrix dimension at/above which [`Cholesky::new`] dispatches to the
-/// cache-blocked factorization. Below it the flat column loop wins (and
-/// every committed-artifact workload stays on the historical code path).
-pub const BLOCK_THRESHOLD: usize = 128;
-
 /// Panel width of the blocked factorization. Tuned on the 1-core bench
 /// runner: the trailing-update working set per output row is
 /// `BLOCK × 8` bytes per operand row, so 64 keeps four concurrent
@@ -46,74 +41,26 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is assumed, matching the usual LAPACK convention.
     ///
+    /// The kernel is a cache-blocked right-looking factorization. Entry
+    /// `(i, j)` of the factor is `(a[i][j] - Σ_{k<j} l[i][k]·l[j][k]) /
+    /// l[j][j]`, with the subtractions applied one term at a time in
+    /// ascending `k`, exactly as the textbook column loop applies them:
+    /// earlier panels' terms land during each panel's trailing update
+    /// (ascending `k` within the panel, panels ascending), the current
+    /// panel's terms inside the panel sweep. Every entry therefore sees
+    /// the textbook sequence of f64 operations and the factor matches
+    /// that loop bit for bit (`tests/kernel_parity.rs` keeps it as the
+    /// reference). What blocking buys is locality (the trailing update
+    /// touches only a `BLOCK`-wide strip of each operand row) and
+    /// instruction-level parallelism (four independent accumulator
+    /// chains share one cached row strip).
+    ///
     /// # Errors
     ///
     /// * [`LinalgError::NotSquare`] if `a` is not square.
     /// * [`LinalgError::NotPositiveDefinite`] if a diagonal pivot is
     ///   non-positive (within a relative tolerance).
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        if a.is_square() && a.rows() >= BLOCK_THRESHOLD {
-            Self::factor_blocked(a)
-        } else {
-            Self::factor_unblocked(a)
-        }
-    }
-
-    /// The flat (unblocked) column-by-column factorization. Public so
-    /// benches and parity tests can pin the blocked path against it;
-    /// [`Cholesky::new`] uses it below [`BLOCK_THRESHOLD`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cholesky::new`].
-    pub fn factor_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { dims: a.shape() });
-        }
-        let _timer = FACTOR_SECONDS.start_timer();
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        let tol = 1e-12 * (1.0 + a.max_abs());
-        for j in 0..n {
-            let mut diag = a[(j, j)];
-            for k in 0..j {
-                diag -= l[(j, k)] * l[(j, k)];
-            }
-            if diag <= tol {
-                return Err(LinalgError::NotPositiveDefinite { index: j });
-            }
-            let ljj = diag.sqrt();
-            l[(j, j)] = ljj;
-            for i in (j + 1)..n {
-                let mut v = a[(i, j)];
-                for k in 0..j {
-                    v -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = v / ljj;
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Cache-blocked right-looking factorization, bit-identical to
-    /// [`Cholesky::factor_unblocked`].
-    ///
-    /// Entry `(i, j)` of the factor is `(a[i][j] - Σ_{k<j} l[i][k]·l[j][k])
-    /// / l[j][j]`, and the unblocked loop applies those subtractions one
-    /// term at a time in ascending `k`. This routine performs the *same
-    /// per-entry subtraction chain* — earlier panels' terms land during
-    /// each panel's trailing update (ascending `k` within the panel,
-    /// panels ascending), the current panel's terms inside the panel
-    /// sweep — so every entry sees an identical sequence of f64
-    /// operations and the result matches bit for bit. What blocking buys
-    /// is locality (the trailing update touches only a `BLOCK`-wide strip
-    /// of each operand row) and instruction-level parallelism (four
-    /// independent accumulator chains share one cached row strip).
-    ///
-    /// # Errors
-    ///
-    /// See [`Cholesky::new`].
-    pub fn factor_blocked(a: &Matrix) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { dims: a.shape() });
         }
@@ -394,8 +341,7 @@ mod tests {
         assert!(chol.solve(&Vector::zeros(2)).is_err());
     }
 
-    /// A deterministic SPD matrix big enough to span several panels
-    /// plus a ragged tail (n = 2·BLOCK + tail with BLOCK = 64).
+    /// A deterministic SPD matrix of dimension `n`.
     fn big_spd(n: usize) -> Matrix {
         let r = Matrix::from_fn(n + 7, n, |i, j| {
             let v = ((i * 37 + j * 11) as f64).sin();
@@ -408,23 +354,46 @@ mod tests {
         r.gram()
     }
 
-    #[test]
-    fn blocked_matches_unblocked_bitwise() {
-        let n = BLOCK_THRESHOLD + 41;
-        let a = big_spd(n);
-        let blocked = Cholesky::factor_blocked(&a).unwrap();
-        let unblocked = Cholesky::factor_unblocked(&a).unwrap();
-        for (x, y) in blocked.l().as_slice().iter().zip(unblocked.l().as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    /// The textbook column-by-column factorization, the bit-for-bit
+    /// reference of the blocked kernel in [`Cholesky::new`]; the failing
+    /// pivot's index on error.
+    fn textbook_factor(a: &Matrix) -> Result<Matrix, usize> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        let tol = 1e-12 * (1.0 + a.max_abs());
+        for j in 0..n {
+            let mut diag = a[(j, j)];
+            for k in 0..j {
+                diag -= l[(j, k)] * l[(j, k)];
+            }
+            if diag <= tol {
+                return Err(j);
+            }
+            let ljj = diag.sqrt();
+            l[(j, j)] = ljj;
+            for i in (j + 1)..n {
+                let mut v = a[(i, j)];
+                for k in 0..j {
+                    v -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = v / ljj;
+            }
         }
-        // The public constructor dispatches to the blocked path here…
-        let via_new = Cholesky::new(&a).unwrap();
-        assert_eq!(via_new.l(), blocked.l());
-        // …and to the unblocked one below the threshold.
-        let small = big_spd(BLOCK_THRESHOLD - 1);
-        let s_new = Cholesky::new(&small).unwrap();
-        let s_un = Cholesky::factor_unblocked(&small).unwrap();
-        assert_eq!(s_new.l(), s_un.l());
+        Ok(l)
+    }
+
+    #[test]
+    fn factor_matches_textbook_loop_bitwise() {
+        // Inside one panel, at a panel edge, and two panels plus a
+        // ragged tail.
+        for n in [BLOCK - 1, BLOCK, 2 * BLOCK + 41] {
+            let a = big_spd(n);
+            let want = textbook_factor(&a).unwrap();
+            let got = Cholesky::new(&a).unwrap();
+            for (x, y) in got.l().as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "n = {n}");
+            }
+        }
     }
 
     /// The textbook substitution loops [`Cholesky::solve`] replaced, kept
@@ -498,38 +467,30 @@ mod tests {
 
     #[test]
     fn blocked_factor_solve_matches_textbook_loops() {
-        // 131 columns: above BLOCK_THRESHOLD and 131 mod 4 = 3, so the
+        // 131 columns: two panels plus a tail, and 131 mod 4 = 3, so the
         // forward sweep ends on a ragged tail.
         let mut rng = ChaCha8Rng::seed_from_u64(131);
-        let r = random_routing(&mut rng, BLOCK_THRESHOLD + 3);
+        let r = random_routing(&mut rng, 2 * BLOCK + 3);
         check_solves_match_textbook(&mut rng, &r);
     }
 
     #[test]
-    fn blocked_rejects_non_spd_at_same_pivot() {
-        // Rank-deficient Gram (duplicate columns) must fail in both
-        // paths with the same pivot index: the per-entry subtraction
-        // chains are identical, so the failing diagonal value is too.
-        // Column 130 duplicates column 7, so the failure surfaces past
-        // two panel boundaries.
-        let n = BLOCK_THRESHOLD + 9;
+    fn rejects_non_spd_at_the_textbook_pivot() {
+        // Rank-deficient Gram (duplicate columns) fails at the pivot the
+        // textbook loop fails at: the per-entry subtraction chains are
+        // identical, so the failing diagonal value is too. Column 130
+        // duplicates column 7, so the failure surfaces past two panel
+        // boundaries.
+        let n = 2 * BLOCK + 9;
         let r = Matrix::from_fn(n, n, |i, j| {
             let jj = if j == 130 { 7 } else { j };
             ((i * jj + 5 * i + 2 * jj) as f64).sin()
         });
         let a = r.gram();
-        let blocked = Cholesky::factor_blocked(&a).unwrap_err();
-        let unblocked = Cholesky::factor_unblocked(&a).unwrap_err();
-        match (blocked, unblocked) {
-            (
-                LinalgError::NotPositiveDefinite { index: b },
-                LinalgError::NotPositiveDefinite { index: u },
-            ) => assert_eq!(b, u),
-            other => panic!("expected NotPositiveDefinite pair, got {other:?}"),
+        let want = textbook_factor(&a).unwrap_err();
+        match Cholesky::new(&a).unwrap_err() {
+            LinalgError::NotPositiveDefinite { index } => assert_eq!(index, want),
+            other => panic!("expected NotPositiveDefinite, got {other:?}"),
         }
-        assert!(matches!(
-            Cholesky::factor_blocked(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
     }
 }

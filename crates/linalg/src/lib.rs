@@ -1,24 +1,28 @@
-//! Focused dense linear algebra for network tomography.
+//! Focused linear algebra for network tomography.
 //!
 //! This crate provides exactly the numerical toolkit the scapegoating
-//! reproduction needs, implemented from scratch and tested exhaustively:
+//! reproduction needs, implemented from scratch and tested exhaustively.
+//!
+//! The kernels production code runs:
 //!
 //! * [`Matrix`] / [`Vector`] — dense row-major matrices and column vectors,
 //! * [`CsrMatrix`] — compressed-sparse-row routing matrices whose kernels
 //!   are bit-identical to the dense ones,
+//! * [`rank::SparseRank`] — the exact sparse rank tracker behind every
+//!   identifiability decision and consistency-check column basis,
+//! * [`lstsq::NormalEquationsSolver`] — the one normal-equations path for
+//!   Eq. (2), factoring the Gram matrix with the dense
+//!   [`cholesky::Cholesky`] below [`lstsq::SPARSE_FACTOR_MIN_DIM`] links
+//!   and with the up-looking [`sparse_chol::SparseCholesky`] at or above
+//!   it.
+//!
+//! Kept as references that tests compare against:
+//!
 //! * [`lu::Lu`] — LU decomposition with partial pivoting (solve, inverse,
 //!   determinant),
-//! * [`cholesky::Cholesky`] — dense SPD factorization of the normal
-//!   equations `RᵀR` for small systems,
-//! * [`sparse_chol::SparseCholesky`] — up-looking sparse factorization
-//!   of CSR Gram matrices (the Rocketfuel-scale build kernel),
 //! * [`qr::Qr`] — Householder QR and column-pivoted QR (rank-revealing),
-//! * [`lstsq`] — least-squares solvers: the QR reference and
-//!   [`lstsq::NormalEquationsSolver`], the one normal-equations path
-//!   (dense Cholesky below [`lstsq::SPARSE_FACTOR_MIN_DIM`] links,
-//!   [`sparse_chol::SparseCholesky`] at or above it),
-//! * [`rank`] — numerical rank and the exact sparse rank tracker
-//!   ([`rank::SparseRank`]) behind every identifiability decision.
+//! * [`rank::rank`] — numerical rank by pivoted QR,
+//! * [`lstsq::solve`] — least squares by Householder QR.
 //!
 //! # Example
 //!
@@ -55,7 +59,7 @@ pub mod rank;
 pub mod sparse_chol;
 
 pub use error::LinalgError;
-pub use matrix::{Matrix, MTS_BLOCK_THRESHOLD};
+pub use matrix::Matrix;
 pub use sparse::{CsrBuilder, CsrMatrix};
 pub use vector::Vector;
 

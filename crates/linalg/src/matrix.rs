@@ -5,12 +5,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::{LinalgError, Vector};
 
-/// Column count at/above which [`Matrix::mul_transpose_self`] switches
-/// to the column-tiled accumulation path.
-pub const MTS_BLOCK_THRESHOLD: usize = 256;
-
-/// Output-column strip width of the tiled `AᵀA` path (the active strip
-/// is `MTS_TILE × cols × 8` bytes, sized to stay cache resident).
+/// Output-column strip width of [`Matrix::mul_transpose_self`] (the
+/// active strip is `MTS_TILE × cols × 8` bytes, sized to stay cache
+/// resident).
 const MTS_TILE: usize = 128;
 
 /// A dense, row-major matrix of `f64` values.
@@ -248,43 +245,14 @@ impl Matrix {
     /// commute, so the result is bit-identical to the full two-sided
     /// accumulation at roughly half the multiply-adds.
     ///
-    /// Outputs wider than [`MTS_BLOCK_THRESHOLD`] columns take a
-    /// column-tiled path that keeps the active output strip cache
-    /// resident; each output entry still accumulates its per-row terms
-    /// in the identical ascending-row order, so the two paths are
-    /// bit-identical (see the in-module parity test).
+    /// Output columns are processed one 128-column strip at a time, so
+    /// the strip (instead of the whole upper triangle) is the per-row
+    /// working set. Each output entry accumulates one `+= a * b`
+    /// per input row, rows ascending, whatever the strip layout, so the
+    /// result matches the untiled loop bit for bit; with a single strip
+    /// it *is* that loop.
     #[must_use]
     pub fn mul_transpose_self(&self) -> Matrix {
-        if self.cols >= MTS_BLOCK_THRESHOLD {
-            self.mts_blocked()
-        } else {
-            self.mts_unblocked()
-        }
-    }
-
-    fn mts_unblocked(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for (a_idx, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (off, &b) in row[a_idx..].iter().enumerate() {
-                    out[(a_idx, a_idx + off)] += a * b;
-                }
-            }
-        }
-        Self::mirror_upper(&mut out);
-        out
-    }
-
-    /// Column-tiled `AᵀA`: output columns are processed one
-    /// [`MTS_TILE`]-wide strip at a time so the strip (instead of the
-    /// whole upper triangle) is the per-row working set. The per-entry
-    /// accumulation chain — one `+= a * b` per input row, rows ascending
-    /// — is exactly the unblocked one, so results match bit for bit.
-    fn mts_blocked(&self) -> Matrix {
         let cols = self.cols;
         let mut out = Matrix::zeros(cols, cols);
         for c0 in (0..cols).step_by(MTS_TILE) {
@@ -596,25 +564,37 @@ mod tests {
     }
 
     #[test]
-    fn mul_transpose_self_blocked_matches_unblocked_bitwise() {
-        // Wide enough to cross MTS_BLOCK_THRESHOLD and span several
-        // MTS_TILE strips, with zeros to exercise the skip path.
-        let m = Matrix::from_fn(23, MTS_BLOCK_THRESHOLD + 70, |i, j| {
-            if (i * 31 + j) % 5 == 0 {
-                0.0
-            } else {
-                ((i * 311 + j * 17) as f64).sin() * 3.7 - 1.3
+    fn mul_transpose_self_matches_untiled_loop_bitwise() {
+        // One strip, and wide enough to span three MTS_TILE strips, with
+        // zeros to exercise the skip path.
+        for cols in [MTS_TILE - 1, 2 * MTS_TILE + 70] {
+            let m = Matrix::from_fn(23, cols, |i, j| {
+                if (i * 31 + j) % 5 == 0 {
+                    0.0
+                } else {
+                    ((i * 311 + j * 17) as f64).sin() * 3.7 - 1.3
+                }
+            });
+            // The untiled upper-triangle loop, rows ascending.
+            let mut want = Matrix::zeros(cols, cols);
+            for i in 0..m.rows() {
+                let row = m.row(i);
+                for (a_idx, &a) in row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (off, &b) in row[a_idx..].iter().enumerate() {
+                        want[(a_idx, a_idx + off)] += a * b;
+                    }
+                }
             }
-        });
-        assert!(m.cols() >= MTS_BLOCK_THRESHOLD);
-        let blocked = m.mts_blocked();
-        let unblocked = m.mts_unblocked();
-        assert_eq!(blocked.shape(), unblocked.shape());
-        for (a, b) in blocked.as_slice().iter().zip(unblocked.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            Matrix::mirror_upper(&mut want);
+            let got = m.mul_transpose_self();
+            assert_eq!(got.shape(), want.shape());
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "cols = {cols}");
+            }
         }
-        // The public entry point dispatches to the blocked path here.
-        assert_eq!(m.mul_transpose_self(), blocked);
     }
 
     #[test]

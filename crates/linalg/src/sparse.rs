@@ -288,33 +288,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Matrix product `A B` with a dense right-hand side, bit-identical
-    /// to [`Matrix::mul_mat`] on the dense expansion (the dense kernel
-    /// already skips zero left-hand coefficients, so the iteration is the
-    /// same term-for-term).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `cols != rhs.rows()`.
-    pub fn mul_mat(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "mul_mat",
-                lhs: (self.rows, self.cols),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols());
-        for i in 0..self.rows {
-            for (k, a) in self.row_iter(i) {
-                for j in 0..rhs.cols() {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Gram matrix `AᵀA` (the normal-equations matrix `RᵀR` of Eq. (2)),
     /// bit-identical to [`Matrix::mul_transpose_self`] on the dense
     /// expansion.
@@ -613,20 +586,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(csr.mul_transpose_vec(&Vector::zeros(5)).is_err());
-    }
-
-    #[test]
-    fn mul_mat_bit_identical_to_dense() {
-        let dense = sample_dense();
-        let csr = CsrMatrix::from_dense(&dense);
-        let rhs = Matrix::from_fn(5, 3, |i, j| ((i * 3 + j) as f64).cos() * 2.5 - 0.75);
-        let sparse = csr.mul_mat(&rhs).unwrap();
-        let exact = dense.mul_mat(&rhs).unwrap();
-        assert_eq!(sparse.shape(), exact.shape());
-        for (a, b) in sparse.as_slice().iter().zip(exact.as_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(csr.mul_mat(&Matrix::identity(4)).is_err());
     }
 
     #[test]

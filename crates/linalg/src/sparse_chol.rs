@@ -12,7 +12,7 @@
 //!
 //! Numerics: row `i` of `L` solves `L[0..i, 0..i] · l_rowᵀ = A[0..i, i]`
 //! with the columns of the pattern processed in ascending order, the
-//! same subtraction chains as the dense unblocked kernel — skipped
+//! same subtraction chains as the dense kernel — skipped
 //! (structurally zero) terms contribute exact `±0.0·x` products, so the
 //! result matches the dense factor to within the invisibility of those
 //! skips (bit-for-bit on every fixture we test; the parity suite pins
@@ -20,8 +20,7 @@
 //! are dropped from the stored pattern). The positive-definiteness
 //! tolerance is the same `1e-12·(1 + max|A|)` formula as
 //! [`Cholesky`](crate::cholesky::Cholesky), and a failure reports the
-//! same first-failing pivot index, which `tomo-core` maps to
-//! `NotIdentifiable { rank }`.
+//! same first-failing pivot index.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -220,7 +219,7 @@ mod tests {
         let a = path_system(40);
         let gram = a.gram_csr();
         let sparse = SparseCholesky::new(&gram).unwrap();
-        let dense = Cholesky::factor_unblocked(&gram.to_dense()).unwrap();
+        let dense = Cholesky::new(&gram.to_dense()).unwrap();
         let expanded = to_dense_factor(&sparse);
         assert!(expanded.approx_eq(dense.l(), 1e-12));
         // On this fixture the subtraction chains line up bit for bit.

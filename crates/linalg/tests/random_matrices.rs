@@ -81,18 +81,4 @@ proptest! {
             }
         }
     }
-
-    /// The projection residual is orthogonal to the column space even for
-    /// rank-deficient matrices.
-    #[test]
-    fn projection_residual_orthogonality(
-        a in matrix_strategy(4),
-        b in proptest::collection::vec(-10.0f64..10.0, 4),
-    ) {
-        let rhs = Vector::from(b);
-        let res = lstsq::residual_outside_column_space(&a, &rhs).unwrap();
-        let atr = a.mul_transpose_vec(&res).unwrap();
-        prop_assert!(atr.approx_eq(&Vector::zeros(4), 1e-6),
-            "residual not orthogonal: {:?}", atr);
-    }
 }

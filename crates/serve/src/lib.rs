@@ -8,8 +8,7 @@
 //! * [`wire`] — the zero-dependency length-prefixed TCP protocol
 //!   (`len:u32 | type:u8 | body`), with typed errors for every
 //!   malformed-input shape an adversarial peer can produce.
-//! * [`queue`] — the bounded ingest queues: the single-lane
-//!   [`queue::BoundedQueue`] and the per-path-group
+//! * [`queue`] — the bounded ingest queue: the per-path-group
 //!   [`queue::ShardedQueue`] drained in deterministic round-robin; at
 //!   capacity the daemon says `Reject(QueueFull)` with an adaptive
 //!   retry hint instead of buffering without bound.
@@ -48,7 +47,7 @@ pub mod wire;
 pub use client::{ClientConfig, ClientError, ProbeClient, StreamOutcome};
 pub use engine::{ApplyOutcome, BatchFault, Engine, EngineStats, QueryAnswer, QueryError};
 pub use journal::{Journal, Replay};
-pub use queue::{BoundedQueue, QueueFull, ShardStats, ShardedQueue};
+pub use queue::{QueueFull, ShardStats, ShardedQueue};
 pub use server::{IngestCounters, ServeConfig, Server};
 pub use snapshot::{EngineSnapshot, SnapshotStore};
 pub use topology::{load_system, TopologyError};

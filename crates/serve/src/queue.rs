@@ -9,22 +9,17 @@
 //! so a briefly-full queue tells clients to come back soon while a
 //! saturated one spreads them out.
 //!
-//! Two shapes live here. [`BoundedQueue`] is the original single-lane
-//! ring. [`ShardedQueue`] partitions capacity into per-path-group
-//! shards — producers hash their path group to a shard and only contend
-//! with producers on the same shard — drained by the single apply
-//! worker in **deterministic round-robin** order so the applied-batch
-//! sequence (and hence the journal and every artifact) does not depend
-//! on which producer thread won a lock race.
+//! [`ShardedQueue`] partitions capacity into per-path-group shards —
+//! producers hash their path group to a shard and only contend with
+//! producers on the same shard — drained by the single apply worker in
+//! **deterministic round-robin** order so the applied-batch sequence
+//! (and hence the journal and every artifact) does not depend on which
+//! producer thread won a lock race.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-use tomo_obs::LazyGauge;
-
-static QUEUE_DEPTH: LazyGauge = LazyGauge::new("serve.queue.depth");
 
 /// The error returned when the queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,108 +41,6 @@ fn adaptive_retry_ms(base: u32, depth: usize, capacity: usize) -> u32 {
     };
     let scaled = (f64::from(base) * (0.25 + 0.75 * occupancy)).ceil();
     (scaled as u32).max(1)
-}
-
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer single-consumer queue (mutex + condvar; the
-/// workspace is `forbid(unsafe_code)` throughout, so no lock-free ring).
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-    retry_after_ms: u32,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items whose rejections
-    /// hint `retry_after_ms`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize, retry_after_ms: u32) -> Arc<Self> {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Arc::new(BoundedQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity,
-            retry_after_ms,
-        })
-    }
-
-    /// Enqueues `item`, or fails immediately when at capacity (the
-    /// caller surfaces this as backpressure) or after close.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFull`] when at capacity or closed; the item comes
-    /// back in neither case — closed queues drop, which only happens
-    /// during shutdown when the client will see the connection end.
-    pub fn try_push(&self, item: T) -> Result<(), QueueFull> {
-        let mut inner = lock(&self.inner);
-        if inner.closed || inner.items.len() >= self.capacity {
-            return Err(QueueFull {
-                retry_after_ms: adaptive_retry_ms(
-                    self.retry_after_ms,
-                    inner.items.len(),
-                    self.capacity,
-                ),
-            });
-        }
-        inner.items.push_back(item);
-        QUEUE_DEPTH.set(inner.items.len() as f64);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, waiting up to `timeout`.
-    ///
-    /// Returns `None` on timeout, or when the queue is closed *and*
-    /// drained — the consumer's signal to exit.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut inner = lock(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                QUEUE_DEPTH.set(inner.items.len() as f64);
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            let (guard, result) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if result.timed_out() {
-                return inner.items.pop_front().inspect(|_| {
-                    QUEUE_DEPTH.set(inner.items.len() as f64);
-                });
-            }
-        }
-    }
-
-    /// Current number of queued items.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        lock(&self.inner).items.len()
-    }
-
-    /// Closes the queue: pushes start failing, and the consumer drains
-    /// what remains before `pop_timeout` returns `None`.
-    pub fn close(&self) {
-        lock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -385,38 +278,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_pop_in_order() {
-        let q = BoundedQueue::new(4, 10);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn capacity_rejects_with_retry_hint() {
-        let q = BoundedQueue::new(2, 25);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(QueueFull { retry_after_ms: 25 }));
-        // Draining one slot readmits.
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(1));
-        q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn close_drains_then_ends() {
-        let q = BoundedQueue::new(4, 10);
-        q.try_push(1).unwrap();
-        q.close();
-        assert!(q.try_push(2).is_err(), "closed queue refuses pushes");
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
     fn adaptive_hint_scales_with_occupancy() {
         // Full queue hints the whole base; a near-empty system hints a
         // quarter of it (floor 1 ms).
@@ -433,6 +294,7 @@ mod tests {
         for (shard, v) in [(2, 20), (0, 1), (0, 2), (1, 10), (2, 21), (1, 11)] {
             q.try_push(shard, v).unwrap();
         }
+        assert_eq!(q.depth(), 6);
         let mut order = Vec::new();
         while let Some((shard, v)) = q.pop_next(Duration::from_millis(1)) {
             order.push((shard, v));
@@ -442,6 +304,7 @@ mod tests {
             order,
             vec![(0, 1), (1, 10), (2, 20), (0, 2), (1, 11), (2, 21)]
         );
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -460,6 +323,9 @@ mod tests {
         assert_eq!(stats[0].pushed, 2);
         assert_eq!(stats[1].rejects, 0);
         assert_eq!(stats[1].depth, 1);
+        // Draining one slot of the full shard readmits.
+        assert_eq!(q.pop_next(Duration::from_millis(10)), Some((0, 1)));
+        q.try_push(0, 3).unwrap();
     }
 
     #[test]
@@ -510,9 +376,6 @@ mod tests {
                 let mut got = Vec::new();
                 while let Some((_, v)) = q.pop_next(Duration::from_secs(5)) {
                     got.push(v);
-                    if got.len() == 200 {
-                        break;
-                    }
                 }
                 got
             })
@@ -520,36 +383,18 @@ mod tests {
         for t in producers {
             t.join().unwrap();
         }
-        let mut got = consumer.join().unwrap();
+        // Closing from this thread ends the consumer once it has drained
+        // everything.
         q.close();
-        got.sort_unstable();
-        let want: Vec<u32> = (0..4u32)
-            .flat_map(|p| (0..50u32).map(move |i| p * 1000 + i))
-            .collect();
-        assert_eq!(got, want);
-        // Per-producer FIFO within a shard is preserved by VecDeque;
-        // totals line up with what producers pushed.
+        let got = consumer.join().unwrap();
+        // Each producer pushes to one shard, so its items arrive in the
+        // order it pushed them.
+        for p in 0..4u32 {
+            let mine: Vec<u32> = got.iter().copied().filter(|v| v / 1000 == p).collect();
+            assert_eq!(mine, (0..50u32).map(|i| p * 1000 + i).collect::<Vec<_>>());
+        }
+        assert_eq!(got.len(), 200);
         let stats = q.shard_stats();
         assert_eq!(stats.iter().map(|s| s.pushed).sum::<u64>(), 200);
-    }
-
-    #[test]
-    fn cross_thread_handoff() {
-        let q = BoundedQueue::new(8, 10);
-        let producer = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            for i in 0..100 {
-                while producer.try_push(i).is_err() {
-                    std::thread::yield_now();
-                }
-            }
-            producer.close();
-        });
-        let mut got = Vec::new();
-        while let Some(v) = q.pop_timeout(Duration::from_secs(5)) {
-            got.push(v);
-        }
-        t.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 }

@@ -18,9 +18,9 @@
 //! * **factorization** — the standalone sparse Cholesky of the
 //!   assembled Gram, isolating the kernel that used to dominate the
 //!   build when it ran dense (`O(L³)`, 256 s at 10k links);
-//! * **system construction** — [`TomographySystem::new`], whose
-//!   size gauge picks the dense (eager `R`, explicit rank) or sparse
-//!   (lazy `R`, Cholesky-certified identifiability) kernel;
+//! * **system construction** — [`TomographySystem::new`]: the exact
+//!   sparse rank check, then the Gram factorization (sparse above 512
+//!   links);
 //! * **estimation** — one measure/estimate round trip through the
 //!   factorized solver;
 //! * **the budget LP** — maximize total manipulation `Σ mₚ` under
@@ -50,7 +50,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use tomo_core::{KernelKind, TomographySystem};
+use tomo_core::TomographySystem;
 use tomo_graph::isp::{self, IspConfig};
 use tomo_graph::shortest::{one_hop_paths, sample_extra_paths};
 use tomo_graph::{Graph, Path};
@@ -111,8 +111,8 @@ impl Default for ScaleConfig {
 
 impl ScaleConfig {
     /// Single smallest point, no dense baselines: the CI smoke
-    /// configuration (`--quick`). Still large enough to trip the sparse
-    /// construction kernel and the revised simplex.
+    /// configuration (`--quick`). Still large enough to build its system
+    /// through the sparse Gram factor and to trip the revised simplex.
     #[must_use]
     pub fn quick() -> Self {
         ScaleConfig {
@@ -145,9 +145,6 @@ pub struct ScalePoint {
     pub gram_nnz: usize,
     /// Routing matrix density `nnz / (paths·links)`.
     pub density: f64,
-    /// Which construction kernel the system gauge picked
-    /// (`"dense"` / `"sparse"`, `"skipped"` above the system gate).
-    pub kernel: String,
     /// One-hop enumeration + shortest-path sampling seconds.
     pub path_enum_seconds: f64,
     /// Sparse Gram assembly ([`CsrMatrix::gram_csr`]) seconds.
@@ -288,8 +285,7 @@ fn run_point(
         secs
     });
 
-    // Full system (Gram + Cholesky + validation) under the size gauge.
-    let mut kernel = "skipped".to_string();
+    // Full system: rank check, Gram and factorization.
     let mut system_build_seconds = None;
     let mut estimate_seconds = None;
     if target <= config.full_system_max_links {
@@ -297,10 +293,6 @@ fn run_point(
         let t = Instant::now();
         let system = TomographySystem::new(graph.clone(), monitors, paths.to_vec())?;
         system_build_seconds = Some(t.elapsed().as_secs_f64());
-        kernel = match system.kernel() {
-            KernelKind::Dense => "dense".to_string(),
-            KernelKind::Sparse => "sparse".to_string(),
-        };
         let x: Vector = (0..links).map(|i| 100.0 + (i % 7) as f64).collect();
         let t = Instant::now();
         let y = system.measure(&x)?;
@@ -361,7 +353,6 @@ fn run_point(
         routing_nnz: routing.nnz(),
         gram_nnz,
         density: routing.density(),
-        kernel,
         path_enum_seconds,
         gram_sparse_seconds,
         factor_seconds,
@@ -478,16 +469,15 @@ fn fmt_opt_secs(v: Option<f64>) -> String {
 pub fn render(result: &ScaleResult) -> String {
     let mut out = String::from(
         "scale — Rocketfuel-scale kernel sweep (seconds, this machine)\n\
-         links   paths   nnz       gram_nnz  kernel   gram_s   gram_d   build    lp_rev   lp_dense  pivots\n",
+         links   paths   nnz       gram_nnz  gram_s   gram_d   build    lp_rev   lp_dense  pivots\n",
     );
     for p in &result.points {
         out.push_str(&format!(
-            "{:<7} {:<7} {:<9} {:<9} {:<8} {:<8.3} {:<8} {:<8} {:<8.3} {:<9} {}\n",
+            "{:<7} {:<7} {:<9} {:<9} {:<8.3} {:<8} {:<8} {:<8.3} {:<9} {}\n",
             p.links,
             p.paths,
             p.routing_nnz,
             p.gram_nnz,
-            p.kernel,
             p.gram_sparse_seconds,
             fmt_opt_secs(p.gram_dense_seconds),
             fmt_opt_secs(p.system_build_seconds),
@@ -534,8 +524,8 @@ pub fn write_artifact(result: &ScaleResult, path: &std::path::Path) -> Result<()
 mod tests {
     use super::*;
 
-    /// A miniature sweep that exercises both kernels, both LP backends,
-    /// and an extras resample in test time.
+    /// A miniature sweep that exercises both Gram factors, both LP
+    /// backends, and an extras resample in test time.
     fn tiny_config() -> ScaleConfig {
         ScaleConfig {
             sweep: vec![150, 400],
@@ -559,10 +549,9 @@ mod tests {
             assert!(p.factor_seconds >= 0.0);
         }
         // First point is small enough for the dense baselines and the
-        // dense construction kernel; run_point itself asserts the dense
-        // and revised optima agree.
+        // dense Gram factor; run_point itself asserts the dense and
+        // revised optima agree.
         let small = &r.points[0];
-        assert_eq!(small.kernel, "dense");
         assert!(small.gram_dense_seconds.is_some());
         let dense_obj = small.lp_dense_objective.expect("dense baseline ran");
         assert!((dense_obj - small.lp_objective).abs() <= 1e-6 * (1.0 + dense_obj.abs()));
@@ -613,7 +602,7 @@ mod tests {
         let r = run(5, &tiny_config()).unwrap();
         let s = render(&r);
         assert!(s.contains("scale"));
-        assert!(s.contains("kernel"));
+        assert!(s.contains("gram_nnz"));
         assert!(s.contains("dense"), "speedup line for the small point");
         assert!(s.contains("build breakdown"));
     }

@@ -273,11 +273,14 @@ import json, sys
 
 scale_path, metrics_path, cores, out_path = sys.argv[1:5]
 result = json.load(open(scale_path))
-counters = json.load(open(metrics_path)).get("counters", {})
+metrics = json.load(open(metrics_path))
+counters = metrics.get("counters", {})
 cores = int(cores)
 
-if counters.get("core.kernel.sparse", 0) < 1:
-    sys.exit("BENCH ERROR: scale sweep never used the sparse kernel")
+factor = metrics.get("histograms", {}).get("linalg.sparse_chol.factor_seconds", {})
+if factor.get("count", 0) < 2:
+    sys.exit("BENCH ERROR: scale sweep never built a system through the "
+             "sparse Gram factor")
 if counters.get("lp.simplex.revised.solves", 0) < 1:
     sys.exit("BENCH ERROR: scale sweep never used the revised simplex")
 
@@ -291,7 +294,6 @@ for p in result["points"]:
         "paths": p["paths"],
         "routing_nnz": p["routing_nnz"],
         "gram_nnz": p["gram_nnz"],
-        "kernel": p["kernel"],
         "gram_sparse_seconds": p["gram_sparse_seconds"],
         "gram_dense_seconds": p["gram_dense_seconds"],
         "system_build_seconds": p["system_build_seconds"],
@@ -351,7 +353,7 @@ json.dump(report, open(out_path, "w"), indent=2)
 open(out_path, "a").write("\n")
 largest = points[-1]
 print(f"BENCH scale largest point links={largest['links']} "
-      f"kernel={largest['kernel']} sparse_seconds={largest['sparse_seconds']}")
+      f"sparse_seconds={largest['sparse_seconds']}")
 print(f"BENCH scale sparse vs dense speedup={best_speedup}x "
       f"at {best_links} links")
 PY

@@ -119,29 +119,44 @@ print(f"ci: 2-thread smoke reported par.workers = 2 (sparse nnz={nnz})")
 PY
 
 echo "==> tomo-sim scale smoke (scale --quick --threads 1 --metrics)"
-# The smallest sweep point must still cross the sparse-kernel gauge and
-# route its budget LP through the revised simplex, and the artifact must
-# land on disk.
+# The smallest sweep point must build its system through the sparse Gram
+# factor (two factorizations: the standalone one and the system build's)
+# and route its budget LP through the revised simplex, and the artifact
+# must land on disk.
 SCALE_METRICS="$WORK/scale-metrics.json"
 SCALE_OUT="$WORK/scale"
 target/release/tomo-sim run scale --quick --seed 42 --threads 1 \
   --metrics "$SCALE_METRICS" --out "$SCALE_OUT" >/dev/null
 python3 - "$SCALE_METRICS" "$SCALE_OUT/scale.json" <<'PY'
 import json, sys
-counters = json.load(open(sys.argv[1])).get("counters", {})
+metrics = json.load(open(sys.argv[1]))
+counters = metrics.get("counters", {})
 artifact = json.load(open(sys.argv[2]))
-sparse = counters.get("core.kernel.sparse", 0)
+factor = metrics.get("histograms", {}).get("linalg.sparse_chol.factor_seconds", {})
+factors = factor.get("count", 0)
 revised = counters.get("lp.simplex.revised.solves", 0)
-if sparse < 1:
-    sys.exit(f"ci: expected core.kernel.sparse > 0, got {sparse}")
+if factors < 2:
+    sys.exit(f"ci: expected >= 2 sparse Gram factorizations, got {factors}")
 if revised < 1:
     sys.exit(f"ci: expected lp.simplex.revised.solves > 0, got {revised}")
 points = artifact.get("points", [])
-if not points or points[0].get("kernel") != "sparse":
-    sys.exit(f"ci: scale.json smallest point did not use the sparse kernel: {points}")
-print(f"ci: scale smoke used the sparse construction kernel and the revised "
-      f"simplex ({points[0]['links']} links, {points[0]['lp_revised_pivots']} pivots)")
+if not points:
+    sys.exit("ci: scale.json has no points")
+print(f"ci: scale smoke made {factors} sparse Gram factorizations and used "
+      f"the revised simplex ({points[0]['links']} links, "
+      f"{points[0]['lp_revised_pivots']} pivots)")
 PY
+
+echo "==> localize example (cargo run --release --example localize_attacker)"
+# Attacker localization end to end: the example frames a victim from one
+# ISP router and must find that router among the suspects.
+LOCALIZE_OUT="$(cargo run -q --release --example localize_attacker)"
+echo "$LOCALIZE_OUT" | grep -q 'attacker among them: YES' || {
+  echo "ci: localize example did not find the attacker:" >&2
+  echo "$LOCALIZE_OUT" >&2
+  exit 1
+}
+echo "ci: localize example found the attacker among the suspects"
 
 echo "==> tomo-sim chaos smoke (chaos --quick --threads 2 --metrics)"
 # Default fault mix (measurement faults only): faults must fire, every

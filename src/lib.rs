@@ -10,7 +10,7 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
-//! | [`linalg`] | `tomo-linalg` | dense LA: LU/QR/Cholesky, least squares, rank |
+//! | [`linalg`] | `tomo-linalg` | CSR kernels, exact sparse rank, dense/sparse Cholesky least squares |
 //! | [`lp`] | `tomo-lp` | two-phase simplex LP solver |
 //! | [`graph`] | `tomo-graph` | graphs, paths, RGG/ISP/Rocketfuel topologies |
 //! | [`core`] | `tomo-core` | tomography: monitors, routing matrix, estimator |

@@ -1,22 +1,22 @@
 //! Bit-exact parity between the cache-blocked factorization kernels and
-//! their unblocked references, across the blocking threshold.
+//! the textbook loops they replaced, kept here as test-local references.
 //!
 //! DESIGN.md §5g's contract: blocking is a *scheduling* change, not a
 //! numerical one. The blocked right-looking Cholesky applies exactly
 //! the same per-entry update terms in the same ascending-`k` order as
-//! the unblocked loop, so factors — and everything derived from them
-//! (solves, the solver stack's artifacts) — match bit for bit. The
-//! in-crate unit tests pin single sizes; these proptests sweep random
-//! matrices on both sides of `BLOCK_THRESHOLD` and at the boundary
-//! itself, plus the blocked `mul_transpose_self` against an
-//! independently coded ascending-row reference.
+//! the textbook column loop, so factors — and everything derived from
+//! them (solves, the solver stack's artifacts) — match bit for bit.
+//! These proptests sweep random matrices inside one panel, at panel
+//! edges and across several panels with a ragged tail, plus the tiled
+//! `mul_transpose_self` against an independently coded ascending-row
+//! reference on one and several column strips.
 
 use proptest::prelude::*;
 use rand::Rng as _;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use scapegoat_tomography::linalg::cholesky::{self, Cholesky};
+use scapegoat_tomography::linalg::cholesky::{Cholesky, BLOCK};
 use scapegoat_tomography::linalg::{Matrix, Vector};
 
 /// A dense symmetric positive-definite matrix with non-separable entries
@@ -59,54 +59,93 @@ fn assert_bits_eq(a: &Vector, b: &Vector, what: &str) {
     }
 }
 
-/// Sizes straddling the blocking threshold: well below, one below, at,
-/// one above, a full block above, and a ragged tail.
-fn threshold_sizes(threshold: usize) -> [usize; 6] {
+/// The textbook column-by-column Cholesky factor of an SPD matrix.
+fn textbook_factor(a: &Matrix) -> Matrix {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut diag = a[(j, j)];
+        for k in 0..j {
+            diag -= l[(j, k)] * l[(j, k)];
+        }
+        let ljj = diag.sqrt();
+        l[(j, j)] = ljj;
+        for i in (j + 1)..n {
+            let mut v = a[(i, j)];
+            for k in 0..j {
+                v -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = v / ljj;
+        }
+    }
+    l
+}
+
+/// The textbook forward/back substitution on a lower-triangular factor.
+fn textbook_solve(l: &Matrix, b: &Vector) -> Vector {
+    let n = l.rows();
+    let mut x = b.clone();
+    for i in 0..n {
+        let mut sum = x[i];
+        for j in 0..i {
+            sum -= l[(i, j)] * x[j];
+        }
+        x[i] = sum / l[(i, i)];
+    }
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for j in (i + 1)..n {
+            sum -= l[(j, i)] * x[j];
+        }
+        x[i] = sum / l[(i, i)];
+    }
+    x
+}
+
+/// Sizes around the panel width: inside one panel, one below, at and
+/// one above a panel edge, two full panels, and two panels plus a
+/// ragged tail.
+fn panel_sizes() -> [usize; 6] {
     [
-        threshold / 2,
-        threshold - 1,
-        threshold,
-        threshold + 1,
-        threshold + 64,
-        threshold + 41,
+        BLOCK / 2,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        2 * BLOCK,
+        2 * BLOCK + 41,
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Blocked and unblocked Cholesky produce bit-identical factors and
-    /// solves at every size around the threshold; `new` dispatches to
-    /// whichever side without changing results.
+    /// The blocked Cholesky produces the textbook loop's factor and
+    /// solves, bit for bit, at every size around the panel width.
     #[test]
     fn cholesky_blocked_is_bit_identical(seed in 0u64..1000) {
-        for (k, &n) in threshold_sizes(cholesky::BLOCK_THRESHOLD).iter().enumerate() {
+        for (k, &n) in panel_sizes().iter().enumerate() {
             let a = random_spd(n, seed.wrapping_add(k as u64));
-            let blocked = Cholesky::factor_blocked(&a).unwrap();
-            let unblocked = Cholesky::factor_unblocked(&a).unwrap();
-            assert_matrix_bits_eq(blocked.l(), unblocked.l(), "cholesky L");
-            let auto = Cholesky::new(&a).unwrap();
-            assert_matrix_bits_eq(auto.l(), blocked.l(), "cholesky auto dispatch");
+            let reference = textbook_factor(&a);
+            let chol = Cholesky::new(&a).unwrap();
+            assert_matrix_bits_eq(chol.l(), &reference, "cholesky L");
             let b = random_vector(n, seed ^ 0xc0de);
             assert_bits_eq(
-                &blocked.solve(&b).unwrap(),
-                &unblocked.solve(&b).unwrap(),
+                &chol.solve(&b).unwrap(),
+                &textbook_solve(&reference, &b),
                 "cholesky solve",
             );
         }
     }
 
-    /// The blocked `mul_transpose_self` (`AᵀA`) matches an independently
-    /// coded ascending-row accumulation bit for bit on wide 0/1
-    /// routing-like matrices that cross the column threshold.
+    /// The tiled `mul_transpose_self` (`AᵀA`) matches an independently
+    /// coded ascending-row accumulation bit for bit on 0/1
+    /// routing-like matrices one 128-column strip wide and several
+    /// strips wide.
     #[test]
     fn gram_blocking_matches_naive_reference(seed in 0u64..1000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let rows = rng.gen_range(10..40usize);
-        for cols in [
-            scapegoat_tomography::linalg::MTS_BLOCK_THRESHOLD - 1,
-            scapegoat_tomography::linalg::MTS_BLOCK_THRESHOLD + 37,
-        ] {
+        for cols in [127, 255, 293] {
             let a = Matrix::from_fn(rows, cols, |i, j| {
                 // ~25% dense 0/1 pattern, deterministic per (i, j).
                 u64::from((i * 31 + j * 17 + seed as usize).is_multiple_of(4)) as f64
