@@ -19,13 +19,14 @@ use tomo_sim::topologies::{build_system, NetworkKind};
 use tomo_sim::{ablation, defense};
 
 fn bench_stealth_tax(c: &mut Criterion) {
-    let result = ablation::run_stealth_tax(BENCH_SEED, 8).expect("ablation runs");
+    let exec = Executor::from_env();
+    let result = ablation::run_stealth_tax(BENCH_SEED, 8, &exec).expect("ablation runs");
     println!("\n{}", ablation::render_stealth_tax(&result));
 
     let mut group = c.benchmark_group("extensions");
     group.sample_size(10);
     group.bench_function("stealth_tax_3_samples", |b| {
-        b.iter(|| ablation::run_stealth_tax(black_box(BENCH_SEED), 3).expect("runs"));
+        b.iter(|| ablation::run_stealth_tax(black_box(BENCH_SEED), 3, &exec).expect("runs"));
     });
     group.finish();
 }
@@ -45,7 +46,8 @@ fn bench_defense(c: &mut Criterion) {
 
 fn bench_localization(c: &mut Criterion) {
     // Build one attacked instance, then time the localization sweep.
-    let system = build_system(NetworkKind::Wireline, BENCH_SEED).expect("system");
+    let system =
+        build_system(NetworkKind::Wireline, BENCH_SEED, &Executor::from_env()).expect("system");
     let mut rng = ChaCha8Rng::seed_from_u64(BENCH_SEED);
     let x = params::default_delay_model().sample(system.num_links(), &mut rng);
     let mut nodes: Vec<_> = system.graph().nodes().collect();

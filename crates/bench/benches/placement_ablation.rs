@@ -13,11 +13,13 @@ use tomo_core::placement::{
     max_internal_presence_ratio, random_placement, security_aware_placement, PlacementConfig,
 };
 use tomo_graph::isp;
+use tomo_par::Executor;
 
 fn bench_placement_ablation(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(1221);
     let g = isp::generate(&isp::IspConfig::default(), &mut rng).unwrap();
     let cfg = PlacementConfig::default();
+    let exec = Executor::from_env();
 
     // Print the ablation table once.
     println!("\nSection VI ablation — worst internal presence ratio (lower = safer):");
@@ -28,7 +30,7 @@ fn bench_placement_ablation(c: &mut Criterion) {
         let mut r1 = ChaCha8Rng::seed_from_u64(100 + s);
         let rand_sys = random_placement(&g, &cfg, &mut r1).unwrap();
         let mut r2 = ChaCha8Rng::seed_from_u64(100 + s);
-        let secure_sys = security_aware_placement(&g, &cfg, 6, &mut r2).unwrap();
+        let secure_sys = security_aware_placement(&g, &cfg, 6, &mut r2, &exec).unwrap();
         let (a, b) = (
             max_internal_presence_ratio(&rand_sys),
             max_internal_presence_ratio(&secure_sys),
@@ -59,7 +61,7 @@ fn bench_placement_ablation(c: &mut Criterion) {
     group.bench_function("security_aware_placement_6_trials", |b| {
         b.iter(|| {
             let mut r = ChaCha8Rng::seed_from_u64(7);
-            security_aware_placement(black_box(&g), &cfg, 6, &mut r).unwrap()
+            security_aware_placement(black_box(&g), &cfg, 6, &mut r, &exec).unwrap()
         });
     });
     group.finish();

@@ -16,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use tomo_core::TomographySystem;
 use tomo_graph::isp;
 use tomo_linalg::Vector;
+use tomo_par::Executor;
 use tomo_sim::topologies::{build_system, NetworkKind};
 
 /// The largest ISP-like instance the generator produces comfortably:
@@ -79,9 +80,10 @@ fn bench_system(c: &mut Criterion, label: &str, system: &TomographySystem) {
 
 fn bench_sparse_kernels(c: &mut Criterion) {
     // The two fig. 7 families, exactly as the experiment builds them.
-    let wireline = build_system(NetworkKind::Wireline, 42).unwrap();
+    let exec = Executor::from_env();
+    let wireline = build_system(NetworkKind::Wireline, 42, &exec).unwrap();
     bench_system(c, "fig7_wireline", &wireline);
-    let wireless = build_system(NetworkKind::Wireless, 42).unwrap();
+    let wireless = build_system(NetworkKind::Wireless, 42, &exec).unwrap();
     bench_system(c, "fig7_wireless", &wireless);
     // And the largest ISP instance, where sparsity pays the most.
     let large = large_isp_system(42);

@@ -18,8 +18,14 @@ use rand::Rng;
 
 use tomo_graph::{shortest, Graph, NodeId, Path};
 use tomo_linalg::rank::SparseRank;
+use tomo_obs::LazyCounter;
+use tomo_par::Executor;
 
 use crate::{CoreError, TomographySystem};
+
+static PAIRS: LazyCounter = LazyCounter::new("core.placement.pairs");
+static CANDIDATES: LazyCounter = LazyCounter::new("core.placement.candidates");
+static RANK_RAISES: LazyCounter = LazyCounter::new("core.placement.rank_raises");
 
 /// Configuration for randomized monitor placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +59,9 @@ impl Default for PlacementConfig {
 /// when rank = |L|, then appends redundant paths per
 /// [`PlacementConfig::redundancy_fraction`].
 ///
+/// Runs on [`Executor::from_env`]; [`random_placement_on`] takes the
+/// executor explicitly.
+///
 /// # Errors
 ///
 /// * [`CoreError::PlacementFailed`] if the monitor budget is exhausted
@@ -63,6 +72,28 @@ pub fn random_placement<R: Rng + ?Sized>(
     graph: &Graph,
     config: &PlacementConfig,
     rng: &mut R,
+) -> Result<TomographySystem, CoreError> {
+    random_placement_on(graph, config, rng, &Executor::from_env())
+}
+
+/// [`random_placement`] with each new monitor's Yen calls fanned out over
+/// `exec`. The calls do not depend on each other, and their paths reach
+/// the rank tracker in pair order, so the monitors and paths do not
+/// depend on the thread count; one worker runs the pairs inline.
+///
+/// Counts `core.placement.pairs` (Yen calls), `core.placement.candidates`
+/// (paths Yen returned) and `core.placement.rank_raises` (paths that
+/// raised the rank).
+///
+/// # Errors
+///
+/// As [`random_placement`]; a failing Yen call reports the error of the
+/// lowest pair index, the one a serial loop would hit first.
+pub fn random_placement_on<R: Rng + ?Sized>(
+    graph: &Graph,
+    config: &PlacementConfig,
+    rng: &mut R,
+    exec: &Executor,
 ) -> Result<TomographySystem, CoreError> {
     if graph.num_nodes() < 2 || graph.num_links() == 0 {
         return Err(CoreError::PlacementFailed {
@@ -77,6 +108,8 @@ pub fn random_placement<R: Rng + ?Sized>(
     let mut order: Vec<NodeId> = graph.nodes().collect();
     order.shuffle(rng);
     let budget = config.max_monitors.unwrap_or(graph.num_nodes());
+    // Only the first `extra` rejected paths become redundant rows.
+    let extra = ((num_links as f64) * config.redundancy_fraction).floor() as usize;
 
     let mut monitors: Vec<NodeId> = Vec::new();
     let mut tracker = SparseRank::new(num_links);
@@ -85,15 +118,17 @@ pub fn random_placement<R: Rng + ?Sized>(
 
     for &candidate in order.iter().take(budget) {
         // Pull candidate paths from the new monitor to each existing one.
-        for &existing in &monitors {
-            let paths =
-                shortest::yen_k_shortest(graph, existing, candidate, config.paths_per_pair)?;
-            for p in paths {
-                if tracker.try_add(p.links().iter().map(|l| l.index())) {
-                    chosen.push(p);
-                } else {
-                    skipped.push(p);
-                }
+        let per_pair = exec.try_map(monitors.len(), |i| {
+            shortest::yen_k_shortest(graph, monitors[i], candidate, config.paths_per_pair)
+        })?;
+        PAIRS.add(per_pair.len() as u64);
+        for p in per_pair.into_iter().flatten() {
+            CANDIDATES.inc();
+            if tracker.try_add(p.links().iter().map(|l| l.index())) {
+                RANK_RAISES.inc();
+                chosen.push(p);
+            } else if skipped.len() < extra {
+                skipped.push(p);
             }
         }
         monitors.push(candidate);
@@ -113,8 +148,7 @@ pub fn random_placement<R: Rng + ?Sized>(
         });
     }
 
-    let extra = ((num_links as f64) * config.redundancy_fraction).floor() as usize;
-    chosen.extend(skipped.into_iter().take(extra));
+    chosen.extend(skipped);
     TomographySystem::new(graph.clone(), monitors, chosen)
 }
 
@@ -148,8 +182,8 @@ pub fn max_internal_presence_ratio(system: &TomographySystem) -> f64 {
 }
 
 /// Security-aware placement (the paper's Section VI proposal): run
-/// [`random_placement`] `trials` times and keep the system whose worst
-/// internal presence ratio is smallest.
+/// [`random_placement_on`] `trials` times on `exec` and keep the system
+/// whose worst internal presence ratio is smallest.
 ///
 /// # Errors
 ///
@@ -159,11 +193,12 @@ pub fn security_aware_placement<R: Rng + ?Sized>(
     config: &PlacementConfig,
     trials: usize,
     rng: &mut R,
+    exec: &Executor,
 ) -> Result<TomographySystem, CoreError> {
     let mut best: Option<(f64, TomographySystem)> = None;
     let mut last_err = None;
     for _ in 0..trials.max(1) {
-        match random_placement(graph, config, rng) {
+        match random_placement_on(graph, config, rng, exec) {
             Ok(system) => {
                 let exposure = max_internal_presence_ratio(&system);
                 if best.as_ref().is_none_or(|(b, _)| exposure < *b) {
@@ -227,16 +262,43 @@ mod tests {
     #[test]
     fn budget_too_small_fails() {
         let f = topology::fig1();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let config = PlacementConfig {
-            max_monitors: Some(2),
-            ..PlacementConfig::default()
+        // 2 monitors cannot identify all 10 Fig. 1 links; at this seed 6
+        // cannot either, and their maps have up to 5 pairs, so 3 threads
+        // fan out. The reason must not depend on the thread count.
+        for budget in [2, 6] {
+            let config = PlacementConfig {
+                max_monitors: Some(budget),
+                ..PlacementConfig::default()
+            };
+            let reason = |threads: usize| {
+                let mut rng = ChaCha8Rng::seed_from_u64(2);
+                match random_placement_on(&f.graph, &config, &mut rng, &Executor::new(threads)) {
+                    Err(CoreError::PlacementFailed { reason }) => reason,
+                    other => panic!("budget {budget}: expected PlacementFailed, got {other:?}"),
+                }
+            };
+            assert_eq!(reason(1), reason(3), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn placement_is_the_same_at_any_thread_count() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1221);
+        let g = isp::generate(&isp::IspConfig::default(), &mut rng).unwrap();
+        let place = |threads: usize| {
+            let mut rng = ChaCha8Rng::seed_from_u64(77);
+            random_placement_on(
+                &g,
+                &PlacementConfig::default(),
+                &mut rng,
+                &Executor::new(threads),
+            )
+            .unwrap()
         };
-        // 2 monitors cannot identify all 10 Fig. 1 links.
-        assert!(matches!(
-            random_placement(&f.graph, &config, &mut rng),
-            Err(CoreError::PlacementFailed { .. })
-        ));
+        let serial = place(1);
+        let parallel = place(3);
+        assert_eq!(serial.monitors(), parallel.monitors());
+        assert_eq!(serial.paths(), parallel.paths());
     }
 
     #[test]
@@ -273,7 +335,8 @@ mod tests {
         // Same RNG stream: the first security-aware trial IS the single
         // placement, so the minimum over 5 trials cannot be worse.
         let mut rng_b = ChaCha8Rng::seed_from_u64(100);
-        let secure = security_aware_placement(&g, &cfg, 5, &mut rng_b).unwrap();
+        let secure =
+            security_aware_placement(&g, &cfg, 5, &mut rng_b, &Executor::from_env()).unwrap();
         let secure_exposure = max_internal_presence_ratio(&secure);
         assert!(secure_exposure <= single_exposure + 1e-12);
     }

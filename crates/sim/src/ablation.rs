@@ -19,6 +19,7 @@ use tomo_attack::scenario::AttackScenario;
 use tomo_attack::strategy;
 use tomo_core::params;
 use tomo_graph::LinkId;
+use tomo_par::Executor;
 
 use crate::topologies::{build_system, NetworkKind};
 use crate::{report, SimError};
@@ -73,14 +74,19 @@ impl StealthTaxResult {
 
 /// Runs the stealth-tax ablation: samples random (attackers, victim)
 /// pairs on a wireline system until `target_samples` perfect-cut
-/// instances have been measured with both LP variants.
+/// instances have been measured with both LP variants. Only the system
+/// build's placement runs on `exec`; the draws share one RNG stream.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] on substrate failure.
-pub fn run_stealth_tax(seed: u64, target_samples: usize) -> Result<StealthTaxResult, SimError> {
+pub fn run_stealth_tax(
+    seed: u64,
+    target_samples: usize,
+    exec: &Executor,
+) -> Result<StealthTaxResult, SimError> {
     let _span = tomo_obs::span("sim.stealth-tax");
-    let system = build_system(NetworkKind::Wireline, seed)?;
+    let system = build_system(NetworkKind::Wireline, seed, exec)?;
     let delay_model = params::default_delay_model();
     let plain = AttackScenario::paper_defaults();
     let stealthy = AttackScenario::paper_defaults_stealthy();
@@ -168,7 +174,7 @@ mod tests {
 
     #[test]
     fn stealth_never_exceeds_plain_damage() {
-        let r = run_stealth_tax(3, 4).unwrap();
+        let r = run_stealth_tax(3, 4, &Executor::from_env()).unwrap();
         assert!(!r.samples.is_empty(), "found no perfect-cut instances");
         for s in &r.samples {
             assert!(
@@ -187,14 +193,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_stealth_tax(5, 2).unwrap();
-        let b = run_stealth_tax(5, 2).unwrap();
+        let a = run_stealth_tax(5, 2, &Executor::single_threaded()).unwrap();
+        let b = run_stealth_tax(5, 2, &Executor::new(4)).unwrap();
         assert_eq!(a.samples, b.samples);
     }
 
     #[test]
     fn render_contains_summary() {
-        let r = run_stealth_tax(3, 2).unwrap();
+        let r = run_stealth_tax(3, 2, &Executor::from_env()).unwrap();
         let s = render_stealth_tax(&r);
         assert!(s.contains("price of stealth"));
         assert!(s.contains("mean damage"));

@@ -17,7 +17,7 @@ use tomo_attack::attacker::AttackerSet;
 use tomo_attack::scenario::AttackScenario;
 use tomo_attack::strategy;
 use tomo_core::placement::{
-    max_internal_presence_ratio, random_placement, security_aware_placement, PlacementConfig,
+    max_internal_presence_ratio, random_placement_on, security_aware_placement, PlacementConfig,
 };
 use tomo_core::{params, TomographySystem};
 use tomo_graph::isp;
@@ -91,8 +91,9 @@ fn campaign(
 }
 
 /// Runs the defense comparison on one seeded ISP topology, fanning
-/// attack trials out over `exec` (placement search stays sequential —
-/// it is a best-of comparison over one shared RNG stream).
+/// attack trials and each placement's Yen calls out over `exec` (the
+/// best-of placement search itself stays sequential — it draws from one
+/// shared RNG stream).
 ///
 /// # Errors
 ///
@@ -109,9 +110,9 @@ pub fn run_defense(
     let cfg = PlacementConfig::default();
 
     let mut rng_a = ChaCha8Rng::seed_from_u64(seed ^ 0xd3f);
-    let random_system = random_placement(&graph, &cfg, &mut rng_a)?;
+    let random_system = random_placement_on(&graph, &cfg, &mut rng_a, exec)?;
     let mut rng_b = ChaCha8Rng::seed_from_u64(seed ^ 0xd3f);
-    let secure_system = security_aware_placement(&graph, &cfg, placement_trials, &mut rng_b)?;
+    let secure_system = security_aware_placement(&graph, &cfg, placement_trials, &mut rng_b, exec)?;
 
     Ok(DefenseResult {
         seed,

@@ -86,7 +86,7 @@ fn run_family(
                 NetworkKind::Wireline => 0,
                 NetworkKind::Wireless => 500_000,
             });
-        let system = build_system(kind, sys_seed)?;
+        let system = build_system(kind, sys_seed, exec)?;
         let trial_seed = sys_seed ^ 0xabcd_ef01;
         let outcomes = exec.try_map(
             config.trials_per_system,

@@ -87,7 +87,7 @@ fn run_family(
                 NetworkKind::Wireline => 0,
                 NetworkKind::Wireless => 900_000,
             });
-        let system = build_system(kind, sys_seed)?;
+        let system = build_system(kind, sys_seed, exec)?;
         let trial_seed = sys_seed ^ 0x5a5a_5a5a;
         let outcomes = exec.try_map(config.trials_per_system, |t| {
             let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(trial_seed, t as u64));

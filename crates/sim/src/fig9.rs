@@ -89,7 +89,7 @@ pub fn run(seed: u64, config: &Fig9Config, exec: &Executor) -> Result<Fig9Result
     let system: TomographySystem = match config.network {
         Fig9Network::Fig1 => fig1::fig1_system()?,
         Fig9Network::Wireline => {
-            crate::topologies::build_system(crate::topologies::NetworkKind::Wireline, seed)?
+            crate::topologies::build_system(crate::topologies::NetworkKind::Wireline, seed, exec)?
         }
     };
     let detector = ConsistencyDetector::new(config.alpha)

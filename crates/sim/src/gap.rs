@@ -74,7 +74,7 @@ fn run_family(
     draws: usize,
     exec: &Executor,
 ) -> Result<GapSeries, SimError> {
-    let system = build_system(kind, seed)?;
+    let system = build_system(kind, seed, exec)?;
     let delays = params::default_delay_model();
     let plain = AttackScenario::paper_defaults();
     let honest = AttackScenario::paper_defaults_stealthy();

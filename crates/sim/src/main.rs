@@ -333,7 +333,7 @@ fn run_one(name: &str, args: &Args, exec: &Executor) -> Result<(), SimError> {
             }
         }
         "stealth-tax" => {
-            let r = ablation::run_stealth_tax(seed, if args.quick { 3 } else { 10 })?;
+            let r = ablation::run_stealth_tax(seed, if args.quick { 3 } else { 10 }, exec)?;
             println!("{}", ablation::render_stealth_tax(&r));
             if let Some(p) = artifact("stealth_tax.json") {
                 report::write_json(&r, &p)?;

@@ -4,9 +4,10 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use tomo_core::placement::{random_placement, PlacementConfig};
+use tomo_core::placement::{random_placement_on, PlacementConfig};
 use tomo_core::TomographySystem;
 use tomo_graph::{isp, rgg, rocketfuel};
+use tomo_par::Executor;
 
 use crate::SimError;
 
@@ -29,24 +30,31 @@ impl std::fmt::Display for NetworkKind {
     }
 }
 
-/// Builds a measurement system of the given family from a seed.
+/// Builds a measurement system of the given family from a seed, with
+/// placement's Yen calls fanned out over `exec`.
 ///
-/// The same seed yields the same topology, monitors, and paths.
+/// The same seed yields the same topology, monitors, and paths at any
+/// thread count.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if generation or placement fails for this seed
 /// (rare; callers doing Monte Carlo should skip-and-reseed).
-pub fn build_system(kind: NetworkKind, seed: u64) -> Result<TomographySystem, SimError> {
+pub fn build_system(
+    kind: NetworkKind,
+    seed: u64,
+    exec: &Executor,
+) -> Result<TomographySystem, SimError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let graph = match kind {
         NetworkKind::Wireline => isp::generate(&isp::IspConfig::default(), &mut rng)?,
         NetworkKind::Wireless => rgg::RggConfig::default().generate(&mut rng)?.graph,
     };
-    Ok(random_placement(
+    Ok(random_placement_on(
         &graph,
         &PlacementConfig::default(),
         &mut rng,
+        exec,
     )?)
 }
 
@@ -59,6 +67,7 @@ pub fn build_system(kind: NetworkKind, seed: u64) -> Result<TomographySystem, Si
 pub fn build_system_from_rocketfuel(
     path: &std::path::Path,
     seed: u64,
+    exec: &Executor,
 ) -> Result<TomographySystem, SimError> {
     let graph = if path.extension().is_some_and(|e| e == "cch") {
         rocketfuel::from_cch_file(path)?
@@ -66,10 +75,11 @@ pub fn build_system_from_rocketfuel(
         rocketfuel::from_edge_list_file(path)?
     };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Ok(random_placement(
+    Ok(random_placement_on(
         &graph,
         &PlacementConfig::default(),
         &mut rng,
+        exec,
     )?)
 }
 
@@ -79,17 +89,19 @@ mod tests {
 
     #[test]
     fn builds_both_families() {
-        let wl = build_system(NetworkKind::Wireline, 1).unwrap();
+        let exec = Executor::from_env();
+        let wl = build_system(NetworkKind::Wireline, 1, &exec).unwrap();
         assert!(wl.num_links() > 50);
         assert!(wl.num_paths() > wl.num_links());
-        let ws = build_system(NetworkKind::Wireless, 1).unwrap();
+        let ws = build_system(NetworkKind::Wireless, 1, &exec).unwrap();
         assert!(ws.num_links() > 30);
     }
 
     #[test]
     fn seeded_determinism() {
-        let a = build_system(NetworkKind::Wireline, 7).unwrap();
-        let b = build_system(NetworkKind::Wireline, 7).unwrap();
+        let exec = Executor::from_env();
+        let a = build_system(NetworkKind::Wireline, 7, &exec).unwrap();
+        let b = build_system(NetworkKind::Wireline, 7, &exec).unwrap();
         assert_eq!(a.monitors(), b.monitors());
         assert_eq!(a.num_paths(), b.num_paths());
     }
@@ -113,7 +125,7 @@ mod tests {
             }
         }
         std::fs::write(&path, edges).unwrap();
-        let sys = build_system_from_rocketfuel(&path, 3).unwrap();
+        let sys = build_system_from_rocketfuel(&path, 3, &Executor::from_env()).unwrap();
         assert_eq!(sys.num_links(), 10);
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -112,6 +112,55 @@ fn metrics_snapshot_captures_solver_and_figure_activity() {
 }
 
 #[test]
+fn threads_flag_reaches_placement() {
+    // Each new monitor's Yen calls are one executor map, so at --threads 1
+    // every map runs inline (one par.worker.tasks sample per batch), and
+    // the placement counters do not depend on the thread count.
+    let dir = std::env::temp_dir().join("tomo_sim_threads_placement_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |threads: &str| -> serde_json::Value {
+        let metrics = dir.join(format!("metrics-t{threads}.json"));
+        let out = tomo_sim()
+            .args(["run", "fig7", "--quick", "--seed", "42"])
+            .args(["--threads", threads, "--metrics", metrics.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("snapshot written"))
+            .expect("snapshot is valid JSON")
+    };
+    let counter = |json: &serde_json::Value, name: &str| {
+        json.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or_else(|| panic!("{name} present"))
+    };
+    let worker_samples = |json: &serde_json::Value| {
+        json.get("histograms")
+            .and_then(|h| h.get("par.worker.tasks"))
+            .and_then(|h| h.get("count"))
+            .and_then(serde_json::Value::as_u64)
+            .expect("par.worker.tasks histogram present")
+    };
+    let placement = |json: &serde_json::Value| {
+        ["pairs", "candidates", "rank_raises"]
+            .map(|k| counter(json, &format!("core.placement.{k}")))
+    };
+
+    let serial = run("1");
+    let pairs = counter(&serial, "core.placement.pairs");
+    assert!(pairs > 0, "placement made no Yen calls");
+    // fig7 --quick runs 2 x 40 trials; every other task is a placement pair.
+    assert_eq!(counter(&serial, "par.tasks"), 80 + pairs);
+    assert_eq!(worker_samples(&serial), counter(&serial, "par.batches"));
+
+    let parallel = run("2");
+    assert_eq!(placement(&parallel), placement(&serial));
+    assert!(worker_samples(&parallel) > counter(&parallel, "par.batches"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flags_and_trailing_arguments_are_rejected() {
     let out = tomo_sim()
         .args(["run", "fig4", "--frobnicate"])

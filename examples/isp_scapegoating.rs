@@ -17,6 +17,7 @@ use scapegoat_tomography::core::placement::{
     max_internal_presence_ratio, security_aware_placement,
 };
 use scapegoat_tomography::graph::isp::{self, IspConfig};
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -102,7 +103,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- 5. Defense: security-aware placement (Section VI) ---------------
     let baseline_exposure = max_internal_presence_ratio(&system);
-    let hardened = security_aware_placement(&graph, &PlacementConfig::default(), 8, &mut rng)?;
+    let hardened = security_aware_placement(
+        &graph,
+        &PlacementConfig::default(),
+        8,
+        &mut rng,
+        &Executor::from_env(),
+    )?;
     let hardened_exposure = max_internal_presence_ratio(&hardened);
     println!(
         "\nworst single-router presence ratio: random placement {:.0}% → security-aware {:.0}%",

@@ -16,11 +16,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use scapegoat_tomography::attack::cut::{analyze_cut, CutKind};
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::prelude::*;
 use scapegoat_tomography::sim::topologies::{build_system, NetworkKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let system = build_system(NetworkKind::Wireline, 13)?;
+    let system = build_system(NetworkKind::Wireline, 13, &Executor::from_env())?;
     println!(
         "AS-scale system: {} links, {} measurement paths ({} redundant rows)",
         system.num_links(),

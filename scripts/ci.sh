@@ -64,7 +64,9 @@ echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 
 # far from LP_TOL = 1e-7: every infeasible solve ends at >= 1e-2, every
 # feasible one at <= 1e-8. The estimator and projector columns are
 # computed on first use, so the number of distinct columns a run builds
-# is pinned as well, at both thread counts.
+# is pinned as well, at both thread counts. Placement fans its Yen calls
+# out over the workers but feeds the rank tracker in pair order, so its
+# Yen calls, returned paths and rank raises must repeat exactly too.
 python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
@@ -74,6 +76,10 @@ expected = {
             "optimal": 18, "infeasible": 63, "rows": 5582},
 }
 expected_builds = {"all": 2828, "gap": 834}
+expected_placement = {
+    "all": {"pairs": 41348, "candidates": 246323, "rank_raises": 1808},
+    "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
+}
 for threads in (1, 2):
     for run in ("all", "gap"):
         path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
@@ -88,6 +94,11 @@ for threads in (1, 2):
             sys.exit(f"ci: run {run} at {threads} threads: "
                      f"core.estimator_cache.builds {builds} != "
                      f"{expected_builds[run]}")
+        placement = {k: counters.get(f"core.placement.{k}", 0)
+                     for k in expected_placement[run]}
+        if placement != expected_placement[run]:
+            sys.exit(f"ci: run {run} at {threads} threads: core.placement "
+                     f"counters {placement} != {expected_placement[run]}")
         margin = metrics.get("histograms", {})
         feasible = margin.get("lp.simplex.phase1_objective.feasible")
         infeasible = margin.get("lp.simplex.phase1_objective.infeasible")
@@ -99,8 +110,9 @@ for threads in (1, 2):
                      f"drifted toward LP_TOL: infeasible min "
                      f"{infeasible['min']}, feasible max {feasible['max']}")
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
-      "the phase-1 verdict margin and core.estimator_cache.builds match "
-      "for run all and run gap at 1 and 2 threads")
+      "the phase-1 verdict margin, core.estimator_cache.builds and "
+      "core.placement pairs/candidates/rank_raises match for run all and "
+      "run gap at 1 and 2 threads")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"

@@ -6,18 +6,19 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::prelude::*;
 use scapegoat_tomography::sim::topologies::{build_system, NetworkKind};
 
 #[test]
 fn wireline_pipeline() {
-    let system = build_system(NetworkKind::Wireline, 11).unwrap();
+    let system = build_system(NetworkKind::Wireline, 11, &Executor::from_env()).unwrap();
     run_family_pipeline(system, 11);
 }
 
 #[test]
 fn wireless_pipeline() {
-    let system = build_system(NetworkKind::Wireless, 12).unwrap();
+    let system = build_system(NetworkKind::Wireless, 12, &Executor::from_env()).unwrap();
     run_family_pipeline(system, 12);
 }
 

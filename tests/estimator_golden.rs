@@ -27,6 +27,7 @@ use scapegoat_tomography::core::fig1::fig1_system;
 use scapegoat_tomography::core::TomographySystem;
 use scapegoat_tomography::linalg::lstsq::SPARSE_FACTOR_MIN_DIM;
 use scapegoat_tomography::linalg::Vector;
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::sim::topologies::{build_system, NetworkKind};
 
 /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
@@ -60,7 +61,7 @@ fn pinned_systems() -> Vec<(&'static str, TomographySystem, usize, usize, u64, u
         ),
         (
             "wireline seed 42",
-            build_system(NetworkKind::Wireline, 42).unwrap(),
+            build_system(NetworkKind::Wireline, 42, &Executor::from_env()).unwrap(),
             153,
             229,
             0x712c_1459_49a8_66e7,
@@ -68,7 +69,7 @@ fn pinned_systems() -> Vec<(&'static str, TomographySystem, usize, usize, u64, u
         ),
         (
             "wireless seed 42",
-            build_system(NetworkKind::Wireless, 42).unwrap(),
+            build_system(NetworkKind::Wireless, 42, &Executor::from_env()).unwrap(),
             222,
             333,
             0xa54a_4abf_0b41_ed25,

@@ -7,14 +7,20 @@
 //! with FNV-1a and compares against digests recorded from the reference
 //! implementation. Any change to the rank test, Yen's candidate order or
 //! the shortest-path tie-break that alters a single chosen path shows up
-//! here as a digest mismatch.
+//! here as a digest mismatch. Placement fans each new monitor's Yen calls
+//! out over the executor, so every placement is built on one worker and
+//! on four, and both must match the pin.
 
 use std::path::Path;
 
 use scapegoat_tomography::core::TomographySystem;
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::sim::topologies::{
     build_system, build_system_from_rocketfuel, NetworkKind,
 };
+
+/// Worker counts every pinned placement is built at.
+const THREADS: [usize; 2] = [1, 4];
 
 /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -155,18 +161,21 @@ fn seed_derivations_match_the_figures() {
 
 #[test]
 fn figure_placements_are_pinned() {
-    let mismatches: Vec<String> = FIG7
+    let mismatches: Vec<String> = THREADS
         .iter()
-        .chain(&FIG8)
-        .chain(&FIG9_GAP)
-        .filter_map(|&(kind, seed, monitors, paths, expected)| {
-            let system = build_system(kind, seed).unwrap();
-            check(
-                &format!("{kind} seed {seed}"),
-                &system,
-                monitors,
-                paths,
-                expected,
+        .flat_map(|&threads| {
+            let exec = Executor::new(threads);
+            FIG7.iter().chain(&FIG8).chain(&FIG9_GAP).filter_map(
+                move |&(kind, seed, monitors, paths, expected)| {
+                    let system = build_system(kind, seed, &exec).unwrap();
+                    check(
+                        &format!("{kind} seed {seed} ({threads} threads)"),
+                        &system,
+                        monitors,
+                        paths,
+                        expected,
+                    )
+                },
             )
         })
         .collect();
@@ -179,14 +188,18 @@ fn rocketfuel_fixture_placement_is_pinned() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/as65530.cch"
     ));
-    let system = build_system_from_rocketfuel(fixture, 3).unwrap();
-    if let Some(m) = check(
-        "as65530.cch seed 3",
-        &system,
-        255,
-        480,
-        0x8ebf_7e61_e3a9_d1f3,
-    ) {
-        panic!("{m}");
-    }
+    let mismatches: Vec<String> = THREADS
+        .iter()
+        .filter_map(|&threads| {
+            let system = build_system_from_rocketfuel(fixture, 3, &Executor::new(threads)).unwrap();
+            check(
+                &format!("as65530.cch seed 3 ({threads} threads)"),
+                &system,
+                255,
+                480,
+                0x8ebf_7e61_e3a9_d1f3,
+            )
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

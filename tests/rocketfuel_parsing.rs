@@ -14,6 +14,7 @@ use std::path::Path;
 
 use scapegoat_tomography::graph::rocketfuel::{from_cch_file, from_cch_str, from_edge_list_str};
 use scapegoat_tomography::graph::GraphError;
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::prelude::*;
 use scapegoat_tomography::sim::topologies::build_system_from_rocketfuel;
 
@@ -41,7 +42,7 @@ fn fixture_parses_with_expected_shape() {
 
 #[test]
 fn fixture_builds_an_identifiable_system_end_to_end() {
-    let system = build_system_from_rocketfuel(fixture(), 42).unwrap();
+    let system = build_system_from_rocketfuel(fixture(), 42, &Executor::from_env()).unwrap();
     assert_eq!(system.num_links(), 320);
     assert!(
         system.num_paths() > system.num_links(),

@@ -20,13 +20,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use scapegoat_tomography::attack::cut::{analyze_cut, CutKind};
+use scapegoat_tomography::par::Executor;
 use scapegoat_tomography::prelude::*;
 use scapegoat_tomography::sim::topologies::{build_system, NetworkKind};
 
 /// Finds an instance where the gap is exploitable, then runs the arc.
 #[test]
 fn theorem3_gap_exploit_arc() {
-    let system = build_system(NetworkKind::Wireline, 13).unwrap();
+    let system = build_system(NetworkKind::Wireline, 13, &Executor::from_env()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let nodes: Vec<NodeId> = system.graph().nodes().collect();
     let delays = params::default_delay_model();
