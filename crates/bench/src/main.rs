@@ -377,7 +377,6 @@ struct ServeLoadPointBaseline {
 struct ServeLoadBaseline {
     batches_total: u64,
     groups: u64,
-    shards: u64,
     slo_ms: f64,
     cores: Option<u64>,
     points: Vec<ServeLoadPointBaseline>,
@@ -417,7 +416,6 @@ fn load_serve_load_baseline(path: &Path) -> Result<ServeLoadBaseline, String> {
     Ok(ServeLoadBaseline {
         batches_total: field(config, "batches_total")? as u64,
         groups: field(config, "groups")? as u64,
-        shards: field(config, "shards")? as u64,
         slo_ms: field(config, "slo_ms")?,
         cores: root
             .get("cores")
@@ -428,7 +426,7 @@ fn load_serve_load_baseline(path: &Path) -> Result<ServeLoadBaseline, String> {
 }
 
 /// Gates the multi-client serve-load sweep: re-runs the committed
-/// workload (same client counts, batches, groups, shards), keeps the
+/// workload (same client counts, batches and groups), keeps the
 /// best throughput and tail per point across runs, and fails on a
 /// past-threshold throughput regression or a p99 at (or past) the SLO at
 /// any client count. The sweep's correctness invariants (bit-identical
@@ -451,7 +449,6 @@ fn serve_load_gate(opts: &Options, available: usize) -> Result<bool, String> {
         client_counts: baseline.points.iter().map(|p| p.clients as usize).collect(),
         batches_total: baseline.batches_total as usize,
         groups: baseline.groups as usize,
-        shards: baseline.shards as usize,
         slo_ms: baseline.slo_ms,
     };
     let mut best_tput = vec![0.0f64; baseline.points.len()];
@@ -737,6 +734,8 @@ mod tests {
         let dir = std::env::temp_dir().join("tomo_bench_serve_load_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(SERVE_LOAD_FILE);
+        // The committed file still records the old `shards` knob; the
+        // gate reads past it.
         std::fs::write(
             &path,
             r#"{
@@ -756,7 +755,6 @@ mod tests {
         let b = load_serve_load_baseline(&path).unwrap();
         assert_eq!(b.batches_total, 4096);
         assert_eq!(b.groups, 8);
-        assert_eq!(b.shards, 4);
         assert!((b.slo_ms - 5.0).abs() < 1e-12);
         assert_eq!(b.cores, Some(1));
         assert_eq!(b.points.len(), 2);
@@ -777,7 +775,7 @@ mod tests {
             .contains("config"));
         std::fs::write(
             &path,
-            r#"{"config": {"batches_total": 64, "groups": 4, "shards": 2, "slo_ms": 5.0},
+            r#"{"config": {"batches_total": 64, "groups": 4, "slo_ms": 5.0},
                 "points": []}"#,
         )
         .unwrap();
@@ -786,7 +784,7 @@ mod tests {
             .contains("no points"));
         std::fs::write(
             &path,
-            r#"{"config": {"batches_total": 64, "groups": 4, "shards": 2, "slo_ms": 5.0},
+            r#"{"config": {"batches_total": 64, "groups": 4, "slo_ms": 5.0},
                 "points": [{"clients": 1, "batches_per_sec": 100.0}]}"#,
         )
         .unwrap();

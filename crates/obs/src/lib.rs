@@ -119,36 +119,6 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
         .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
 }
 
-/// The gauge registered under `"{prefix}.{index}"`, for families of
-/// per-shard / per-worker instruments whose cardinality is only known at
-/// runtime. The composed name is leaked once per distinct `(prefix,
-/// index)` pair — the same lifetime [`gauge`] gives static names — so
-/// callers should keep the index space small and bounded (shard counts,
-/// not request ids).
-pub fn indexed_gauge(prefix: &str, index: usize) -> &'static Gauge {
-    let name = format!("{prefix}.{index}");
-    let mut gauges = lock(&registry().gauges);
-    if let Some(g) = gauges.get(name.as_str()) {
-        return g;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    gauges.insert(leaked, Box::leak(Box::new(Gauge::new())));
-    gauges[leaked]
-}
-
-/// The counter registered under `"{prefix}.{index}"` (see
-/// [`indexed_gauge`] for the naming and lifetime contract).
-pub fn indexed_counter(prefix: &str, index: usize) -> &'static Counter {
-    let name = format!("{prefix}.{index}");
-    let mut counters = lock(&registry().counters);
-    if let Some(c) = counters.get(name.as_str()) {
-        return c;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    counters.insert(leaked, Box::leak(Box::new(Counter::new())));
-    counters[leaked]
-}
-
 pub(crate) fn record_span(path: &str, ns: u64) {
     let mut spans = lock(&registry().spans);
     match spans.get_mut(path) {
@@ -423,26 +393,6 @@ mod tests {
         assert_eq!(snap.gauge("lib.test.gauge"), Some(1.25));
         assert_eq!(snap.histogram("lib.test.hist").unwrap().count, 1);
         assert_eq!(snap.counter("lib.test.absent"), None);
-    }
-
-    #[test]
-    fn indexed_instruments_compose_names_and_stay_stable() {
-        let g0 = indexed_gauge("lib.test.shard_depth", 0);
-        let g1 = indexed_gauge("lib.test.shard_depth", 1);
-        g0.set(3.0);
-        g1.set(7.0);
-        assert!(std::ptr::eq(g0, indexed_gauge("lib.test.shard_depth", 0)));
-        assert!(!std::ptr::eq(g0, g1));
-        let c = indexed_counter("lib.test.shard_rejects", 2);
-        c.add(5);
-        assert!(std::ptr::eq(
-            c,
-            indexed_counter("lib.test.shard_rejects", 2)
-        ));
-        let snap = snapshot();
-        assert_eq!(snap.gauge("lib.test.shard_depth.0"), Some(3.0));
-        assert_eq!(snap.gauge("lib.test.shard_depth.1"), Some(7.0));
-        assert_eq!(snap.counter("lib.test.shard_rejects.2"), Some(5));
     }
 
     #[test]

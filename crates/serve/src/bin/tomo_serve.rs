@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tomo-serve [--ingest-port N] [--http-port N] [--journal PATH]
-//!            [--journal-sync] [--queue-capacity N] [--shards N]
+//!            [--journal-sync] [--queue-capacity N]
 //!            [--snapshot-every N] [--slo-ms F] [--max-secs F]
 //!            [--topology FILE.cch] [--extra-paths N] [--paths-seed N]
 //! tomo-serve bench [--batches N] [--slo-ms F]
@@ -66,7 +66,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             }
             "--journal-sync" => options.config.journal_sync = true,
             "--queue-capacity" => options.config.queue_capacity = parse_flag(&mut args, arg)?,
-            "--shards" => options.config.ingest_shards = parse_flag(&mut args, arg)?,
             "--snapshot-every" => options.config.snapshot_every = parse_flag(&mut args, arg)?,
             "--topology" => {
                 let path: String = parse_flag(&mut args, arg)?;

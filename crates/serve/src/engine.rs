@@ -15,8 +15,9 @@
 //! cached normal-equations factor, partial coverage refactors the
 //! covered rows through [`TomographySystem::solve_degraded`] (ridge
 //! fallback on rank collapse) so the daemon keeps answering while
-//! probes are missing. Answers are cached and invalidated per applied
-//! batch, so a query burst between ingests costs one solve, not N.
+//! probes are missing. The daemon answers from published snapshots
+//! (`snapshot.rs`), which solve at most once per publish;
+//! [`Engine::query`] answers the current state the same way, uncached.
 
 use std::collections::BTreeSet;
 
@@ -33,7 +34,6 @@ static REORDERED: LazyCounter = LazyCounter::new("serve.engine.reordered");
 static QUARANTINED: LazyCounter = LazyCounter::new("serve.engine.quarantined");
 static STALE: LazyCounter = LazyCounter::new("serve.engine.stale");
 static SOLVES: LazyCounter = LazyCounter::new("serve.engine.solves");
-static CACHE_HITS: LazyCounter = LazyCounter::new("serve.engine.cache_hits");
 
 /// Why a batch was quarantined instead of applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub struct EngineStats {
     pub stale_epoch: u64,
 }
 
-/// One query answer, cached until the next applied batch.
+/// One query answer: the estimate and verdict for one slot state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryAnswer {
     /// Session epoch at answer time.
@@ -135,9 +135,8 @@ impl From<CoreError> for QueryError {
     }
 }
 
-/// Solves one estimate/verdict answer from a covered-slot view. Shared
-/// by the locked [`Engine::query`] path and the lock-free snapshot path
-/// so both produce bit-identical answers for the same slot state.
+/// Solves one estimate/verdict answer from a covered-slot view: the
+/// body of [`EngineSnapshot::answer`](crate::snapshot::EngineSnapshot::answer).
 ///
 /// `covered` lists the paths holding a measurement (ascending) and
 /// `values` their readings, parallel to `covered`.
@@ -165,8 +164,8 @@ pub(crate) fn solve_answer(
     })
 }
 
-/// The daemon's estimation state. Single-writer (the apply worker);
-/// queries share it behind the server's lock.
+/// The daemon's estimation state, owned by the apply worker. Queries
+/// read the snapshots it publishes.
 pub struct Engine {
     system: std::sync::Arc<TomographySystem>,
     detector: ConsistencyDetector,
@@ -180,7 +179,6 @@ pub struct Engine {
     /// Per-path `(value_bits, writer_batch_id)`.
     slots: Vec<Option<(u64, u64)>>,
     stats: EngineStats,
-    cached: Option<QueryAnswer>,
 }
 
 impl Engine {
@@ -197,7 +195,6 @@ impl Engine {
             max_applied: None,
             slots: vec![None; num_paths],
             stats: EngineStats::default(),
-            cached: None,
         }
     }
 
@@ -297,7 +294,6 @@ impl Engine {
             self.stats.reordered += 1;
             REORDERED.inc();
         }
-        self.cached = None;
         ApplyOutcome::Applied { reordered }
     }
 
@@ -309,42 +305,19 @@ impl Engine {
     }
 
     /// Answers a link-state / detection query from the slot table,
-    /// reusing the cached answer when nothing was applied since.
+    /// through the same snapshot solve the daemon's readers use. Each
+    /// call solves afresh.
     ///
     /// # Errors
     ///
     /// [`QueryError::NoCoverage`] before the first measurement;
     /// [`QueryError::Core`] if the solve itself fails.
-    pub fn query(&mut self) -> Result<QueryAnswer, QueryError> {
-        if let Some(cached) = &self.cached {
-            CACHE_HITS.inc();
-            return Ok(cached.clone());
-        }
-        let num_paths = self.slots.len();
-        let covered: Vec<usize> = (0..num_paths)
-            .filter(|&i| self.slots[i].is_some())
-            .collect();
-        if covered.is_empty() {
-            return Err(QueryError::NoCoverage);
-        }
-        let values: Vec<f64> = covered
-            .iter()
-            .map(|&i| f64::from_bits(self.slots[i].expect("covered row has a slot").0))
-            .collect();
-        let answer = solve_answer(
-            &self.system,
-            self.detector,
-            &covered,
-            &values,
-            self.epoch,
-            num_paths,
-        )?;
-        self.cached = Some(answer.clone());
-        Ok(answer)
+    pub fn query(&self) -> Result<QueryAnswer, QueryError> {
+        self.published_view(0).answer()
     }
 
     /// Freezes the engine's observable state into an immutable snapshot
-    /// for the lock-free query path. Called by the apply worker after a
+    /// for the snapshot query path. Called by the apply worker after a
     /// drain burst; `version` is the publish counter.
     #[must_use]
     pub fn published_view(&self, version: u64) -> crate::snapshot::EngineSnapshot {
@@ -404,7 +377,6 @@ impl Engine {
                 *slot = Some((bits, writer));
             }
         }
-        self.cached = None;
     }
 }
 
@@ -480,7 +452,7 @@ mod tests {
 
     #[test]
     fn no_coverage_is_a_typed_error() {
-        let mut e = engine();
+        let e = engine();
         assert!(matches!(e.query(), Err(QueryError::NoCoverage)));
     }
 
@@ -625,15 +597,14 @@ mod tests {
     }
 
     #[test]
-    fn query_cache_invalidates_on_apply() {
+    fn query_tracks_the_latest_apply() {
         let mut e = engine();
         let n = e.system().num_paths();
         e.apply(&full_batch(0, 0, 10.0, n));
         let a1 = e.query().unwrap();
-        let a2 = e.query().unwrap();
-        assert_eq!(a1, a2, "cached answer identical");
+        assert_eq!(e.query().unwrap(), a1, "same state, same answer");
         e.apply(&full_batch(1, 0, 20.0, n));
-        let a3 = e.query().unwrap();
-        assert_ne!(a1.estimate_bits, a3.estimate_bits);
+        let a2 = e.query().unwrap();
+        assert_ne!(a1.estimate_bits, a2.estimate_bits);
     }
 }

@@ -8,16 +8,16 @@
 //! * [`wire`] — the zero-dependency length-prefixed TCP protocol
 //!   (`len:u32 | type:u8 | body`), with typed errors for every
 //!   malformed-input shape an adversarial peer can produce.
-//! * [`queue`] — the bounded ingest queue: the per-path-group
-//!   [`queue::ShardedQueue`] drained in deterministic round-robin; at
-//!   capacity the daemon says `Reject(QueueFull)` with an adaptive
-//!   retry hint instead of buffering without bound.
+//! * [`queue`] — the bounded ingest queue: one FIFO,
+//!   [`queue::IngestQueue`], between the connection handlers and the
+//!   apply worker; at capacity the daemon says `Reject(QueueFull)` with
+//!   an adaptive retry hint instead of buffering without bound.
 //! * [`engine`] — the online estimator state: last-writer-wins slot
 //!   table answered through the detector's degraded-coverage path,
 //!   dedup watermark, quarantine of non-finite or out-of-range rows.
-//! * [`snapshot`] — the lock-free query path: immutable
-//!   [`snapshot::EngineSnapshot`]s published through a double-buffered
-//!   [`snapshot::SnapshotStore`], so queries never contend with ingest.
+//! * [`snapshot`] — the query path: immutable
+//!   [`snapshot::EngineSnapshot`]s published through one
+//!   [`snapshot::SnapshotStore`] cell, so queries never wait on ingest.
 //! * [`topology`] — builds the daemon's tomography system from a
 //!   Rocketfuel `.cch` / edge-list file (`tomo-serve --topology`).
 //! * [`journal`] — append-only crash-safe log of applied batches with
@@ -47,7 +47,7 @@ pub mod wire;
 pub use client::{ClientConfig, ClientError, ProbeClient, StreamOutcome};
 pub use engine::{ApplyOutcome, BatchFault, Engine, EngineStats, QueryAnswer, QueryError};
 pub use journal::{Journal, Replay};
-pub use queue::{QueueFull, ShardStats, ShardedQueue};
+pub use queue::{IngestQueue, Pop, QueueFull, QueueStats};
 pub use server::{IngestCounters, ServeConfig, Server};
 pub use snapshot::{EngineSnapshot, SnapshotStore};
 pub use topology::{load_system, TopologyError};

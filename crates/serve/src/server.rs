@@ -5,28 +5,34 @@
 //!
 //! * **connection handlers** (one per ingest TCP connection) parse wire
 //!   frames under per-connection deadlines and hand batches to the apply
-//!   worker through the sharded bounded queue (shard = hash of the
-//!   batch's path group, so clients probing different path groups never
-//!   contend on a queue lock) — or answer `Reject(QueueFull)` with an
-//!   occupancy-scaled retry hint when their shard is at capacity;
+//!   worker through the one bounded FIFO [`IngestQueue`] — or answer
+//!   `Reject(QueueFull)` with an occupancy-scaled retry hint when it is
+//!   at capacity;
 //! * the **apply worker** (single consumer, sole owner of the engine)
-//!   drains the shards in deterministic round-robin order, journals each
-//!   admitted batch, applies it, snapshots on cadence, publishes an
-//!   immutable [`EngineSnapshot`] when the queue drains (or every
-//!   `publish_coalesce` batches), and holds every `Ack` back until the
-//!   publish that covers it — so an acked batch both survives a crash
-//!   *and* is visible to the next query, for pipelined clients and
+//!   pops batches in arrival order, journals each admitted batch,
+//!   applies it, snapshots on cadence, publishes an immutable
+//!   [`EngineSnapshot`] when the queue drains (or every
+//!   `publish_coalesce` batches), and holds every reply back until the
+//!   publish that covers it — so an `Ack` means the batch both survives
+//!   a crash *and* is visible to the next query, and a `Reject` means
+//!   the published counters already show it, for pipelined clients and
 //!   multi-client fleets just as for a lockstep client;
 //! * the **HTTP front** and every in-process query answer from the
 //!   latest published snapshot — no engine lock exists to take, so
-//!   `/state`, `/verdict`, and `/stats` never contend with ingest and a
-//!   torn read is impossible by construction (see `snapshot.rs`).
+//!   `/state`, `/verdict`, and `/stats` never wait on ingest and a torn
+//!   read is impossible by construction (see `snapshot.rs`).
 //!
 //! Deadline policy: a connection may idle between frames up to
 //! `idle_timeout`, but once a frame's first byte arrives the rest must
 //! follow within `frame_deadline` — a peer stalled mid-frame holds no
 //! handler hostage. Stop-flag polling rides on the socket read timeout,
 //! so shutdown latency is one poll interval, not one idle timeout.
+//!
+//! Shutdown order: the acceptor and the connection handlers stop on the
+//! stop flag and are joined first; only then is the queue closed, and
+//! the apply worker exits once the closed queue is drained. Every batch
+//! a handler managed to push is therefore applied and answered, which
+//! is what lets each handler's reply pump, and so the handler, finish.
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -42,7 +48,7 @@ use tomo_obs::{Handler, HttpRequest, HttpResponse, HttpServer, LazyHistogram};
 
 use crate::engine::{ApplyOutcome, Engine, EngineStats, QueryError};
 use crate::journal::Journal;
-use crate::queue::{ShardStats, ShardedQueue};
+use crate::queue::{IngestQueue, Pop, QueueStats};
 use crate::snapshot::{EngineSnapshot, SnapshotStore};
 use crate::wire::{Frame, ProbeBatch, RejectCode, WireError, MAX_FRAME_LEN, WIRE_VERSION};
 
@@ -56,10 +62,11 @@ pub struct ServeConfig {
     pub ingest_port: u16,
     /// HTTP query port (0 = OS-assigned).
     pub http_port: u16,
-    /// Bounded ingest queue capacity (batches), split evenly across the
-    /// shards.
+    /// Bounded ingest queue capacity (batches); must be positive.
     pub queue_capacity: usize,
-    /// Number of ingest queue shards (per-path-group lanes).
+    /// Ignored: the daemon has one ingest queue. The field stays only
+    /// because the frozen benchmark under `perfbench/` still sets it, and
+    /// goes with that benchmark's next revision (ROADMAP item 1).
     pub ingest_shards: usize,
     /// Base backoff hint carried by `Reject(QueueFull)`; the actual
     /// hint scales with queue occupancy at reject time.
@@ -95,7 +102,7 @@ impl Default for ServeConfig {
             ingest_port: 0,
             http_port: 0,
             queue_capacity: 64,
-            ingest_shards: 4,
+            ingest_shards: 1,
             retry_after_ms: 20,
             idle_timeout: Duration::from_secs(30),
             frame_deadline: Duration::from_secs(2),
@@ -128,8 +135,6 @@ pub struct IngestCounters {
     pub oversized_frames: AtomicU64,
     /// Well-formed frames of an unexpected kind mid-session.
     pub unexpected_frames: AtomicU64,
-    /// Batches refused with `Reject(QueueFull)`.
-    pub queue_rejects: AtomicU64,
     /// Connections closed for idling past the idle timeout.
     pub idle_closed: AtomicU64,
     /// Connections closed for stalling mid-frame past the deadline.
@@ -161,7 +166,7 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     shutdown_requested: Arc<(Mutex<bool>, Condvar)>,
     store: Arc<SnapshotStore>,
-    queue: Arc<ShardedQueue<IngestItem>>,
+    queue: Arc<IngestQueue<IngestItem>>,
     counters: Arc<IngestCounters>,
     listener_thread: Option<std::thread::JoinHandle<()>>,
     apply_thread: Option<std::thread::JoinHandle<()>>,
@@ -179,12 +184,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns socket bind and journal I/O errors.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] for a zero
+    /// `queue_capacity`, and socket bind and journal I/O errors.
     pub fn start(
         system: Arc<TomographySystem>,
         detector: ConsistencyDetector,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
+        if config.queue_capacity == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "queue capacity must be positive",
+            ));
+        }
         let mut engine = Engine::new(system, detector);
         let mut journal = match &config.journal_path {
             Some(path) => {
@@ -222,15 +234,16 @@ impl Server {
 
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.ingest_port))?;
         let ingest_addr = listener.local_addr()?;
+        let http = HttpServer::bind(config.http_port)?;
+        let http_addr = http.local_addr()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let shutdown_requested = Arc::new((Mutex::new(false), Condvar::new()));
         let counters = Arc::new(IngestCounters::default());
-        let queue = ShardedQueue::<IngestItem>::new(
+        let queue = Arc::new(IngestQueue::<IngestItem>::new(
             config.queue_capacity,
-            config.ingest_shards,
             config.retry_after_ms,
-        );
+        ));
         let conn_threads = Arc::new(Mutex::new(Vec::<std::thread::JoinHandle<()>>::new()));
         // Version 0: the post-replay state is queryable before the
         // first batch arrives.
@@ -242,7 +255,6 @@ impl Server {
         let apply_thread = {
             let queue = Arc::clone(&queue);
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
             let poll = config.poll_interval;
             let coalesce = config.publish_coalesce.max(1);
             std::thread::Builder::new()
@@ -250,58 +262,42 @@ impl Server {
                 .spawn(move || {
                     let mut engine = engine;
                     let mut version = 1u64;
-                    let mut unpublished = 0u64;
-                    // Acks are withheld until the publish that covers
-                    // them, so "acked" always implies "visible to the
-                    // next query" — even under sustained load where
-                    // publishes coalesce, a client that saw an ack and
-                    // then queries sees its own write. Rejects promise
-                    // no visibility and go out immediately. A publish
-                    // is never more than `coalesce` batches (or one
-                    // poll interval) behind the ack it gates, so the
-                    // added ack latency stays far under the client's
-                    // ack timeout.
-                    let mut pending_acks: Vec<(mpsc::Sender<Frame>, Frame)> = Vec::new();
+                    // Every reply is withheld until the publish that
+                    // covers its batch, so a client that reads an Ack
+                    // (or a quarantine Reject) and then queries sees
+                    // its own write — even under sustained load where
+                    // publishes coalesce. A publish is never more than
+                    // `coalesce` batches (or one poll interval) behind
+                    // the reply it gates, so the added latency stays
+                    // far under the client's ack timeout.
+                    let mut pending: Vec<(mpsc::Sender<Frame>, Frame)> = Vec::new();
                     loop {
-                        match queue.pop_next(poll) {
-                            Some((_, item)) => {
+                        let closed = match queue.pop(poll) {
+                            Pop::Item(item) => {
                                 let reply = apply_one(&mut engine, journal.as_mut(), &item.batch);
-                                unpublished += 1;
-                                if matches!(reply, Frame::Ack { .. }) {
-                                    pending_acks.push((item.reply, reply));
-                                } else {
-                                    // A gone receiver just means the
-                                    // connection died; the client retries.
-                                    let _ = item.reply.send(reply);
-                                }
+                                pending.push((item.reply, reply));
                                 // Publish when the queue drains (always
                                 // true for a lockstep client's latest
                                 // batch); under sustained load, coalesce.
-                                if queue.depth() == 0 || unpublished >= coalesce {
-                                    store.publish(engine.published_view(version));
-                                    version += 1;
-                                    unpublished = 0;
-                                    for (reply_tx, ack) in pending_acks.drain(..) {
-                                        let _ = reply_tx.send(ack);
-                                    }
+                                if queue.depth() > 0 && (pending.len() as u64) < coalesce {
+                                    continue;
                                 }
+                                false
                             }
-                            None => {
-                                if unpublished > 0 {
-                                    store.publish(engine.published_view(version));
-                                    version += 1;
-                                    unpublished = 0;
-                                }
-                                // Any ack still pending is covered now:
-                                // a non-empty pending list implies
-                                // unpublished > 0 above published it.
-                                for (reply_tx, ack) in pending_acks.drain(..) {
-                                    let _ = reply_tx.send(ack);
-                                }
-                                if stop.load(Ordering::Acquire) && queue.depth() == 0 {
-                                    break;
-                                }
+                            Pop::Empty => false,
+                            Pop::Closed => true,
+                        };
+                        if !pending.is_empty() {
+                            store.publish(engine.published_view(version));
+                            version += 1;
+                            // A gone receiver just means the connection
+                            // died; the client retries.
+                            for (reply_tx, reply) in pending.drain(..) {
+                                let _ = reply_tx.send(reply);
                             }
+                        }
+                        if closed {
+                            break;
                         }
                     }
                 })?
@@ -356,8 +352,6 @@ impl Server {
         };
 
         // HTTP query front.
-        let http = HttpServer::bind(config.http_port)?;
-        let http_addr = http.local_addr()?;
         let handler = http_handler(
             Arc::clone(&store),
             Arc::clone(&counters),
@@ -429,10 +423,19 @@ impl Server {
         self.store.load()
     }
 
-    /// Per-shard ingest queue statistics.
+    /// Ingest queue depth, admitted and refused counts.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.queue.shard_stats()
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
+    }
+
+    /// [`Server::queue_stats`] as a one-element list. The daemon has one
+    /// ingest queue; this stays only because the frozen benchmark under
+    /// `perfbench/` still sums it, and goes with that benchmark's next
+    /// revision (ROADMAP item 1).
+    #[must_use]
+    pub fn shard_stats(&self) -> Vec<QueueStats> {
+        vec![self.queue_stats()]
     }
 
     /// Runs a query against the latest published snapshot (the
@@ -483,10 +486,15 @@ impl Server {
             let _ = t.join();
         }
         // Connection handlers notice the flag within one poll interval.
+        // A handler finishes only once the apply worker has answered
+        // every batch it pushed, so the worker must still be running.
         let handles: Vec<_> = std::mem::take(&mut *lock(&self.conn_threads));
         for h in handles {
             let _ = h.join();
         }
+        // Nothing can push any more: the worker drains what is queued,
+        // publishes, and exits.
+        self.queue.close();
         if let Some(t) = self.apply_thread.take() {
             let _ = t.join();
         }
@@ -677,7 +685,7 @@ fn handle_ingest_conn(
     mut stream: TcpStream,
     store: &SnapshotStore,
     counters: &IngestCounters,
-    queue: &ShardedQueue<IngestItem>,
+    queue: &IngestQueue<IngestItem>,
     stop: &AtomicBool,
     config: &ServeConfig,
 ) {
@@ -711,9 +719,8 @@ fn handle_ingest_conn(
     // Reply pump: one writer per connection drains apply replies and
     // rejects, so the read loop never blocks on the apply worker — a
     // pipelined client's frames already sitting in the socket buffer
-    // are fanned out to the shard queues back-to-back instead of one
-    // per apply round trip. The client matches replies by batch id, so
-    // reply order never matters.
+    // are queued back-to-back instead of one per apply round trip. The
+    // client matches replies by batch id, so reply order never matters.
     let (reply_tx, reply_rx) = mpsc::channel::<Frame>();
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -738,21 +745,13 @@ fn handle_ingest_conn(
         match read_frame_polling(&mut stream, stop, config) {
             ReadEnd::Frame(Frame::Batch(batch)) => {
                 let batch_id = batch.batch_id;
-                // Shard by the batch's path group (its smallest path
-                // id): a client probing a stable set of paths always
-                // lands on the same shard, so it only contends with
-                // clients sharing that group.
-                let group = batch.rows.iter().map(|r| u64::from(r.path)).min();
-                let shard = queue.shard_for(group.unwrap_or(batch_id));
                 let item = IngestItem {
                     batch,
                     reply: reply_tx.clone(),
                 };
                 // The apply worker journals and answers through the
-                // reply pump; if it is gone (shutdown), the stop flag
-                // ends the read loop within one poll interval.
-                if let Err(full) = queue.try_push(shard, item) {
-                    counters.queue_rejects.fetch_add(1, Ordering::Relaxed);
+                // reply pump; it runs until every handler has exited.
+                if let Err(full) = queue.try_push(item) {
                     let reject = Frame::Reject {
                         batch_id,
                         code: RejectCode::QueueFull,
@@ -824,7 +823,7 @@ fn json_f64(v: f64) -> String {
 fn http_handler(
     store: Arc<SnapshotStore>,
     counters: Arc<IngestCounters>,
-    queue: Arc<ShardedQueue<IngestItem>>,
+    queue: Arc<IngestQueue<IngestItem>>,
     shutdown_requested: Arc<(Mutex<bool>, Condvar)>,
     slo_ms: f64,
 ) -> Handler {
@@ -915,20 +914,11 @@ fn http_handler(
                 let (stats, epoch, coverage, version) =
                     (snap.stats(), snap.epoch(), snap.coverage(), snap.version());
                 drop(snap);
-                let shards: Vec<String> = queue
-                    .shard_stats()
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"depth\": {}, \"pushed\": {}, \"rejects\": {}}}",
-                            s.depth, s.pushed, s.rejects
-                        )
-                    })
-                    .collect();
+                let queue = queue.stats();
                 let latency = tomo_obs::histogram("serve.query.latency_us").summary();
                 let body = format!(
                     "{{\"epoch\": {}, \"coverage\": {}, \"snapshot_version\": {}, \
-                     \"queue_depth\": {}, \"shards\": [{}], \
+                     \"queue_depth\": {}, \"queue_pushed\": {}, \
                      \"applied\": {}, \"deduped\": {}, \"reordered\": {}, \
                      \"quarantined_batches\": {}, \"stale_epoch\": {}, \
                      \"connections\": {}, \"quarantined_frames\": {}, \
@@ -938,8 +928,8 @@ fn http_handler(
                     epoch,
                     coverage,
                     version,
-                    queue.depth(),
-                    shards.join(", "),
+                    queue.depth,
+                    queue.pushed,
                     stats.applied,
                     stats.deduped,
                     stats.reordered,
@@ -949,7 +939,7 @@ fn http_handler(
                     counters.quarantined_frames(),
                     counters.truncated_frames.load(Ordering::Relaxed),
                     counters.garbled_frames.load(Ordering::Relaxed),
-                    counters.queue_rejects.load(Ordering::Relaxed),
+                    queue.rejects,
                     json_f64(slo_ms),
                     latency.count,
                     json_f64(latency.p50),

@@ -1,50 +1,22 @@
-//! The lock-free query path: immutable engine snapshots behind a
-//! double-buffered publish cell.
+//! The query path: immutable engine snapshots behind one publish cell.
 //!
-//! The daemon used to answer `/state`, `/verdict`, `/stats`, and
-//! in-process queries by locking the same mutex the apply worker mutates
-//! the engine under — every query contended with ingest. This module
-//! replaces that lock with an **epoch-versioned snapshot**: after a
-//! drain burst the apply worker freezes the engine's observable state
-//! into an immutable [`EngineSnapshot`] and publishes it through a
-//! [`SnapshotStore`]; readers clone an `Arc` and never touch the engine
-//! again.
-//!
-//! **Why not `AtomicPtr`/arc-swap?** The workspace is
-//! `forbid(unsafe_code)` throughout and `std` has no safe atomic
-//! `Arc` swap, so the store approximates one with two slots and an
-//! atomic index: the publisher only ever writes the *inactive* slot and
-//! then flips the index with `Release` ordering; readers `Acquire`-load
-//! the index and briefly lock that slot to clone the `Arc` out. The
-//! publisher and the readers therefore never contend on the same mutex
-//! (the publisher holds only the slot readers are *not* directed at),
-//! and a torn read is impossible by construction — the `Arc` swaps
-//! whole, so every field a reader sees (estimate, verdict, stats,
-//! watermark) comes from the same publish.
-//!
-//! **Monotonic versions.** Each slot's stored version only increases,
-//! and a reader reaches a slot at or after the index flip that exposed
-//! it. One race needs explicit handling: a reader that loads the index
-//! and is then preempted long enough for the publisher to flip *and*
-//! start writing the next version into the reader's (now inactive)
-//! slot would clone a not-yet-published snapshot — and its next load,
-//! following the flipped index, would observe an older version.
-//! [`SnapshotStore::load`] therefore re-reads the index after cloning
-//! and retries if it changed; the slot mutex it just released gives the
-//! re-read a happens-before edge to the flip, so a stale clone is
-//! always detected. With that retry, the versions any single reader
-//! observes never go backwards — the property the snapshot proptest
-//! hammers.
+//! After a drain burst the apply worker freezes the engine's observable
+//! state into an immutable [`EngineSnapshot`] and publishes it through
+//! the [`SnapshotStore`]; `/state`, `/verdict`, `/stats` and in-process
+//! queries clone the current `Arc` and never touch the engine. The store
+//! is one `Mutex<Arc<EngineSnapshot>>` held only long enough to swap or
+//! clone a pointer, so a query never waits on an apply, a journal write
+//! or a solve. The `Arc` swaps whole, so every field a reader sees
+//! (estimate inputs, verdict, stats, watermark) comes from one publish,
+//! and with a single publisher the versions any reader observes never
+//! go backwards.
 //!
 //! **Lazy solves.** The snapshot carries the covered slot values, not a
 //! precomputed estimate: the first reader that asks for
 //! [`EngineSnapshot::answer`] runs the solve once into a [`OnceLock`]
 //! and every later reader shares it. Ingest therefore never pays for a
-//! solve, and a query burst between publishes costs one solve total —
-//! the same amortization the engine's internal cache gave the locked
-//! path.
+//! solve, and a query burst between publishes costs one solve total.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use tomo_core::TomographySystem;
@@ -252,12 +224,10 @@ fn digest_fields(
     h
 }
 
-/// The double-buffered publish cell: single publisher (the apply
-/// worker), any number of readers, no shared mutex between them.
+/// The publish cell: one publisher (the apply worker), any number of
+/// readers.
 pub struct SnapshotStore {
-    slots: [Mutex<Arc<EngineSnapshot>>; 2],
-    /// Index of the slot readers should load (0 or 1).
-    active: AtomicUsize,
+    current: Mutex<Arc<EngineSnapshot>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -269,51 +239,31 @@ impl SnapshotStore {
     /// publish.
     #[must_use]
     pub fn new(initial: EngineSnapshot) -> Self {
-        let initial = Arc::new(initial);
         SnapshotStore {
-            slots: [Mutex::new(Arc::clone(&initial)), Mutex::new(initial)],
-            active: AtomicUsize::new(0),
+            current: Mutex::new(Arc::new(initial)),
         }
     }
 
-    /// Publishes `snapshot`: writes the inactive slot, then flips the
-    /// index with `Release` so readers that `Acquire` the new index see
-    /// the fully written slot. Single-publisher only (the apply worker);
-    /// two concurrent publishers could write the same slot.
+    /// Makes `snapshot` the one readers load. The replaced snapshot is
+    /// dropped after the lock is released, so freeing it never delays a
+    /// reader.
     pub fn publish(&self, snapshot: EngineSnapshot) {
-        let next = 1 - self.active.load(Ordering::Relaxed);
-        *lock(&self.slots[next]) = Arc::new(snapshot);
-        self.active.store(next, Ordering::Release);
+        let next = Arc::new(snapshot);
+        let previous = std::mem::replace(&mut *lock(&self.current), next);
+        drop(previous);
     }
 
-    /// The latest published snapshot. Lock-free with respect to the
-    /// publisher: the brief slot lock is only ever contended by other
-    /// readers cloning the same `Arc`, never by ingest.
-    ///
-    /// The index is re-read after the clone and the load retried if it
-    /// changed: a reader preempted between its index load and the slot
-    /// lock can otherwise clone a snapshot the publisher has written
-    /// into the (now inactive) slot but not yet flipped to — returning
-    /// it would run ahead of the publish, and the reader's *next* load,
-    /// following the flip, would see versions go backwards. The slot
-    /// unlock the publisher did before our lock orders its prior flip
-    /// before the re-read, so the stale case is always caught; a clean
-    /// pass with an unchanged index means the clone was published.
+    /// The latest published snapshot.
     #[must_use]
     pub fn load(&self) -> Arc<EngineSnapshot> {
-        loop {
-            let idx = self.active.load(Ordering::Acquire);
-            let snapshot = Arc::clone(&lock(&self.slots[idx]));
-            if self.active.load(Ordering::Acquire) == idx {
-                return snapshot;
-            }
-        }
+        Arc::clone(&lock(&self.current))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use tomo_core::fig1::fig1_system;
 
     fn snap(version: u64, epoch: u64) -> EngineSnapshot {
@@ -397,7 +347,7 @@ mod tests {
     #[test]
     fn readers_see_monotonic_versions_under_publish_churn() {
         let store = Arc::new(SnapshotStore::new(snap(0, 1)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let store = Arc::clone(&store);

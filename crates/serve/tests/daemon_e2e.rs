@@ -5,8 +5,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use tomo_core::fig1::fig1_system;
 use tomo_core::TomographySystem;
@@ -580,8 +580,8 @@ fn http_front_serves_health_state_verdict_stats_and_shutdown() {
 /// Queries read a published snapshot, never the engine: a client
 /// hammering the apply worker with hundreds of batches must not push
 /// the typical in-process query above a millisecond (debug build,
-/// single core — a mutex-contended query path fails this by orders of
-/// magnitude).
+/// single core — a query path that waited on the apply worker fails
+/// this by orders of magnitude).
 #[test]
 fn queries_stay_fast_while_ingest_is_saturated() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -626,7 +626,7 @@ fn queries_stay_fast_while_ingest_is_saturated() {
     let p50 = latencies[latencies.len() / 2];
     assert!(
         p50 < Duration::from_millis(1),
-        "lock-free query p50 {p50:?} under saturated ingest"
+        "snapshot query p50 {p50:?} under saturated ingest"
     );
     // And the answers were real, not errors-returned-quickly.
     let answer = server.query().expect("covered answer");
@@ -670,7 +670,7 @@ fn acks_imply_snapshot_visibility_under_coalesced_load() {
         write_frame(&mut stream, &frame).expect("send batch");
     }
 
-    // Batches flow through one connection and one shard, so acks come
+    // Batches flow through one connection and one FIFO, so acks come
     // back in apply order: on reading the k-th ack, the published
     // snapshot must already show at least k applied batches.
     let mut acked = 0u64;
@@ -727,14 +727,11 @@ fn topology_daemon_serves_a_rocketfuel_system() {
     assert!(!answer.verdict.detected);
 }
 
-/// `/stats` exposes the per-shard queue gauges and the snapshot
+/// `/stats` exposes the ingest queue's counters and the snapshot
 /// version, and the in-process accessor agrees with the HTTP view.
 #[test]
-fn stats_reports_shards_and_snapshot_version() {
-    let server = start(ServeConfig {
-        ingest_shards: 3,
-        ..ServeConfig::default()
-    });
+fn stats_reports_queue_and_snapshot_version() {
+    let server = start(ServeConfig::default());
     let sys = system();
     let mut client = ProbeClient::new(server.ingest_addr(), 2);
     client
@@ -744,28 +741,153 @@ fn stats_reports_shards_and_snapshot_version() {
     let (status, body) = http_get(server.http_addr(), "/stats");
     assert!(status.contains("200"), "{status}");
     let stats = serde_json::parse_value(&body).expect("stats is JSON");
-    let shards = match stats.get("shards") {
-        Some(serde::Value::Array(a)) => a,
-        other => panic!("shards array missing: {other:?}"),
+    let field = |key: &str| {
+        stats
+            .get(key)
+            .and_then(serde::Value::as_u64)
+            .unwrap_or_else(|| panic!("{key} missing from {body}"))
     };
-    assert_eq!(shards.len(), 3, "one entry per ingest shard");
-    let pushed: u64 = shards
-        .iter()
-        .map(|s| {
-            s.get("pushed")
-                .and_then(serde::Value::as_u64)
-                .expect("pushed")
-        })
-        .sum();
-    assert_eq!(pushed, 3, "every batch traversed exactly one shard");
-    let version = stats
-        .get("snapshot_version")
-        .and_then(serde::Value::as_u64)
-        .expect("snapshot_version");
-    assert!(version >= 1, "ingest published at least one snapshot");
+    assert_eq!(field("queue_pushed"), 3, "every batch was queued once");
+    assert_eq!(field("queue_rejects"), 0);
+    assert_eq!(field("queue_depth"), 0, "the last ack waited for a drain");
+    assert!(
+        field("snapshot_version") >= 1,
+        "ingest published at least one snapshot"
+    );
 
-    let in_process: u64 = server.shard_stats().iter().map(|s| s.pushed).sum();
-    assert_eq!(in_process, pushed);
+    let in_process = server.queue_stats();
+    assert_eq!(in_process.pushed, 3);
+    assert_eq!(in_process.rejects, 0);
+}
+
+/// One client streaming in id order is applied in id order: the ingest
+/// queue is one FIFO, so a pipelined window never reorders. Batch `k`
+/// carries the paths `p % 8 == k % 8`, so consecutive batches start at
+/// different path ids.
+#[test]
+fn single_client_stream_applies_in_order() {
+    let server = start(ServeConfig::default());
+    let sys = system();
+    let x = Vector::filled(sys.num_links(), 10.0);
+    let y = sys.measure(&x).expect("measure");
+    let batches: Vec<Vec<ProbeRow>> = (0..256usize)
+        .map(|k| {
+            (0..sys.num_paths())
+                .filter(|p| p % 8 == k % 8)
+                .map(|p| ProbeRow::new(u32::try_from(p).expect("fits"), y[p] + k as f64 * 1e-9))
+                .collect()
+        })
+        .collect();
+    let mut client = ProbeClient::new(server.ingest_addr(), 4);
+    let outcome = client
+        .stream_windowed(batches, 32)
+        .expect("stream delivers");
+    assert_eq!(outcome.acked, 256);
+    assert_eq!(outcome.queue_full_rejects, 0, "a window fits the queue");
+    let stats = server.engine_stats();
+    assert_eq!(stats.applied, 256);
+    assert_eq!(
+        stats.reordered, 0,
+        "an in-order client was applied out of order"
+    );
+}
+
+/// A batch that arrives after `shutdown()` began, but before its
+/// connection handler next checks the stop flag, is still applied and
+/// answered, and `shutdown()` returns: the apply worker outlives every
+/// handler. The schedule puts the batch between the apply worker's
+/// first idle poll after the stop flag and the handler's; should a
+/// loaded machine push the batch past the handler's poll instead, the
+/// handler closes the connection unread and nothing is applied.
+#[test]
+fn shutdown_does_not_strand_a_late_batch() {
+    let mut server = start(ServeConfig {
+        poll_interval: Duration::from_millis(500),
+        ..ServeConfig::default()
+    });
+    let sys = system();
+    let t0 = Instant::now();
+    let at = |ms: u64| {
+        let due = t0 + Duration::from_millis(ms);
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
+    };
+
+    at(250);
+    let mut stream = TcpStream::connect(server.ingest_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .expect("hello");
+    let hello_ack = read_frame(&mut stream).expect("read").expect("frame");
+    assert!(matches!(hello_ack, Frame::HelloAck { .. }));
+
+    at(300);
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(server);
+    });
+
+    at(625);
+    let rows = make_batches(&sys, 1, 0).remove(0);
+    write_frame(
+        &mut stream,
+        &Frame::Batch(ProbeBatch {
+            batch_id: 0,
+            epoch: 1,
+            rows,
+        }),
+    )
+    .expect("late batch");
+
+    let server = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown() returns within 10 s");
+    let applied = server.engine_stats().applied;
+    match read_frame(&mut stream) {
+        Ok(Some(Frame::Ack { batch_id: 0, .. })) => {
+            assert_eq!(applied, 1, "an acked batch is applied");
+        }
+        Ok(None) | Err(_) => assert_eq!(applied, 0, "an unread batch is not applied"),
+        Ok(Some(other)) => panic!("unexpected reply: {other:?}"),
+    }
+}
+
+/// A zero-capacity queue is a configuration error, not a panic, both in
+/// the library and in the `tomo-serve` binary.
+#[test]
+fn zero_queue_capacity_is_an_invalid_input() {
+    let err = Server::start(
+        system(),
+        ConsistencyDetector::recommended(),
+        ServeConfig {
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .err()
+    .expect("zero capacity is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tomo-serve"))
+        .args(["--ingest-port", "0", "--http-port", "0"])
+        .args(["--queue-capacity", "0", "--max-secs", "1"])
+        .output()
+        .expect("tomo-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("queue capacity must be positive"),
+        "{stderr}"
+    );
 }
 
 /// An injected reorder widens the resend window to two unacked batches;

@@ -1,9 +1,8 @@
-//! Concurrency tests for the lock-free query path and the sharded
-//! ingest queue: every snapshot a reader observes must be internally
-//! consistent (all fields from the same publish) and monotonically
-//! versioned, and the shard merge must be deterministic — the same
-//! batch set, in any arrival order, through any shard count, lands the
-//! engine in bit-identical state.
+//! Concurrency tests for the snapshot query path and the ingest queue:
+//! every snapshot a reader observes must be internally consistent (all
+//! fields from the same publish) and monotonically versioned, and the
+//! same batch set, in any arrival order, from any number of clients,
+//! must land the engine in bit-identical state.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use tomo_core::TomographySystem;
 use tomo_detect::ConsistencyDetector;
 use tomo_linalg::Vector;
 use tomo_serve::{
-    Engine, ProbeBatch, ProbeClient, ProbeRow, ServeConfig, Server, ShardedQueue, SnapshotStore,
+    Engine, IngestQueue, Pop, ProbeBatch, ProbeClient, ProbeRow, ServeConfig, Server, SnapshotStore,
 };
 
 fn system() -> Arc<TomographySystem> {
@@ -115,12 +114,9 @@ proptest! {
     }
 
     /// The same batch set, pushed in any arrival order and drained
-    /// through any shard count, applies to bit-identical engine state.
+    /// through the ingest queue, applies to bit-identical engine state.
     #[test]
-    fn shard_merge_is_deterministic_over_arrival_order(
-        shuffle_seed in 0u64..u64::MAX,
-        shards in 1usize..5,
-    ) {
+    fn queue_drain_is_deterministic_over_arrival_order(shuffle_seed in 0u64..u64::MAX) {
         // Fisher-Yates over the batch ids, driven by a splitmix64
         // stream so each case sees a different arrival order.
         let mut order: Vec<u64> = (0..24).collect();
@@ -144,19 +140,20 @@ proptest! {
             reference.apply(&batch(&sys, id));
         }
 
-        // Full-coverage batches share a path group (min path 0), so
-        // they all land on one shard: size that shard to hold them all.
-        let queue = ShardedQueue::new(24 * shards, shards, 10);
+        let queue = IngestQueue::new(24, 10);
         for &id in &order {
-            let b = batch(&sys, id);
-            let group = b.rows.iter().map(|r| u64::from(r.path)).min().unwrap_or(0);
-            queue.try_push(queue.shard_for(group), b).expect("fits");
+            queue.try_push(batch(&sys, id)).expect("fits");
         }
+        queue.close();
         let mut engine = Engine::new(Arc::clone(&sys), ConsistencyDetector::recommended());
         engine.bump_epoch(1);
-        while let Some((_, b)) = queue.pop_next(Duration::from_millis(1)) {
+        let mut popped = Vec::new();
+        while let Pop::Item(b) = queue.pop(Duration::from_millis(1)) {
+            popped.push(b.batch_id);
             engine.apply(&b);
         }
+        prop_assert_eq!(&popped, &order, "the queue hands batches over in push order");
+        prop_assert_eq!(queue.pop(Duration::from_millis(1)), Pop::Closed);
 
         prop_assert_eq!(engine.snapshot(), reference.snapshot());
         let got = engine.published_view(1).answer().expect("answers");
@@ -165,24 +162,20 @@ proptest! {
     }
 }
 
-/// Whole-daemon determinism across shard counts: the same batches
-/// through 1-shard and 4-shard servers, delivered by different client
-/// splits, produce byte-identical answers and replay state.
+/// Whole-daemon determinism across client counts: the same batches,
+/// delivered by 1, 2 and 4 clients, produce byte-identical answers.
 #[test]
-fn server_state_is_byte_identical_across_shard_and_client_counts() {
+fn server_state_is_byte_identical_across_client_counts() {
     let sys = system();
     let total = 32u64;
 
-    let answers: Vec<Vec<u64>> = [(1usize, 1usize), (4, 2), (4, 4)]
+    let answers: Vec<Vec<u64>> = [1usize, 2, 4]
         .iter()
-        .map(|&(shards, nclients)| {
+        .map(|&nclients| {
             let server = Server::start(
                 system(),
                 ConsistencyDetector::recommended(),
-                ServeConfig {
-                    ingest_shards: shards,
-                    ..ServeConfig::default()
-                },
+                ServeConfig::default(),
             )
             .expect("daemon starts");
             let addr = server.ingest_addr();
@@ -213,12 +206,6 @@ fn server_state_is_byte_identical_across_shard_and_client_counts() {
         })
         .collect();
 
-    assert_eq!(
-        answers[0], answers[1],
-        "1 shard/1 client == 4 shards/2 clients"
-    );
-    assert_eq!(
-        answers[0], answers[2],
-        "1 shard/1 client == 4 shards/4 clients"
-    );
+    assert_eq!(answers[0], answers[1], "1 client == 2 clients");
+    assert_eq!(answers[0], answers[2], "1 client == 4 clients");
 }

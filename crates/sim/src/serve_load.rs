@@ -1,25 +1,23 @@
 //! Serve-load — `tomo-serve` under many concurrent clients.
 //!
-//! The lock-free query path and the sharded ingest queue exist so the
-//! daemon can take a fleet of probes without the answers degrading:
-//! this sweep proves it. Each point boots one daemon (`config.shards`
-//! ingest shards) and aims `N` concurrent [`ProbeClient`]s at it, for
-//! `N` in `config.client_counts`. Client `c` of `N` sends exactly the
-//! batch ids `{b : b % N == c}` via start id `c` + stride `N`, so the
-//! fleet partitions the global id sequence a single client would have
-//! produced — and because the engine's final state is a pure function
-//! of the applied-batch set, every point must land **bit-identical** to
-//! a single-client, single-shard reference run. A sidecar thread
+//! The snapshot query path exists so the daemon can take a fleet of
+//! probes without the answers degrading: this sweep proves it. Each
+//! point boots one daemon and aims `N` concurrent [`ProbeClient`]s at
+//! it, for `N` in `config.client_counts`. Client `c` of `N` sends
+//! exactly the batch ids `{b : b % N == c}` via start id `c` + stride
+//! `N`, so the fleet partitions the global id sequence a single client
+//! would have produced — and because the engine's final state is a pure
+//! function of the applied-batch set, every point must land
+//! **bit-identical** to a single-client reference run. A sidecar thread
 //! hammers queries throughout, checking every loaded snapshot
 //! ([`tomo_serve::EngineSnapshot::self_check`]) and that versions never
-//! regress — the lock-free path's invariants are asserted live, under
-//! real contention, not just in unit tests.
+//! regress — the query path's invariants are asserted live, under real
+//! contention, not just in unit tests.
 //!
 //! Batch content is grouped: batch `b` carries rows for the paths
-//! `{p : p % groups == b % groups}` (value `y[p] + b·1e-9`), which
-//! spreads consecutive batches across ingest shards (the shard key is
-//! the batch's smallest path id) while keeping the content of batch `b`
-//! independent of the client count. Clients deliver through
+//! `{p : p % groups == b % groups}` (value `y[p] + b·1e-9`), so
+//! consecutive batches write different slots, while the content of
+//! batch `b` stays independent of the client count. Clients deliver through
 //! [`ProbeClient::stream_windowed`], pipelining [`SEND_WINDOW`] batches
 //! per ack round trip — the sweep measures ingest, not per-batch
 //! round-trip stalls.
@@ -57,8 +55,6 @@ pub struct ServeLoadConfig {
     /// Path groups: batch `b` carries the paths `p % groups == b %
     /// groups`.
     pub groups: usize,
-    /// Ingest shards on the daemon.
-    pub shards: usize,
     /// The p99 query-latency SLO, milliseconds.
     pub slo_ms: f64,
 }
@@ -69,7 +65,6 @@ impl Default for ServeLoadConfig {
             client_counts: vec![1, 4, 16, 64],
             batches_total: 16384,
             groups: 8,
-            shards: 4,
             slo_ms: 5.0,
         }
     }
@@ -108,16 +103,16 @@ pub struct ServeLoadPoint {
     pub query_p99_us: f64,
     /// p99 stayed under the SLO.
     pub slo_ok: bool,
-    /// Final estimate bits equal the single-client single-shard
-    /// reference, bit for bit.
+    /// Final estimate bits equal the single-client reference, bit for
+    /// bit.
     pub byte_identical: bool,
     /// Snapshot version after the last publish (monotone across the
-    /// point; > 0 proves the lock-free path was exercised).
+    /// point; > 0 proves the snapshot path was exercised).
     pub snapshot_version: u64,
-    /// Batches admitted per ingest shard.
-    pub shard_pushed: Vec<u64>,
-    /// Pushes refused at capacity, per ingest shard.
-    pub shard_rejects: Vec<u64>,
+    /// Batches admitted to the ingest queue.
+    pub queue_pushed: u64,
+    /// Pushes the ingest queue refused at capacity.
+    pub queue_rejects: u64,
     /// Client reconnects summed across the fleet.
     pub reconnects: u64,
     /// `Reject(QueueFull)` backpressure events honored by the fleet.
@@ -151,20 +146,18 @@ fn batch_rows(y: &Vector, num_paths: usize, groups: usize, b: usize) -> Vec<Prob
         .collect()
 }
 
-fn serve_config(shards: usize, slo_ms: f64) -> ServeConfig {
+fn serve_config(slo_ms: f64) -> ServeConfig {
     ServeConfig {
-        ingest_shards: shards,
         // Pipelined fleets keep up to clients × SEND_WINDOW batches in
-        // flight; provision the shard queues so backpressure measures
-        // the apply path, not an undersized test queue.
+        // flight; provision the queue so backpressure measures the
+        // apply path, not an undersized test queue.
         queue_capacity: 4096,
         slo_ms,
         ..ServeConfig::default()
     }
 }
 
-/// The single-client, single-shard run every point must match bit for
-/// bit.
+/// The single-client run every point must match bit for bit.
 fn reference_bits(
     system: &Arc<TomographySystem>,
     rows: &[Vec<ProbeRow>],
@@ -174,7 +167,7 @@ fn reference_bits(
     let server = Server::start(
         Arc::clone(system),
         ConsistencyDetector::recommended(),
-        serve_config(1, slo_ms),
+        serve_config(slo_ms),
     )
     .map_err(|e| SimError(format!("serve-load: reference daemon: {e}")))?;
     let mut client = ProbeClient::new(server.ingest_addr(), derive_seed(seed, u64::MAX));
@@ -187,7 +180,7 @@ fn reference_bits(
         .estimate_bits)
 }
 
-/// Hammers the lock-free query path until `stop`: every loaded snapshot
+/// Hammers the snapshot query path until `stop`: every loaded snapshot
 /// must self-check and versions must never regress. Signals `started`
 /// once its first query has run (dropping it on an early error). Returns
 /// query latencies (µs).
@@ -238,7 +231,7 @@ fn run_point(
     let server = Server::start(
         Arc::clone(system),
         ConsistencyDetector::recommended(),
-        serve_config(config.shards, config.slo_ms),
+        serve_config(config.slo_ms),
     )
     .map_err(|e| SimError(format!("serve-load: daemon ({clients} clients): {e}")))?;
     let addr = server.ingest_addr();
@@ -296,7 +289,7 @@ fn run_point(
         .query()
         .map_err(|e| SimError(format!("serve-load: final query: {e}")))?;
     let snapshot_version = server.snapshot().version();
-    let shard_stats = server.shard_stats();
+    let queue = server.queue_stats();
 
     let mut sorted = latencies;
     sorted.sort_by(f64::total_cmp);
@@ -319,8 +312,8 @@ fn run_point(
         slo_ok: p99 < config.slo_ms * 1000.0,
         byte_identical: answer.estimate_bits == reference,
         snapshot_version,
-        shard_pushed: shard_stats.iter().map(|s| s.pushed).collect(),
-        shard_rejects: shard_stats.iter().map(|s| s.rejects).collect(),
+        queue_pushed: queue.pushed,
+        queue_rejects: queue.rejects,
         reconnects: tallies.iter().map(|t| t.reconnects).sum(),
         queue_full_rejects: tallies.iter().map(|t| t.queue_full_rejects).sum(),
     })
@@ -341,10 +334,8 @@ pub fn run(seed: u64, config: &ServeLoadConfig) -> Result<ServeLoadResult, SimEr
             "serve-load: need at least one client count, all positive".into(),
         ));
     }
-    if config.groups == 0 || config.shards == 0 {
-        return Err(SimError(
-            "serve-load: groups and shards must be positive".into(),
-        ));
+    if config.groups == 0 {
+        return Err(SimError("serve-load: groups must be positive".into()));
     }
     let max_clients = *config.client_counts.iter().max().unwrap_or(&1);
     if config.batches_total < 2 * max_clients {
@@ -407,7 +398,6 @@ pub fn run(seed: u64, config: &ServeLoadConfig) -> Result<ServeLoadResult, SimEr
 pub fn render(result: &ServeLoadResult) -> String {
     let mut rows = Vec::new();
     for p in &result.points {
-        let rejects: u64 = p.shard_rejects.iter().sum();
         rows.push((
             format!("{:>3} clients", p.clients),
             format!(
@@ -416,7 +406,7 @@ pub fn render(result: &ServeLoadResult) -> String {
                 p.query_p50_us,
                 p.query_p99_us,
                 if p.slo_ok { "ok" } else { "SLO-BUST" },
-                rejects,
+                p.queue_rejects,
                 if p.byte_identical {
                     "bit-exact"
                 } else {
@@ -427,14 +417,14 @@ pub fn render(result: &ServeLoadResult) -> String {
     }
     let mut out = crate::report::two_column_table(
         &format!(
-            "Serve-load — {} batches through {} ingest shards (seed {}, {} core(s))",
-            result.config.batches_total, result.config.shards, result.seed, result.cores
+            "Serve-load — {} batches (seed {}, {} core(s))",
+            result.config.batches_total, result.seed, result.cores
         ),
         ("fleet", "aggregate throughput, query tail, identity"),
         &rows,
     );
     out.push_str(
-        "every point byte-identical to the single-client single-shard reference; \
+        "every point byte-identical to the single-client reference; \
          snapshots self-checked under load\n",
     );
     out
@@ -449,7 +439,6 @@ mod tests {
             client_counts: vec![1, 3],
             batches_total: 48,
             groups: 4,
-            shards: 2,
             slo_ms: 1000.0, // debug builds on shared CI cores
         }
     }
@@ -468,8 +457,7 @@ mod tests {
             assert!(p.slo_ok);
             assert!(p.queries > 0, "queries ran during ingest");
             assert!(p.snapshot_version > 0);
-            assert_eq!(p.shard_pushed.len(), 2, "one gauge per shard");
-            assert_eq!(p.shard_pushed.iter().sum::<u64>(), 48);
+            assert_eq!(p.queue_pushed, 48, "every batch queued once");
         }
         // The 3-client fleet handshakes at least once per client.
         assert!(r.points[1].reconnects >= 3);

@@ -434,6 +434,6 @@ for p in best["points"]:
     print(f"BENCH serve-load clients={p['clients']} "
           f"batches_per_sec={p['batches_per_sec']:.0f} "
           f"p50={p['query_p50_us']}us p99={p['query_p99_us']}us "
-          f"rejects={sum(p['shard_rejects'])}")
+          f"rejects={p['queue_rejects']}")
 PY
 echo "BENCH wrote $SERVE_LOAD_OUT_JSON"

@@ -328,6 +328,17 @@ urllib.request.urlopen(req, timeout=2)
 print(f"ci: serve smoke ok (applied=24, quarantined_frames="
       f"{stats['quarantined_frames']}, query p99={p99}us)")
 PY
+# A shutdown that hangs must fail this step, not stall it: poll for the
+# daemon's exit for at most 30 s, then kill it.
+for _ in $(seq 300); do
+  kill -0 "$DAEMON_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$DAEMON_PID" 2>/dev/null; then
+  kill -9 "$DAEMON_PID" 2>/dev/null || true
+  echo "ci: tomo-serve still running 30 s after POST /shutdown; killed it" >&2
+  exit 1
+fi
 wait "$DAEMON_PID" || {
   echo "ci: tomo-serve exited non-zero after /shutdown" >&2
   exit 1
