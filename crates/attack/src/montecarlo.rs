@@ -18,7 +18,6 @@ use tomo_graph::{LinkId, NodeId};
 use tomo_linalg::Vector;
 use tomo_lp::WarmStart;
 use tomo_obs::LazyCounter;
-use tomo_par::{derive_seed, Executor};
 
 static TRIALS: LazyCounter = LazyCounter::new("attack.montecarlo.trials");
 static DEGENERATE: LazyCounter = LazyCounter::new("attack.montecarlo.degenerate");
@@ -322,52 +321,6 @@ pub fn obfuscation_trial<R: Rng + ?Sized>(
     })
 }
 
-/// Success probability as a function of coalition size — a natural
-/// companion to Fig. 7 (which varies the presence *ratio*): how does the
-/// number of colluding nodes translate into feasibility?
-///
-/// Runs `trials` chosen-victim trials for each coalition size in
-/// `1..=max_attackers`, fanned out across `exec`'s workers, and returns
-/// one success probability per size. Each trial draws from its own RNG
-/// stream derived from `(seed, trial_index)`, so the curve is
-/// bit-identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates attack-construction errors.
-pub fn coalition_sweep(
-    system: &TomographySystem,
-    scenario: &AttackScenario,
-    delay_model: &DelayModel,
-    max_attackers: usize,
-    trials: usize,
-    seed: u64,
-    exec: &Executor,
-) -> Result<Vec<f64>, AttackError> {
-    let max_attackers = max_attackers.max(1);
-    if trials == 0 {
-        return Ok(vec![0.0; max_attackers]);
-    }
-    let records = exec.try_map(max_attackers * trials, |idx| {
-        let k = idx / trials + 1;
-        let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, idx as u64));
-        chosen_victim_trial(system, scenario, delay_model, k, &mut rng)
-    })?;
-    let curve = records
-        .chunks(trials)
-        .map(|chunk| {
-            let usable = chunk.iter().flatten().count();
-            let successes = chunk.iter().flatten().filter(|t| t.success).count();
-            if usable == 0 {
-                0.0
-            } else {
-                successes as f64 / usable as f64
-            }
-        })
-        .collect();
-    Ok(curve)
-}
-
 /// Success probability per presence-ratio bin — the Fig. 7 curve.
 ///
 /// `bins` half-open intervals partition `[0, 1]`; the last bin is closed
@@ -644,54 +597,6 @@ mod tests {
         assert!(!is_injected_solver_fault(&AttackError::Lp(
             tomo_lp::LpError::NonFiniteCoefficient { context: "x" }
         )));
-    }
-
-    #[test]
-    fn coalition_sweep_grows_with_attackers() {
-        let (system, scenario, delays) = fig1_setup();
-        let exec = Executor::single_threaded();
-        let curve = coalition_sweep(&system, &scenario, &delays, 4, 25, 10, &exec).unwrap();
-        assert_eq!(curve.len(), 4);
-        assert!(curve.iter().all(|p| (0.0..=1.0).contains(p)));
-        // Larger coalitions should not be dramatically worse: compare the
-        // best of sizes {3,4} against size 1 (statistical, generous slack).
-        let large = curve[2].max(curve[3]);
-        assert!(
-            large + 0.25 >= curve[0],
-            "coalitions of 3-4 ({large}) much weaker than singletons ({})",
-            curve[0]
-        );
-    }
-
-    #[test]
-    fn coalition_sweep_is_thread_count_invariant() {
-        let (system, scenario, delays) = fig1_setup();
-        let seq = coalition_sweep(
-            &system,
-            &scenario,
-            &delays,
-            3,
-            8,
-            10,
-            &Executor::single_threaded(),
-        )
-        .unwrap();
-        let par =
-            coalition_sweep(&system, &scenario, &delays, 3, 8, 10, &Executor::new(4)).unwrap();
-        // Bit-identical, not approximately equal.
-        assert_eq!(seq, par);
-        // Degenerate sizes still produce a full curve.
-        let empty = coalition_sweep(
-            &system,
-            &scenario,
-            &delays,
-            2,
-            0,
-            10,
-            &Executor::single_threaded(),
-        )
-        .unwrap();
-        assert_eq!(empty, vec![0.0, 0.0]);
     }
 
     #[test]

@@ -76,17 +76,7 @@ pub fn chosen_victim(
     true_metrics: &Vector,
     victims: &[LinkId],
 ) -> Result<AttackOutcome, AttackError> {
-    if victims.is_empty() {
-        return Err(AttackError::NoVictims);
-    }
-    for &v in victims {
-        if v.index() >= system.num_links() {
-            return Err(AttackError::UnknownVictim { link: v });
-        }
-        if attackers.controls_link(v) {
-            return Err(AttackError::VictimControlledByAttacker { link: v });
-        }
-    }
+    check_victims(system, attackers, victims)?;
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let outcome = solve_chosen_victim(&prob, attackers, victims)?;
     record_outcome(
@@ -114,6 +104,28 @@ pub fn chosen_victim_warm(
     _warm: Option<&WarmStart>,
 ) -> Result<AttackOutcome, AttackError> {
     chosen_victim(system, attackers, scenario, true_metrics, victims)
+}
+
+/// The victim-set contract shared by the chosen-victim strategies and
+/// the perfect-cut construction: at least one victim, every victim a
+/// link of `system`, none controlled by the attackers (Eq. 7).
+pub(crate) fn check_victims(
+    system: &TomographySystem,
+    attackers: &AttackerSet,
+    victims: &[LinkId],
+) -> Result<(), AttackError> {
+    if victims.is_empty() {
+        return Err(AttackError::NoVictims);
+    }
+    for &v in victims {
+        if v.index() >= system.num_links() {
+            return Err(AttackError::UnknownVictim { link: v });
+        }
+        if attackers.controls_link(v) {
+            return Err(AttackError::VictimControlledByAttacker { link: v });
+        }
+    }
+    Ok(())
 }
 
 /// Inner chosen-victim solve reusing an existing LP factory (avoids
@@ -151,17 +163,7 @@ pub fn chosen_victim_exclusive(
     true_metrics: &Vector,
     victims: &[LinkId],
 ) -> Result<AttackOutcome, AttackError> {
-    if victims.is_empty() {
-        return Err(AttackError::NoVictims);
-    }
-    for &v in victims {
-        if v.index() >= system.num_links() {
-            return Err(AttackError::UnknownVictim { link: v });
-        }
-        if attackers.controls_link(v) {
-            return Err(AttackError::VictimControlledByAttacker { link: v });
-        }
-    }
+    check_victims(system, attackers, victims)?;
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let goals: Vec<(LinkId, LinkGoal)> = (0..system.num_links())
         .map(LinkId)
@@ -293,17 +295,7 @@ pub fn min_effort_chosen_victim(
     true_metrics: &Vector,
     victims: &[LinkId],
 ) -> Result<AttackOutcome, AttackError> {
-    if victims.is_empty() {
-        return Err(AttackError::NoVictims);
-    }
-    for &v in victims {
-        if v.index() >= system.num_links() {
-            return Err(AttackError::UnknownVictim { link: v });
-        }
-        if attackers.controls_link(v) {
-            return Err(AttackError::VictimControlledByAttacker { link: v });
-        }
-    }
+    check_victims(system, attackers, victims)?;
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let mut goals: Vec<(LinkId, LinkGoal)> =
         victims.iter().map(|&v| (v, LinkGoal::Abnormal)).collect();

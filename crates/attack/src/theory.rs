@@ -41,17 +41,7 @@ pub fn perfect_cut_attack(
     victims: &[LinkId],
     target_estimate: f64,
 ) -> Result<AttackOutcome, AttackError> {
-    if victims.is_empty() {
-        return Err(AttackError::NoVictims);
-    }
-    for &v in victims {
-        if v.index() >= system.num_links() {
-            return Err(AttackError::UnknownVictim { link: v });
-        }
-        if attackers.controls_link(v) {
-            return Err(AttackError::VictimControlledByAttacker { link: v });
-        }
-    }
+    crate::strategy::check_victims(system, attackers, victims)?;
     if true_metrics.len() != system.num_links() {
         return Err(AttackError::BadBaseline {
             expected: system.num_links(),

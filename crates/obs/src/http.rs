@@ -3,14 +3,15 @@
 //! [`HttpServer`] is a minimal request/response loop over plain
 //! `std::net`: one connection at a time, a caller-supplied handler
 //! mapping [`HttpRequest`] to [`HttpResponse`]. It exists so every
-//! HTTP-fronted component in the workspace (the Prometheus scrape
-//! endpoint here, the `tomo-serve` daemon's query/health front) shares
-//! one hardened accept loop — deadlines, drain-on-shutdown — instead of
-//! growing private copies.
+//! HTTP-fronted component in the workspace (`tomo-sim --serve-metrics`,
+//! the `tomo-serve` daemon's query/health front) shares one hardened
+//! accept loop — deadlines, drain-on-shutdown — instead of growing
+//! private copies.
 //!
-//! [`MetricsServer`] is the original scrape endpoint, now a thin wrapper
-//! serving the global registry in Prometheus text exposition at
-//! `GET /metrics` (plus a `GET /healthz` liveness probe).
+//! [`metrics_handler`] is the one scrape endpoint: it serves the global
+//! registry in Prometheus text exposition at `GET /metrics`, plus a
+//! `GET /healthz` liveness probe. The daemon passes every route it does
+//! not own to it.
 //!
 //! Servers bind loopback only: the simulator has no business listening
 //! on external interfaces.
@@ -148,20 +149,6 @@ impl HttpServer {
         self.listener.local_addr()
     }
 
-    /// Serves requests on the calling thread until the process exits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first fatal `accept` error; per-connection errors
-    /// (malformed requests, client hangups) are swallowed.
-    pub fn serve_forever(self, handler: Handler) -> std::io::Result<()> {
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            // A broken request must not take the loop down.
-            let _ = handle_connection(stream, &handler);
-        }
-    }
-
     /// Serves requests on a background thread; the returned handle stops
     /// the server when dropped.
     ///
@@ -246,20 +233,11 @@ impl Drop for HttpServerHandle {
     }
 }
 
-/// The Prometheus scrape endpoint: `GET /metrics` renders the global
-/// registry, `GET /healthz` answers liveness probes.
-pub struct MetricsServer {
-    inner: HttpServer,
-}
-
-/// Handle to a [`MetricsServer`] running on a background thread.
-///
-/// Dropping the handle shuts the server down and joins the thread.
-pub struct MetricsServerHandle {
-    inner: HttpServerHandle,
-}
-
-fn metrics_handler() -> Handler {
+/// The Prometheus scrape handler: `GET /metrics` renders the global
+/// registry, `GET /healthz` answers liveness probes, any other path is
+/// 404 and any other method 405.
+#[must_use]
+pub fn metrics_handler() -> Handler {
     Arc::new(|req: &HttpRequest| {
         if req.method != "GET" {
             return HttpResponse::method_not_allowed();
@@ -273,63 +251,6 @@ fn metrics_handler() -> Handler {
             _ => HttpResponse::not_found(),
         }
     })
-}
-
-impl MetricsServer {
-    /// Binds `127.0.0.1:port` (`port` 0 asks the OS for a free port).
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error (e.g. the port is taken).
-    pub fn bind(port: u16) -> std::io::Result<MetricsServer> {
-        Ok(MetricsServer {
-            inner: HttpServer::bind(port)?,
-        })
-    }
-
-    /// The address the server is listening on.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying socket error.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.inner.local_addr()
-    }
-
-    /// Serves scrapes on the calling thread until the process exits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first fatal `accept` error; per-connection errors
-    /// (malformed requests, client hangups) are swallowed.
-    pub fn serve_forever(self) -> std::io::Result<()> {
-        self.inner.serve_forever(metrics_handler())
-    }
-
-    /// Serves scrapes on a background thread; the returned handle stops
-    /// the server when dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket error if the local address cannot be read.
-    pub fn spawn(self) -> std::io::Result<MetricsServerHandle> {
-        Ok(MetricsServerHandle {
-            inner: self.inner.spawn_named(metrics_handler(), "tomo-metrics")?,
-        })
-    }
-}
-
-impl MetricsServerHandle {
-    /// The address the background server is listening on.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Stops the server and joins its thread (idempotent).
-    pub fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
 }
 
 fn handle_connection(stream: TcpStream, handler: &Handler) -> std::io::Result<()> {
@@ -414,8 +335,8 @@ mod tests {
     #[test]
     fn scrape_loop_serves_metrics_health_and_404() {
         crate::counter("http.test.scrapes").inc();
-        let server = MetricsServer::bind(0).expect("bind loopback");
-        let mut handle = server.spawn().expect("spawn");
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let mut handle = server.spawn(metrics_handler()).expect("spawn");
         let addr = handle.local_addr();
 
         let metrics = get(addr, "/metrics");
@@ -435,8 +356,8 @@ mod tests {
 
     #[test]
     fn non_get_method_is_rejected() {
-        let server = MetricsServer::bind(0).expect("bind loopback");
-        let handle = server.spawn().expect("spawn");
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let handle = server.spawn(metrics_handler()).expect("spawn");
         let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
         write!(stream, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").expect("request");
         let mut response = String::new();
@@ -447,8 +368,8 @@ mod tests {
     #[test]
     fn content_length_matches_body() {
         crate::counter("http.test.length").inc();
-        let server = MetricsServer::bind(0).expect("bind loopback");
-        let handle = server.spawn().expect("spawn");
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let handle = server.spawn(metrics_handler()).expect("spawn");
         let response = get(handle.local_addr(), "/metrics");
         let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
         let length: usize = head
@@ -510,8 +431,8 @@ mod tests {
     #[test]
     fn shutdown_drains_concurrently_accepted_connections() {
         crate::counter("http.test.drain").inc();
-        let server = MetricsServer::bind(0).expect("bind loopback");
-        let handle = server.spawn().expect("spawn");
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let handle = server.spawn(metrics_handler()).expect("spawn");
         let addr = handle.local_addr();
 
         // Slow client: connect and hold the request back so the server

@@ -2,26 +2,30 @@
 //!
 //! Every other crate in the workspace can afford to depend on this one:
 //! it is pure `std` (no tracing/metrics ecosystems, which the offline
-//! build environment could not fetch anyway) and all hot-path operations
-//! are a few relaxed atomics. Three instrument families share one global
-//! registry:
+//! build environment could not fetch anyway). Three instrument families
+//! share one global registry:
 //!
 //! * **metrics** — named [`Counter`]s, [`Gauge`]s, and log-scale
 //!   [`Histogram`]s with p50/p90/p99 summaries. Hot call sites declare a
 //!   `static` [`LazyCounter`]/[`LazyHistogram`] handle so the name lookup
-//!   happens once, not per update.
+//!   happens once; each update is then a few relaxed atomics.
 //! * **spans** — RAII wall-clock timers ([`span`]) that nest per thread
 //!   and aggregate per `/`-joined call path; `--verbose` printing via
-//!   [`set_verbose`].
+//!   [`set_verbose`]. A span is not free even untraced: it formats its
+//!   path on open and takes the registry mutex on close. On a 2-core
+//!   x86-64 host (release build) that is ~130–160 ns for a root span and
+//!   ~300–370 ns one level deep on one thread, and ~400–650 ns when two
+//!   threads contend for the registry.
 //! * **events** — a level-filtered log ([`info!`], [`debug!`], …)
 //!   controlled by the `TOMO_LOG` environment variable, rendering
 //!   human-readable lines to stderr and JSON lines to an optional file.
 //! * **traces** — opt-in ([`set_tracing`]) per-event recording of span
 //!   trees with explicit parent links that survive `tomo-par` thread
 //!   hops ([`TraceContext`]), plus per-trial provenance records
-//!   ([`record_trial`]), in a fixed-capacity ring journal exportable as
-//!   Chrome trace-event JSON ([`write_chrome_trace`]) or scrapeable as
-//!   Prometheus text ([`prometheus_text`], [`MetricsServer`]).
+//!   ([`record_trial`]), in a bounded journal exportable as Chrome
+//!   trace-event JSON ([`write_chrome_trace`]). The registry is
+//!   scrapeable as Prometheus text ([`prometheus_text`],
+//!   [`metrics_handler`]).
 //!
 //! Metric names follow `<crate>.<component>.<name>`, e.g.
 //! `lp.simplex.pivots` or `attack.chosen_victim.damage`.
@@ -53,10 +57,7 @@ mod prometheus;
 mod span;
 mod trace;
 
-pub use http::{
-    Handler, HttpRequest, HttpResponse, HttpServer, HttpServerHandle, MetricsServer,
-    MetricsServerHandle,
-};
+pub use http::{metrics_handler, Handler, HttpRequest, HttpResponse, HttpServer, HttpServerHandle};
 pub use log::{log_enabled, log_record, set_log_json, set_max_level, Level};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, HistogramTimer, LazyCounter, LazyGauge,
@@ -65,10 +66,9 @@ pub use metrics::{
 pub use prometheus::prometheus_text;
 pub use span::{fmt_ns, set_verbose, span, verbose, SpanGuard, SpanSummary};
 pub use trace::{
-    chrome_trace_json, journal_capacity, journal_snapshot, now_ns, record_trial, reset_journal,
-    set_journal_capacity, set_tracing, thread_tid, tracing_enabled, write_chrome_trace,
-    ChromeTraceStats, ContextGuard, JournalSnapshot, TraceContext, TraceEvent, TrialProvenance,
-    DEFAULT_JOURNAL_CAPACITY,
+    chrome_trace_json, journal_snapshot, now_ns, record_trial, reset_journal, set_tracing,
+    thread_tid, tracing_enabled, write_chrome_trace, ChromeTraceStats, ContextGuard,
+    JournalSnapshot, TraceContext, TraceEvent, TrialProvenance, DEFAULT_JOURNAL_CAPACITY,
 };
 
 use std::collections::BTreeMap;

@@ -56,18 +56,20 @@ impl SpanSummary {
 
 /// RAII timer for one span; records into the global registry on drop.
 ///
+/// The span's path lives on the thread's span stack while the guard is
+/// open; the guard keeps only its depth there, and takes the path back
+/// when it closes.
+///
 /// When tracing is enabled (see [`crate::set_tracing`]) the guard also
 /// carries a process-unique span id and an explicit parent link, and
 /// pushes a [`crate::TraceEvent::Span`] into the trace journal on drop.
 pub struct SpanGuard {
-    path: String,
     depth: usize,
     start: Instant,
     /// Trace identity: 0 when tracing was off at open time.
     trace_id: u64,
-    /// The parent to restore on the thread when this span closes.
-    trace_prev: u64,
-    /// This span's parent id in the trace tree.
+    /// This span's parent id in the trace tree, restored as the thread's
+    /// current parent when the span closes.
     trace_parent: u64,
     /// Open timestamp, ns since the trace epoch (only when traced).
     start_ns: u64,
@@ -77,28 +79,26 @@ pub struct SpanGuard {
 /// span (if any).
 #[must_use = "a span measures the region until the guard is dropped"]
 pub fn span(name: &str) -> SpanGuard {
-    let (path, depth) = SPAN_STACK.with(|stack| {
+    let depth = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         let path = match stack.last() {
             Some(parent) => format!("{parent}/{name}"),
             None => name.to_string(),
         };
-        stack.push(path.clone());
-        (path, stack.len() - 1)
+        stack.push(path);
+        stack.len() - 1
     });
-    let (trace_id, trace_prev, trace_parent, start_ns) = if crate::tracing_enabled() {
+    let (trace_id, trace_parent, start_ns) = if crate::tracing_enabled() {
         let id = crate::trace::next_span_id();
-        let prev = crate::trace::swap_current_parent(id);
-        (id, prev, prev, crate::trace::now_ns())
+        let parent = crate::trace::swap_current_parent(id);
+        (id, parent, crate::trace::now_ns())
     } else {
-        (0, 0, 0, 0)
+        (0, 0, 0)
     };
     SpanGuard {
-        path,
         depth,
         start: Instant::now(),
         trace_id,
-        trace_prev,
         trace_parent,
         start_ns,
     }
@@ -107,32 +107,25 @@ pub fn span(name: &str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        SPAN_STACK.with(|stack| {
+        if self.trace_id != 0 {
+            crate::trace::restore_parent(self.trace_parent);
+        }
+        let path = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            // Guards normally drop LIFO; tolerate leaks by popping only
-            // our own entry when it is still the innermost one.
-            if stack.last() == Some(&self.path) {
-                stack.pop();
+            // Guards normally drop LIFO and pop their own entry. One
+            // dropped out of order leaves its entry in place, as the
+            // spans opened under it still extend that path.
+            if stack.len() == self.depth + 1 {
+                stack.pop()
+            } else {
+                stack.get(self.depth).cloned()
             }
         });
-        if self.trace_id != 0 {
-            crate::trace::restore_parent(self.trace_prev);
-            // Still journal the close even if tracing was switched off
-            // mid-span: a tree with holes is worse than a few extra
-            // events at the shutdown boundary.
-            let name = self.path.rsplit('/').next().unwrap_or(&self.path);
-            crate::trace::record_span_event(
-                self.trace_id,
-                self.trace_parent,
-                name,
-                &self.path,
-                self.start_ns,
-                ns,
-            );
-        }
-        crate::record_span(&self.path, ns);
+        // No entry at our depth: the guard was dropped on another thread.
+        let Some(path) = path else { return };
+        crate::record_span(&path, ns);
         if verbose() {
-            let name = self.path.rsplit('/').next().unwrap_or(&self.path);
+            let name = leaf_name(&path);
             eprintln!(
                 "{:indent$}[span] {name} {}",
                 "",
@@ -140,7 +133,24 @@ impl Drop for SpanGuard {
                 indent = 2 * self.depth
             );
         }
+        if self.trace_id != 0 {
+            // Still journal the close even if tracing was switched off
+            // mid-span: a tree with holes is worse than a few extra
+            // events at the shutdown boundary.
+            crate::trace::record_span_event(
+                self.trace_id,
+                self.trace_parent,
+                path,
+                self.start_ns,
+                ns,
+            );
+        }
     }
+}
+
+/// A span's name: the last `/` segment of its path.
+pub(crate) fn leaf_name(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or(path)
 }
 
 /// Formats a nanosecond duration for humans.

@@ -4,13 +4,14 @@
 //! the time go", but cannot answer "what happened in trial 731 of the
 //! fig7 sweep". This module records *individual* events — completed
 //! spans with explicit parent links, and per-trial provenance records —
-//! into a fixed-capacity ring-buffer **journal**:
+//! into a bounded **journal**:
 //!
-//! * **Bounded overhead.** The journal never allocates after creation;
-//!   recording is a slot reservation (one relaxed `fetch_add`) plus one
-//!   uncontended per-slot mutex write. When the ring wraps, the oldest
-//!   events are overwritten and counted as dropped — tracing can stay on
-//!   for arbitrarily long runs without unbounded memory.
+//! * **Bounded memory.** The journal is one mutex around a queue of at
+//!   most `TOMO_TRACE_CAP` events (default [`DEFAULT_JOURNAL_CAPACITY`]).
+//!   When it is full, the oldest event is evicted and counted as
+//!   dropped, so tracing can stay on for arbitrarily long runs. A
+//!   snapshot copies the queue under the same lock, so
+//!   `emitted = retained + dropped` holds exactly even while writers run.
 //! * **Determinism.** Tracing is strictly passive: it draws no
 //!   randomness, and nothing downstream reads the journal during an
 //!   experiment, so artifacts remain byte-identical with tracing on or
@@ -26,10 +27,12 @@
 //! (loadable at <https://ui.perfetto.dev>); `tomo-sim run … --trace-out`
 //! drives it from the CLI.
 //!
-//! Tracing is off by default; [`set_tracing`] enables it. Disabled, the
-//! per-span cost is a single relaxed atomic load.
+//! Tracing is off by default; [`set_tracing`] enables it. Disabled, it
+//! adds one relaxed atomic load to each span (the span's own cost is in
+//! [`crate::span`]).
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,9 +118,8 @@ pub enum TraceEvent {
         id: u64,
         /// Parent span id (0 = root).
         parent: u64,
-        /// Leaf name of the span.
-        name: String,
-        /// `/`-joined aggregation path (see [`crate::span`]).
+        /// `/`-joined aggregation path (see [`crate::span`]); the span's
+        /// name is its last `/` segment.
         path: String,
         /// Dense id of the thread the span ran on.
         tid: u64,
@@ -179,22 +181,14 @@ pub fn record_trial(provenance: TrialProvenance) {
         tid: thread_tid(),
         ts_ns: now_ns(),
     };
-    journal().push(event);
+    push(event);
 }
 
-pub(crate) fn record_span_event(
-    id: u64,
-    parent: u64,
-    name: &str,
-    path: &str,
-    start_ns: u64,
-    dur_ns: u64,
-) {
-    journal().push(TraceEvent::Span {
+pub(crate) fn record_span_event(id: u64, parent: u64, path: String, start_ns: u64, dur_ns: u64) {
+    push(TraceEvent::Span {
         id,
         parent,
-        name: name.to_string(),
-        path: path.to_string(),
+        path,
         tid: thread_tid(),
         start_ns,
         dur_ns,
@@ -247,111 +241,73 @@ impl Drop for ContextGuard {
     }
 }
 
-/// Fixed-capacity ring-buffer journal.
-///
-/// Writers reserve a slot with one atomic `fetch_add` (lock-free — no
-/// writer ever waits for another writer's *reservation*) and then take
-/// that slot's own mutex, which is contended only when two writers are a
-/// full ring apart. Sequence numbers disambiguate wrap races: a slot
-/// only accepts an event newer than the one it holds.
+/// The bounded journal: the newest `capacity` events, oldest first, and
+/// how many were ever pushed.
 struct Journal {
-    slots: Vec<Mutex<Option<(u64, TraceEvent)>>>,
-    cursor: AtomicU64,
+    events: VecDeque<TraceEvent>,
+    emitted: u64,
+    capacity: usize,
 }
 
-static CAPACITY_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Overrides the journal capacity. Returns `false` (and changes
-/// nothing) once the journal has been created — call it before the
-/// first traced event. Intended for tests and for the `TOMO_TRACE_CAP`
-/// environment override.
-pub fn set_journal_capacity(capacity: usize) -> bool {
-    if JOURNAL.get().is_some() {
-        return false;
-    }
-    CAPACITY_OVERRIDE.store(capacity.max(16) as u64, Ordering::Relaxed);
-    true
-}
-
-static JOURNAL: OnceLock<Journal> = OnceLock::new();
-
-fn journal() -> &'static Journal {
+fn journal() -> &'static Mutex<Journal> {
+    static JOURNAL: OnceLock<Mutex<Journal>> = OnceLock::new();
     JOURNAL.get_or_init(|| {
-        let capacity = match CAPACITY_OVERRIDE.load(Ordering::Relaxed) {
-            0 => std::env::var("TOMO_TRACE_CAP")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 16)
-                .unwrap_or(DEFAULT_JOURNAL_CAPACITY),
-            n => n as usize,
-        };
-        Journal {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-        }
+        let capacity = std::env::var("TOMO_TRACE_CAP")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 16)
+            .unwrap_or(DEFAULT_JOURNAL_CAPACITY);
+        Mutex::new(Journal {
+            events: VecDeque::new(),
+            emitted: 0,
+            capacity,
+        })
     })
 }
 
-impl Journal {
-    fn push(&self, event: TraceEvent) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let mut guard = lock(slot);
-        // A racing writer one full ring ahead may already own this slot;
-        // newest sequence wins so drop accounting stays exact.
-        if guard.as_ref().is_none_or(|&(held, _)| held < seq) {
-            *guard = Some((seq, event));
-        }
-    }
+fn push(event: TraceEvent) {
+    let mut j = lock(journal());
+    // Counted before it is stored, so `emitted >= events.len()` holds at
+    // every step.
+    j.emitted += 1;
+    let evicted = if j.events.len() == j.capacity {
+        j.events.pop_front()
+    } else {
+        None
+    };
+    j.events.push_back(event);
+    drop(j);
+    // Free the evicted event's strings outside the lock.
+    drop(evicted);
 }
 
 /// A point-in-time copy of the journal's contents.
 #[derive(Debug, Clone)]
 pub struct JournalSnapshot {
-    /// Surviving events in emission (sequence) order.
+    /// Surviving events in emission order.
     pub events: Vec<TraceEvent>,
     /// Total events emitted since the journal was created or reset.
     pub emitted: u64,
-    /// Events overwritten by ring wrap-around (`emitted − retained`).
+    /// Events evicted because the journal was full (`emitted − retained`).
     pub dropped: u64,
 }
 
 /// Copies the journal's surviving events out, oldest first.
 #[must_use]
 pub fn journal_snapshot() -> JournalSnapshot {
-    let j = journal();
-    let emitted = j.cursor.load(Ordering::Relaxed);
-    let mut tagged: Vec<(u64, TraceEvent)> = j
-        .slots
-        .iter()
-        .filter_map(|slot| lock(slot).clone())
-        .collect();
-    tagged.sort_unstable_by_key(|&(seq, _)| seq);
-    let dropped = emitted - tagged.len() as u64;
+    let j = lock(journal());
     JournalSnapshot {
-        events: tagged.into_iter().map(|(_, e)| e).collect(),
-        emitted,
-        dropped,
+        events: j.events.iter().cloned().collect(),
+        emitted: j.emitted,
+        dropped: j.emitted - j.events.len() as u64,
     }
 }
 
 /// Clears the journal (events and the emitted/dropped tallies).
-///
-/// Callers must ensure no concurrent writers, or wrap-race bookkeeping
-/// may briefly under-count drops; experiment drivers reset between runs,
-/// never during one.
 pub fn reset_journal() {
-    let j = journal();
-    for slot in &j.slots {
-        *lock(slot) = None;
-    }
-    j.cursor.store(0, Ordering::Relaxed);
-}
-
-/// Capacity of the journal ring (events).
-#[must_use]
-pub fn journal_capacity() -> usize {
-    journal().slots.len()
+    let mut j = lock(journal());
+    j.events.clear();
+    j.emitted = 0;
 }
 
 /// Summary statistics returned by [`write_chrome_trace`].
@@ -359,7 +315,7 @@ pub fn journal_capacity() -> usize {
 pub struct ChromeTraceStats {
     /// Events written to the file (excluding metadata events).
     pub events: usize,
-    /// Events lost to ring wrap-around before export.
+    /// Events evicted from the full journal before export.
     pub dropped: u64,
 }
 
@@ -378,12 +334,12 @@ fn chrome_event(out: &mut String, event: &TraceEvent) {
         TraceEvent::Span {
             id,
             parent,
-            name,
             path,
             tid,
             start_ns,
             dur_ns,
         } => {
+            let name = crate::span::leaf_name(path);
             let mut args = String::new();
             push_arg(&mut args, "span_id", id.to_string());
             push_arg(&mut args, "parent_id", parent.to_string());
@@ -496,8 +452,8 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::Span {
-                    id, parent, name, ..
-                } => Some((*id, *parent, name.clone())),
+                    id, parent, path, ..
+                } => Some((*id, *parent, crate::span::leaf_name(path).to_string())),
                 TraceEvent::Trial { .. } => None,
             })
             .collect()

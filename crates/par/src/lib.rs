@@ -565,13 +565,14 @@ mod tests {
         let mut spans = Vec::new();
         for event in &snap.events {
             if let tomo_obs::TraceEvent::Span {
-                id, parent, name, ..
+                id, parent, path, ..
             } = event
             {
+                let name = path.rsplit('/').next().unwrap_or(path);
                 if name == "par.test.root" {
                     root_id = *id;
                 }
-                spans.push((*id, *parent, name.clone()));
+                spans.push((*id, *parent, name.to_string()));
             }
         }
         assert_ne!(root_id, 0, "root span must be journaled");

@@ -24,7 +24,8 @@
 //!   periodic snapshots; journal-before-ack makes acked data durable.
 //! * [`server`] — the daemon proper: ingest acceptor with per-frame
 //!   deadlines, single apply worker, HTTP/1.1 query front
-//!   (`/state`, `/verdict`, `/stats`, `/healthz`, `/readyz`).
+//!   (`/state`, `/verdict`, `/stats`, `/readyz`, and `tomo-obs`'s
+//!   `/metrics` and `/healthz`).
 //! * [`client`] — the `tomo-probe` side: lockstep delivery with
 //!   jittered exponential backoff and deliberate wire-fault injection
 //!   for chaos runs.

@@ -827,6 +827,9 @@ fn http_handler(
     shutdown_requested: Arc<(Mutex<bool>, Condvar)>,
     slo_ms: f64,
 ) -> Handler {
+    // `/metrics`, `/healthz`, 404 and 405: every route the daemon does
+    // not own.
+    let fallback = tomo_obs::metrics_handler();
     Arc::new(move |req: &HttpRequest| {
         if req.method == "POST" && req.target == "/shutdown" {
             let (flag, condvar) = &*shutdown_requested;
@@ -835,10 +838,9 @@ fn http_handler(
             return HttpResponse::ok("text/plain; charset=utf-8", "shutting down\n".to_string());
         }
         if req.method != "GET" {
-            return HttpResponse::method_not_allowed();
+            return fallback(req);
         }
         match req.target.as_str() {
-            "/healthz" => HttpResponse::ok("text/plain; charset=utf-8", "ok\n".to_string()),
             "/readyz" => {
                 let snap = store.load();
                 let coverage = snap.coverage();
@@ -947,7 +949,7 @@ fn http_handler(
                 );
                 HttpResponse::ok("application/json", body)
             }
-            _ => HttpResponse::not_found(),
+            _ => fallback(req),
         }
     })
 }

@@ -727,6 +727,27 @@ fn topology_daemon_serves_a_rocketfuel_system() {
     assert!(!answer.verdict.detected);
 }
 
+/// The daemon serves the Prometheus scrape at `/metrics`, with the
+/// families its ingest path records.
+#[test]
+fn metrics_endpoint_serves_the_daemons_families() {
+    let server = start(ServeConfig::default());
+    let sys = system();
+    let mut client = ProbeClient::new(server.ingest_addr(), 2);
+    client
+        .stream(make_batches(&sys, 3, 0), None)
+        .expect("ingest");
+
+    let (status, body) = http_get(server.http_addr(), "/metrics");
+    assert!(status.contains("200"), "{status}");
+    assert!(
+        body.lines().any(|l| l.starts_with("# TYPE tomo_serve_")),
+        "no tomo_serve_ family in {body}"
+    );
+    let (status, _) = http_request(server.http_addr(), "POST", "/metrics");
+    assert!(status.contains("405"), "{status}");
+}
+
 /// `/stats` exposes the ingest queue's counters and the snapshot
 /// version, and the in-process accessor agrees with the HTTP view.
 #[test]

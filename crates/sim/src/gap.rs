@@ -91,13 +91,15 @@ fn run_family(
     // Rejection sampling, evaluated in fixed-size candidate batches: each
     // candidate index maps to its own RNG stream and the fold consumes
     // batches in index order with a deterministic early stop, so the
-    // series is bit-identical for every thread count (a few candidates
-    // past the stopping index may be evaluated and discarded).
+    // series is bit-identical for every thread count. Candidates past the
+    // stopping index in its batch are evaluated and discarded; the batch
+    // size is a constant so that this work, and the LP counters, are the
+    // same at every thread count too.
+    const CANDIDATE_BATCH: usize = 16;
     let budget = draws * 50;
-    let batch_size = (exec.threads() * 8).max(8);
     let mut next = 0usize;
     'batches: while series.draws < draws && next < budget {
-        let count = batch_size.min(budget - next);
+        let count = CANDIDATE_BATCH.min(budget - next);
         let base = next;
         let outcomes = exec.try_map(count, |i| {
             let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(cand_seed, (base + i) as u64));

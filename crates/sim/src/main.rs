@@ -73,22 +73,6 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
         }
         return Ok(Args::bare("list"));
     }
-    if command == "serve-metrics" {
-        let mut args = Args::bare("serve-metrics");
-        args.serve_metrics = Some(DEFAULT_METRICS_PORT);
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--port" => {
-                    let v = argv.get(i + 1).ok_or("--port needs a value")?;
-                    args.serve_metrics = Some(v.parse().map_err(|_| format!("bad port {v:?}"))?);
-                    i += 2;
-                }
-                other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-            }
-        }
-        return Ok(args);
-    }
     if command != "run" {
         return Err(format!("unknown command {command:?}\n{}", usage()));
     }
@@ -199,11 +183,8 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
     })
 }
 
-/// Default port of the standalone `serve-metrics` scrape endpoint.
-const DEFAULT_METRICS_PORT: u16 = 9184;
-
 fn usage() -> String {
-    "usage:\n  tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC] [--trace-out FILE] [--serve-metrics PORT] [--max-links N]\n  tomo-sim serve-metrics [--port N]\n  tomo-sim list\n\n--faults (chaos and serve-chaos) is a comma list of rates, e.g. \"loss=0.05,corrupt=0.01\";\nkeys: loss, corrupt, stale, link_fail, lp_iter, lp_singular, frame; \"off\" disables all\n(serve-chaos draws only the frame family).\n--max-links (scale only) caps the sweep's largest topology (default 10000).\n--trace-out enables span/provenance tracing and writes Chrome trace-event\nJSON (open at https://ui.perfetto.dev). --serve-metrics exposes Prometheus\ntext at http://127.0.0.1:PORT/metrics for the duration of the run;\nthe serve-metrics command runs the same endpoint standalone (default port 9184)."
+    "usage:\n  tomo-sim run <fig2|fig4|fig5|fig6|fig7|fig8|fig9|stealth-tax|defense|noise|gap|chaos|serve-chaos|serve-load|scale|all> [--seed N] [--out DIR] [--quick] [--threads N] [--metrics FILE] [--verbose] [--faults SPEC] [--trace-out FILE] [--serve-metrics PORT] [--max-links N]\n  tomo-sim list\n\n--faults (chaos and serve-chaos) is a comma list of rates, e.g. \"loss=0.05,corrupt=0.01\";\nkeys: loss, corrupt, stale, link_fail, lp_iter, lp_singular, frame; \"off\" disables all\n(serve-chaos draws only the frame family).\n--max-links (scale only) caps the sweep's largest topology (default 10000).\n--trace-out enables span/provenance tracing and writes Chrome trace-event\nJSON (open at https://ui.perfetto.dev). --serve-metrics exposes Prometheus\ntext at http://127.0.0.1:PORT/metrics for the duration of the run."
         .to_string()
 }
 
@@ -416,30 +397,6 @@ fn main() -> ExitCode {
         }
     };
     tomo_obs::set_verbose(args.verbose);
-    if args.command == "serve-metrics" {
-        let port = args.serve_metrics.unwrap_or(DEFAULT_METRICS_PORT);
-        let server = match tomo_obs::MetricsServer::bind(port) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("serve-metrics: bind 127.0.0.1:{port}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match server.local_addr() {
-            Ok(addr) => println!("serving Prometheus metrics at http://{addr}/metrics"),
-            Err(e) => {
-                eprintln!("serve-metrics: local_addr: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return match server.serve_forever() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("serve-metrics: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if args.command == "list" {
         println!(
             "fig2  strategy portraits on the Fig. 1 network\n\
@@ -472,7 +429,9 @@ fn main() -> ExitCode {
     // Scrape endpoint for the duration of the run; the handle shuts the
     // server down when dropped at the end of main.
     let _metrics_server = match args.serve_metrics {
-        Some(port) => match tomo_obs::MetricsServer::bind(port).and_then(|s| s.spawn()) {
+        Some(port) => match tomo_obs::HttpServer::bind(port)
+            .and_then(|s| s.spawn_named(tomo_obs::metrics_handler(), "tomo-metrics"))
+        {
             Ok(handle) => {
                 eprintln!(
                     "serving Prometheus metrics at http://{}/metrics",
@@ -694,17 +653,5 @@ mod tests {
         assert!(parse_args_from(&argv(&["run", "fig7", "--serve-metrics"])).is_err());
         assert!(parse_args_from(&argv(&["run", "fig7", "--serve-metrics", "abc"])).is_err());
         assert!(parse_args_from(&argv(&["run", "fig7", "--serve-metrics", "99999"])).is_err());
-    }
-
-    #[test]
-    fn serve_metrics_command_parses_port() {
-        let d = parse_args_from(&argv(&["serve-metrics"])).unwrap();
-        assert_eq!(d.command, "serve-metrics");
-        assert_eq!(d.serve_metrics, Some(DEFAULT_METRICS_PORT));
-        let a = parse_args_from(&argv(&["serve-metrics", "--port", "1234"])).unwrap();
-        assert_eq!(a.serve_metrics, Some(1234));
-        assert!(parse_args_from(&argv(&["serve-metrics", "--port"])).is_err());
-        assert!(parse_args_from(&argv(&["serve-metrics", "--port", "nope"])).is_err());
-        assert!(parse_args_from(&argv(&["serve-metrics", "--quick"])).is_err());
     }
 }

@@ -55,7 +55,15 @@ for threads in 1 2; do
     }
   done
 done
-echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads"
+# run gap evaluates its candidates in fixed-size batches, so its LP work
+# must not depend on the worker count either: pin it at 3 threads too.
+target/release/tomo-sim run gap --seed 42 --threads 3 \
+  --out "$WORK/artifacts-t3" --metrics "$WORK/gap-metrics-t3.json" >/dev/null
+cmp artifacts/gap.json "$WORK/artifacts-t3/gap.json" || {
+  echo "ci: gap.json at 3 threads differs from artifacts/gap.json" >&2
+  exit 1
+}
+echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (gap.json at 3 too)"
 # Same bytes could hide a changed search: pin the LP layer's decisions
 # too. Every dense-tableau solve, pivot and iteration, each solve's
 # outcome, and the standard-form rows summed over solves must repeat
@@ -64,7 +72,7 @@ echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 
 # far from LP_TOL = 1e-7: every infeasible solve ends at >= 1e-2, every
 # feasible one at <= 1e-8. The estimator and projector columns are
 # computed on first use, so the number of distinct columns a run builds
-# is pinned as well, at both thread counts. Placement fans its Yen calls
+# is pinned as well, at every thread count. Placement fans its Yen calls
 # out over the workers but feeds the rank tracker in pair order, so its
 # Yen calls, returned paths and rank raises must repeat exactly too.
 python3 - "$WORK" <<'PY'
@@ -80,39 +88,38 @@ expected_placement = {
     "all": {"pairs": 41348, "candidates": 246323, "rank_raises": 1808},
     "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
 }
-for threads in (1, 2):
-    for run in ("all", "gap"):
-        path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
-        metrics = json.load(open(path))
-        counters = metrics.get("counters", {})
-        got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
-        if got != expected[run]:
-            sys.exit(f"ci: run {run} at {threads} threads: lp.simplex "
-                     f"counters {got} != {expected[run]}")
-        builds = counters.get("core.estimator_cache.builds", 0)
-        if builds != expected_builds[run]:
-            sys.exit(f"ci: run {run} at {threads} threads: "
-                     f"core.estimator_cache.builds {builds} != "
-                     f"{expected_builds[run]}")
-        placement = {k: counters.get(f"core.placement.{k}", 0)
-                     for k in expected_placement[run]}
-        if placement != expected_placement[run]:
-            sys.exit(f"ci: run {run} at {threads} threads: core.placement "
-                     f"counters {placement} != {expected_placement[run]}")
-        margin = metrics.get("histograms", {})
-        feasible = margin.get("lp.simplex.phase1_objective.feasible")
-        infeasible = margin.get("lp.simplex.phase1_objective.infeasible")
-        if not feasible or not infeasible:
-            sys.exit(f"ci: run {run} at {threads} threads: no phase-1 "
-                     f"objective histograms in {path}")
-        if infeasible["min"] < 1e-2 or feasible["max"] > 1e-8:
-            sys.exit(f"ci: run {run} at {threads} threads: phase-1 margin "
-                     f"drifted toward LP_TOL: infeasible min "
-                     f"{infeasible['min']}, feasible max {feasible['max']}")
+for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2), ("gap", 3)):
+    path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
+    metrics = json.load(open(path))
+    counters = metrics.get("counters", {})
+    got = {k: counters.get(f"lp.simplex.{k}", 0) for k in expected[run]}
+    if got != expected[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: lp.simplex "
+                 f"counters {got} != {expected[run]}")
+    builds = counters.get("core.estimator_cache.builds", 0)
+    if builds != expected_builds[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: "
+                 f"core.estimator_cache.builds {builds} != "
+                 f"{expected_builds[run]}")
+    placement = {k: counters.get(f"core.placement.{k}", 0)
+                 for k in expected_placement[run]}
+    if placement != expected_placement[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: core.placement "
+                 f"counters {placement} != {expected_placement[run]}")
+    margin = metrics.get("histograms", {})
+    feasible = margin.get("lp.simplex.phase1_objective.feasible")
+    infeasible = margin.get("lp.simplex.phase1_objective.infeasible")
+    if not feasible or not infeasible:
+        sys.exit(f"ci: run {run} at {threads} threads: no phase-1 "
+                 f"objective histograms in {path}")
+    if infeasible["min"] < 1e-2 or feasible["max"] > 1e-8:
+        sys.exit(f"ci: run {run} at {threads} threads: phase-1 margin "
+                 f"drifted toward LP_TOL: infeasible min "
+                 f"{infeasible['min']}, feasible max {feasible['max']}")
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
       "the phase-1 verdict margin, core.estimator_cache.builds and "
-      "core.placement pairs/candidates/rank_raises match for run all and "
-      "run gap at 1 and 2 threads")
+      "core.placement pairs/candidates/rank_raises match for run all at "
+      "1 and 2 threads and run gap at 1, 2 and 3 threads")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
@@ -243,7 +250,7 @@ print(f"ci: trace smoke captured {len(trials)} trial spans and "
       f"{len(instants)} provenance records")
 PY
 
-echo "==> tomo-sim serve-metrics smoke (live Prometheus scrape mid-run)"
+echo "==> tomo-sim --serve-metrics smoke (live Prometheus scrape mid-run)"
 # Scrape the run-scoped endpoint while fig7 is still executing: the
 # response must carry Prometheus type families for the live counters.
 SERVE_PORT=9184
@@ -323,10 +330,15 @@ if stats["quarantined_frames"] < 1:
 p99 = stats["query_latency_us"]["p99"]
 if p99 is not None and p99 >= stats["slo_ms"] * 1000.0:
     sys.exit(f"ci: query p99 {p99}us blew the {stats['slo_ms']}ms SLO")
+families = [l for l in get("/metrics").splitlines()
+            if l.startswith("# TYPE tomo_serve_")]
+if not families:
+    sys.exit("ci: /metrics has no tomo_serve_ family")
 req = urllib.request.Request(base + "/shutdown", data=b"", method="POST")
 urllib.request.urlopen(req, timeout=2)
 print(f"ci: serve smoke ok (applied=24, quarantined_frames="
-      f"{stats['quarantined_frames']}, query p99={p99}us)")
+      f"{stats['quarantined_frames']}, query p99={p99}us, "
+      f"{len(families)} tomo_serve_ metric families)")
 PY
 # A shutdown that hangs must fail this step, not stall it: poll for the
 # daemon's exit for at most 30 s, then kill it.
