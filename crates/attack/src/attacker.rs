@@ -1,10 +1,17 @@
 //! The attacker model: which nodes are malicious, which links and paths
 //! they control.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use tomo_core::TomographySystem;
 use tomo_graph::{LinkId, NodeId};
+use tomo_linalg::Vector;
+use tomo_obs::LazyCounter;
 
+use crate::manipulation::AttackContext;
 use crate::AttackError;
+
+static CONTEXT_BUILDS: LazyCounter = LazyCounter::new("attack.context.builds");
 
 /// A set of malicious nodes `V_m` within a measurement system, with the
 /// derived quantities the paper's formulation uses:
@@ -17,11 +24,33 @@ use crate::AttackError;
 ///
 /// Monitors may be attackers too — the paper explicitly allows it
 /// (Section II-D).
-#[derive(Debug, Clone)]
+///
+/// The set also caches one *attack context*: the clean measurements
+/// `y = R x`, the clean estimate `x̂₀` and the LP rows of the attacked
+/// columns that every [`ManipulationProblem`] built on it shares. The
+/// context is keyed by the system's [`TomographySystem::id`] and the
+/// exact bits of the true metrics `x`, so every strategy of one round
+/// (one coalition, one `x`) reuses it, and a call with another system or
+/// another `x` replaces it. A clone starts with an empty cache.
+///
+/// [`ManipulationProblem`]: crate::manipulation::ManipulationProblem
+#[derive(Debug)]
 pub struct AttackerSet {
     nodes: Vec<NodeId>,
     controlled_links: Vec<LinkId>,
     attacked_paths: Vec<usize>,
+    context: Mutex<Option<Arc<AttackContext>>>,
+}
+
+impl Clone for AttackerSet {
+    fn clone(&self) -> Self {
+        AttackerSet {
+            nodes: self.nodes.clone(),
+            controlled_links: self.controlled_links.clone(),
+            attacked_paths: self.attacked_paths.clone(),
+            context: Mutex::new(None),
+        }
+    }
 }
 
 impl AttackerSet {
@@ -61,7 +90,30 @@ impl AttackerSet {
             nodes: unique,
             controlled_links,
             attacked_paths,
+            context: Mutex::new(None),
         })
+    }
+
+    /// The attack context of this coalition on `system` for true metrics
+    /// `x`: the cached one when it was built for the same system id and
+    /// the same bits of `x`, else a new one, which replaces it. The lock
+    /// is held while a context builds, so concurrent callers with one key
+    /// build it once.
+    pub(crate) fn context(
+        &self,
+        system: &TomographySystem,
+        x: &Vector,
+    ) -> Result<Arc<AttackContext>, AttackError> {
+        // The slot is written once, after a build succeeds: a panic while
+        // building leaves it as it was, so a poisoned lock is still valid.
+        let mut slot = self.context.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(context) = slot.as_ref().filter(|c| c.is_for(system, x)) {
+            return Ok(Arc::clone(context));
+        }
+        let context = Arc::new(AttackContext::new(system, &self.attacked_paths, x)?);
+        CONTEXT_BUILDS.inc();
+        *slot = Some(Arc::clone(&context));
+        Ok(context)
     }
 
     /// The malicious nodes `V_m` (sorted, deduplicated).

@@ -15,6 +15,8 @@
 //!
 //! differing only in which links get which state goal.
 
+use std::sync::{Arc, OnceLock};
+
 use tomo_core::TomographySystem;
 use tomo_graph::LinkId;
 use tomo_linalg::{norms, CsrBuilder, CsrMatrix, Vector};
@@ -42,15 +44,18 @@ pub enum LinkGoal {
     NormalPlausible,
 }
 
-/// A reusable manipulation-LP factory for one (system, attackers,
-/// baseline) instance. Strategies call [`ManipulationProblem::solve`]
-/// with different goal sets; the expensive pieces (the attacked columns
-/// of the estimator and projector, clean measurements) are fetched once.
-#[derive(Debug, Clone)]
-pub struct ManipulationProblem<'a> {
-    system: &'a TomographySystem,
-    attackers: &'a AttackerSet,
-    scenario: AttackScenario,
+/// What every manipulation LP of one coalition on one system for one
+/// `x` shares, whatever its scenario or goals: the clean measurements and
+/// estimate, and the LP rows of the attacked columns. Built by
+/// [`AttackerSet`]'s cache (keyed by [`Self::is_for`]) and shared by
+/// every [`ManipulationProblem`] of the round. Eq. (2) is linear, so a
+/// manipulation only adds `A m` to the one clean estimate.
+#[derive(Debug)]
+pub(crate) struct AttackContext {
+    /// [`TomographySystem::id`] of the system the context was built on.
+    system_id: u64,
+    /// The true metrics `x`, bit for bit.
+    x_bits: Vec<u64>,
     /// Clean measurements `y = R x`.
     clean_measurements: Vector,
     /// Clean estimate `x̂₀` (equals the true metrics in a noise-free run).
@@ -58,22 +63,142 @@ pub struct ManipulationProblem<'a> {
     /// Sparse LP coefficient rows, links × |attacked paths|: row `j`
     /// holds the estimator entries `A[j, i]` over attacked paths `i`
     /// with `|A[j, i]| > 1e-12`, column `c` being the position of path
-    /// `i` in `attacked_paths()` (= the LP variable index). Built once
-    /// per problem; every goal and plausibility constraint is a row
-    /// slice of this matrix instead of a fresh dense scan per solve.
+    /// `i` in `attacked_paths()` (= the LP variable index). Every goal
+    /// and plausibility constraint is a row slice of this matrix.
     goal_rows: CsrMatrix,
-    /// Per link `j`, the range `(lo_j, hi_j)` of the estimate shift
-    /// `Σᵢ A[j,i]·mᵢ` over the box `m ∈ [0, cap]^S`:
-    /// `lo_j = Σᵢ min(A[j,i], 0)·cap` and `hi_j = Σᵢ max(A[j,i], 0)·cap`,
+    /// Per link `j`, the unscaled range `(lo_j, hi_j)` of the estimate
+    /// shift: `lo_j = Σᵢ min(A[j,i], 0)` and `hi_j = Σᵢ max(A[j,i], 0)`,
     /// summed over the unfiltered attacked columns in attacked-path
-    /// order. A goal or plausibility row whose rhs these bounds clear
-    /// strictly holds everywhere in the box and is left out of the LP.
-    shift_bounds: Vec<(f64, f64)>,
+    /// order from `-0.0`. Times the scenario's `path_cap` (one multiply,
+    /// at use) they bound the shift over the box `m ∈ [0, cap]^S`.
+    shift_sums: Vec<(f64, f64)>,
     /// Eq. (23) consistency rows `(R·A − I)[S, S]`, |attacked paths| ×
     /// |attacked paths|, same filter: row `r` is attacked path
-    /// `attacked_paths()[r]`. Only built when the scenario evades
-    /// detection.
-    evasion_rows: Option<CsrMatrix>,
+    /// `attacked_paths()[r]`. Built by the first problem whose scenario
+    /// evades detection.
+    evasion_rows: OnceLock<CsrMatrix>,
+}
+
+impl AttackContext {
+    /// Computes `y`, `x̂₀`, the goal rows and the shift sums of the
+    /// `attacked` paths of `system` for true metrics `x` (`x.len()` is
+    /// checked by the caller).
+    pub(crate) fn new(
+        system: &TomographySystem,
+        attacked: &[usize],
+        x: &Vector,
+    ) -> Result<Self, AttackError> {
+        let clean_measurements = system.measure(x)?;
+        let baseline_estimate = system.estimate(&clean_measurements)?;
+        let estimator_columns = attacked
+            .iter()
+            .map(|&i| system.estimator_column(i))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // Filter the attacked columns once (|A[j,i]| > 1e-12,
+        // attacked-path order); every solve slices these rows.
+        let mut goal_builder = CsrBuilder::new(attacked.len());
+        for j in 0..system.num_links() {
+            goal_builder
+                .push_row(estimator_columns.iter().enumerate().filter_map(|(c, col)| {
+                    let a = col[j];
+                    (a.abs() > 1e-12).then_some((c, a))
+                }))
+                .expect("columns ascend with attacked-path order");
+        }
+        let goal_rows = goal_builder.finish();
+
+        // Box bounds from the unfiltered columns, one contiguous pass per
+        // column. Each link's sums run in attacked-path order from −0.0,
+        // as `Iterator::sum` does, so `max_upward_shift` keeps its bits.
+        let mut shift_sums = vec![(-0.0, -0.0); system.num_links()];
+        for col in &estimator_columns {
+            for ((lo, hi), &a) in shift_sums.iter_mut().zip(col.iter()) {
+                *lo += a.min(0.0);
+                *hi += a.max(0.0);
+            }
+        }
+
+        Ok(AttackContext {
+            system_id: system.id(),
+            x_bits: x.iter().map(|v| v.to_bits()).collect(),
+            clean_measurements,
+            baseline_estimate,
+            goal_rows,
+            shift_sums,
+            evasion_rows: OnceLock::new(),
+        })
+    }
+
+    /// `true` if the context was built on `system` for exactly these
+    /// bits of `x`.
+    pub(crate) fn is_for(&self, system: &TomographySystem, x: &Vector) -> bool {
+        self.system_id == system.id()
+            && self.x_bits.len() == x.len()
+            && self
+                .x_bits
+                .iter()
+                .zip(x.iter())
+                .all(|(&b, v)| b == v.to_bits())
+    }
+
+    /// Builds the Eq. (23) block on first use. Racing builders compute
+    /// identical rows, and the first one stored wins.
+    fn fill_evasion_rows(
+        &self,
+        system: &TomographySystem,
+        attacked: &[usize],
+    ) -> Result<(), AttackError> {
+        if self.evasion_rows.get().is_some() {
+            return Ok(());
+        }
+        // Eq. (23) on the attacked coordinates only: `I − P` is a
+        // symmetric projector, so for m supported on S,
+        // ‖(I − P)·m‖² = mᵀ·(I − P)[S, S]·m, and the PSD block
+        // (I − P)[S, S] has exactly the null space of all |P| rows.
+        let projector_columns = attacked
+            .iter()
+            .map(|&i| system.projector_column(i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut b = CsrBuilder::new(attacked.len());
+        for &k in attacked {
+            b.push_row(
+                attacked
+                    .iter()
+                    .zip(&projector_columns)
+                    .enumerate()
+                    .filter_map(|(c, (&i, col))| {
+                        let mut p = col[k];
+                        if i == k {
+                            p -= 1.0;
+                        }
+                        (p.abs() > 1e-12).then_some((c, p))
+                    }),
+            )
+            .expect("columns ascend with attacked-path order");
+        }
+        let _ = self.evasion_rows.set(b.finish());
+        Ok(())
+    }
+}
+
+/// A reusable manipulation-LP factory for one (system, attackers,
+/// baseline) instance. Strategies call [`ManipulationProblem::solve`]
+/// with different goal sets.
+///
+/// The expensive pieces (the clean measurements and estimate, the
+/// attacked columns of the estimator and projector as LP rows) live in
+/// the attackers' cached attack context, keyed by the system's
+/// [`TomographySystem::id`] and the exact bits of the true metrics: every
+/// problem built on one [`AttackerSet`] for the same system and the same
+/// `x` shares them, whatever its scenario, and the first stealthy one
+/// adds the Eq. (23) block.
+#[derive(Debug, Clone)]
+pub struct ManipulationProblem<'a> {
+    system: &'a TomographySystem,
+    attackers: &'a AttackerSet,
+    scenario: AttackScenario,
+    context: Arc<AttackContext>,
 }
 
 impl<'a> ManipulationProblem<'a> {
@@ -95,105 +220,38 @@ impl<'a> ManipulationProblem<'a> {
                 got: true_metrics.len(),
             });
         }
-        let clean_measurements = system.measure(true_metrics)?;
-        let baseline_estimate = system.estimate(&clean_measurements)?;
-        let attacked = attackers.attacked_paths();
-        let estimator_columns = attacked
-            .iter()
-            .map(|&i| system.estimator_column(i))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        // Filter the attacked columns once per problem (|A[j,i]| > 1e-12,
-        // attacked-path order); every solve slices these rows.
-        let mut goal_builder = CsrBuilder::new(attacked.len());
-        for j in 0..system.num_links() {
-            goal_builder
-                .push_row(estimator_columns.iter().enumerate().filter_map(|(c, col)| {
-                    let a = col[j];
-                    (a.abs() > 1e-12).then_some((c, a))
-                }))
-                .expect("columns ascend with attacked-path order");
+        let context = attackers.context(system, true_metrics)?;
+        if scenario.evade_detection {
+            context.fill_evasion_rows(system, attackers.attacked_paths())?;
         }
-        let goal_rows = goal_builder.finish();
-
-        // Box bounds from the unfiltered columns, one contiguous pass per
-        // column. Each link's sums run in attacked-path order from −0.0,
-        // as `Iterator::sum` does, so `max_upward_shift` keeps its bits.
-        let mut shift_bounds = vec![(-0.0, -0.0); system.num_links()];
-        for col in &estimator_columns {
-            for ((lo, hi), &a) in shift_bounds.iter_mut().zip(col.iter()) {
-                *lo += a.min(0.0);
-                *hi += a.max(0.0);
-            }
-        }
-        for (lo, hi) in &mut shift_bounds {
-            *lo *= scenario.path_cap;
-            *hi *= scenario.path_cap;
-        }
-
-        // Eq. (23) on the attacked coordinates only: `I − P` is a
-        // symmetric projector, so for m supported on S,
-        // ‖(I − P)·m‖² = mᵀ·(I − P)[S, S]·m, and the PSD block
-        // (I − P)[S, S] has exactly the null space of all |P| rows.
-        let evasion_rows = if scenario.evade_detection {
-            let projector_columns = attacked
-                .iter()
-                .map(|&i| system.projector_column(i))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut b = CsrBuilder::new(attacked.len());
-            for &k in attacked {
-                b.push_row(
-                    attacked
-                        .iter()
-                        .zip(&projector_columns)
-                        .enumerate()
-                        .filter_map(|(c, (&i, col))| {
-                            let mut p = col[k];
-                            if i == k {
-                                p -= 1.0;
-                            }
-                            (p.abs() > 1e-12).then_some((c, p))
-                        }),
-                )
-                .expect("columns ascend with attacked-path order");
-            }
-            Some(b.finish())
-        } else {
-            None
-        };
-
         Ok(ManipulationProblem {
             system,
             attackers,
             scenario,
-            clean_measurements,
-            baseline_estimate,
-            goal_rows,
-            shift_bounds,
-            evasion_rows,
+            context,
         })
     }
 
     /// The clean (pre-attack) estimate `x̂₀`.
     #[must_use]
     pub fn baseline_estimate(&self) -> &Vector {
-        &self.baseline_estimate
+        &self.context.baseline_estimate
     }
 
     /// The clean measurement vector `y`.
     #[must_use]
     pub fn clean_measurements(&self) -> &Vector {
-        &self.clean_measurements
+        &self.context.clean_measurements
     }
 
     /// Largest achievable upward shift of link `j`'s estimate:
     /// `Σᵢ max(A[j,i], 0) · cap` over attacked paths, looked up from the
-    /// box bounds computed once in [`Self::new`]. A cheap feasibility
-    /// pre-filter for victim candidates (if even this bound cannot reach
-    /// `b_u`, the abnormal goal is hopeless).
+    /// shift sums of the attack context. A cheap feasibility pre-filter
+    /// for victim candidates (if even this bound cannot reach `b_u`, the
+    /// abnormal goal is hopeless).
     #[must_use]
     pub fn max_upward_shift(&self, link: LinkId) -> f64 {
-        self.shift_bounds[link.index()].1
+        self.context.shift_sums[link.index()].1 * self.scenario.path_cap
     }
 
     /// Solves the manipulation LP for the given per-link goals.
@@ -214,7 +272,10 @@ impl<'a> ManipulationProblem<'a> {
         goals: &[(LinkId, LinkGoal)],
         victims: &[LinkId],
     ) -> Result<AttackOutcome, AttackError> {
-        self.solve_directed(goals, victims, Objective::Maximize)
+        let manipulation = self.solve_manipulation(goals, Objective::Maximize)?;
+        Ok(manipulation.map_or(AttackOutcome::Infeasible, |m| {
+            self.outcome_from_manipulation(m, victims)
+        }))
     }
 
     /// Like [`Self::solve`] but **minimizing** the total manipulation
@@ -229,15 +290,25 @@ impl<'a> ManipulationProblem<'a> {
         goals: &[(LinkId, LinkGoal)],
         victims: &[LinkId],
     ) -> Result<AttackOutcome, AttackError> {
-        self.solve_directed(goals, victims, Objective::Minimize)
+        let manipulation = self.solve_manipulation(goals, Objective::Minimize)?;
+        Ok(manipulation.map_or(AttackOutcome::Infeasible, |m| {
+            self.outcome_from_manipulation(m, victims)
+        }))
     }
 
-    fn solve_directed(
+    /// The manipulation LP's optimum in `direction`, clamped into
+    /// `[0, cap]`, or `None` when no manipulation meets `goals`. With no
+    /// attacked path only the zero manipulation exists, and it is
+    /// returned only when every goal already holds at `x̂₀`.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::solve`].
+    pub(crate) fn solve_manipulation(
         &self,
         goals: &[(LinkId, LinkGoal)],
-        victims: &[LinkId],
         direction: Objective,
-    ) -> Result<AttackOutcome, AttackError> {
+    ) -> Result<Option<Vector>, AttackError> {
         for &(l, _) in goals {
             if l.index() >= self.system.num_links() {
                 return Err(AttackError::UnknownVictim { link: l });
@@ -245,9 +316,8 @@ impl<'a> ManipulationProblem<'a> {
         }
         let attacked = self.attackers.attacked_paths();
         if attacked.is_empty() {
-            // No manipulable path: feasible only if every goal already
-            // holds at the clean estimate with margin.
-            return Ok(self.zero_manipulation_outcome(goals, victims));
+            let holds = self.goals_hold_at_baseline(goals);
+            return Ok(holds.then(|| Vector::zeros(self.system.num_paths())));
         }
 
         let mut lp = LpProblem::new(direction);
@@ -265,10 +335,11 @@ impl<'a> ManipulationProblem<'a> {
         let b_l = self.scenario.thresholds.lower();
         let b_u = self.scenario.thresholds.upper();
         let eps = self.scenario.margin;
+        let baseline = &self.context.baseline_estimate;
 
         for &(link, goal) in goals {
             let j = link.index();
-            let base = self.baseline_estimate[j];
+            let base = baseline[j];
             let mut push = |rel: Relation, rhs: f64| self.add_link_row(&mut lp, &vars, j, rel, rhs);
             match goal {
                 LinkGoal::Normal => push(Relation::Le, b_l - eps - base),
@@ -296,9 +367,9 @@ impl<'a> ManipulationProblem<'a> {
                     // Clamp LP round-off into the valid range.
                     manipulation[i] = sol.value(v).clamp(0.0, self.scenario.path_cap);
                 }
-                Ok(self.outcome_from_manipulation(manipulation, victims))
+                Ok(Some(manipulation))
             }
-            LpStatus::Infeasible => Ok(AttackOutcome::Infeasible),
+            LpStatus::Infeasible => Ok(None),
             LpStatus::Unbounded => {
                 unreachable!("capped variables make the damage objective bounded")
             }
@@ -319,17 +390,19 @@ impl<'a> ManipulationProblem<'a> {
         relation: Relation,
         rhs: f64,
     ) {
-        let (lo, hi) = self.shift_bounds[j];
+        let (lo, hi) = self.context.shift_sums[j];
+        let cap = self.scenario.path_cap;
         let implied = match relation {
-            Relation::Le => hi < rhs,
-            Relation::Ge => lo > rhs,
+            Relation::Le => hi * cap < rhs,
+            Relation::Ge => lo * cap > rhs,
             Relation::Eq => false,
         };
         if !implied {
+            let goal_rows = &self.context.goal_rows;
             lp.add_sparse_row(
                 vars,
-                self.goal_rows.row_indices(j),
-                self.goal_rows.row_values(j),
+                goal_rows.row_indices(j),
+                goal_rows.row_values(j),
                 relation,
                 rhs,
             )
@@ -343,16 +416,16 @@ impl<'a> ManipulationProblem<'a> {
     /// * consistency: `(R A − I)[k, S]·m = 0`, one row per attacked path
     ///   `k`, so the Eq. (23) check `R x̂ = y′` holds with equality on
     ///   every measurement path (the S-block has the null space of all
-    ///   |P| rows, see [`Self::new`]),
+    ///   |P| rows, see [`AttackContext`]),
     /// * plausibility: `x̂(m)ⱼ ≥ 0` per link (negative delay estimates
     ///   would expose the attack to a trivial sanity check), except
     ///   where the box bounds already imply it.
     fn add_evasion_constraints(&self, lp: &mut LpProblem, vars: &[VarId]) {
-        // (R·A − I)[S, S], pre-filtered into CSR rows at construction
-        // (computed once, not per LP solve).
+        // (R·A − I)[S, S], pre-filtered into CSR rows once per context.
         let evasion = self
+            .context
             .evasion_rows
-            .as_ref()
+            .get()
             .expect("evasion rows built when scenario.evade_detection");
         for i in 0..evasion.rows() {
             let cols = evasion.row_indices(i);
@@ -364,16 +437,22 @@ impl<'a> ManipulationProblem<'a> {
         if !self.scenario.plausible_evasion {
             return; // the gap exploit: consistent but implausible
         }
-        for j in 0..self.goal_rows.rows() {
-            if !self.goal_rows.row_indices(j).is_empty() {
-                self.add_link_row(lp, vars, j, Relation::Ge, -self.baseline_estimate[j]);
+        let goal_rows = &self.context.goal_rows;
+        for j in 0..goal_rows.rows() {
+            if !goal_rows.row_indices(j).is_empty() {
+                self.add_link_row(lp, vars, j, Relation::Ge, -self.baseline_estimate()[j]);
             }
         }
     }
 
-    /// Builds the success payload for a concrete manipulation vector.
-    fn outcome_from_manipulation(&self, manipulation: Vector, victims: &[LinkId]) -> AttackOutcome {
-        let attacked_measurements = &self.clean_measurements + &manipulation;
+    /// Builds the success payload for a concrete manipulation vector:
+    /// one estimate and one classification.
+    pub(crate) fn outcome_from_manipulation(
+        &self,
+        manipulation: Vector,
+        victims: &[LinkId],
+    ) -> AttackOutcome {
+        let attacked_measurements = &self.context.clean_measurements + &manipulation;
         let estimate = self
             .system
             .estimate(&attacked_measurements)
@@ -388,31 +467,21 @@ impl<'a> ManipulationProblem<'a> {
         })
     }
 
-    /// Outcome when the attacker cannot touch any path: the zero
-    /// manipulation either already satisfies all goals or the attack is
-    /// infeasible.
-    fn zero_manipulation_outcome(
-        &self,
-        goals: &[(LinkId, LinkGoal)],
-        victims: &[LinkId],
-    ) -> AttackOutcome {
+    /// `true` if the zero manipulation already meets every goal, with
+    /// margin, at the clean estimate.
+    fn goals_hold_at_baseline(&self, goals: &[(LinkId, LinkGoal)]) -> bool {
         let b_l = self.scenario.thresholds.lower();
         let b_u = self.scenario.thresholds.upper();
         let eps = self.scenario.margin;
-        let ok = goals.iter().all(|&(l, g)| {
-            let v = self.baseline_estimate[l.index()];
+        goals.iter().all(|&(l, g)| {
+            let v = self.baseline_estimate()[l.index()];
             match g {
                 LinkGoal::Normal => v <= b_l - eps,
                 LinkGoal::Abnormal => v >= b_u + eps,
                 LinkGoal::Uncertain => (b_l + eps..=b_u - eps).contains(&v),
                 LinkGoal::NormalPlausible => v >= 0.0 && v <= b_l - eps,
             }
-        });
-        if ok {
-            self.outcome_from_manipulation(Vector::zeros(self.system.num_paths()), victims)
-        } else {
-            AttackOutcome::Infeasible
-        }
+        })
     }
 }
 
@@ -609,7 +678,7 @@ mod tests {
             &x,
         )
         .unwrap();
-        let evasion = prob.evasion_rows.as_ref().unwrap();
+        let evasion = prob.context.evasion_rows.get().unwrap();
         assert_eq!(evasion.rows(), attackers.attacked_paths().len());
         assert!(evasion.rows() < system.num_paths());
     }

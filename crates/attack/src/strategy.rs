@@ -2,8 +2,8 @@
 
 use tomo_core::TomographySystem;
 use tomo_graph::LinkId;
-use tomo_linalg::Vector;
-use tomo_lp::WarmStart;
+use tomo_linalg::{norms, Vector};
+use tomo_lp::{Objective, WarmStart};
 use tomo_obs::{LazyCounter, LazyHistogram};
 
 use crate::attacker::AttackerSet;
@@ -78,7 +78,7 @@ pub fn chosen_victim(
 ) -> Result<AttackOutcome, AttackError> {
     check_victims(system, attackers, victims)?;
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
-    let outcome = solve_chosen_victim(&prob, attackers, victims)?;
+    let outcome = prob.solve(&chosen_victim_goals(attackers, victims), victims)?;
     record_outcome(
         &CHOSEN_FEASIBLE,
         &CHOSEN_INFEASIBLE,
@@ -128,19 +128,19 @@ pub(crate) fn check_victims(
     Ok(())
 }
 
-/// Inner chosen-victim solve reusing an existing LP factory (avoids
-/// re-factorizing when scanning many victims).
-fn solve_chosen_victim(
-    prob: &ManipulationProblem<'_>,
-    attackers: &AttackerSet,
-    victims: &[LinkId],
-) -> Result<AttackOutcome, AttackError> {
-    let mut goals: Vec<(LinkId, LinkGoal)> =
-        victims.iter().map(|&v| (v, LinkGoal::Abnormal)).collect();
-    for &l in attackers.controlled_links() {
-        goals.push((l, LinkGoal::Normal));
-    }
-    prob.solve(&goals, victims)
+/// The chosen-victim goals (Eq. 5-6): every victim abnormal, every
+/// attacker-controlled link normal.
+fn chosen_victim_goals(attackers: &AttackerSet, victims: &[LinkId]) -> Vec<(LinkId, LinkGoal)> {
+    victims
+        .iter()
+        .map(|&v| (v, LinkGoal::Abnormal))
+        .chain(
+            attackers
+                .controlled_links()
+                .iter()
+                .map(|&l| (l, LinkGoal::Normal)),
+        )
+        .collect()
 }
 
 /// Chosen-victim scapegoating with *exclusive framing*: like
@@ -225,7 +225,9 @@ pub fn max_damage(
 ) -> Result<AttackOutcome, AttackError> {
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
     let b_u = scenario.thresholds.upper();
-    let mut best: Option<AttackOutcome> = None;
+    // The best (damage, manipulation, victim) so far; only the winner's
+    // outcome is built.
+    let mut best: Option<(f64, Vector, LinkId)> = None;
     for j in 0..system.num_links() {
         let victim = LinkId(j);
         if attackers.controls_link(victim) {
@@ -237,18 +239,17 @@ pub fn max_damage(
         if prob.max_upward_shift(victim) < needed {
             continue;
         }
-        let outcome = solve_chosen_victim(&prob, attackers, &[victim])?;
-        if let AttackOutcome::Success(ref s) = outcome {
-            let better = match &best {
-                Some(AttackOutcome::Success(b)) => s.damage > b.damage,
-                _ => true,
-            };
-            if better {
-                best = Some(outcome);
+        let goals = chosen_victim_goals(attackers, &[victim]);
+        if let Some(m) = prob.solve_manipulation(&goals, Objective::Maximize)? {
+            let damage = norms::l1(&m);
+            if best.as_ref().is_none_or(|(b, _, _)| damage > *b) {
+                best = Some((damage, m, victim));
             }
         }
     }
-    let outcome = best.unwrap_or(AttackOutcome::Infeasible);
+    let outcome = best.map_or(AttackOutcome::Infeasible, |(_, m, victim)| {
+        prob.outcome_from_manipulation(m, &[victim])
+    });
     record_outcome(
         &MAXDMG_FEASIBLE,
         &MAXDMG_INFEASIBLE,
@@ -297,12 +298,7 @@ pub fn min_effort_chosen_victim(
 ) -> Result<AttackOutcome, AttackError> {
     check_victims(system, attackers, victims)?;
     let prob = ManipulationProblem::new(system, attackers, *scenario, true_metrics)?;
-    let mut goals: Vec<(LinkId, LinkGoal)> =
-        victims.iter().map(|&v| (v, LinkGoal::Abnormal)).collect();
-    for &l in attackers.controlled_links() {
-        goals.push((l, LinkGoal::Normal));
-    }
-    prob.solve_minimizing(&goals, victims)
+    prob.solve_minimizing(&chosen_victim_goals(attackers, victims), victims)
 }
 
 /// Node scapegoating: frame a *node* rather than a link — the paper's
@@ -448,43 +444,43 @@ fn obfuscation_inner(
         return Ok(AttackOutcome::Infeasible);
     }
 
-    let solve_prefix = |k: usize| -> Result<AttackOutcome, AttackError> {
-        let victims: Vec<LinkId> = candidates[..k].iter().map(|&(l, _)| l).collect();
-        let goals: Vec<(LinkId, LinkGoal)> = victims
+    let victims = |k: usize| -> Vec<LinkId> { candidates[..k].iter().map(|&(l, _)| l).collect() };
+    // The damage-maximizing manipulation that puts the first `k`
+    // candidates and every attacker link in the band, if one exists.
+    let solve_prefix = |k: usize| -> Result<Option<Vector>, AttackError> {
+        let goals: Vec<(LinkId, LinkGoal)> = candidates[..k]
             .iter()
-            .map(|&l| (l, LinkGoal::Uncertain))
-            .chain(
-                attackers
-                    .controlled_links()
-                    .iter()
-                    .map(|&l| (l, LinkGoal::Uncertain)),
-            )
+            .map(|&(l, _)| l)
+            .chain(attackers.controlled_links().iter().copied())
+            .map(|l| (l, LinkGoal::Uncertain))
             .collect();
-        prob.solve(&goals, &victims)
+        prob.solve_manipulation(&goals, Objective::Maximize)
     };
 
     // Fast paths: the full set, then the minimum viable set.
-    let full = solve_prefix(candidates.len())?;
-    if full.is_success() {
-        return Ok(full);
+    let len = candidates.len();
+    if let Some(m) = solve_prefix(len)? {
+        return Ok(prob.outcome_from_manipulation(m, &victims(len)));
     }
-    if !solve_prefix(floor)?.is_success() {
+    if solve_prefix(floor)?.is_none() {
         return Ok(AttackOutcome::Infeasible);
     }
-    // Binary search the largest feasible prefix in [floor, len).
-    let (mut lo, mut hi) = (floor, candidates.len());
+    // Binary search the largest feasible prefix in [floor, len), keeping
+    // only its manipulation; its outcome is the one built.
+    let (mut lo, mut hi) = (floor, len);
     let mut best = None;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let outcome = solve_prefix(mid)?;
-        if outcome.is_success() {
-            best = Some(outcome);
+        if let Some(m) = solve_prefix(mid)? {
+            best = Some((m, mid));
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    Ok(best.unwrap_or(AttackOutcome::Infeasible))
+    Ok(best.map_or(AttackOutcome::Infeasible, |(m, k)| {
+        prob.outcome_from_manipulation(m, &victims(k))
+    }))
 }
 
 #[cfg(test)]

@@ -1,3 +1,4 @@
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use tomo_graph::{Graph, LinkId, NodeId, Path};
@@ -11,6 +12,9 @@ static ESTIMATOR_HITS: LazyCounter = LazyCounter::new("core.estimator_cache.hits
 static ESTIMATOR_BUILDS: LazyCounter = LazyCounter::new("core.estimator_cache.builds");
 static DEGRADED_SOLVES: LazyCounter = LazyCounter::new("core.degraded.solves");
 static DEGRADED_RIDGE: LazyCounter = LazyCounter::new("core.degraded.ridge");
+
+/// The id the next [`TomographySystem::new`] hands out.
+static NEXT_SYSTEM_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Regularization strength for the ridge fallback of
 /// [`TomographySystem::solve_degraded`]: small enough to leave
@@ -30,6 +34,8 @@ pub const DEFAULT_RIDGE_LAMBDA: f64 = 1e-6;
 /// * `R` has full column rank (every link metric is identifiable).
 #[derive(Debug, Clone)]
 pub struct TomographySystem {
+    /// Process-unique identity ([`Self::id`]); clones keep it.
+    id: u64,
     graph: Graph,
     monitors: Vec<NodeId>,
     paths: Vec<Path>,
@@ -91,6 +97,7 @@ impl TomographySystem {
         let solver = NormalEquationsSolver::from_sparse(routing_csr.clone())?;
         let columns = || (0..paths.len()).map(|_| OnceLock::new()).collect();
         Ok(TomographySystem {
+            id: NEXT_SYSTEM_ID.fetch_add(1, Ordering::Relaxed),
             graph,
             monitors: unique,
             estimator_columns: columns(),
@@ -99,6 +106,16 @@ impl TomographySystem {
             routing_csr,
             solver,
         })
+    }
+
+    /// A process-unique identity, taken once in [`Self::new`]. No two
+    /// systems built in one process share it, even when one is dropped
+    /// and the next lands at its address; a clone keeps it, since a
+    /// system never changes after construction. Caches of values derived
+    /// from a system key on it.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The network topology.
@@ -553,6 +570,18 @@ mod tests {
             );
         }
         sys.warm_estimator_cache().unwrap();
+    }
+
+    #[test]
+    fn ids_are_unique_per_build_and_kept_by_clones() {
+        let first = tiny_system();
+        let first_id = first.id();
+        assert_eq!(first.clone().id(), first_id);
+        drop(first);
+        // An identical system built after the first is dropped (it may
+        // land at the same address) still gets a new id.
+        let second = tiny_system();
+        assert_ne!(second.id(), first_id);
     }
 
     #[test]

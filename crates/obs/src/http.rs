@@ -1,12 +1,17 @@
 //! A zero-dependency blocking HTTP/1.1 server loop.
 //!
 //! [`HttpServer`] is a minimal request/response loop over plain
-//! `std::net`: one connection at a time, a caller-supplied handler
-//! mapping [`HttpRequest`] to [`HttpResponse`]. It exists so every
-//! HTTP-fronted component in the workspace (`tomo-sim --serve-metrics`,
-//! the `tomo-serve` daemon's query/health front) shares one hardened
-//! accept loop — deadlines, drain-on-shutdown — instead of growing
-//! private copies.
+//! `std::net`: an accept loop that serves each connection on its own
+//! thread, at most [`MAX_CONNECTIONS`] at once, with a caller-supplied
+//! handler mapping [`HttpRequest`] to [`HttpResponse`]. A client that
+//! connects and then stays silent holds one slot until the read
+//! deadline, not the whole front. When every slot is busy the accept
+//! loop waits for one to free; new connections queue in the listen
+//! backlog meanwhile. It exists so every HTTP-fronted component in the
+//! workspace (`tomo-sim --serve-metrics`, the `tomo-serve` daemon's
+//! query/health front) shares one hardened accept loop — deadlines,
+//! bounded concurrency, drain-on-shutdown — instead of growing private
+//! copies.
 //!
 //! [`metrics_handler`] is the one scrape endpoint: it serves the global
 //! registry in Prometheus text exposition at `GET /metrics`, plus a
@@ -20,15 +25,17 @@
 //!
 //! [`HttpServerHandle::shutdown`] sets the stop flag and wakes the
 //! accept loop with a throwaway self-connect. The loop then *drains*:
-//! every connection already accepted or sitting in the listen backlog is
-//! served (bounded by the per-connection read deadline) before the
-//! thread exits, so a request that raced the shutdown still gets its
-//! response instead of a silent hangup.
+//! every connection sitting in the listen backlog is accepted and
+//! served, and every connection thread is joined (each bounded by the
+//! per-connection read deadline) before the loop's thread exits, so a
+//! request that raced the shutdown still gets its response instead of a
+//! silent hangup, and no connection thread outlives
+//! [`HttpServerHandle::shutdown`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::prometheus::prometheus_text;
@@ -38,6 +45,10 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Largest request body the loop will buffer (requests, not ingest).
 const MAX_BODY_LEN: usize = 1 << 20;
+
+/// Most connections served at once, each on its own thread. Past it the
+/// accept loop waits for a connection to finish.
+const MAX_CONNECTIONS: usize = 16;
 
 /// One parsed HTTP request, as seen by a [`Handler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,37 +181,87 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let listener = self.listener;
+        let connection_name = format!("{name}-conn");
         let thread = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
-                while !stop_flag.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        // Serve every accepted connection, even one that
-                        // raced the stop flag: the shutdown self-connect
-                        // closes instantly (EOF, no response written),
-                        // while a real request gets its answer.
-                        Ok((stream, _)) => {
-                            let _ = handle_connection(stream, &handler);
+                let slots = Slots::default();
+                // The scope joins every connection thread before the
+                // accept thread exits.
+                std::thread::scope(|scope| {
+                    let serve = |stream: TcpStream| {
+                        let slot = slots.acquire();
+                        let handler = &handler;
+                        // A failed spawn drops the closure, which frees
+                        // the slot and closes the connection.
+                        let _ = std::thread::Builder::new()
+                            .name(connection_name.clone())
+                            .spawn_scoped(scope, move || {
+                                let _slot = slot;
+                                let _ = handle_connection(stream, handler);
+                            });
+                    };
+                    while !stop_flag.load(Ordering::Acquire) {
+                        match listener.accept() {
+                            // Serve every accepted connection, even one
+                            // that raced the stop flag: the shutdown
+                            // self-connect closes instantly (EOF, no
+                            // response written), while a real request
+                            // gets its answer.
+                            Ok((stream, _)) => serve(stream),
+                            Err(_) => break,
                         }
-                        Err(_) => break,
                     }
-                }
-                // Drain the listen backlog before exiting: connections
-                // the OS accepted on our behalf while we were busy must
-                // be served, not reset. Nonblocking accept empties the
-                // queue and WouldBlock marks the true end.
-                if listener.set_nonblocking(true).is_ok() {
-                    while let Ok((stream, _)) = listener.accept() {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = handle_connection(stream, &handler);
+                    // Drain the listen backlog before exiting:
+                    // connections the OS accepted on our behalf while we
+                    // were busy must be served, not reset. Nonblocking
+                    // accept empties the queue and WouldBlock marks the
+                    // true end.
+                    if listener.set_nonblocking(true).is_ok() {
+                        while let Ok((stream, _)) = listener.accept() {
+                            let _ = stream.set_nonblocking(false);
+                            serve(stream);
+                        }
                     }
-                }
+                });
             })?;
         Ok(HttpServerHandle {
             addr,
             stop,
             thread: Some(thread),
         })
+    }
+}
+
+/// The connections being served, at most [`MAX_CONNECTIONS`].
+#[derive(Default)]
+struct Slots {
+    busy: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Slots {
+    /// Takes a slot, waiting while all [`MAX_CONNECTIONS`] are busy.
+    fn acquire(&self) -> Slot<'_> {
+        let mut busy = self.busy.lock().unwrap_or_else(PoisonError::into_inner);
+        while *busy >= MAX_CONNECTIONS {
+            busy = self
+                .freed
+                .wait(busy)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *busy += 1;
+        Slot(self)
+    }
+}
+
+/// One taken slot, freed on drop (also when its handler panics).
+struct Slot<'a>(&'a Slots);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *self.0.busy.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -212,7 +273,7 @@ impl HttpServerHandle {
     }
 
     /// Stops the server, drains pending connections, and joins its
-    /// thread (idempotent).
+    /// accept thread and every connection thread (idempotent).
     pub fn shutdown(&mut self) {
         if self.thread.is_none() {
             return;
@@ -323,6 +384,8 @@ fn respond(stream: &mut TcpStream, response: &HttpResponse) -> std::io::Result<(
 mod tests {
     use super::*;
     use std::io::Read;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -417,6 +480,58 @@ mod tests {
         let response = get(handle.local_addr(), "/anything");
         assert!(response.starts_with("HTTP/1.1 503"), "{response}");
         assert!(response.contains("Retry-After: 3\r\n"), "{response}");
+    }
+
+    /// A client that connects and never sends a request holds one
+    /// connection thread until the read deadline; every other client is
+    /// served meanwhile. When connections were served one at a time,
+    /// `/healthz` waited out the idle client's whole 2-s deadline.
+    #[test]
+    fn idle_connection_does_not_stall_other_clients() {
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let mut handle = server.spawn(metrics_handler()).expect("spawn");
+        let addr = handle.local_addr();
+        // Connected first, so accepted first.
+        let idle = TcpStream::connect(addr).expect("idle connect");
+
+        let start = Instant::now();
+        let health = get(addr, "/healthz");
+        let elapsed = start.elapsed();
+        assert!(health.ends_with("ok\n"), "{health}");
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "GET /healthz behind one idle connection took {elapsed:?}"
+        );
+        drop(idle);
+        handle.shutdown();
+    }
+
+    /// With every slot held by a silent client, a new request waits in
+    /// the backlog, and is served as soon as one of them hangs up.
+    #[test]
+    fn connections_past_the_cap_wait_for_a_free_slot() {
+        let server = HttpServer::bind(0).expect("bind loopback");
+        let mut handle = server.spawn(metrics_handler()).expect("spawn");
+        let addr = handle.local_addr();
+        // Connected first, so they take every slot before the request.
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("idle connect"))
+            .collect();
+
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || tx.send(get(addr, "/healthz")));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(150)).is_err(),
+            "a request past the cap was served while every slot was busy"
+        );
+        drop(idle.pop()); // EOF: that connection's thread frees its slot
+        let health = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("served once a slot freed, before any read deadline");
+        assert!(health.ends_with("ok\n"), "{health}");
+        client.join().expect("client").expect("send");
+        drop(idle);
+        handle.shutdown();
     }
 
     /// Regression test for the shutdown race: a connection accepted (or

@@ -74,7 +74,11 @@ echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 
 # computed on first use, so the number of distinct columns a run builds
 # is pinned as well, at every thread count. Placement fans its Yen calls
 # out over the workers but feeds the rank tracker in pair order, so its
-# Yen calls, returned paths and rank raises must repeat exactly too.
+# Yen calls, returned paths and rank raises must repeat exactly too. Each
+# attacker set caches one attack context (clean estimate and LP rows) per
+# system and x, and is used on one thread, so the contexts built are
+# pinned at every thread count: a strategy that stops sharing them, or a
+# cache that shares one across systems, moves this count.
 python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
@@ -84,6 +88,7 @@ expected = {
             "optimal": 18, "infeasible": 63, "rows": 5582},
 }
 expected_builds = {"all": 2828, "gap": 834}
+expected_contexts = {"all": 1024, "gap": 63}
 expected_placement = {
     "all": {"pairs": 41348, "candidates": 246323, "rank_raises": 1808},
     "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
@@ -101,6 +106,11 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2), ("gap", 3))
         sys.exit(f"ci: run {run} at {threads} threads: "
                  f"core.estimator_cache.builds {builds} != "
                  f"{expected_builds[run]}")
+    contexts = counters.get("attack.context.builds", 0)
+    if contexts != expected_contexts[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: "
+                 f"attack.context.builds {contexts} != "
+                 f"{expected_contexts[run]}")
     placement = {k: counters.get(f"core.placement.{k}", 0)
                  for k in expected_placement[run]}
     if placement != expected_placement[run]:
@@ -117,7 +127,8 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2), ("gap", 3))
                  f"drifted toward LP_TOL: infeasible min "
                  f"{infeasible['min']}, feasible max {feasible['max']}")
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
-      "the phase-1 verdict margin, core.estimator_cache.builds and "
+      "the phase-1 verdict margin, core.estimator_cache.builds, "
+      "attack.context.builds and "
       "core.placement pairs/candidates/rank_raises match for run all at "
       "1 and 2 threads and run gap at 1, 2 and 3 threads")
 PY
