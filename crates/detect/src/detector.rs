@@ -76,8 +76,8 @@ impl ConsistencyDetector {
     /// zero the evader would need `Δx̂ ⪰ 0` everywhere, and then
     /// consistency forces `Δ = 0` along attacker-free victim paths —
     /// Theorem 3's detectable branch, restored. Under real measurement
-    /// noise, calibrate the tolerance like α (a clean-round quantile,
-    /// see [`crate::calibrate`]).
+    /// noise, calibrate the tolerance like α, as a high quantile of
+    /// clean-round values.
     #[must_use]
     pub fn recommended() -> Self {
         ConsistencyDetector {
@@ -136,10 +136,7 @@ impl ConsistencyDetector {
         system: &TomographySystem,
         observed: &Vector,
     ) -> Result<(Verdict, Vector), CoreError> {
-        ensure_finite(observed)?;
-        let estimate = system.estimate(observed)?;
-        let reprojected = system.routing_csr().mul_vec(&estimate)?;
-        let residual_l1 = norms::l1(&(&reprojected - observed));
+        let (residual_l1, estimate) = consistency_residual(system, observed)?;
         let verdict = self.verdict(residual_l1, estimate.min().unwrap_or(0.0));
         Ok((verdict, estimate))
     }
@@ -147,7 +144,7 @@ impl ConsistencyDetector {
     /// The decision itself: flag when the residual exceeds α or, with
     /// the plausibility check on, when the smallest judged estimate is
     /// below `−tol`.
-    pub(crate) fn verdict(&self, residual_l1: f64, min_estimate: f64) -> Verdict {
+    fn verdict(&self, residual_l1: f64, min_estimate: f64) -> Verdict {
         let implausible = self.plausibility_tol.is_some_and(|tol| min_estimate < -tol);
         Verdict {
             residual_l1,
@@ -227,12 +224,90 @@ impl ConsistencyDetector {
     }
 }
 
+/// The Eq. 23 statistic `‖R x̂ − y′‖₁` over a full measurement vector,
+/// with the estimate `x̂` it judged: the one place the estimate,
+/// re-projection and ℓ₁ residual are computed for a whole system.
+///
+/// # Errors
+///
+/// * [`CoreError::NonFiniteMeasurement`] if a reading is NaN or
+///   infinite,
+/// * [`CoreError::DimensionMismatch`] if `observed` has the wrong length.
+pub(crate) fn consistency_residual(
+    system: &TomographySystem,
+    observed: &Vector,
+) -> Result<(f64, Vector), CoreError> {
+    ensure_finite(observed)?;
+    let estimate = system.estimate(observed)?;
+    let reprojected = system.routing_csr().mul_vec(&estimate)?;
+    Ok((norms::l1(&(&reprojected - observed)), estimate))
+}
+
 /// Rejects a measurement vector holding a NaN or infinite reading, the
 /// check outside measurements pass where they enter detection.
 pub(crate) fn ensure_finite(observed: &Vector) -> Result<(), CoreError> {
     match observed.iter().position(|v| !v.is_finite()) {
         Some(row) => Err(CoreError::NonFiniteMeasurement { row }),
         None => Ok(()),
+    }
+}
+
+/// The verdicts on a base round and on the base plus a delta, each one
+/// [`ConsistencyDetector::inspect`] call on the full vector.
+///
+/// Kept only because the frozen benchmark under `perfbench/` calls it;
+/// it goes with that benchmark's next revision (ROADMAP item 1), as
+/// `tomo_lp::WarmStart` does. New code calls `inspect` directly.
+#[derive(Debug, Clone)]
+pub struct ResidualTally {
+    y_base: Vector,
+    base_verdict: Verdict,
+}
+
+impl ResidualTally {
+    /// Inspects the base round `y_base` and keeps it for [`Self::rescore`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ConsistencyDetector::inspect`] on `y_base`.
+    pub fn new(
+        detector: &ConsistencyDetector,
+        system: &TomographySystem,
+        y_base: &Vector,
+    ) -> Result<Self, CoreError> {
+        Ok(ResidualTally {
+            base_verdict: detector.inspect(system, y_base)?,
+            y_base: y_base.clone(),
+        })
+    }
+
+    /// The verdict on the base round itself.
+    #[must_use]
+    pub fn base_verdict(&self) -> Verdict {
+        self.base_verdict
+    }
+
+    /// [`ConsistencyDetector::inspect`] on `y_base + delta`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DimensionMismatch`] if `delta` differs in length from
+    /// the base round, and otherwise the errors of `inspect`, including
+    /// [`CoreError::NonFiniteMeasurement`] for a NaN or infinite sum.
+    pub fn rescore(
+        &self,
+        detector: &ConsistencyDetector,
+        system: &TomographySystem,
+        delta: &Vector,
+    ) -> Result<Verdict, CoreError> {
+        if delta.len() != self.y_base.len() {
+            return Err(CoreError::DimensionMismatch {
+                context: "residual tally: delta",
+                expected: self.y_base.len(),
+                got: delta.len(),
+            });
+        }
+        detector.inspect(system, &(&self.y_base + delta))
     }
 }
 
@@ -503,6 +578,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tally_verdicts_are_inspect_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let system = fig1::fig1_system().unwrap();
+        let detector = ConsistencyDetector::recommended();
+        let x: Vector = (0..10).map(|i| 5.0 + f64::from(i)).collect();
+        let mut y = system.measure(&x).unwrap();
+        y[3] += 37.5; // make the base mildly inconsistent
+        let tally = ResidualTally::new(&detector, &system, &y).unwrap();
+        assert_eq!(tally.base_verdict(), detector.inspect(&system, &y).unwrap());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..8 {
+            let delta: Vector = (0..system.num_paths())
+                .map(|_| rng.gen_range(-250.0..250.0))
+                .collect();
+            let scored = tally.rescore(&detector, &system, &delta).unwrap();
+            let fresh = detector.inspect(&system, &(&y + &delta)).unwrap();
+            assert_eq!(scored.residual_l1.to_bits(), fresh.residual_l1.to_bits());
+            assert_eq!(scored.min_estimate.to_bits(), fresh.min_estimate.to_bits());
+            assert_eq!(scored.detected, fresh.detected);
+        }
+    }
+
+    #[test]
+    fn tally_rejects_wrong_lengths_and_non_finite_rounds() {
+        let system = fig1::fig1_system().unwrap();
+        let detector = ConsistencyDetector::paper_default();
+        let y = system.measure(&Vector::filled(10, 10.0)).unwrap();
+        let tally = ResidualTally::new(&detector, &system, &y).unwrap();
+        assert!(matches!(
+            tally.rescore(&detector, &system, &Vector::zeros(3)),
+            Err(CoreError::DimensionMismatch { .. })
+        ));
+        assert!(ResidualTally::new(&detector, &system, &Vector::zeros(3)).is_err());
+
+        let mut nan_round = y.clone();
+        nan_round[2] = f64::NAN;
+        assert!(matches!(
+            ResidualTally::new(&detector, &system, &nan_round),
+            Err(CoreError::NonFiniteMeasurement { row: 2 })
+        ));
+        let mut delta = Vector::zeros(system.num_paths());
+        delta[5] = f64::INFINITY;
+        assert!(matches!(
+            tally.rescore(&detector, &system, &delta),
+            Err(CoreError::NonFiniteMeasurement { row: 5 })
+        ));
     }
 
     #[test]

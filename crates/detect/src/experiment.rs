@@ -27,9 +27,10 @@ use tomo_attack::{strategy, AttackError, AttackOutcome};
 use tomo_core::delay::DelayModel;
 use tomo_core::TomographySystem;
 use tomo_graph::{LinkId, NodeId};
+use tomo_linalg::Vector;
 use tomo_par::{derive_seed, Executor};
 
-use crate::{ConsistencyDetector, ResidualTally};
+use crate::ConsistencyDetector;
 
 /// Which scapegoating strategy a trial used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -226,13 +227,10 @@ fn run_one_trial<R: Rng + ?Sized>(
     let x = delay_model.sample(system.num_links(), rng);
     let y_clean = system.measure(&x)?;
 
-    // Clean round: false-alarm accounting. The running tally's base
-    // verdict is bit-identical to `inspect(system, &y_clean)`, and the
-    // cached base state then re-scores every attacked vector of this
-    // trial from its manipulation delta alone.
-    let residual_tally =
-        ResidualTally::new(detector, system, &y_clean).map_err(AttackError::Core)?;
-    let clean_verdict = residual_tally.base_verdict();
+    // Clean round: false-alarm accounting.
+    let clean_verdict = detector
+        .inspect(system, &y_clean)
+        .map_err(AttackError::Core)?;
     report.clean_trials += 1;
     if clean_verdict.detected {
         report.false_alarms += 1;
@@ -257,7 +255,7 @@ fn run_one_trial<R: Rng + ?Sized>(
             system,
             detector,
             &attackers,
-            &residual_tally,
+            &y_clean,
             StrategyKind::ChosenVictim,
             &outcome,
             &mut report,
@@ -272,7 +270,7 @@ fn run_one_trial<R: Rng + ?Sized>(
         system,
         detector,
         &attackers,
-        &residual_tally,
+        &y_clean,
         StrategyKind::MaxDamage,
         &outcome,
         &mut report,
@@ -292,7 +290,7 @@ fn run_one_trial<R: Rng + ?Sized>(
         system,
         detector,
         &attackers,
-        &residual_tally,
+        &y_clean,
         StrategyKind::Obfuscation,
         &outcome,
         &mut report,
@@ -304,15 +302,13 @@ fn run_one_trial<R: Rng + ?Sized>(
     })
 }
 
-/// Applies the detector to a successful attack and files it under the
-/// right (strategy, cut) cell. The attacked vector is `y_clean + m`, so
-/// the verdict comes from re-scoring the trial's running tally with the
-/// manipulation as a delta.
+/// Applies the detector to a successful attack, on the attacked vector
+/// `y_clean + m`, and files it under the right (strategy, cut) cell.
 fn tally(
     system: &TomographySystem,
     detector: &ConsistencyDetector,
     attackers: &AttackerSet,
-    residual_tally: &ResidualTally,
+    y_clean: &Vector,
     strategy: StrategyKind,
     outcome: &AttackOutcome,
     report: &mut DetectionReport,
@@ -321,8 +317,8 @@ fn tally(
         return Ok(());
     };
     let cut = analyze_cut(system, attackers, &s.victims);
-    let verdict = residual_tally
-        .rescore(detector, system, &s.manipulation)
+    let verdict = detector
+        .inspect(system, &(y_clean + &s.manipulation))
         .map_err(AttackError::Core)?;
     let idx = strategy_index(strategy);
     let cell = match cut.kind {

@@ -40,12 +40,9 @@
 
 mod detector;
 
-pub mod calibrate;
 pub mod experiment;
 pub mod localize;
 pub mod roc;
 pub mod rounds;
-pub mod tally;
 
-pub use detector::{ConsistencyDetector, DegradedVerdict, Verdict};
-pub use tally::ResidualTally;
+pub use detector::{ConsistencyDetector, DegradedVerdict, ResidualTally, Verdict};

@@ -38,7 +38,7 @@ use tomo_linalg::lstsq::NormalEquationsSolver;
 use tomo_linalg::rank::SparseRank;
 use tomo_linalg::{norms, CsrBuilder, Vector};
 
-use crate::detector::ensure_finite;
+use crate::detector::consistency_residual;
 
 /// Outcome of assessing one candidate node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,10 +105,7 @@ pub fn localize(
             got: observed.len(),
         });
     }
-    ensure_finite(observed)?;
-    let estimate = system.estimate(observed)?;
-    let reprojected = system.routing_csr().mul_vec(&estimate)?;
-    let full_residual = norms::l1(&(&reprojected - observed));
+    let (full_residual, _) = consistency_residual(system, observed)?;
 
     let mut scores: Vec<SuspectScore> = system
         .graph()
@@ -229,9 +226,7 @@ mod tests {
                     .unwrap();
             if let Some(s) = outcome.success() {
                 let y = &system.measure(&x).unwrap() + &s.manipulation;
-                let est = system.estimate(&y).unwrap();
-                let reproj = system.routing_csr().mul_vec(&est).unwrap();
-                if norms::l1(&(&reproj - &y)) > 200.0 {
+                if consistency_residual(&system, &y).unwrap().0 > 200.0 {
                     return (system, y, node);
                 }
             }

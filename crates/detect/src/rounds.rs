@@ -17,7 +17,8 @@ use tomo_linalg::Vector;
 use tomo_obs::LazyCounter;
 use tomo_par::{derive_seed, Executor};
 
-use crate::{ConsistencyDetector, ResidualTally};
+use crate::detector::ensure_finite;
+use crate::ConsistencyDetector;
 
 static ROUNDS_TOTAL: LazyCounter = LazyCounter::new("detect.rounds.total");
 
@@ -55,6 +56,9 @@ impl CampaignOutcome {
 ///
 /// # Errors
 ///
+/// * [`CoreError::NonFiniteMeasurement`] if a NaN or infinite entry of
+///   `true_metrics` or `manipulation` makes a reading of the
+///   noise-free round non-finite (`row` is that reading's path),
 /// * [`CoreError::DimensionMismatch`] if `true_metrics` or
 ///   `manipulation` have wrong lengths.
 ///
@@ -89,16 +93,13 @@ pub fn run_campaign(
         Some(m) => &clean + m,
         None => clean,
     };
-    // Every round is `base + noise`: tally the base once and re-score
-    // each round (and the round average) from its noise delta instead of
-    // re-running the full estimate-and-reproject pipeline per vector.
-    let tally = ResidualTally::new(detector, system, &base)?;
-
+    // Checked before any noise is drawn: the noise model clamps each
+    // reading at zero, which turns a NaN reading into 0.0.
+    ensure_finite(&base)?;
     let per_round = exec.try_map(rounds, |round| {
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, round as u64));
         let y = noise.perturb(&base, &mut rng);
-        let delta = &y - &base;
-        let verdict = tally.rescore(detector, system, &delta)?;
+        let verdict = detector.inspect(system, &y)?;
         Ok::<_, CoreError>((verdict.residual_l1, verdict.detected, y))
     })?;
 
@@ -113,7 +114,7 @@ pub fn run_campaign(
         sum += y;
     }
     let mean = sum.scaled(1.0 / rounds as f64);
-    let mean_verdict = tally.rescore(detector, system, &(&mean - &base))?;
+    let mean_verdict = detector.inspect(system, &mean)?;
     Ok(CampaignOutcome {
         per_round_residuals,
         rounds_detected,
@@ -223,6 +224,32 @@ mod tests {
         assert!(run_campaign(&system, &detector, &x, Some(&bad), &noise, 4, 4, &exec).is_err());
         let outcome = run_campaign(&system, &detector, &x, None, &noise, 1, 4, &exec).unwrap();
         assert_eq!(outcome.per_round_residuals.len(), 1);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_errors_not_verdicts() {
+        let (system, x, manipulation) = attacked_manipulation();
+        let noise = GaussianNoise::new(1.0).unwrap();
+        let detector = ConsistencyDetector::paper_default();
+        let exec = Executor::single_threaded();
+        let campaign = |x: &Vector, m: Option<&Vector>| {
+            run_campaign(&system, &detector, x, m, &noise, 4, 6, &exec)
+        };
+        let mut nan_link = x.clone();
+        nan_link[0] = f64::NAN;
+        let err = campaign(&nan_link, None).unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFiniteMeasurement { .. }),
+            "{err:?}"
+        );
+        let mut infinite = manipulation.clone();
+        infinite[3] = f64::INFINITY;
+        let err = campaign(&x, Some(&infinite)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFiniteMeasurement { row: 3 }),
+            "{err:?}"
+        );
+        assert!(campaign(&x, Some(&manipulation)).is_ok());
     }
 
     #[test]

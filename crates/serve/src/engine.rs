@@ -240,39 +240,47 @@ impl Engine {
     /// batch is never applied in memory without being durable first.
     #[must_use]
     pub fn admits(&self, batch: &ProbeBatch) -> bool {
-        batch.epoch >= self.epoch
-            && !self.is_applied(batch.batch_id)
-            && batch
-                .rows
-                .iter()
-                .all(|row| (row.path as usize) < self.slots.len() && row.value().is_finite())
+        self.refusal(batch).is_none()
+    }
+
+    /// The outcome that refuses `batch` right now — a stale epoch, then a
+    /// duplicate, then per row a path out of range before a non-finite
+    /// value — or `None` when [`Engine::apply`] would apply it. Both
+    /// `admits` and `apply` decide through this one check, so the apply
+    /// worker journals exactly the batches `apply` applies.
+    fn refusal(&self, batch: &ProbeBatch) -> Option<ApplyOutcome> {
+        if batch.epoch < self.epoch {
+            return Some(ApplyOutcome::StaleEpoch);
+        }
+        if self.is_applied(batch.batch_id) {
+            return Some(ApplyOutcome::Duplicate);
+        }
+        batch.rows.iter().find_map(|row| {
+            let fault = if (row.path as usize) >= self.slots.len() {
+                BatchFault::PathOutOfRange { path: row.path }
+            } else if !row.value().is_finite() {
+                BatchFault::NonFiniteValue { path: row.path }
+            } else {
+                return None;
+            };
+            Some(ApplyOutcome::Quarantined(fault))
+        })
     }
 
     /// Validates and applies one batch. Never panics; every unusable
     /// input maps to a non-`Applied` outcome.
     pub fn apply(&mut self, batch: &ProbeBatch) -> ApplyOutcome {
-        if batch.epoch < self.epoch {
-            self.stats.stale_epoch += 1;
-            STALE.inc();
-            return ApplyOutcome::StaleEpoch;
-        }
-        if self.is_applied(batch.batch_id) {
-            self.stats.deduped += 1;
-            DEDUPED.inc();
-            return ApplyOutcome::Duplicate;
-        }
-        // Validate before mutating: a quarantined batch leaves no trace.
-        for row in &batch.rows {
-            if (row.path as usize) >= self.slots.len() {
-                self.stats.quarantined += 1;
-                QUARANTINED.inc();
-                return ApplyOutcome::Quarantined(BatchFault::PathOutOfRange { path: row.path });
-            }
-            if !row.value().is_finite() {
-                self.stats.quarantined += 1;
-                QUARANTINED.inc();
-                return ApplyOutcome::Quarantined(BatchFault::NonFiniteValue { path: row.path });
-            }
+        // Validate before mutating: a refused batch leaves no trace.
+        if let Some(refusal) = self.refusal(batch) {
+            let (stat, metric) = match refusal {
+                ApplyOutcome::StaleEpoch => (&mut self.stats.stale_epoch, &STALE),
+                ApplyOutcome::Duplicate => (&mut self.stats.deduped, &DEDUPED),
+                // `refusal` never returns `Applied`.
+                _ => (&mut self.stats.quarantined, &QUARANTINED),
+            };
+            *stat += 1;
+            metric.inc();
+            return refusal;
         }
         let reordered = self.max_applied.is_some_and(|max| batch.batch_id < max);
         for row in &batch.rows {

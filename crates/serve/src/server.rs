@@ -23,10 +23,12 @@
 //!   read is impossible by construction (see `snapshot.rs`).
 //!
 //! Deadline policy: a connection may idle between frames up to
-//! `idle_timeout`, but once a frame's first byte arrives the rest must
-//! follow within `frame_deadline` — a peer stalled mid-frame holds no
+//! [`IDLE_TIMEOUT`], but once a frame's first byte arrives the rest must
+//! follow within [`FRAME_DEADLINE`] — a peer stalled mid-frame holds no
 //! handler hostage. Stop-flag polling rides on the socket read timeout,
-//! so shutdown latency is one poll interval, not one idle timeout.
+//! so shutdown latency is one poll interval, not one idle timeout. The
+//! handler reads every frame through [`read_frame`] and writes every
+//! reply through [`write_frame`]; only the deadline policy lives here.
 //!
 //! Shutdown order: the acceptor and the connection handlers stop on the
 //! stop flag and are joined first; only then is the queue closed, and
@@ -34,7 +36,7 @@
 //! a handler managed to push is therefore applied and answered, which
 //! is what lets each handler's reply pump, and so the handler, finish.
 
-use std::io::{Read, Write};
+use std::io::{self, Read};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,9 +52,21 @@ use crate::engine::{ApplyOutcome, Engine, EngineStats, QueryError};
 use crate::journal::Journal;
 use crate::queue::{IngestQueue, Pop, QueueStats};
 use crate::snapshot::{EngineSnapshot, SnapshotStore};
-use crate::wire::{Frame, ProbeBatch, RejectCode, WireError, MAX_FRAME_LEN, WIRE_VERSION};
+use crate::wire::{
+    read_frame, write_frame, Frame, ProbeBatch, RejectCode, WireError, WIRE_VERSION,
+};
 
 static QUERY_LATENCY_US: LazyHistogram = LazyHistogram::new("serve.query.latency_us");
+
+/// How long an ingest connection may idle *between* frames.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Once a frame's first byte arrives, the whole frame must arrive within
+/// this.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Write deadline for replies on the ingest socket.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Daemon configuration. [`Default`] is tuned for tests and the chaos
 /// sweep: ephemeral ports, small queue, sub-second timeouts.
@@ -71,12 +85,6 @@ pub struct ServeConfig {
     /// Base backoff hint carried by `Reject(QueueFull)`; the actual
     /// hint scales with queue occupancy at reject time.
     pub retry_after_ms: u32,
-    /// How long a connection may idle *between* frames.
-    pub idle_timeout: Duration,
-    /// Once a frame starts arriving, it must complete within this.
-    pub frame_deadline: Duration,
-    /// Write deadline for responses on the ingest socket.
-    pub write_timeout: Duration,
     /// Stop-flag poll interval (also the socket read timeout).
     pub poll_interval: Duration,
     /// Where to journal applied batches; `None` disables persistence.
@@ -104,9 +112,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             ingest_shards: 1,
             retry_after_ms: 20,
-            idle_timeout: Duration::from_secs(30),
-            frame_deadline: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
             poll_interval: Duration::from_millis(100),
             journal_path: None,
             journal_sync: false,
@@ -564,141 +569,102 @@ fn apply_one(engine: &mut Engine, mut journal: Option<&mut Journal>, batch: &Pro
     }
 }
 
-/// How one polling read attempt ended.
-enum ReadEnd {
-    Frame(Frame),
-    CleanClose,
+/// Why a [`DeadlineReader`] gave up waiting for bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stall {
+    /// The stop flag was set.
     Stopped,
-    IdleTimeout,
-    DeadlineExceeded,
-    Violation(WireError),
-    Io,
+    /// No frame began within [`IDLE_TIMEOUT`].
+    Idle,
+    /// A begun frame did not complete within [`FRAME_DEADLINE`].
+    Deadline,
 }
 
-/// Reads one frame with the deadline policy: idle tolerance between
-/// frames, a hard completion deadline once the first byte arrives, and
-/// stop-flag polling throughout.
-fn read_frame_polling(stream: &mut TcpStream, stop: &AtomicBool, config: &ServeConfig) -> ReadEnd {
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-        return ReadEnd::Io;
+/// The ingest socket as [`read_frame`] sees it, under the deadline
+/// policy. Each socket read waits at most one poll interval; on a
+/// timeout the reader retries until bytes arrive, the stop flag is set,
+/// the idle timeout passes before the frame's first byte, or the frame
+/// deadline passes after it. It then records that [`Stall`] and returns
+/// the timeout error, which `read_frame` reports as [`WireError::Io`].
+struct DeadlineReader<'a> {
+    stream: TcpStream,
+    stop: &'a AtomicBool,
+    idle_since: Instant,
+    frame_start: Option<Instant>,
+    stall: Option<Stall>,
+}
+
+impl<'a> DeadlineReader<'a> {
+    fn new(stream: TcpStream, stop: &'a AtomicBool, poll_interval: Duration) -> io::Result<Self> {
+        stream.set_read_timeout(Some(poll_interval))?;
+        Ok(DeadlineReader {
+            stream,
+            stop,
+            idle_since: Instant::now(),
+            frame_start: None,
+            stall: None,
+        })
     }
-    let mut len_buf = [0u8; 4];
-    let mut frame_start: Option<Instant> = None;
-    match fill_polling(stream, &mut len_buf, stop, config, &mut frame_start, true) {
-        FillEnd::Done => {}
-        FillEnd::CleanClose => return ReadEnd::CleanClose,
-        FillEnd::Eof => return ReadEnd::Violation(WireError::UnexpectedEof),
-        FillEnd::Stopped => return ReadEnd::Stopped,
-        FillEnd::IdleTimeout => return ReadEnd::IdleTimeout,
-        FillEnd::DeadlineExceeded => return ReadEnd::DeadlineExceeded,
-        FillEnd::Io => return ReadEnd::Io,
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len == 0 {
-        return ReadEnd::Violation(WireError::TruncatedFrame {
-            expected: 1,
-            got: 0,
-        });
-    }
-    if len > MAX_FRAME_LEN {
-        return ReadEnd::Violation(WireError::OversizedFrame {
-            len,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    match fill_polling(stream, &mut payload, stop, config, &mut frame_start, false) {
-        FillEnd::Done => {}
-        FillEnd::CleanClose | FillEnd::Eof => return ReadEnd::Violation(WireError::UnexpectedEof),
-        FillEnd::Stopped => return ReadEnd::Stopped,
-        FillEnd::IdleTimeout | FillEnd::DeadlineExceeded => return ReadEnd::DeadlineExceeded,
-        FillEnd::Io => return ReadEnd::Io,
-    }
-    match Frame::decode(&payload) {
-        Ok(frame) => ReadEnd::Frame(frame),
-        Err(e) => ReadEnd::Violation(e),
+
+    /// Reads the next frame, with the idle and frame clocks restarted.
+    fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        self.idle_since = Instant::now();
+        self.frame_start = None;
+        self.stall = None;
+        read_frame(self)
     }
 }
 
-enum FillEnd {
-    Done,
-    /// EOF before the first byte of the buffer (only reported when
-    /// `allow_clean_close`).
-    CleanClose,
-    Eof,
-    Stopped,
-    IdleTimeout,
-    DeadlineExceeded,
-    Io,
-}
-
-fn fill_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    config: &ServeConfig,
-    frame_start: &mut Option<Instant>,
-    allow_clean_close: bool,
-) -> FillEnd {
-    let idle_since = Instant::now();
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && allow_clean_close && frame_start.is_none() {
-                    FillEnd::CleanClose
-                } else {
-                    FillEnd::Eof
-                };
-            }
-            Ok(n) => {
-                frame_start.get_or_insert_with(Instant::now);
-                filled += n;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return FillEnd::Stopped;
-                }
-                match frame_start {
-                    Some(start) if start.elapsed() > config.frame_deadline => {
-                        return FillEnd::DeadlineExceeded;
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    if n > 0 {
+                        self.frame_start.get_or_insert_with(Instant::now);
                     }
-                    None if idle_since.elapsed() > config.idle_timeout => {
-                        return FillEnd::IdleTimeout;
-                    }
-                    _ => {}
+                    return Ok(n);
                 }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    let stall = match self.frame_start {
+                        _ if self.stop.load(Ordering::Acquire) => Stall::Stopped,
+                        Some(start) if start.elapsed() > FRAME_DEADLINE => Stall::Deadline,
+                        None if self.idle_since.elapsed() > IDLE_TIMEOUT => Stall::Idle,
+                        _ => continue,
+                    };
+                    self.stall = Some(stall);
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return FillEnd::Io,
         }
     }
-    FillEnd::Done
 }
 
 fn handle_ingest_conn(
-    mut stream: TcpStream,
+    stream: TcpStream,
     store: &SnapshotStore,
     counters: &IngestCounters,
     queue: &IngestQueue<IngestItem>,
     stop: &AtomicBool,
     config: &ServeConfig,
 ) {
-    if stream
-        .set_write_timeout(Some(config.write_timeout))
-        .is_err()
-    {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
+    let Ok(mut reader) = DeadlineReader::new(stream, stop, config.poll_interval) else {
+        return;
+    };
     // Handshake: exactly one Hello, then HelloAck.
-    match read_frame_polling(&mut stream, stop, config) {
-        ReadEnd::Frame(Frame::Hello { version }) if version == WIRE_VERSION => {}
-        ReadEnd::Stopped | ReadEnd::CleanClose => return,
+    match reader.next_frame() {
+        Ok(Some(Frame::Hello { version })) if version == WIRE_VERSION => {}
+        Ok(None) => return,
+        Err(WireError::Io(_)) if reader.stall == Some(Stall::Stopped) => return,
         _ => {
             counters.handshake_rejects.fetch_add(1, Ordering::Relaxed);
             return;
@@ -712,7 +678,7 @@ fn handle_ingest_conn(
         epoch,
         num_paths: u32::try_from(num_paths).unwrap_or(u32::MAX),
     };
-    if write_reply(&mut stream, &ack).is_err() {
+    if write_frame(&mut reader.stream, &ack).is_err() {
         return;
     }
 
@@ -722,7 +688,7 @@ fn handle_ingest_conn(
     // are queued back-to-back instead of one per apply round trip. The
     // client matches replies by batch id, so reply order never matters.
     let (reply_tx, reply_rx) = mpsc::channel::<Frame>();
-    let writer_stream = match stream.try_clone() {
+    let writer_stream = match reader.stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
@@ -731,7 +697,7 @@ fn handle_ingest_conn(
         .spawn(move || {
             let mut stream = writer_stream;
             while let Ok(frame) = reply_rx.recv() {
-                if write_reply(&mut stream, &frame).is_err() {
+                if write_frame(&mut stream, &frame).is_err() {
                     // Half-close so the read loop sees the dead peer
                     // now instead of waiting out the idle timeout.
                     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -742,8 +708,35 @@ fn handle_ingest_conn(
     let Ok(writer) = writer else { return };
 
     loop {
-        match read_frame_polling(&mut stream, stop, config) {
-            ReadEnd::Frame(Frame::Batch(batch)) => {
+        let frame = match reader.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(WireError::Io(_)) => {
+                match reader.stall {
+                    Some(Stall::Idle) => {
+                        counters.idle_closed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(Stall::Deadline) => {
+                        counters.deadline_closed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(Stall::Stopped) | None => {}
+                }
+                break;
+            }
+            Err(e) => {
+                let quarantine = match e {
+                    WireError::UnexpectedEof => &counters.truncated_frames,
+                    WireError::UnknownFrameType { .. } => &counters.garbled_frames,
+                    WireError::OversizedFrame { .. } => &counters.oversized_frames,
+                    _ => &counters.malformed_frames,
+                };
+                quarantine.fetch_add(1, Ordering::Relaxed);
+                tomo_obs::debug!("serve.ingest", "quarantined frame: {e}");
+                break;
+            }
+        };
+        match frame {
+            Frame::Batch(batch) => {
                 let batch_id = batch.batch_id;
                 let item = IngestItem {
                     batch,
@@ -762,37 +755,10 @@ fn handle_ingest_conn(
                     }
                 }
             }
-            ReadEnd::Frame(_) => {
+            _ => {
                 // A well-formed frame the server never expects here
                 // (e.g. a second Hello): drop the connection.
                 counters.unexpected_frames.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            ReadEnd::CleanClose | ReadEnd::Stopped | ReadEnd::Io => break,
-            ReadEnd::IdleTimeout => {
-                counters.idle_closed.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            ReadEnd::DeadlineExceeded => {
-                counters.deadline_closed.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            ReadEnd::Violation(e) => {
-                match e {
-                    WireError::UnexpectedEof => {
-                        counters.truncated_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                    WireError::UnknownFrameType { .. } => {
-                        counters.garbled_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                    WireError::OversizedFrame { .. } => {
-                        counters.oversized_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                tomo_obs::debug!("serve.ingest", "quarantined frame: {e}");
                 break;
             }
         }
@@ -802,14 +768,6 @@ fn handle_ingest_conn(
     // (or drops) them.
     drop(reply_tx);
     let _ = writer.join();
-}
-
-fn write_reply(stream: &mut TcpStream, frame: &Frame) -> Result<(), WireError> {
-    let bytes = frame.encode();
-    stream
-        .write_all(&bytes)
-        .and_then(|()| stream.flush())
-        .map_err(|e| WireError::Io(e.kind()))
 }
 
 fn json_f64(v: f64) -> String {

@@ -13,9 +13,10 @@ use tomo_core::TomographySystem;
 use tomo_detect::ConsistencyDetector;
 use tomo_fault::{FaultPlan, FaultSpec};
 use tomo_linalg::Vector;
+use tomo_serve::server::FRAME_DEADLINE;
 use tomo_serve::{
     read_frame, write_frame, ClientConfig, ClientError, Frame, ProbeBatch, ProbeClient, ProbeRow,
-    RejectCode, ServeConfig, Server, WIRE_VERSION,
+    RejectCode, ServeConfig, Server, MAX_FRAME_LEN, WIRE_VERSION,
 };
 
 fn system() -> Arc<TomographySystem> {
@@ -271,26 +272,27 @@ fn connection_churn_does_not_accumulate_thread_handles() {
     assert!(live <= 2, "finished handlers reaped, {live} still held");
 }
 
+/// Connects and completes the Hello / HelloAck handshake.
+fn handshake(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    write_frame(
+        &mut s,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .expect("hello");
+    match read_frame(&mut s) {
+        Ok(Some(Frame::HelloAck { .. })) => s,
+        other => panic!("handshake failed: {other:?}"),
+    }
+}
+
 #[test]
 fn adversarial_bytes_quarantine_without_killing_the_daemon() {
     let server = start(ServeConfig::default());
     let addr = server.ingest_addr();
-
-    let handshake = |addr: SocketAddr| -> TcpStream {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        write_frame(
-            &mut s,
-            &Frame::Hello {
-                version: WIRE_VERSION,
-            },
-        )
-        .expect("hello");
-        match read_frame(&mut s) {
-            Ok(Some(Frame::HelloAck { .. })) => s,
-            other => panic!("handshake failed: {other:?}"),
-        }
-    };
 
     // 1. Oversized length prefix: rejected before allocation.
     {
@@ -347,6 +349,51 @@ fn adversarial_bytes_quarantine_without_killing_the_daemon() {
         .expect("daemon survived the abuse");
     assert_eq!(outcome.acked, 4);
     assert!(server.query().is_ok());
+}
+
+/// The ingest deadline policy and the length-prefix checks, each read
+/// off its own counter: a frame that stalls two bytes into its length
+/// prefix is closed about one frame deadline (plus one poll) later, and
+/// a length prefix above `MAX_FRAME_LEN` or of zero quarantines the
+/// connection. The 30-s idle timeout between frames is not exercised.
+#[test]
+fn stalled_oversized_and_empty_frames_close_the_connection() {
+    let server = start(ServeConfig::default());
+    let addr = server.ingest_addr();
+    let read_closed = |s: &mut TcpStream| {
+        let mut buf = [0u8; 16];
+        assert_eq!(s.read(&mut buf).unwrap_or(0), 0, "server dropped us");
+    };
+
+    let mut s = handshake(addr);
+    let oversized = u32::try_from(MAX_FRAME_LEN + 1).expect("fits u32");
+    s.write_all(&oversized.to_be_bytes()).unwrap();
+    read_closed(&mut s);
+
+    let mut s = handshake(addr);
+    s.write_all(&0u32.to_be_bytes()).unwrap();
+    read_closed(&mut s);
+
+    let mut s = handshake(addr);
+    s.set_read_timeout(Some(FRAME_DEADLINE + Duration::from_secs(10)))
+        .unwrap();
+    let t0 = Instant::now();
+    s.write_all(&[0, 0]).unwrap();
+    read_closed(&mut s);
+    let waited = t0.elapsed();
+    assert!(waited >= FRAME_DEADLINE, "closed after {waited:?}");
+    assert!(
+        waited < FRAME_DEADLINE + Duration::from_secs(1),
+        "closed only after {waited:?}"
+    );
+
+    let counters = server.counters();
+    let read = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(read(&counters.deadline_closed), 1);
+    assert_eq!(read(&counters.oversized_frames), 1);
+    assert_eq!(read(&counters.malformed_frames), 1);
+    assert_eq!(read(&counters.idle_closed), 0);
+    assert_eq!(counters.quarantined_frames(), 2);
 }
 
 #[test]
@@ -520,15 +567,15 @@ fn http_front_serves_health_state_verdict_stats_and_shutdown() {
     assert!(status.contains("200"), "{status}");
     let state = serde_json::parse_value(&body).expect("state is JSON");
     assert_eq!(
-        state.get("coverage").and_then(serde::Value::as_u64),
+        state.get("coverage").and_then(serde_json::Value::as_u64),
         Some(sys.num_paths() as u64)
     );
     assert!(matches!(
         state.get("degraded"),
-        Some(serde::Value::Bool(false))
+        Some(serde_json::Value::Bool(false))
     ));
     let (bits, floats) = match (state.get("estimate_bits"), state.get("estimate")) {
-        (Some(serde::Value::Array(b)), Some(serde::Value::Array(f))) => (b, f),
+        (Some(serde_json::Value::Array(b)), Some(serde_json::Value::Array(f))) => (b, f),
         other => panic!("estimate arrays missing: {other:?}"),
     };
     assert_eq!(bits.len(), sys.num_links());
@@ -543,17 +590,20 @@ fn http_front_serves_health_state_verdict_stats_and_shutdown() {
     let verdict = serde_json::parse_value(&body).expect("verdict is JSON");
     assert!(matches!(
         verdict.get("detected"),
-        Some(serde::Value::Bool(false))
+        Some(serde_json::Value::Bool(false))
     ));
 
     let (status, body) = http_get(addr, "/stats");
     assert!(status.contains("200"), "{status}");
     let stats = serde_json::parse_value(&body).expect("stats is JSON");
-    assert_eq!(stats.get("applied").and_then(serde::Value::as_u64), Some(2));
+    assert_eq!(
+        stats.get("applied").and_then(serde_json::Value::as_u64),
+        Some(2)
+    );
     assert!(
         stats
             .get("slo_ms")
-            .and_then(serde::Value::as_f64)
+            .and_then(serde_json::Value::as_f64)
             .expect("slo")
             > 0.0
     );
@@ -765,7 +815,7 @@ fn stats_reports_queue_and_snapshot_version() {
     let field = |key: &str| {
         stats
             .get(key)
-            .and_then(serde::Value::as_u64)
+            .and_then(serde_json::Value::as_u64)
             .unwrap_or_else(|| panic!("{key} missing from {body}"))
     };
     assert_eq!(field("queue_pushed"), 3, "every batch was queued once");

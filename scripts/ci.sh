@@ -38,17 +38,20 @@ echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml (benchmar
 # oracles, so a library change that breaks the benchmark fails here.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> artifact contract (seed-42 figures byte-identical to artifacts/)"
-# Regenerate every committed figure artifact, at 1 and at 2 threads, and
-# compare bytes: any change to placement, the LP layer or the trial
-# streams that moves a single number fails here.
+echo "==> artifact contract (seed-42 artifacts byte-identical to artifacts/)"
+# Regenerate every committed artifact, at 1 and at 2 threads, and
+# compare bytes: any change to placement, the LP layer, the detector or
+# the trial streams that moves a single number fails here. `run all`
+# runs only the figures, so the noise campaigns run on their own.
 for threads in 1 2; do
   ARTIFACT_OUT="$WORK/artifacts-t$threads"
   target/release/tomo-sim run all --seed 42 --threads "$threads" \
     --out "$ARTIFACT_OUT" --metrics "$WORK/all-metrics-t$threads.json" >/dev/null
   target/release/tomo-sim run gap --seed 42 --threads "$threads" \
     --out "$ARTIFACT_OUT" --metrics "$WORK/gap-metrics-t$threads.json" >/dev/null
-  for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
+  target/release/tomo-sim run noise --seed 42 --threads "$threads" \
+    --out "$ARTIFACT_OUT" >/dev/null
+  for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap noise; do
     cmp "artifacts/$name.json" "$ARTIFACT_OUT/$name.json" || {
       echo "ci: $name.json at $threads threads differs from artifacts/$name.json" >&2
       exit 1
@@ -63,7 +66,7 @@ cmp artifacts/gap.json "$WORK/artifacts-t3/gap.json" || {
   echo "ci: gap.json at 3 threads differs from artifacts/gap.json" >&2
   exit 1
 }
-echo "ci: all eight seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (gap.json at 3 too)"
+echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (gap.json at 3 too)"
 # Same bytes could hide a changed search: pin the LP layer's decisions
 # too. Every dense-tableau solve, pivot and iteration, each solve's
 # outcome, and the standard-form rows summed over solves must repeat
