@@ -35,13 +35,11 @@ mod graph;
 mod ids;
 mod path;
 
-pub mod dot;
 pub mod enumerate;
 pub mod isp;
 pub mod rgg;
 pub mod rocketfuel;
 pub mod shortest;
-pub mod stats;
 pub mod topology;
 pub mod traversal;
 pub mod waxman;

@@ -18,7 +18,7 @@
 //!   threads contend for the registry.
 //! * **events** — a level-filtered log ([`info!`], [`debug!`], …)
 //!   controlled by the `TOMO_LOG` environment variable, rendering
-//!   human-readable lines to stderr and JSON lines to an optional file.
+//!   human-readable lines to stderr.
 //! * **traces** — opt-in ([`set_tracing`]) per-event recording of span
 //!   trees with explicit parent links that survive `tomo-par` thread
 //!   hops ([`TraceContext`]), plus per-trial provenance records
@@ -58,7 +58,7 @@ mod span;
 mod trace;
 
 pub use http::{metrics_handler, Handler, HttpRequest, HttpResponse, HttpServer, HttpServerHandle};
-pub use log::{log_enabled, log_record, set_log_json, set_max_level, Level};
+pub use log::{log_enabled, log_record, set_max_level, Level};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, HistogramTimer, LazyCounter, LazyGauge,
     LazyHistogram, HISTOGRAM_BUCKETS,

@@ -4,17 +4,9 @@
 //! (`error`, `warn`, `info`, `debug`, `trace`, or `off`; default `warn`)
 //! and can be overridden programmatically with [`set_max_level`]. Events
 //! below the threshold cost one relaxed atomic load. Enabled events
-//! render a human-readable line to stderr and, when a JSON sink is
-//! configured (via [`set_log_json`] or the `TOMO_LOG_JSON` environment
-//! variable), one JSON object per line to that file.
+//! render a human-readable line to stderr.
 
-use std::fs::OpenOptions;
-use std::io::Write as _;
-use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
-
-use crate::json;
 
 /// Event severity, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,44 +82,10 @@ pub fn log_enabled(level: Level) -> bool {
     level as u8 <= current_max()
 }
 
-static JSON_SINK: Mutex<Option<std::fs::File>> = Mutex::new(None);
-static JSON_SINK_INIT: std::sync::Once = std::sync::Once::new();
-
-/// Sends a copy of every emitted event to `path` as JSON lines
-/// (appending; the file is created if missing).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the file cannot be opened.
-pub fn set_log_json(path: &Path) -> std::io::Result<()> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    *JSON_SINK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(file);
-    Ok(())
-}
-
 /// Emits one event unconditionally — call [`log_enabled`] first (the
 /// `event!`/`info!`/… macros do).
 pub fn log_record(level: Level, target: &str, message: &str) {
     eprintln!("[{:5} {target}] {message}", level.as_str());
-    JSON_SINK_INIT.call_once(|| {
-        if let Ok(path) = std::env::var("TOMO_LOG_JSON") {
-            let _ = set_log_json(Path::new(&path));
-        }
-    });
-    let mut sink = JSON_SINK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(file) = sink.as_mut() {
-        let line = format!(
-            "{{\"level\":{},\"target\":{},\"message\":{}}}\n",
-            json::string(level.as_str()),
-            json::string(target),
-            json::string(message),
-        );
-        let _ = file.write_all(line.as_bytes());
-    }
 }
 
 #[cfg(test)]

@@ -41,8 +41,6 @@ static BATCHES: LazyCounter = LazyCounter::new("par.batches");
 static WORKERS: LazyGauge = LazyGauge::new("par.workers");
 static WORKER_TASKS: LazyHistogram = LazyHistogram::new("par.worker.tasks");
 static TRIAL_PANICS: LazyCounter = LazyCounter::new("par.trial_panics");
-static QUARANTINED: LazyCounter = LazyCounter::new("par.quarantined");
-static RETRIES: LazyCounter = LazyCounter::new("par.retries");
 
 /// Why a task failed: its own typed error, or a captured panic.
 enum TaskFailure<E> {
@@ -254,97 +252,6 @@ impl Executor {
         indexed.sort_unstable_by_key(|&(i, _)| i);
         Ok(indexed.into_iter().map(|(_, v)| v).collect())
     }
-
-    /// [`map`](Executor::map) with panic quarantine: a panicking task is
-    /// retried up to `max_retries` times and, if it never completes,
-    /// yields `None` in its slot instead of aborting the batch. The
-    /// returned [`QuarantineReport`] lists every quarantined index with
-    /// its captured panic message, in ascending index order.
-    ///
-    /// The retry policy is deterministic per index (each attempt calls
-    /// `f(i)` again — trial closures derive all randomness from `i`, so a
-    /// deterministic panic quarantines and a flaky one may recover), and
-    /// quarantine decisions are schedule-independent for deterministic
-    /// closures.
-    pub fn map_quarantined<T, F>(
-        &self,
-        n: usize,
-        max_retries: u32,
-        f: F,
-    ) -> (Vec<Option<T>>, QuarantineReport)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let outcomes = self.map(n, |i| {
-            let mut attempts = 0u32;
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => return (Some(v), attempts, None),
-                    Err(payload) => {
-                        TRIAL_PANICS.inc();
-                        let msg = panic_message(payload.as_ref());
-                        tomo_obs::warn!("par", "trial {i} panicked (attempt {attempts}): {msg}");
-                        if attempts >= max_retries {
-                            QUARANTINED.inc();
-                            return (None, attempts, Some(msg));
-                        }
-                        attempts += 1;
-                        RETRIES.inc();
-                    }
-                }
-            }
-        });
-
-        let mut results = Vec::with_capacity(n);
-        let mut report = QuarantineReport::default();
-        for (i, (value, retries, panic)) in outcomes.into_iter().enumerate() {
-            if retries > 0 {
-                report.retried_tasks += 1;
-                report.retries += u64::from(retries);
-            }
-            if let Some(message) = panic {
-                report.quarantined.push(Quarantined {
-                    index: i,
-                    retries,
-                    message,
-                });
-            }
-            results.push(value);
-        }
-        (results, report)
-    }
-}
-
-/// One task abandoned by [`Executor::map_quarantined`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Quarantined {
-    /// The trial index that never completed.
-    pub index: usize,
-    /// Retries spent before giving up.
-    pub retries: u32,
-    /// The captured panic message of the final attempt.
-    pub message: String,
-}
-
-/// Outcome summary of a [`Executor::map_quarantined`] batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QuarantineReport {
-    /// Tasks that needed at least one retry (including those eventually
-    /// quarantined).
-    pub retried_tasks: u64,
-    /// Total retry attempts across the batch.
-    pub retries: u64,
-    /// Abandoned tasks, ascending by index.
-    pub quarantined: Vec<Quarantined>,
-}
-
-impl QuarantineReport {
-    /// `true` when every task completed without retries.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.retried_tasks == 0 && self.quarantined.is_empty()
-    }
 }
 
 impl Default for Executor {
@@ -485,62 +392,6 @@ mod tests {
             let msg = panic_message(payload.as_ref());
             assert!(msg.contains("trial 3"), "expected lowest index 3: {msg}");
         }
-    }
-
-    #[test]
-    fn map_quarantined_isolates_deterministic_panics() {
-        let exec = Executor::new(4);
-        let (results, report) = with_quiet_panics(|| {
-            exec.map_quarantined(50, 1, |i| {
-                if i == 7 || i == 31 {
-                    panic!("trial {i} always fails");
-                }
-                i * 2
-            })
-        });
-        assert_eq!(results.len(), 50);
-        for (i, r) in results.iter().enumerate() {
-            if i == 7 || i == 31 {
-                assert_eq!(*r, None);
-            } else {
-                assert_eq!(*r, Some(i * 2));
-            }
-        }
-        assert_eq!(report.quarantined.len(), 2);
-        assert_eq!(report.quarantined[0].index, 7);
-        assert_eq!(report.quarantined[1].index, 31);
-        assert_eq!(report.quarantined[0].retries, 1, "retry budget spent");
-        assert!(report.quarantined[0].message.contains("trial 7"));
-        assert_eq!(report.retried_tasks, 2);
-        assert_eq!(report.retries, 2);
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn map_quarantined_report_is_thread_count_independent() {
-        let run = |threads: usize| {
-            with_quiet_panics(|| {
-                Executor::new(threads).map_quarantined(40, 2, |i| {
-                    if i % 11 == 5 {
-                        panic!("deterministic failure at {i}");
-                    }
-                    derive_seed(9, i as u64)
-                })
-            })
-        };
-        let baseline = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_quarantined_clean_batch_has_empty_report() {
-        let exec = Executor::new(3);
-        let (results, report) = exec.map_quarantined(20, 1, |i| i + 1);
-        assert_eq!(results, (1..=20).map(Some).collect::<Vec<_>>());
-        assert!(report.is_clean());
-        assert_eq!(report, QuarantineReport::default());
     }
 
     #[test]

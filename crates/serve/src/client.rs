@@ -41,57 +41,38 @@ static RECONNECTS: LazyCounter = LazyCounter::new("probe.reconnects");
 static QUEUE_FULL: LazyCounter = LazyCounter::new("probe.queue_full_rejects");
 static ACKED: LazyCounter = LazyCounter::new("probe.acked");
 
-/// Client tuning knobs. [`Default`] suits tests and the chaos sweep.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// How long to wait for an `Ack` before assuming the connection is
-    /// dead.
-    pub ack_timeout: Duration,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
-    /// Base of the exponential reconnect backoff.
-    pub backoff_base: Duration,
-    /// Ceiling on one backoff sleep.
-    pub backoff_max: Duration,
-    /// Delivery attempts per batch before giving up (each attempt may
-    /// include a reconnect).
-    pub max_attempts: u32,
-    /// Most unacked batches the client will hold for resend at once.
-    /// Exceeding it is a typed [`ClientError::ResendOverflow`] instead
-    /// of unbounded buffer growth.
-    pub max_unacked: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            ack_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_millis(500),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(250),
-            max_attempts: 60,
-            max_unacked: 256,
-        }
-    }
-}
+/// How long to wait for an `Ack` before assuming the connection is dead.
+const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+/// TCP connect timeout per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Base of the exponential reconnect backoff.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Ceiling on one backoff sleep.
+const BACKOFF_MAX: Duration = Duration::from_millis(250);
+/// Delivery attempts per batch before giving up (each attempt may
+/// include a reconnect).
+const MAX_ATTEMPTS: u32 = 60;
+/// Most unacked batches the client holds for resend at once. Exceeding
+/// it is a typed [`ClientError::ResendOverflow`] instead of unbounded
+/// buffer growth.
+const MAX_UNACKED: usize = 256;
 
 /// Client-side failure (after retries were exhausted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// Could not (re)connect or deliver within
-    /// [`ClientConfig::max_attempts`].
+    /// Could not (re)connect or deliver within the attempt budget (60
+    /// attempts per batch).
     RetriesExhausted {
         /// The batch that could not be delivered.
         batch_id: u64,
     },
     /// The server answered the handshake with something else.
     BadHandshake,
-    /// The resend buffer would exceed [`ClientConfig::max_unacked`]
-    /// unacked batches.
+    /// The resend buffer would exceed its cap of 256 unacked batches.
     ResendOverflow {
         /// Unacked batches the delivery needed to hold.
         unacked: usize,
-        /// The configured cap.
+        /// The cap.
         capacity: usize,
     },
     /// An unrecoverable wire error.
@@ -139,6 +120,21 @@ pub struct StreamOutcome {
     pub quarantined: u64,
 }
 
+impl StreamOutcome {
+    /// Adds `other`'s counts into `self` (one client's share into a
+    /// fleet's total).
+    pub fn merge(&mut self, other: &StreamOutcome) {
+        self.acked += other.acked;
+        self.server_quarantined += other.server_quarantined;
+        self.reconnects += other.reconnects;
+        self.queue_full_rejects += other.queue_full_rejects;
+        self.stale_epoch_rejects += other.stale_epoch_rejects;
+        self.injected.merge(&other.injected);
+        self.handled += other.handled;
+        self.quarantined += other.quarantined;
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     epoch: u64,
@@ -153,7 +149,6 @@ struct Pending {
 /// A probe sender bound to one daemon address.
 pub struct ProbeClient {
     addr: SocketAddr,
-    config: ClientConfig,
     rng: ChaCha8Rng,
     conn: Option<Conn>,
     next_batch_id: u64,
@@ -168,20 +163,12 @@ impl ProbeClient {
     pub fn new(addr: SocketAddr, seed: u64) -> Self {
         ProbeClient {
             addr,
-            config: ClientConfig::default(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             conn: None,
             next_batch_id: 0,
             batch_id_stride: 1,
             outcome: StreamOutcome::default(),
         }
-    }
-
-    /// Replaces the tuning knobs.
-    #[must_use]
-    pub fn with_config(mut self, config: ClientConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Starts batch-id allocation at `id` instead of 0 — used when a new
@@ -332,8 +319,8 @@ impl ProbeClient {
     ///
     /// # Errors
     ///
-    /// [`ClientError::ResendOverflow`] when `window` exceeds the
-    /// configured `max_unacked` resend buffer, and
+    /// [`ClientError::ResendOverflow`] when `window` exceeds the 256-batch
+    /// resend buffer, and
     /// [`ClientError::RetriesExhausted`] when a window cannot be
     /// delivered within the attempt budget.
     ///
@@ -395,16 +382,16 @@ impl ProbeClient {
     /// all are acked, reconnecting and resending as needed.
     fn transact(&mut self, window: &mut [Pending]) -> Result<(), ClientError> {
         let unacked = window.iter().filter(|p| !p.acked).count();
-        if unacked > self.config.max_unacked {
+        if unacked > MAX_UNACKED {
             return Err(ClientError::ResendOverflow {
                 unacked,
-                capacity: self.config.max_unacked,
+                capacity: MAX_UNACKED,
             });
         }
         let mut attempts = 0;
         while window.iter().any(|p| !p.acked) {
             attempts += 1;
-            if attempts > self.config.max_attempts {
+            if attempts > MAX_ATTEMPTS {
                 let batch_id = window.iter().find(|p| !p.acked).map_or(0, |p| p.batch_id);
                 return Err(ClientError::RetriesExhausted { batch_id });
             }
@@ -541,16 +528,13 @@ impl ProbeClient {
         if let Some(conn) = &self.conn {
             return Ok(conn.epoch);
         }
-        let stream =
-            TcpStream::connect_timeout(&self.addr, self.config.connect_timeout).map_err(|_| ())?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).map_err(|_| ())?;
         // Frames are small; without TCP_NODELAY a pipelined window
         // stalls on Nagle waiting for the peer's delayed ACK.
         stream.set_nodelay(true).map_err(|_| ())?;
+        stream.set_read_timeout(Some(ACK_TIMEOUT)).map_err(|_| ())?;
         stream
-            .set_read_timeout(Some(self.config.ack_timeout))
-            .map_err(|_| ())?;
-        stream
-            .set_write_timeout(Some(self.config.ack_timeout))
+            .set_write_timeout(Some(ACK_TIMEOUT))
             .map_err(|_| ())?;
         let mut stream = stream;
         write_frame(
@@ -580,13 +564,9 @@ impl ProbeClient {
     fn backoff(&mut self, attempt: u32, hint: Option<Duration>) {
         let base = match hint {
             Some(h) => h,
-            None => {
-                let exp = self
-                    .config
-                    .backoff_base
-                    .saturating_mul(1u32 << attempt.min(8));
-                exp.min(self.config.backoff_max)
-            }
+            None => BACKOFF_BASE
+                .saturating_mul(1u32 << attempt.min(8))
+                .min(BACKOFF_MAX),
         };
         let jitter_ms = self.rng.gen_range(0..=base.as_millis().max(1) as u64 / 2);
         std::thread::sleep(base + Duration::from_millis(jitter_ms));

@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod topology;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError, ProbeClient, StreamOutcome};
+pub use client::{ClientError, ProbeClient, StreamOutcome};
 pub use engine::{ApplyOutcome, BatchFault, Engine, EngineStats, QueryAnswer, QueryError};
 pub use journal::{Journal, Replay};
 pub use queue::{IngestQueue, Pop, QueueFull, QueueStats};

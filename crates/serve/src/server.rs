@@ -12,7 +12,7 @@
 //!   pops batches in arrival order, journals each admitted batch,
 //!   applies it, snapshots on cadence, publishes an immutable
 //!   [`EngineSnapshot`] when the queue drains (or every
-//!   `publish_coalesce` batches), and holds every reply back until the
+//!   [`PUBLISH_COALESCE`] batches), and holds every reply back until the
 //!   publish that covers it — so an `Ack` means the batch both survives
 //!   a crash *and* is visible to the next query, and a `Reject` means
 //!   the published counters already show it, for pipelined clients and
@@ -68,6 +68,15 @@ pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 /// Write deadline for replies on the ingest socket.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Base backoff hint carried by `Reject(QueueFull)`, milliseconds; the
+/// actual hint scales with queue occupancy at reject time.
+const RETRY_AFTER_MS: u32 = 20;
+
+/// Under sustained load, the apply worker publishes a query snapshot at
+/// least every this many applied batches (a drained queue always
+/// publishes).
+pub const PUBLISH_COALESCE: usize = 32;
+
 /// Daemon configuration. [`Default`] is tuned for tests and the chaos
 /// sweep: ephemeral ports, small queue, sub-second timeouts.
 #[derive(Debug, Clone)]
@@ -82,9 +91,6 @@ pub struct ServeConfig {
     /// because the frozen benchmark under `perfbench/` still sets it, and
     /// goes with that benchmark's next revision (ROADMAP item 1).
     pub ingest_shards: usize,
-    /// Base backoff hint carried by `Reject(QueueFull)`; the actual
-    /// hint scales with queue occupancy at reject time.
-    pub retry_after_ms: u32,
     /// Stop-flag poll interval (also the socket read timeout).
     pub poll_interval: Duration,
     /// Where to journal applied batches; `None` disables persistence.
@@ -96,9 +102,6 @@ pub struct ServeConfig {
     pub journal_sync: bool,
     /// Snapshot the engine every this many applied batches (0 = never).
     pub snapshot_every: u64,
-    /// Under sustained load, publish a query snapshot at least every
-    /// this many applied batches (a drained queue always publishes).
-    pub publish_coalesce: u64,
     /// The p99 query-latency SLO, milliseconds (reported in `/stats`;
     /// the chaos sweep asserts against it).
     pub slo_ms: f64,
@@ -111,12 +114,10 @@ impl Default for ServeConfig {
             http_port: 0,
             queue_capacity: 64,
             ingest_shards: 1,
-            retry_after_ms: 20,
             poll_interval: Duration::from_millis(100),
             journal_path: None,
             journal_sync: false,
             snapshot_every: 64,
-            publish_coalesce: 32,
             slo_ms: 5.0,
         }
     }
@@ -247,7 +248,7 @@ impl Server {
         let counters = Arc::new(IngestCounters::default());
         let queue = Arc::new(IngestQueue::<IngestItem>::new(
             config.queue_capacity,
-            config.retry_after_ms,
+            RETRY_AFTER_MS,
         ));
         let conn_threads = Arc::new(Mutex::new(Vec::<std::thread::JoinHandle<()>>::new()));
         // Version 0: the post-replay state is queryable before the
@@ -261,7 +262,6 @@ impl Server {
             let queue = Arc::clone(&queue);
             let store = Arc::clone(&store);
             let poll = config.poll_interval;
-            let coalesce = config.publish_coalesce.max(1);
             std::thread::Builder::new()
                 .name("tomo-serve-apply".into())
                 .spawn(move || {
@@ -272,7 +272,7 @@ impl Server {
                     // (or a quarantine Reject) and then queries sees
                     // its own write — even under sustained load where
                     // publishes coalesce. A publish is never more than
-                    // `coalesce` batches (or one poll interval) behind
+                    // `PUBLISH_COALESCE` batches (or one poll interval) behind
                     // the reply it gates, so the added latency stays
                     // far under the client's ack timeout.
                     let mut pending: Vec<(mpsc::Sender<Frame>, Frame)> = Vec::new();
@@ -284,7 +284,7 @@ impl Server {
                                 // Publish when the queue drains (always
                                 // true for a lockstep client's latest
                                 // batch); under sustained load, coalesce.
-                                if queue.depth() > 0 && (pending.len() as u64) < coalesce {
+                                if queue.depth() > 0 && pending.len() < PUBLISH_COALESCE {
                                     continue;
                                 }
                                 false

@@ -13,10 +13,10 @@ use tomo_core::TomographySystem;
 use tomo_detect::ConsistencyDetector;
 use tomo_fault::{FaultPlan, FaultSpec};
 use tomo_linalg::Vector;
-use tomo_serve::server::FRAME_DEADLINE;
+use tomo_serve::server::{FRAME_DEADLINE, PUBLISH_COALESCE};
 use tomo_serve::{
-    read_frame, write_frame, ClientConfig, ClientError, Frame, ProbeBatch, ProbeClient, ProbeRow,
-    RejectCode, ServeConfig, Server, MAX_FRAME_LEN, WIRE_VERSION,
+    read_frame, write_frame, ClientError, Frame, ProbeBatch, ProbeClient, ProbeRow, RejectCode,
+    ServeConfig, Server, MAX_FRAME_LEN, WIRE_VERSION,
 };
 
 fn system() -> Arc<TomographySystem> {
@@ -685,17 +685,23 @@ fn queries_stay_fast_while_ingest_is_saturated() {
 
 /// Read-your-writes under coalesced publishing: the moment an ack is
 /// readable on the wire, the published snapshot already covers that
-/// batch — even when the queue never drains mid-window and
-/// `publish_coalesce` is too large to force intermediate publishes.
+/// batch — even when the queue never drains mid-window and the window
+/// is wider than [`PUBLISH_COALESCE`], so publishes coalesce. An fsynced
+/// journal slows every apply, so the handler outruns the apply worker
+/// and the queue stays deep; a worker that replied before publishing
+/// would let the first acks out a whole coalesce window early.
 #[test]
 fn acks_imply_snapshot_visibility_under_coalesced_load() {
+    let journal = temp_journal("coalesced");
     let server = start(ServeConfig {
-        publish_coalesce: 1_000_000,
         queue_capacity: 256,
+        journal_path: Some(journal.clone()),
+        journal_sync: true,
         ..ServeConfig::default()
     });
     let sys = system();
-    let batches = make_batches(&sys, 48, 0);
+    let window = PUBLISH_COALESCE + 16;
+    let batches = make_batches(&sys, window, 0);
 
     let mut stream = TcpStream::connect(server.ingest_addr()).expect("connect");
     write_frame(
@@ -724,7 +730,7 @@ fn acks_imply_snapshot_visibility_under_coalesced_load() {
     // back in apply order: on reading the k-th ack, the published
     // snapshot must already show at least k applied batches.
     let mut acked = 0u64;
-    while acked < 48 {
+    while acked < window as u64 {
         match read_frame(&mut stream).expect("read").expect("reply") {
             Frame::Ack { .. } => {
                 acked += 1;
@@ -738,7 +744,9 @@ fn acks_imply_snapshot_visibility_under_coalesced_load() {
             other => panic!("unexpected reply: {other:?}"),
         }
     }
-    assert_eq!(server.engine_stats().applied, 48);
+    assert_eq!(server.engine_stats().applied, window as u64);
+    drop(server);
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// `Server::start` with a Rocketfuel-parsed system: the daemon answers
@@ -961,11 +969,35 @@ fn zero_queue_capacity_is_an_invalid_input() {
     );
 }
 
-/// An injected reorder widens the resend window to two unacked batches;
-/// with `max_unacked: 1` that is a typed overflow error *before* any
-/// wire activity, and the default cap delivers the same stream fine.
+/// A delivery that needs more unacked batches than the client's 256-batch
+/// resend buffer is a typed overflow error *before* any wire activity;
+/// an injected reorder widens the window to only two, which the cap
+/// absorbs.
 #[test]
 fn resend_overflow_is_a_typed_error() {
+    let server = start(ServeConfig::default());
+    let sys = system();
+
+    let mut client = ProbeClient::new(server.ingest_addr(), 1);
+    let err = client
+        .stream_windowed(make_batches(&sys, 257, 0), 257)
+        .expect_err("257 unacked batches exceed the cap of 256");
+    assert_eq!(
+        err,
+        ClientError::ResendOverflow {
+            unacked: 257,
+            capacity: 256
+        }
+    );
+    assert_eq!(client.outcome().reconnects, 0, "refused before connecting");
+    assert_eq!(
+        server
+            .counters()
+            .connections
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0
+    );
+
     let spec = FaultSpec::parse("frame=1.0").expect("spec parses");
     let seed = (0..10_000u64)
         .find(|&s| {
@@ -975,31 +1007,11 @@ fn resend_overflow_is_a_typed_error() {
             )
         })
         .expect("some seed draws Reorder first");
-    let server = start(ServeConfig::default());
-    let sys = system();
-
-    let mut client = ProbeClient::new(server.ingest_addr(), 1).with_config(ClientConfig {
-        max_unacked: 1,
-        ..ClientConfig::default()
-    });
-    let mut trial = FaultPlan::new(spec, seed).trial(0);
-    let err = client
-        .stream(make_batches(&sys, 2, 0), Some(&mut trial))
-        .expect_err("two unacked batches exceed a cap of one");
-    assert_eq!(
-        err,
-        ClientError::ResendOverflow {
-            unacked: 2,
-            capacity: 1
-        }
-    );
-
-    // The default cap absorbs the same reorder without complaint.
     let mut client = ProbeClient::new(server.ingest_addr(), 1);
     let mut trial = FaultPlan::new(spec, seed).trial(0);
     let outcome = client
         .stream(make_batches(&sys, 2, 0), Some(&mut trial))
-        .expect("default cap delivers");
+        .expect("the cap absorbs a reorder");
     assert_eq!(outcome.acked, 2);
     assert_eq!(outcome.injected.frame_reorder, 1);
 }
@@ -1018,10 +1030,15 @@ fn windowed_stream_matches_lockstep_and_respects_the_resend_cap() {
 
     // Pipelined windows (including a ragged final window) deliver the
     // same batch set and therefore the same final state, bit for bit.
-    let windowed_server = start(ServeConfig::default());
+    // The queue holds a whole window at the resend cap, for the check
+    // below.
+    let windowed_server = start(ServeConfig {
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    });
     let mut windowed = ProbeClient::new(windowed_server.ingest_addr(), 7);
     let outcome = windowed
-        .stream_windowed(batches.clone(), 8)
+        .stream_windowed(batches, 8)
         .expect("windowed stream");
     assert_eq!(outcome.acked, 20);
     assert_eq!(
@@ -1029,17 +1046,11 @@ fn windowed_stream_matches_lockstep_and_respects_the_resend_cap() {
         lockstep_bits
     );
 
-    // A window wider than the resend buffer is refused before any wire
-    // traffic, as a typed overflow.
-    let mut capped = ProbeClient::new(windowed_server.ingest_addr(), 7).with_config(ClientConfig {
-        max_unacked: 4,
-        ..ClientConfig::default()
-    });
-    match capped.stream_windowed(batches, 8) {
-        Err(ClientError::ResendOverflow { unacked, capacity }) => {
-            assert_eq!(unacked, 8);
-            assert_eq!(capacity, 4);
-        }
-        other => panic!("expected ResendOverflow, got {other:?}"),
-    }
+    // A window exactly at the 256-batch resend cap is delivered (one
+    // more is refused: `resend_overflow_is_a_typed_error`).
+    let mut full = ProbeClient::new(windowed_server.ingest_addr(), 7).with_start_batch_id(20);
+    let outcome = full
+        .stream_windowed(make_batches(&sys, 256, 20), 256)
+        .expect("a window at the cap delivers");
+    assert_eq!(outcome.acked, 256);
 }

@@ -6,9 +6,10 @@
 //! readings, mid-experiment link failures) and solves (forced simplex
 //! iteration exhaustion, singular bases). Every layer degrades
 //! instead of aborting: solver faults retry deterministically and
-//! quarantine past the budget, lost/non-finite rows route estimation
-//! through [`TomographySystem::solve_degraded`], and panicking trials
-//! are isolated by [`Executor::map_quarantined`]. The artifact is a
+//! quarantine past the budget, and lost/non-finite rows route estimation
+//! through [`TomographySystem::solve_degraded`]. A substrate failure
+//! that no injected fault explains is a bug, not a fault: it fails the
+//! sweep with an error naming the trial. The artifact is a
 //! Fig. 7-style curve of detection rate vs. fault intensity plus a
 //! balanced [`FaultReport`] ledger (`injected == handled + quarantined`).
 //!
@@ -57,9 +58,6 @@ pub struct ChaosConfig {
     /// Deterministic re-solve attempts after an injected solver fault
     /// before the trial is quarantined.
     pub solver_retries: u32,
-    /// Re-run attempts after a trial panic before the executor
-    /// quarantines the trial.
-    pub panic_retries: u32,
 }
 
 impl Default for ChaosConfig {
@@ -69,7 +67,6 @@ impl Default for ChaosConfig {
             scales: vec![0.0, 0.5, 1.0, 2.0],
             max_attackers: 3,
             solver_retries: 1,
-            panic_retries: 1,
         }
     }
 }
@@ -158,160 +155,150 @@ fn run_point(
     let delay_model = params::default_delay_model();
     let num_links = system.num_links();
 
-    let (outcomes, qreport) =
-        exec.map_quarantined(config.trials_per_point, config.panic_retries, |t| {
-            let run_trial = || -> TrialOutcome {
-                // A scheduled fault stream per trial; skipped wholesale when the
-                // layer is disabled (`TOMO_FAULT=0`). With every rate at zero the
-                // enabled path draws nothing either, so both produce identical
-                // trials — the bench harness compares exactly these two runs.
-                let mut faults = fault_on.then(|| plan.trial(t as u64));
-                let solver_fault =
-                    faults
-                        .as_mut()
-                        .and_then(|f| f.solver_fault())
-                        .map(|kind| match kind {
-                            SolverFaultKind::IterationExhaustion => {
-                                tomo_lp::chaos::SolveFault::IterationExhaustion
-                            }
-                            SolverFaultKind::SingularBasis => {
-                                tomo_lp::chaos::SolveFault::SingularBasis
-                            }
-                        });
-                let mut krng =
-                    ChaCha8Rng::seed_from_u64(derive_seed(point_seed ^ COUNT_SALT, t as u64));
-                let k = krng.gen_range(1..=config.max_attackers.max(1));
-                let attack_seed = derive_seed(point_seed ^ ATTACK_SALT, t as u64);
-                let trial = match montecarlo::chosen_victim_trial_faulted(
-                    system,
-                    &scenario,
-                    &delay_model,
-                    k,
-                    solver_fault,
-                    config.solver_retries,
-                    attack_seed,
-                ) {
-                    Ok(trial) => trial,
-                    // Substrate failures (not injected faults) are genuine bugs:
-                    // panic so the executor retries and then quarantines the
-                    // trial instead of poisoning the sweep.
-                    Err(e) => panic!("chaos trial {t}: attack substrate failed: {e}"),
-                };
-                let tally = |f: &Option<tomo_fault::TrialFaults>| {
-                    f.as_ref()
-                        .map(|f| (f.injected(), *f.by_kind()))
-                        .unwrap_or_default()
-                };
-                let (detail, recovered) = match trial {
-                    FaultedTrial::Quarantined { .. } => {
-                        let (injected, by_kind) = tally(&faults);
-                        return TrialOutcome {
-                            injected,
-                            by_kind,
-                            quarantined: true,
-                            recovered: 0,
-                            feasible: false,
-                            detected: false,
-                            degraded: false,
-                            used_ridge: false,
-                            unidentifiable: 0,
-                            blinded: false,
-                            residual: None,
-                        };
-                    }
-                    FaultedTrial::Completed {
-                        detail,
-                        recovered_faults,
-                    } => (detail, recovered_faults),
-                };
-                let mut outcome = TrialOutcome {
-                    injected: 0,
-                    by_kind: FaultKindCounts::default(),
-                    quarantined: false,
-                    recovered,
-                    feasible: false,
-                    detected: false,
-                    degraded: false,
-                    used_ridge: false,
-                    unidentifiable: 0,
-                    blinded: false,
-                    residual: None,
-                };
-                let Some(detail) = detail else {
-                    // Degenerate draw (no frameable victim): nothing to measure.
-                    let (injected, by_kind) = tally(&faults);
-                    outcome.injected = injected;
-                    outcome.by_kind = by_kind;
-                    return outcome;
-                };
-                // The world the attacker planned against...
-                let mut x = detail.true_delays.clone();
-                let y_pre = match system.measure(&x) {
-                    Ok(y) => y,
-                    Err(e) => panic!("chaos trial {t}: measurement failed: {e}"),
-                };
-                // ...then a link fails under them: the manipulation was computed
-                // against delays that no longer exist.
-                if let Some(link) = faults.as_mut().and_then(|f| f.link_failure(num_links)) {
-                    x[link] += LINK_FAILURE_DELAY_MS;
-                }
-                let mut y_observed = match system.measure(&x) {
-                    Ok(y) => y,
-                    Err(e) => panic!("chaos trial {t}: measurement failed: {e}"),
-                };
-                outcome.feasible = detail.manipulation.is_some();
-                if let Some(m) = &detail.manipulation {
-                    for (yo, mi) in y_observed.iter_mut().zip(m.iter()) {
-                        *yo += mi;
-                    }
-                }
-                // Measurement-layer sabotage; stale rows replay the pristine
-                // pre-attack, pre-failure reading.
-                let mfaults = faults
+    let outcomes = exec.try_map(config.trials_per_point, |t| {
+        let run_trial = || -> Result<TrialOutcome, SimError> {
+            // A scheduled fault stream per trial; skipped wholesale when the
+            // layer is disabled (`TOMO_FAULT=0`). With every rate at zero the
+            // enabled path draws nothing either, so both produce identical
+            // trials — the bench harness compares exactly these two runs.
+            let mut faults = fault_on.then(|| plan.trial(t as u64));
+            let solver_fault =
+                faults
                     .as_mut()
-                    .map(|f| f.inject_measurement(y_observed.as_mut_slice(), y_pre.as_slice()))
-                    .unwrap_or_default();
+                    .and_then(|f| f.solver_fault())
+                    .map(|kind| match kind {
+                        SolverFaultKind::IterationExhaustion => {
+                            tomo_lp::chaos::SolveFault::IterationExhaustion
+                        }
+                        SolverFaultKind::SingularBasis => tomo_lp::chaos::SolveFault::SingularBasis,
+                    });
+            let mut krng =
+                ChaCha8Rng::seed_from_u64(derive_seed(point_seed ^ COUNT_SALT, t as u64));
+            let k = krng.gen_range(1..=config.max_attackers.max(1));
+            let attack_seed = derive_seed(point_seed ^ ATTACK_SALT, t as u64);
+            // Substrate failures (not injected faults) are genuine bugs:
+            // they fail the sweep, naming the trial.
+            let failed = |what: &str, e: &dyn std::fmt::Display| {
+                SimError(format!("chaos ×{scale} trial {t}: {what} failed: {e}"))
+            };
+            let trial = montecarlo::chosen_victim_trial_faulted(
+                system,
+                &scenario,
+                &delay_model,
+                k,
+                solver_fault,
+                config.solver_retries,
+                attack_seed,
+            )
+            .map_err(|e| failed("attack substrate", &e))?;
+            let tally = |f: &Option<tomo_fault::TrialFaults>| {
+                f.as_ref()
+                    .map(|f| (f.injected(), *f.by_kind()))
+                    .unwrap_or_default()
+            };
+            let (detail, recovered) = match trial {
+                FaultedTrial::Quarantined { .. } => {
+                    let (injected, by_kind) = tally(&faults);
+                    return Ok(TrialOutcome {
+                        injected,
+                        by_kind,
+                        quarantined: true,
+                        recovered: 0,
+                        feasible: false,
+                        detected: false,
+                        degraded: false,
+                        used_ridge: false,
+                        unidentifiable: 0,
+                        blinded: false,
+                        residual: None,
+                    });
+                }
+                FaultedTrial::Completed {
+                    detail,
+                    recovered_faults,
+                } => (detail, recovered_faults),
+            };
+            let mut outcome = TrialOutcome {
+                injected: 0,
+                by_kind: FaultKindCounts::default(),
+                quarantined: false,
+                recovered,
+                feasible: false,
+                detected: false,
+                degraded: false,
+                used_ridge: false,
+                unidentifiable: 0,
+                blinded: false,
+                residual: None,
+            };
+            let Some(detail) = detail else {
+                // Degenerate draw (no frameable victim): nothing to measure.
                 let (injected, by_kind) = tally(&faults);
                 outcome.injected = injected;
                 outcome.by_kind = by_kind;
-                // Sanitization: lost rows are gone, non-finite corrupted rows are
-                // excised (a real collector rejects them); finite spikes stay and
-                // must be survived by the detector.
-                let surviving: Vec<usize> = (0..y_observed.len())
-                    .filter(|&i| !mfaults.dropped.contains(&i) && y_observed[i].is_finite())
-                    .collect();
-                if surviving.is_empty() {
-                    outcome.blinded = true;
-                    return outcome;
-                }
-                let y_sub: Vector = surviving.iter().map(|&i| y_observed[i]).collect();
-                let verdict = match detector.inspect_degraded(system, &surviving, &y_sub) {
-                    Ok(v) => v,
-                    Err(e) => panic!("chaos trial {t}: degraded inspection failed: {e}"),
-                };
-                outcome.detected = verdict.verdict.detected;
-                outcome.degraded = verdict.degraded;
-                outcome.used_ridge = verdict.used_ridge;
-                outcome.unidentifiable = verdict.unidentifiable.len() as u64;
-                outcome.residual = Some(verdict.verdict.residual_l1);
-                outcome
+                return Ok(outcome);
             };
-            let outcome = run_trial();
-            if tomo_obs::tracing_enabled() {
-                tomo_obs::record_trial(tomo_obs::TrialProvenance {
-                    experiment: format!("chaos.x{scale}"),
-                    trial: t as u64,
-                    seed: derive_seed(point_seed ^ ATTACK_SALT, t as u64),
-                    fault_digest: fault_on.then(|| plan.trial_digest(t as u64)),
-                    degraded: outcome.degraded,
-                    used_ridge: outcome.used_ridge,
-                    verdict: Some(outcome.detected),
-                    residual: outcome.residual,
-                    success: Some(outcome.feasible),
-                });
+            // The world the attacker planned against...
+            let mut x = detail.true_delays.clone();
+            let y_pre = system.measure(&x).map_err(|e| failed("measurement", &e))?;
+            // ...then a link fails under them: the manipulation was computed
+            // against delays that no longer exist.
+            if let Some(link) = faults.as_mut().and_then(|f| f.link_failure(num_links)) {
+                x[link] += LINK_FAILURE_DELAY_MS;
             }
-            outcome
-        });
+            let mut y_observed = system.measure(&x).map_err(|e| failed("measurement", &e))?;
+            outcome.feasible = detail.manipulation.is_some();
+            if let Some(m) = &detail.manipulation {
+                for (yo, mi) in y_observed.iter_mut().zip(m.iter()) {
+                    *yo += mi;
+                }
+            }
+            // Measurement-layer sabotage; stale rows replay the pristine
+            // pre-attack, pre-failure reading.
+            let mfaults = faults
+                .as_mut()
+                .map(|f| f.inject_measurement(y_observed.as_mut_slice(), y_pre.as_slice()))
+                .unwrap_or_default();
+            let (injected, by_kind) = tally(&faults);
+            outcome.injected = injected;
+            outcome.by_kind = by_kind;
+            // Sanitization: lost rows are gone, non-finite corrupted rows are
+            // excised (a real collector rejects them); finite spikes stay and
+            // must be survived by the detector.
+            let surviving: Vec<usize> = (0..y_observed.len())
+                .filter(|&i| !mfaults.dropped.contains(&i) && y_observed[i].is_finite())
+                .collect();
+            if surviving.is_empty() {
+                outcome.blinded = true;
+                return Ok(outcome);
+            }
+            let y_sub: Vector = surviving.iter().map(|&i| y_observed[i]).collect();
+            let verdict = detector
+                .inspect_degraded(system, &surviving, &y_sub)
+                .map_err(|e| failed("degraded inspection", &e))?;
+            outcome.detected = verdict.verdict.detected;
+            outcome.degraded = verdict.degraded;
+            outcome.used_ridge = verdict.used_ridge;
+            outcome.unidentifiable = verdict.unidentifiable.len() as u64;
+            outcome.residual = Some(verdict.verdict.residual_l1);
+            Ok(outcome)
+        };
+        let outcome = run_trial()?;
+        if tomo_obs::tracing_enabled() {
+            tomo_obs::record_trial(tomo_obs::TrialProvenance {
+                experiment: format!("chaos.x{scale}"),
+                trial: t as u64,
+                seed: derive_seed(point_seed ^ ATTACK_SALT, t as u64),
+                fault_digest: fault_on.then(|| plan.trial_digest(t as u64)),
+                degraded: outcome.degraded,
+                used_ridge: outcome.used_ridge,
+                verdict: Some(outcome.detected),
+                residual: outcome.residual,
+                success: Some(outcome.feasible),
+            });
+        }
+        Ok::<_, SimError>(outcome)
+    })?;
 
     let mut point = ChaosPoint {
         scale,
@@ -324,7 +311,7 @@ fn run_point(
         blinded_trials: 0,
         report: FaultReport::default(),
     };
-    for outcome in outcomes.iter().flatten() {
+    for outcome in &outcomes {
         let r = &mut point.report;
         r.injected += outcome.injected;
         r.by_kind.merge(&outcome.by_kind);
@@ -356,11 +343,6 @@ fn run_point(
             point.false_positives += 1;
         }
     }
-    // Executor-quarantined trials (panics past the retry budget) never
-    // returned an outcome, so their faults were never added to
-    // `injected` — the ledger stays balanced by construction.
-    point.report.quarantined_trials += qreport.quarantined.len() as u64;
-    point.report.retried_trials += qreport.retried_tasks;
     if point.attacks_feasible > 0 {
         point.detection_rate = Some(point.detected as f64 / point.attacks_feasible as f64);
     }
@@ -372,8 +354,9 @@ fn run_point(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on substrate failure (a trial-level failure is
-/// quarantined, not propagated).
+/// Returns [`SimError`] on substrate failure, naming the lowest-index
+/// failed trial (injected faults are recovered or quarantined, not
+/// propagated).
 pub fn run(
     seed: u64,
     spec: &FaultSpec,
@@ -461,7 +444,6 @@ mod tests {
             scales: vec![0.0, 1.0],
             max_attackers: 3,
             solver_retries: 1,
-            panic_retries: 1,
         }
     }
 

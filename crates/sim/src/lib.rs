@@ -45,6 +45,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod fleet;
 pub mod gap;
 pub mod noise;
 pub mod report;

@@ -5,12 +5,13 @@
 //! this experiment stands up the real streaming daemon and attacks the
 //! seams between processes: each sweep point boots a fresh `tomo-serve`
 //! (journal on disk), streams full-coverage measurement batches through
-//! a fleet of `config.clients` concurrent [`ProbeClient`]s — client `c`
-//! of `C` sends the batch ids `{b : b % C == c}` via start id + stride,
-//! each client's wire independently sabotaged at the point's `frame=`
-//! rate (truncated frames, garbled type bytes, duplicates, reorders) —
-//! queries link state *while* ingest is running to measure bounded
-//! latency against the SLO, then kills the daemon at the midpoint and
+//! the crate's one fleet runner — `config.clients` concurrent
+//! [`ProbeClient`](tomo_serve::ProbeClient)s, client `c` of `C` sending
+//! the batch ids `{b : b % C == c}`, each client's wire independently
+//! sabotaged at the point's `frame=` rate (truncated frames, garbled
+//! type bytes, duplicates, reorders) — while the runner's query hammer
+//! measures latency against the SLO and fails the point on a torn or
+//! regressing snapshot, then kills the daemon at the midpoint and
 //! restarts it on the same journal with the whole fleet mid-stream.
 //!
 //! Three invariants are enforced, not just reported:
@@ -21,7 +22,7 @@
 //!    re-delivered cleanly): `injected == handled + quarantined`.
 //! 2. **Byte-identical reconvergence** — after replaying the journal
 //!    and ingesting the remaining batches, the final estimate bits must
-//!    equal an uninterrupted fault-free run over the same measurements.
+//!    equal an offline engine fed the same batches in id order.
 //! 3. **Bounded latency** — p99 of queries issued during ingest stays
 //!    under the configured SLO.
 //!
@@ -29,10 +30,7 @@
 //! the latency numbers in the artifact are wall-clock.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +39,9 @@ use tomo_detect::ConsistencyDetector;
 use tomo_fault::{FaultPlan, FaultReport, FaultSpec};
 use tomo_linalg::Vector;
 use tomo_par::derive_seed;
-use tomo_serve::{ProbeClient, ProbeRow, ServeConfig, Server};
+use tomo_serve::{ProbeRow, ServeConfig, Server, StreamOutcome};
 
+use crate::fleet::{self, percentile};
 use crate::SimError;
 
 /// Default fault mix for `tomo-sim run serve-chaos` when `--faults` is
@@ -112,8 +111,7 @@ pub struct ServeChaosPoint {
     pub epoch_after_restart: u64,
     /// Batches the restarted daemon recovered by journal replay.
     pub replay_applied: u64,
-    /// Final estimate bits equal the uninterrupted reference, bit for
-    /// bit.
+    /// Final estimate bits equal the offline reference, bit for bit.
     pub byte_identical: bool,
     /// The Eq. 23 verdict on the final state (must be clean: the
     /// streamed measurements are consistent).
@@ -145,18 +143,12 @@ pub struct ServeChaosResult {
     pub totals: FaultReport,
 }
 
-/// The nearest-rank `p`-quantile of ascending `sorted` (0 when empty).
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Full-coverage batches with deterministic per-batch-distinct values:
 /// consistent measurements (`y = Rx`) so the detector must stay quiet.
-fn make_batches(system: &TomographySystem, count: usize) -> Result<Vec<Vec<ProbeRow>>, SimError> {
+pub(crate) fn batches(
+    system: &TomographySystem,
+    count: usize,
+) -> Result<Vec<Vec<ProbeRow>>, SimError> {
     let x = Vector::filled(system.num_links(), 10.0);
     let y = system.measure(&x)?;
     Ok((0..count)
@@ -170,27 +162,18 @@ fn make_batches(system: &TomographySystem, count: usize) -> Result<Vec<Vec<Probe
         .collect())
 }
 
-fn temp_journal(seed: u64, point: usize) -> PathBuf {
+fn temp_journal(point_seed: u64) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "tomo-serve-chaos-{}-{seed}-{point}.journal",
+        "tomo-serve-chaos-{}-{point_seed:016x}.journal",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&p);
     p
 }
 
-fn serve_config(journal: Option<PathBuf>, slo_ms: f64) -> ServeConfig {
-    ServeConfig {
-        journal_path: journal,
-        snapshot_every: 16,
-        slo_ms,
-        ..ServeConfig::default()
-    }
-}
-
 struct PointRun {
-    outcome: tomo_serve::StreamOutcome,
+    outcome: StreamOutcome,
     epoch_after_restart: u64,
     replay_applied: u64,
     estimate_bits: Vec<u64>,
@@ -199,60 +182,70 @@ struct PointRun {
 }
 
 /// Streams `batches` through a daemon that is killed and restarted at
-/// the midpoint, with `clients` concurrent faulted clients and queries
-/// in flight throughout. Returns what the point observed.
+/// the midpoint, with `config.clients` concurrent faulted clients and
+/// queries in flight throughout. Returns what the point observed.
 fn run_point_daemon(
     system: &Arc<TomographySystem>,
-    batches: Vec<Vec<ProbeRow>>,
+    batches: &[Vec<ProbeRow>],
     spec: FaultSpec,
     point_seed: u64,
-    slo_ms: f64,
     journal: &Path,
-    clients: usize,
+    config: &ServeChaosConfig,
 ) -> Result<PointRun, SimError> {
-    let mid = batches.len() / 2;
-
-    let mut outcome = tomo_serve::StreamOutcome::default();
-    let mut latencies = Vec::new();
+    let (mid, clients) = (batches.len() / 2, config.clients);
+    // One phase of the fleet: the ids `ids`, each client on its own
+    // fault and jitter streams, salted by phase so the two halves of the
+    // sweep draw independent faults.
+    let phase = |server: &Server, ids: std::ops::Range<usize>, phase: u64| {
+        let salt = |c: usize| phase * clients as u64 + c as u64;
+        fleet::run(
+            server,
+            batches,
+            ids,
+            clients,
+            |c| derive_seed(point_seed ^ JITTER_SALT, salt(c)),
+            |c, client, share| {
+                let mut trial =
+                    FaultPlan::new(spec, derive_seed(point_seed ^ PLAN_SALT, salt(c))).trial(0);
+                client.stream(share, Some(&mut trial))
+            },
+        )
+        .map_err(|e| SimError(format!("serve-chaos: phase {}: {e}", phase + 1)))
+    };
+    let start = |label: &str| {
+        Server::start(
+            Arc::clone(system),
+            ConsistencyDetector::recommended(),
+            ServeConfig {
+                journal_path: Some(journal.to_path_buf()),
+                snapshot_every: 16,
+                slo_ms: config.slo_ms,
+                ..ServeConfig::default()
+            },
+        )
+        .map_err(|e| SimError(format!("serve-chaos: daemon {label} start: {e}")))
+    };
 
     // Phase 1: ids [0, mid) into daemon A, split across the fleet.
-    let server_a = Server::start(
-        Arc::clone(system),
-        ConsistencyDetector::recommended(),
-        serve_config(Some(journal.to_path_buf()), slo_ms),
-    )
-    .map_err(|e| SimError(format!("serve-chaos: daemon A start: {e}")))?;
-    let (delta, mut lat) = fleet_stream(&server_a, &batches, 0, mid, spec, point_seed, clients, 0)?;
-    merge_outcome(&mut outcome, &delta);
-    latencies.append(&mut lat);
+    let server_a = start("A")?;
+    let first = phase(&server_a, 0..mid, 0)?;
     drop(server_a); // kill mid-sweep, every client's stream severed
 
     // Phase 2: restart on the same journal; the fleet continues with
     // ids [mid, len) — each client resuming its own id residue class.
-    let server_b = Server::start(
-        Arc::clone(system),
-        ConsistencyDetector::recommended(),
-        serve_config(Some(journal.to_path_buf()), slo_ms),
-    )
-    .map_err(|e| SimError(format!("serve-chaos: daemon B start: {e}")))?;
+    let server_b = start("B")?;
     let epoch_after_restart = server_b.epoch();
     let replay_applied = server_b.engine_stats().applied;
-    let (delta, mut lat) = fleet_stream(
-        &server_b,
-        &batches,
-        mid,
-        batches.len(),
-        spec,
-        point_seed,
-        clients,
-        1,
-    )?;
-    merge_outcome(&mut outcome, &delta);
-    latencies.append(&mut lat);
+    let second = phase(&server_b, mid..batches.len(), 1)?;
 
     let answer = server_b
         .query()
         .map_err(|e| SimError(format!("serve-chaos: final query: {e}")))?;
+    let mut outcome = first.outcome;
+    outcome.merge(&second.outcome);
+    let mut latencies = first.latencies_us;
+    latencies.extend(second.latencies_us);
+    latencies.sort_by(f64::total_cmp);
     Ok(PointRun {
         outcome,
         epoch_after_restart,
@@ -263,128 +256,21 @@ fn run_point_daemon(
     })
 }
 
-/// Streams the batch ids `[from, to)` through `clients` concurrent
-/// probe clients (client `c` takes the ids `≡ c (mod clients)`, via
-/// start id + stride) while a sidecar thread queries the daemon.
-/// Returns the fleet's merged outcome and the observed query latencies
-/// (µs). `phase` salts each client's fault stream so the two halves of
-/// the sweep draw independent faults.
-#[allow(clippy::too_many_arguments)]
-fn fleet_stream(
-    server: &Server,
-    batches: &[Vec<ProbeRow>],
-    from: usize,
-    to: usize,
-    spec: FaultSpec,
-    point_seed: u64,
-    clients: usize,
-    phase: u64,
-) -> Result<(tomo_serve::StreamOutcome, Vec<f64>), SimError> {
-    let stop = AtomicBool::new(false);
-    let addr = server.ingest_addr();
-    // The fleet starts only once the sidecar is querying: on a loaded
-    // machine the scheduler may otherwise run the whole phase before the
-    // sidecar's first query.
-    let (started, sidecar_started) = mpsc::channel();
-    std::thread::scope(|scope| {
-        let stop = &stop;
-        // Owning `started` drops it if the sidecar panics, so the fleet
-        // never waits on a dead sidecar.
-        let query_thread = scope.spawn(move || {
-            let mut lat = Vec::new();
-            while !stop.load(Ordering::Acquire) {
-                let start = Instant::now();
-                let _ = server.query();
-                lat.push(start.elapsed().as_secs_f64() * 1e6);
-                if lat.len() == 1 {
-                    let _ = started.send(());
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            lat
-        });
-        let _ = sidecar_started.recv();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || -> Result<tomo_serve::StreamOutcome, String> {
-                    let Some(first) = (from..to).find(|b| b % clients == c) else {
-                        return Ok(tomo_serve::StreamOutcome::default());
-                    };
-                    let mine: Vec<Vec<ProbeRow>> = (first..to)
-                        .step_by(clients)
-                        .map(|b| batches[b].clone())
-                        .collect();
-                    let salt = phase * clients as u64 + c as u64;
-                    let mut trial =
-                        FaultPlan::new(spec, derive_seed(point_seed ^ PLAN_SALT, salt)).trial(0);
-                    let jitter = derive_seed(point_seed ^ JITTER_SALT, salt);
-                    let mut client = ProbeClient::new(addr, jitter)
-                        .with_start_batch_id(first as u64)
-                        .with_batch_id_stride(clients as u64);
-                    client
-                        .stream(mine, Some(&mut trial))
-                        .map_err(|e| format!("client {c}: {e}"))
-                })
-            })
-            .collect();
-        let mut total = tomo_serve::StreamOutcome::default();
-        let mut failure = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok(delta)) => merge_outcome(&mut total, &delta),
-                Ok(Err(e)) => failure = Some(SimError(format!("serve-chaos: stream failed: {e}"))),
-                Err(_) => failure = Some(SimError("serve-chaos: client thread panicked".into())),
-            }
-        }
-        stop.store(true, Ordering::Release);
-        let latencies = query_thread.join().unwrap_or_default();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok((total, latencies)),
-        }
-    })
-}
-
-fn merge_outcome(total: &mut tomo_serve::StreamOutcome, delta: &tomo_serve::StreamOutcome) {
-    total.acked += delta.acked;
-    total.server_quarantined += delta.server_quarantined;
-    total.reconnects += delta.reconnects;
-    total.queue_full_rejects += delta.queue_full_rejects;
-    total.stale_epoch_rejects += delta.stale_epoch_rejects;
-    total.injected.merge(&delta.injected);
-    total.handled += delta.handled;
-    total.quarantined += delta.quarantined;
-}
-
 fn run_point(
     system: &Arc<TomographySystem>,
+    batches: &[Vec<ProbeRow>],
     reference_bits: &[u64],
     base: &FaultSpec,
     scale: f64,
-    point_index: usize,
-    seed: u64,
+    point_seed: u64,
     config: &ServeChaosConfig,
 ) -> Result<ServeChaosPoint, SimError> {
     let spec = base.scaled(scale);
-    let point_seed = derive_seed(seed, point_index as u64);
-    let batches = make_batches(system, config.batches_per_point)?;
-    let journal = temp_journal(seed, point_index);
-    let run = run_point_daemon(
-        system,
-        batches,
-        spec,
-        point_seed,
-        config.slo_ms,
-        &journal,
-        config.clients,
-    );
+    let journal = temp_journal(point_seed);
+    let run = run_point_daemon(system, batches, spec, point_seed, &journal, config);
     let _ = std::fs::remove_file(&journal);
     let run = run?;
-
-    let mut sorted = run.latencies;
-    sorted.sort_by(f64::total_cmp);
-    let p50 = percentile(&sorted, 0.50);
-    let p99 = percentile(&sorted, 0.99);
+    let p99 = percentile(&run.latencies, 0.99);
 
     let injected_total = run.outcome.injected.frame_total();
     let report = FaultReport {
@@ -406,8 +292,8 @@ fn run_point(
         replay_applied: run.replay_applied,
         byte_identical: run.estimate_bits == reference_bits,
         detected: run.detected,
-        queries: sorted.len() as u64,
-        query_p50_us: p50,
+        queries: run.latencies.len() as u64,
+        query_p50_us: percentile(&run.latencies, 0.50),
         query_p99_us: p99,
         slo_ok: p99 < config.slo_ms * 1000.0,
         report,
@@ -443,28 +329,23 @@ pub fn run(
         )));
     }
     let system = Arc::new(fig1::fig1_system()?);
-
-    // The uninterrupted fault-free reference every point must hit.
-    let reference = Server::start(
-        Arc::clone(&system),
-        ConsistencyDetector::recommended(),
-        serve_config(None, config.slo_ms),
-    )
-    .map_err(|e| SimError(format!("serve-chaos: reference daemon: {e}")))?;
-    let mut ref_client = ProbeClient::new(reference.ingest_addr(), derive_seed(seed, u64::MAX));
-    ref_client
-        .stream(make_batches(&system, config.batches_per_point)?, None)
-        .map_err(|e| SimError(format!("serve-chaos: reference stream: {e}")))?;
-    let reference_bits = reference
-        .query()
-        .map_err(|e| SimError(format!("serve-chaos: reference query: {e}")))?
-        .estimate_bits;
-    drop(reference);
+    let batches = batches(&system, config.batches_per_point)?;
+    let reference_bits = fleet::offline_reference(&system, &batches)
+        .map_err(|e| SimError(format!("serve-chaos: {e}")))?;
 
     let mut points = Vec::with_capacity(config.scales.len());
     let mut totals = FaultReport::default();
     for (pi, &scale) in config.scales.iter().enumerate() {
-        let point = run_point(&system, &reference_bits, spec, scale, pi, seed, config)?;
+        let point_seed = derive_seed(seed, pi as u64);
+        let point = run_point(
+            &system,
+            &batches,
+            &reference_bits,
+            spec,
+            scale,
+            point_seed,
+            config,
+        )?;
         if !point.report.is_balanced() {
             return Err(SimError(format!(
                 "serve-chaos ×{scale}: ledger unbalanced: {:?}",

@@ -2,14 +2,15 @@
 //!
 //! The snapshot query path exists so the daemon can take a fleet of
 //! probes without the answers degrading: this sweep proves it. Each
-//! point boots one daemon and aims `N` concurrent [`ProbeClient`]s at
-//! it, for `N` in `config.client_counts`. Client `c` of `N` sends
-//! exactly the batch ids `{b : b % N == c}` via start id `c` + stride
-//! `N`, so the fleet partitions the global id sequence a single client
-//! would have produced — and because the engine's final state is a pure
-//! function of the applied-batch set, every point must land
-//! **bit-identical** to a single-client reference run. A sidecar thread
-//! hammers queries throughout, checking every loaded snapshot
+//! point boots one daemon and aims `N` concurrent
+//! [`ProbeClient`](tomo_serve::ProbeClient)s at it, for `N` in
+//! `config.client_counts`, through the crate's one fleet runner: client
+//! `c` of `N` sends exactly the batch ids `{b : b % N == c}`, so the
+//! fleet partitions the global id sequence a single client would have
+//! produced — and because the engine's final state is a pure function
+//! of the applied-batch set, every point must land **bit-identical** to
+//! an offline engine fed the same batches in id order. The runner's
+//! query hammer checks every loaded snapshot
 //! ([`tomo_serve::EngineSnapshot::self_check`]) and that versions never
 //! regress — the query path's invariants are asserted live, under real
 //! contention, not just in unit tests.
@@ -17,10 +18,10 @@
 //! Batch content is grouped: batch `b` carries rows for the paths
 //! `{p : p % groups == b % groups}` (value `y[p] + b·1e-9`), so
 //! consecutive batches write different slots, while the content of
-//! batch `b` stays independent of the client count. Clients deliver through
-//! [`ProbeClient::stream_windowed`], pipelining [`SEND_WINDOW`] batches
-//! per ack round trip — the sweep measures ingest, not per-batch
-//! round-trip stalls.
+//! batch `b` stays independent of the client count. Clients deliver
+//! through [`stream_windowed`](tomo_serve::ProbeClient::stream_windowed),
+//! pipelining [`SEND_WINDOW`] batches per ack round trip — the sweep
+//! measures ingest, not per-batch round-trip stalls.
 //!
 //! Three invariants are enforced, not just reported: byte-identical
 //! final state at every client count, query p99 under the SLO at every
@@ -29,10 +30,7 @@
 //! gated downstream by `tomo-bench` against the committed
 //! `BENCH_serve_load.json` baseline.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -40,9 +38,9 @@ use tomo_core::{fig1, TomographySystem};
 use tomo_detect::ConsistencyDetector;
 use tomo_linalg::Vector;
 use tomo_par::derive_seed;
-use tomo_serve::{ProbeClient, ProbeRow, ServeConfig, Server};
+use tomo_serve::{ProbeRow, ServeConfig, Server};
 
-use crate::serve_chaos::percentile;
+use crate::fleet::{self, percentile};
 use crate::SimError;
 
 /// Serve-load configuration.
@@ -103,8 +101,7 @@ pub struct ServeLoadPoint {
     pub query_p99_us: f64,
     /// p99 stayed under the SLO.
     pub slo_ok: bool,
-    /// Final estimate bits equal the single-client reference, bit for
-    /// bit.
+    /// Final estimate bits equal the offline reference, bit for bit.
     pub byte_identical: bool,
     /// Snapshot version after the last publish (monotone across the
     /// point; > 0 proves the snapshot path was exercised).
@@ -134,7 +131,7 @@ pub struct ServeLoadResult {
 }
 
 /// Batches pipelined per ack round trip (well under the client's
-/// default `max_unacked` resend buffer).
+/// 256-batch resend buffer).
 pub const SEND_WINDOW: usize = 32;
 
 /// The rows of batch `b`: deterministic, grouped, independent of the
@@ -146,78 +143,17 @@ fn batch_rows(y: &Vector, num_paths: usize, groups: usize, b: usize) -> Vec<Prob
         .collect()
 }
 
-fn serve_config(slo_ms: f64) -> ServeConfig {
-    ServeConfig {
-        // Pipelined fleets keep up to clients × SEND_WINDOW batches in
-        // flight; provision the queue so backpressure measures the
-        // apply path, not an undersized test queue.
-        queue_capacity: 4096,
-        slo_ms,
-        ..ServeConfig::default()
-    }
-}
-
-/// The single-client run every point must match bit for bit.
-fn reference_bits(
-    system: &Arc<TomographySystem>,
-    rows: &[Vec<ProbeRow>],
-    seed: u64,
-    slo_ms: f64,
-) -> Result<Vec<u64>, SimError> {
-    let server = Server::start(
-        Arc::clone(system),
-        ConsistencyDetector::recommended(),
-        serve_config(slo_ms),
-    )
-    .map_err(|e| SimError(format!("serve-load: reference daemon: {e}")))?;
-    let mut client = ProbeClient::new(server.ingest_addr(), derive_seed(seed, u64::MAX));
-    client
-        .stream_windowed(rows.to_vec(), SEND_WINDOW)
-        .map_err(|e| SimError(format!("serve-load: reference stream: {e}")))?;
-    Ok(server
-        .query()
-        .map_err(|e| SimError(format!("serve-load: reference query: {e}")))?
-        .estimate_bits)
-}
-
-/// Hammers the snapshot query path until `stop`: every loaded snapshot
-/// must self-check and versions must never regress. Signals `started`
-/// once its first query has run (dropping it on an early error). Returns
-/// query latencies (µs).
-fn query_hammer(
-    server: &Server,
-    stop: &AtomicBool,
-    started: Sender<()>,
-) -> Result<Vec<f64>, String> {
-    let mut latencies = Vec::new();
-    let mut last_version = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        let snap = server.snapshot();
-        if !snap.self_check() {
-            return Err(format!("torn snapshot at version {}", snap.version()));
-        }
-        if snap.version() < last_version {
-            return Err(format!(
-                "snapshot version regressed: {} after {last_version}",
-                snap.version()
-            ));
-        }
-        last_version = snap.version();
-        let start = Instant::now();
-        let _ = server.query();
-        latencies.push(start.elapsed().as_secs_f64() * 1e6);
-        if latencies.len() == 1 {
-            let _ = started.send(());
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Ok(latencies)
-}
-
-struct ClientTally {
-    acked: u64,
-    reconnects: u64,
-    queue_full_rejects: u64,
+/// Every batch of one point, in id order.
+pub(crate) fn batches(
+    system: &TomographySystem,
+    config: &ServeLoadConfig,
+) -> Result<Vec<Vec<ProbeRow>>, SimError> {
+    let x = Vector::filled(system.num_links(), 10.0);
+    let y = system.measure(&x)?;
+    let groups = config.groups.min(system.num_paths());
+    Ok((0..config.batches_total)
+        .map(|b| batch_rows(&y, system.num_paths(), groups, b))
+        .collect())
 }
 
 fn run_point(
@@ -231,91 +167,51 @@ fn run_point(
     let server = Server::start(
         Arc::clone(system),
         ConsistencyDetector::recommended(),
-        serve_config(config.slo_ms),
+        ServeConfig {
+            // Pipelined fleets keep up to clients × SEND_WINDOW batches
+            // in flight; provision the queue so backpressure measures
+            // the apply path, not an undersized test queue.
+            queue_capacity: 4096,
+            slo_ms: config.slo_ms,
+            ..ServeConfig::default()
+        },
     )
     .map_err(|e| SimError(format!("serve-load: daemon ({clients} clients): {e}")))?;
-    let addr = server.ingest_addr();
-    let stop = AtomicBool::new(false);
-
-    let (tallies, latencies, elapsed) = std::thread::scope(
-        |scope| -> Result<(Vec<ClientTally>, Vec<f64>, f64), SimError> {
-            // The fleet starts only once the hammer is querying: on a
-            // loaded machine the scheduler may otherwise run the whole
-            // ingest before the hammer's first query.
-            let (started, hammer_started) = mpsc::channel();
-            let hammer = scope.spawn(|| query_hammer(&server, &stop, started));
-            let _ = hammer_started.recv();
-            let start = Instant::now();
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || -> Result<ClientTally, String> {
-                        let mut client = ProbeClient::new(addr, derive_seed(seed, c as u64))
-                            .with_start_batch_id(c as u64)
-                            .with_batch_id_stride(clients as u64);
-                        let mine: Vec<Vec<ProbeRow>> = (c..all_rows.len())
-                            .step_by(clients)
-                            .map(|b| all_rows[b].clone())
-                            .collect();
-                        let outcome = client
-                            .stream_windowed(mine, SEND_WINDOW)
-                            .map_err(|e| format!("client {c}: {e}"))?;
-                        Ok(ClientTally {
-                            acked: outcome.acked,
-                            reconnects: outcome.reconnects,
-                            queue_full_rejects: outcome.queue_full_rejects,
-                        })
-                    })
-                })
-                .collect();
-            let mut tallies = Vec::with_capacity(clients);
-            for h in handles {
-                let tally = h
-                    .join()
-                    .map_err(|_| SimError("serve-load: client thread panicked".into()))?
-                    .map_err(|e| SimError(format!("serve-load: {e}")))?;
-                tallies.push(tally);
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            stop.store(true, Ordering::Release);
-            let latencies = hammer
-                .join()
-                .map_err(|_| SimError("serve-load: query thread panicked".into()))?
-                .map_err(|e| SimError(format!("serve-load ({clients} clients): {e}")))?;
-            Ok((tallies, latencies, elapsed))
-        },
-    )?;
+    let fleet = fleet::run(
+        &server,
+        all_rows,
+        0..all_rows.len(),
+        clients,
+        |c| derive_seed(seed, c as u64),
+        |_, client, share| client.stream_windowed(share, SEND_WINDOW),
+    )
+    .map_err(|e| SimError(format!("serve-load ({clients} clients): {e}")))?;
 
     let answer = server
         .query()
         .map_err(|e| SimError(format!("serve-load: final query: {e}")))?;
-    let snapshot_version = server.snapshot().version();
     let queue = server.queue_stats();
-
-    let mut sorted = latencies;
-    sorted.sort_by(f64::total_cmp);
-    let p50 = percentile(&sorted, 0.50);
-    let p99 = percentile(&sorted, 0.99);
-    let acked: u64 = tallies.iter().map(|t| t.acked).sum();
-
+    let p99 = percentile(&fleet.latencies_us, 0.99);
+    let acked = fleet.outcome.acked;
     Ok(ServeLoadPoint {
         clients,
         batches: acked,
-        elapsed_s: elapsed,
-        batches_per_sec: if elapsed > 0.0 {
-            acked as f64 / elapsed
+        elapsed_s: fleet.elapsed_s,
+        batches_per_sec: if fleet.elapsed_s > 0.0 {
+            acked as f64 / fleet.elapsed_s
         } else {
             0.0
         },
-        queries: sorted.len() as u64,
-        query_p50_us: p50,
+        queries: fleet.latencies_us.len() as u64,
+        query_p50_us: percentile(&fleet.latencies_us, 0.50),
         query_p99_us: p99,
         slo_ok: p99 < config.slo_ms * 1000.0,
         byte_identical: answer.estimate_bits == reference,
-        snapshot_version,
+        snapshot_version: server.snapshot().version(),
         queue_pushed: queue.pushed,
         queue_rejects: queue.rejects,
-        reconnects: tallies.iter().map(|t| t.reconnects).sum(),
-        queue_full_rejects: tallies.iter().map(|t| t.queue_full_rejects).sum(),
+        reconnects: fleet.outcome.reconnects,
+        queue_full_rejects: fleet.outcome.queue_full_rejects,
     })
 }
 
@@ -346,15 +242,9 @@ pub fn run(seed: u64, config: &ServeLoadConfig) -> Result<ServeLoadResult, SimEr
         )));
     }
     let system = Arc::new(fig1::fig1_system()?);
-
-    let x = Vector::filled(system.num_links(), 10.0);
-    let y = system.measure(&x)?;
-    let groups = config.groups.min(system.num_paths());
-    let all_rows: Vec<Vec<ProbeRow>> = (0..config.batches_total)
-        .map(|b| batch_rows(&y, system.num_paths(), groups, b))
-        .collect();
-
-    let reference = reference_bits(&system, &all_rows, seed, config.slo_ms)?;
+    let all_rows = batches(&system, config)?;
+    let reference = fleet::offline_reference(&system, &all_rows)
+        .map_err(|e| SimError(format!("serve-load: {e}")))?;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as u64;
 
     let mut points = Vec::with_capacity(config.client_counts.len());
@@ -368,7 +258,7 @@ pub fn run(seed: u64, config: &ServeLoadConfig) -> Result<ServeLoadResult, SimEr
         }
         if !point.byte_identical {
             return Err(SimError(format!(
-                "serve-load {clients} clients: final state diverged from the single-client reference"
+                "serve-load {clients} clients: final state diverged from the offline reference"
             )));
         }
         if !point.slo_ok {
@@ -424,7 +314,7 @@ pub fn render(result: &ServeLoadResult) -> String {
         &rows,
     );
     out.push_str(
-        "every point byte-identical to the single-client reference; \
+        "every point byte-identical to the offline reference; \
          snapshots self-checked under load\n",
     );
     out

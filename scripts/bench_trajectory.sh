@@ -418,7 +418,7 @@ slo_us = best["config"]["slo_ms"] * 1000.0
 for p in best["points"]:
     if not p["byte_identical"]:
         sys.exit(f"BENCH ERROR: serve-load {p['clients']}-client fleet "
-                 f"diverged from the single-client reference")
+                 f"diverged from the offline reference")
     if not p["slo_ok"] or p["query_p99_us"] >= slo_us:
         sys.exit(f"BENCH ERROR: serve-load {p['clients']}-client p99 "
                  f"{p['query_p99_us']}us blew the {slo_us}us SLO")

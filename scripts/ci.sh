@@ -378,8 +378,10 @@ echo "ci: daemon shut down cleanly on request"
 
 echo "==> tomo-sim serve-chaos smoke (live daemon kill/restart sweep)"
 # The sweep itself enforces the invariants (balanced ledger, bit-exact
-# reconvergence after a mid-sweep restart, p99 under SLO) and exits
-# non-zero on any violation.
+# reconvergence after a mid-sweep restart, p99 under SLO, every loaded
+# snapshot whole and its version monotone) and exits non-zero on any
+# violation. The smoke re-checks the artifact, and that the query hammer
+# ran at every point (an SLO over zero queries holds vacuously).
 SERVE_CHAOS_OUT="$WORK/serve-chaos"
 target/release/tomo-sim run serve-chaos --quick --seed 42 \
   --out "$SERVE_CHAOS_OUT" >/dev/null
@@ -397,6 +399,8 @@ for p in points:
                  f"{p['epoch_after_restart']} != 2 after one restart")
     if not p["slo_ok"]:
         sys.exit(f"ci: serve-chaos point {p['scale']} blew the SLO")
+    if p["queries"] < 1:
+        sys.exit(f"ci: serve-chaos point {p['scale']} ran no queries")
 t = r["totals"]
 if t["injected"] != t["handled"] + t["quarantined"]:
     sys.exit(f"ci: serve-chaos ledger unbalanced: {t}")
@@ -407,8 +411,9 @@ PY
 echo "==> tomo-sim serve-load smoke (concurrent clients vs one daemon, --quick)"
 # The quick sweep runs 1 then 4 concurrent clients against a single
 # daemon with query hammering; the run itself enforces bit-exact final
-# state vs the single-client reference and snapshot self-checks, and
-# exits non-zero on any violation. The smoke re-checks the artifact.
+# state vs the offline engine reference and snapshot self-checks, and
+# exits non-zero on any violation. The smoke re-checks the artifact,
+# and that the query hammer ran at every point.
 SERVE_LOAD_OUT="$WORK/serve-load"
 target/release/tomo-sim run serve-load --quick --seed 42 \
   --out "$SERVE_LOAD_OUT" >/dev/null
@@ -426,13 +431,16 @@ for p in points:
                  f"{p['batches']}/{total} batches")
     if not p["byte_identical"]:
         sys.exit(f"ci: serve-load {p['clients']}-client final state "
-                 f"diverged from the single-client reference")
+                 f"diverged from the offline reference")
     if not p["slo_ok"]:
         sys.exit(f"ci: serve-load {p['clients']}-client point blew the "
                  f"{r['config']['slo_ms']}ms query SLO")
     if p["snapshot_version"] < 1:
         sys.exit(f"ci: serve-load {p['clients']}-client point never "
                  f"published a snapshot")
+    if p["queries"] < 1:
+        sys.exit(f"ci: serve-load {p['clients']}-client point ran no "
+                 f"queries")
 best = max(p["batches_per_sec"] for p in points)
 print(f"ci: serve-load smoke ok ({clients} clients, every fleet "
       f"bit-exact, best {best:.0f} batches/s)")

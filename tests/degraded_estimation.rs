@@ -257,7 +257,6 @@ fn chaos_sweep_artifact_is_pinned() {
         scales: vec![0.0, 1.0],
         max_attackers: 2,
         solver_retries: 1,
-        panic_retries: 1,
     };
     let r = chaos::run(77, &spec, &config, &Executor::single_threaded()).unwrap();
     assert!(r.totals.is_balanced());
@@ -269,7 +268,7 @@ fn chaos_sweep_artifact_is_pinned() {
     let json = serde_json::to_string(&r).unwrap();
     assert_eq!(
         fnv1a(json.as_bytes()),
-        0x237f_b4f1_395a_3912,
+        0x4cd9_4313_c0f9_e347,
         "chaos artifact bytes moved"
     );
 }
