@@ -33,6 +33,12 @@ pub enum LpError {
         /// Where the bad value appeared.
         context: &'static str,
     },
+    /// A sparse row's structure is invalid: its index and value slices
+    /// differ in length, or its indices are not strictly ascending.
+    MalformedRow {
+        /// What is wrong with the row.
+        reason: &'static str,
+    },
     /// The simplex iteration limit was exceeded (indicates severe
     /// degeneracy or a bug; should not occur with Bland fallback).
     IterationLimit {
@@ -67,6 +73,9 @@ impl fmt::Display for LpError {
             LpError::NonFiniteCoefficient { context } => {
                 write!(f, "non-finite coefficient in {context}")
             }
+            LpError::MalformedRow { reason } => {
+                write!(f, "malformed sparse row: {reason}")
+            }
             LpError::IterationLimit { limit } => {
                 write!(f, "simplex exceeded {limit} iterations")
             }
@@ -98,6 +107,11 @@ mod tests {
         }
         .to_string()
         .contains("objective"));
+        assert!(LpError::MalformedRow {
+            reason: "indices not strictly ascending"
+        }
+        .to_string()
+        .contains("malformed sparse row: indices not strictly ascending"));
         assert!(LpError::IterationLimit { limit: 10 }
             .to_string()
             .contains("10"));

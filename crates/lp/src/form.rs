@@ -13,8 +13,8 @@
 //!   artificial per `Ge` or `Eq` row, each numbered in row order. A row
 //!   starts with its artificial basic if it has one, its slack otherwise.
 //!
-//! Rows keep the model's sparse terms by reference; each backend
-//! scatters them into its own basis representation.
+//! Rows borrow their terms as slices of the model's one term store; each
+//! backend scatters them into its own basis representation.
 
 use crate::model::{LpProblem, Relation};
 
@@ -102,11 +102,12 @@ impl<'p> StandardForm<'p> {
             });
         };
         for c in &problem.constraints {
+            let terms = problem.terms(c);
             let mut shift = 0.0;
-            for &(j, a) in &c.terms {
+            for &(j, a) in terms {
                 shift += a * problem.variables[j].lower;
             }
-            push(Terms::Constraint(&c.terms), c.relation, c.rhs - shift);
+            push(Terms::Constraint(terms), c.relation, c.rhs - shift);
         }
         for (j, v) in problem.variables.iter().enumerate() {
             if let Some(u) = v.upper {

@@ -51,6 +51,7 @@ pub mod chaos;
 mod error;
 mod form;
 mod model;
+mod reuse;
 mod revised;
 mod simplex;
 mod solution;

@@ -1,5 +1,9 @@
+use std::cell::Cell;
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
+use crate::reuse;
 use crate::simplex;
 use crate::solution::LpSolution;
 use crate::LpError;
@@ -59,9 +63,10 @@ pub struct ConstraintActivity {
     pub satisfied: bool,
 }
 
+/// One constraint; its terms are `LpProblem::terms[terms]`.
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    pub(crate) terms: Vec<(usize, f64)>,
+    pub(crate) terms: Range<usize>,
     pub(crate) relation: Relation,
     pub(crate) rhs: f64,
 }
@@ -71,7 +76,12 @@ pub(crate) struct Constraint {
 /// Variables have a finite lower bound (commonly `0`, matching the paper's
 /// non-negativity Constraint 1 `m ⪰ 0`) and an optional finite upper bound
 /// (the per-path manipulation cap). Constraints are sparse linear
-/// expressions related to a right-hand side by [`Relation`].
+/// expressions related to a right-hand side by [`Relation`]. Every
+/// constraint's `(variable, coefficient)` terms sit back to back in one
+/// store, and a dropped problem hands that store, its constraints and
+/// its variables (emptied, if each holds at most 128,000 bytes) to the
+/// next problem its thread creates, so a worker that builds one small LP
+/// after another allocates nothing for them once warm.
 ///
 /// See the [crate-level example](crate) for end-to-end usage.
 #[derive(Debug, Clone)]
@@ -79,17 +89,77 @@ pub struct LpProblem {
     objective: Objective,
     pub(crate) variables: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
+    /// Every constraint's terms, in constraint order.
+    terms: Vec<(usize, f64)>,
+}
+
+/// A dropped problem's buffers, kept for its thread's next problem.
+#[derive(Default)]
+struct Store {
+    variables: Vec<Variable>,
+    constraints: Vec<Constraint>,
+    terms: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    static SPARE: Cell<Option<Store>> = const { Cell::new(None) };
+}
+
+impl Drop for LpProblem {
+    fn drop(&mut self) {
+        reuse::put(
+            &SPARE,
+            Store {
+                variables: reuse::kept(std::mem::take(&mut self.variables)),
+                constraints: reuse::kept(std::mem::take(&mut self.constraints)),
+                terms: reuse::kept(std::mem::take(&mut self.terms)),
+            },
+        );
+    }
 }
 
 impl LpProblem {
     /// Creates an empty problem with the given optimization direction.
     #[must_use]
     pub fn new(objective: Objective) -> Self {
+        let Store {
+            variables,
+            constraints,
+            terms,
+        } = reuse::take(&SPARE);
         LpProblem {
             objective,
-            variables: Vec::new(),
-            constraints: Vec::new(),
+            variables,
+            constraints,
+            terms,
         }
+    }
+
+    /// The terms of `constraint`, in the order they were added.
+    pub(crate) fn terms(&self, constraint: &Constraint) -> &[(usize, f64)] {
+        &self.terms[constraint.terms.clone()]
+    }
+
+    /// Adds one constraint whose terms `push` appends to the store. If
+    /// `push` fails, the entries it appended are truncated away, so a
+    /// rejected row leaves the problem as it was.
+    fn append_row(
+        &mut self,
+        relation: Relation,
+        rhs: f64,
+        push: impl FnOnce(&mut Self) -> Result<(), LpError>,
+    ) -> Result<(), LpError> {
+        let start = self.terms.len();
+        if let Err(e) = push(self) {
+            self.terms.truncate(start);
+            return Err(e);
+        }
+        self.constraints.push(Constraint {
+            terms: start..self.terms.len(),
+            relation,
+            rhs,
+        });
+        Ok(())
     }
 
     /// Optimization direction.
@@ -168,6 +238,8 @@ impl LpProblem {
     /// * [`LpError::UnknownVariable`] if any handle is out of range.
     /// * [`LpError::NonFiniteCoefficient`] if any coefficient or `rhs` is
     ///   not finite.
+    ///
+    /// A rejected row leaves the problem as it was.
     pub fn add_constraint(
         &mut self,
         terms: &[(VarId, f64)],
@@ -179,7 +251,13 @@ impl LpProblem {
                 context: "constraint rhs",
             });
         }
-        let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
+        self.append_row(relation, rhs, |lp| lp.push_terms(terms))
+    }
+
+    /// Appends `terms` to the store, summing a variable's repeats into
+    /// its first entry in the row.
+    fn push_terms(&mut self, terms: &[(VarId, f64)]) -> Result<(), LpError> {
+        let start = self.terms.len();
         for &(var, coeff) in terms {
             if !coeff.is_finite() {
                 return Err(LpError::NonFiniteCoefficient {
@@ -192,16 +270,11 @@ impl LpProblem {
                     count: self.variables.len(),
                 });
             }
-            match dense.iter_mut().find(|(i, _)| *i == var.0) {
+            match self.terms[start..].iter_mut().find(|(i, _)| *i == var.0) {
                 Some((_, c)) => *c += coeff,
-                None => dense.push((var.0, coeff)),
+                None => self.terms.push((var.0, coeff)),
             }
         }
-        self.constraints.push(Constraint {
-            terms: dense,
-            relation,
-            rhs,
-        });
         Ok(())
     }
 
@@ -220,9 +293,11 @@ impl LpProblem {
     /// * [`LpError::UnknownVariable`] if an index is out of range for
     ///   `vars`,
     /// * [`LpError::NonFiniteCoefficient`] if a value or `rhs` is not
-    ///   finite, or `indices` is not strictly ascending / does not match
-    ///   `values` in length (structure errors reuse this variant's
-    ///   context string).
+    ///   finite,
+    /// * [`LpError::MalformedRow`] if `indices` and `values` differ in
+    ///   length or `indices` is not strictly ascending.
+    ///
+    /// A rejected row leaves the problem as it was.
     pub fn add_sparse_row(
         &mut self,
         vars: &[VarId],
@@ -237,11 +312,23 @@ impl LpProblem {
             });
         }
         if indices.len() != values.len() {
-            return Err(LpError::NonFiniteCoefficient {
-                context: "sparse row index/value length mismatch",
+            return Err(LpError::MalformedRow {
+                reason: "index/value length mismatch",
             });
         }
-        let mut terms: Vec<(usize, f64)> = Vec::with_capacity(indices.len());
+        self.append_row(relation, rhs, |lp| {
+            lp.push_sparse_terms(vars, indices, values)
+        })
+    }
+
+    /// Appends one sparse row's entries to the store, verbatim and in
+    /// order.
+    fn push_sparse_terms(
+        &mut self,
+        vars: &[VarId],
+        indices: &[usize],
+        values: &[f64],
+    ) -> Result<(), LpError> {
         let mut prev: Option<usize> = None;
         for (&k, &coeff) in indices.iter().zip(values) {
             if !coeff.is_finite() {
@@ -250,8 +337,8 @@ impl LpProblem {
                 });
             }
             if prev.is_some_and(|p| k <= p) {
-                return Err(LpError::NonFiniteCoefficient {
-                    context: "sparse row indices not strictly ascending",
+                return Err(LpError::MalformedRow {
+                    reason: "indices not strictly ascending",
                 });
             }
             prev = Some(k);
@@ -265,13 +352,8 @@ impl LpProblem {
                     count: self.variables.len(),
                 });
             }
-            terms.push((var.0, coeff));
+            self.terms.push((var.0, coeff));
         }
-        self.constraints.push(Constraint {
-            terms,
-            relation,
-            rhs,
-        });
         Ok(())
     }
 
@@ -295,7 +377,11 @@ impl LpProblem {
         self.constraints
             .iter()
             .map(|c| {
-                let lhs: f64 = c.terms.iter().map(|&(j, a)| a * solution.values()[j]).sum();
+                let lhs: f64 = self
+                    .terms(c)
+                    .iter()
+                    .map(|&(j, a)| a * solution.values()[j])
+                    .sum();
                 let binding = match c.relation {
                     Relation::Le | Relation::Ge => (lhs - c.rhs).abs() <= tol,
                     Relation::Eq => true,
@@ -460,31 +546,128 @@ mod tests {
             lp.add_variable(0.0, None).unwrap(),
         ];
         // Index out of range for the vars slice.
-        assert!(lp
-            .add_sparse_row(&vars, &[2], &[1.0], Relation::Le, 1.0)
-            .is_err());
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[2], &[1.0], Relation::Le, 1.0),
+            Err(LpError::UnknownVariable { index: 2, count: 2 })
+        ));
         // Length mismatch.
-        assert!(lp
-            .add_sparse_row(&vars, &[0, 1], &[1.0], Relation::Le, 1.0)
-            .is_err());
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[0, 1], &[1.0], Relation::Le, 1.0),
+            Err(LpError::MalformedRow { .. })
+        ));
         // Not strictly ascending.
-        assert!(lp
-            .add_sparse_row(&vars, &[1, 0], &[1.0, 1.0], Relation::Le, 1.0)
-            .is_err());
-        assert!(lp
-            .add_sparse_row(&vars, &[1, 1], &[1.0, 1.0], Relation::Le, 1.0)
-            .is_err());
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[1, 0], &[1.0, 1.0], Relation::Le, 1.0),
+            Err(LpError::MalformedRow { .. })
+        ));
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[1, 1], &[1.0, 1.0], Relation::Le, 1.0),
+            Err(LpError::MalformedRow { .. })
+        ));
         // Non-finite coefficient / rhs.
-        assert!(lp
-            .add_sparse_row(&vars, &[0], &[f64::NAN], Relation::Le, 1.0)
-            .is_err());
-        assert!(lp
-            .add_sparse_row(&vars, &[0], &[1.0], Relation::Le, f64::INFINITY)
-            .is_err());
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[0], &[f64::NAN], Relation::Le, 1.0),
+            Err(LpError::NonFiniteCoefficient { .. })
+        ));
+        assert!(matches!(
+            lp.add_sparse_row(&vars, &[0], &[1.0], Relation::Le, f64::INFINITY),
+            Err(LpError::NonFiniteCoefficient { .. })
+        ));
         // Empty rows are fine (0 ≤ rhs tautology handled downstream).
         lp.add_sparse_row(&vars, &[], &[], Relation::Le, 1.0)
             .unwrap();
         assert_eq!(lp.num_constraints(), 1);
+    }
+
+    /// Checks one rejected row: the expected error, and still only the
+    /// one valid constraint.
+    fn rejected(lp: &LpProblem, what: &str, got: Result<(), LpError>, want: LpError) {
+        assert_eq!(got, Err(want), "{what}");
+        assert_eq!(lp.num_constraints(), 1, "{what}: the row was kept");
+    }
+
+    /// Every error `add_constraint` and `add_sparse_row` return, raised
+    /// after at least one valid term wherever the check allows, leaves
+    /// the problem as it was: the same constraints, the same term store,
+    /// and a next row and solve bit-identical to a problem that never
+    /// saw the rejected rows.
+    #[test]
+    fn rejected_rows_leave_the_problem_unchanged() {
+        let build = || {
+            let mut lp = LpProblem::new(Objective::Maximize);
+            let vars: Vec<VarId> = (0..3)
+                .map(|_| lp.add_variable(0.0, Some(4.0)).unwrap())
+                .collect();
+            for (k, &v) in vars.iter().enumerate() {
+                lp.set_objective_coefficient(v, 1.0 + k as f64);
+            }
+            lp.add_sparse_row(&vars, &[0, 1, 2], &[1.0, 2.0, 1.0], Relation::Le, 6.0)
+                .unwrap();
+            (lp, vars)
+        };
+        let (mut reference, _) = build();
+        let (mut lp, vars) = build();
+        let foreign = VarId(7);
+        let rhs = || LpError::NonFiniteCoefficient {
+            context: "constraint rhs",
+        };
+        let coefficient = || LpError::NonFiniteCoefficient {
+            context: "constraint coefficient",
+        };
+        let ascending = || LpError::MalformedRow {
+            reason: "indices not strictly ascending",
+        };
+
+        let got = lp.add_constraint(&[(vars[0], 1.0)], Relation::Le, f64::NAN);
+        rejected(&lp, "add_constraint rhs", got, rhs());
+        let got = lp.add_constraint(
+            &[(vars[0], 1.0), (vars[1], f64::INFINITY)],
+            Relation::Ge,
+            1.0,
+        );
+        rejected(&lp, "add_constraint coefficient", got, coefficient());
+        let got = lp.add_constraint(
+            &[(vars[0], 1.0), (vars[0], 2.0), (foreign, 1.0)],
+            Relation::Eq,
+            1.0,
+        );
+        let unknown = LpError::UnknownVariable { index: 7, count: 3 };
+        rejected(&lp, "add_constraint unknown variable", got, unknown);
+
+        let got = lp.add_sparse_row(&vars, &[0], &[1.0], Relation::Le, f64::INFINITY);
+        rejected(&lp, "add_sparse_row rhs", got, rhs());
+        let got = lp.add_sparse_row(&vars, &[0, 1], &[1.0], Relation::Le, 1.0);
+        let mismatch = LpError::MalformedRow {
+            reason: "index/value length mismatch",
+        };
+        rejected(&lp, "add_sparse_row length mismatch", got, mismatch);
+        let got = lp.add_sparse_row(&vars, &[0, 1], &[1.0, f64::NAN], Relation::Le, 1.0);
+        rejected(&lp, "add_sparse_row coefficient", got, coefficient());
+        let got = lp.add_sparse_row(&vars, &[0, 2, 1], &[1.0, 1.0, 1.0], Relation::Ge, 1.0);
+        rejected(&lp, "add_sparse_row descending", got, ascending());
+        let got = lp.add_sparse_row(&vars, &[0, 1, 1], &[1.0, 1.0, 1.0], Relation::Ge, 1.0);
+        rejected(&lp, "add_sparse_row repeated", got, ascending());
+        let got = lp.add_sparse_row(&vars, &[0, 3], &[1.0, 1.0], Relation::Eq, 1.0);
+        let out_of_range = LpError::UnknownVariable { index: 3, count: 3 };
+        rejected(&lp, "add_sparse_row index", got, out_of_range);
+        let got = lp.add_sparse_row(&[vars[0], foreign], &[0, 1], &[1.0, 1.0], Relation::Eq, 1.0);
+        let unknown = LpError::UnknownVariable { index: 7, count: 3 };
+        rejected(&lp, "add_sparse_row foreign variable", got, unknown);
+
+        assert_eq!(lp.terms, reference.terms);
+        for p in [&mut lp, &mut reference] {
+            p.add_sparse_row(&vars, &[0, 2], &[1.0, -1.0], Relation::Ge, 0.5)
+                .unwrap();
+        }
+        let (got, want) = (lp.solve().unwrap(), reference.solve().unwrap());
+        assert!(got.is_optimal());
+        assert_eq!(got.status(), want.status());
+        assert_eq!(
+            got.objective_value().to_bits(),
+            want.objective_value().to_bits()
+        );
+        let bits = |s: &LpSolution| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

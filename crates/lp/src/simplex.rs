@@ -66,7 +66,10 @@ pub enum SolverMode {
     /// Dense tableau pivots: fastest on small instances. A pivot
     /// updates the other rows only at the pivot row's nonzeros, so its
     /// work is rows × (pivot-row nonzeros); the tableau still holds all
-    /// `m·ncols` cells.
+    /// `m·ncols` cells, row-major in blocks of at most 16,000 cells
+    /// (128,000 bytes). An attack LP fits one block, and each thread
+    /// reuses the block of its last one-block tableau, so a warm
+    /// worker's small dense solves allocate no tableau storage.
     Dense,
     /// Revised simplex over sparse columns with a sparse-LU basis
     /// factorization and product-form eta updates: the only viable
@@ -79,7 +82,10 @@ pub enum SolverMode {
 /// tableau wins: a pivot touches rows × (pivot-row nonzeros) cells.
 /// Above it the tableau's `m·ncols` footprint, and the full-width scan
 /// of each pivot row, lose to the revised backend's sparse columns and
-/// FTRAN/BTRAN solves.
+/// FTRAN/BTRAN solves. At the gate a tableau spans at least 66 blocks
+/// of at most 16,000 cells, and a tableau of several blocks keeps none
+/// of them for its thread's next solve, so a large dense solve frees
+/// all it used.
 const AUTO_REVISED_MIN_CELLS: usize = 1 << 20;
 
 /// The phase-1 verdict: the LP is infeasible when the minimized sum of
@@ -158,19 +164,31 @@ pub(crate) fn solve_with(problem: &LpProblem, mode: SolverMode) -> Result<LpSolu
     }
 }
 
-/// One solve's simplex state: the backend's basis and the priced pivots
-/// made so far.
+/// One solve's simplex state: the backend's basis and the pivots and
+/// iterations made so far.
+///
+/// The two counts are kept here and added to `lp.simplex.pivots` and
+/// `lp.simplex.iterations` once, when the solve drops its state, so every
+/// exit path (optimal, infeasible, unbounded, an error) flushes them and
+/// concurrent solves do not contend on the counters once per pivot.
 struct Simplex<B> {
     basis: B,
     m: usize,
     ncols: usize,
-    /// Feeds the `lp.simplex.solve_pivots` histogram.
+    /// Also feeds the `lp.simplex.solve_pivots` histogram.
     pivots: u64,
+    iterations: u64,
+}
+
+impl<B> Drop for Simplex<B> {
+    fn drop(&mut self) {
+        PIVOTS.add(self.pivots);
+        ITERATIONS.add(self.iterations);
+    }
 }
 
 impl<B: Basis> Simplex<B> {
     fn pivot(&mut self, row: usize, col: usize) -> Result<(), LpError> {
-        PIVOTS.inc();
         self.pivots += 1;
         self.basis.pivot(row, col)
     }
@@ -227,7 +245,7 @@ impl<B: Basis> Simplex<B> {
     fn optimize(&mut self, priced: usize) -> Result<bool, LpError> {
         let limit = MAX_ITER_BASE + 100 * (self.m + self.ncols);
         for iter in 0..limit {
-            ITERATIONS.inc();
+            self.iterations += 1;
             self.basis.price();
             let Some(col) = self.entering(iter, priced) else {
                 return Ok(true);
@@ -291,6 +309,7 @@ fn solve<B: Basis>(form: &StandardForm<'_>) -> Result<LpSolution, LpError> {
         m: form.m,
         ncols,
         pivots: 0,
+        iterations: 0,
     };
     let mut costs = vec![0.0; ncols];
 

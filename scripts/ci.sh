@@ -58,15 +58,22 @@ for threads in 1 2; do
     }
   done
 done
-# run gap evaluates its candidates in fixed-size batches, so its LP work
-# must not depend on the worker count either: pin it at 3 threads too.
+# At 3 threads the figures' trials land on the workers in yet another
+# order, so a worker's reused LP buffers see other solves before each
+# one: the seven figure artifacts must keep their bytes there too. run gap
+# evaluates its candidates in fixed-size batches, so its LP work must not
+# depend on the worker count either: pin it at 3 threads too.
+target/release/tomo-sim run all --seed 42 --threads 3 \
+  --out "$WORK/artifacts-t3" --metrics "$WORK/all-metrics-t3.json" >/dev/null
 target/release/tomo-sim run gap --seed 42 --threads 3 \
   --out "$WORK/artifacts-t3" --metrics "$WORK/gap-metrics-t3.json" >/dev/null
-cmp artifacts/gap.json "$WORK/artifacts-t3/gap.json" || {
-  echo "ci: gap.json at 3 threads differs from artifacts/gap.json" >&2
-  exit 1
-}
-echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (gap.json at 3 too)"
+for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
+  cmp "artifacts/$name.json" "$WORK/artifacts-t3/$name.json" || {
+    echo "ci: $name.json at 3 threads differs from artifacts/$name.json" >&2
+    exit 1
+  }
+done
+echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (the seven figures and gap.json at 3 too)"
 # Same bytes could hide a changed search: pin the LP layer's decisions
 # too. Every dense-tableau solve, pivot and iteration, each solve's
 # outcome, and the standard-form rows summed over solves must repeat
@@ -96,7 +103,8 @@ expected_placement = {
     "all": {"pairs": 41348, "candidates": 246323, "rank_raises": 1808},
     "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
 }
-for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2), ("gap", 3)):
+for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
+                    ("all", 3), ("gap", 3)):
     path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
     metrics = json.load(open(path))
     counters = metrics.get("counters", {})
@@ -132,8 +140,8 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2), ("gap", 3))
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
       "the phase-1 verdict margin, core.estimator_cache.builds, "
       "attack.context.builds and "
-      "core.placement pairs/candidates/rank_raises match for run all at "
-      "1 and 2 threads and run gap at 1, 2 and 3 threads")
+      "core.placement pairs/candidates/rank_raises match for run all and "
+      "run gap at 1, 2 and 3 threads")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
