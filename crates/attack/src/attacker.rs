@@ -72,20 +72,17 @@ impl AttackerSet {
                 return Err(AttackError::UnknownAttacker { node: n });
             }
         }
+        let graph = system.graph();
         let mut controlled_links: Vec<LinkId> = Vec::new();
         for &n in &unique {
-            for l in system
-                .graph()
-                .incident_links(n)
-                .expect("attacker nodes validated")
-            {
-                if !controlled_links.contains(&l) {
-                    controlled_links.push(l);
-                }
-            }
+            let neighbors = graph.neighbors(n).expect("attacker nodes validated");
+            controlled_links.extend(neighbors.iter().map(|&(_, link)| link));
         }
-        controlled_links.sort();
-        let attacked_paths = system.paths_through_nodes(&unique);
+        controlled_links.sort_unstable();
+        controlled_links.dedup();
+        // A path visits an attacker exactly when it crosses one of its
+        // links.
+        let attacked_paths = system.paths_crossing_links(&controlled_links);
         Ok(AttackerSet {
             nodes: unique,
             controlled_links,
@@ -129,7 +126,7 @@ impl AttackerSet {
     }
 
     /// Row indices of measurement paths visiting an attacker — the only
-    /// paths whose measurements can be manipulated.
+    /// paths whose measurements can be manipulated (ascending).
     #[must_use]
     pub fn attacked_paths(&self) -> &[usize] {
         &self.attacked_paths
@@ -138,13 +135,13 @@ impl AttackerSet {
     /// `true` if `link` is attacker-controlled.
     #[must_use]
     pub fn controls_link(&self, link: LinkId) -> bool {
-        self.controlled_links.contains(&link)
+        self.controlled_links.binary_search(&link).is_ok()
     }
 
     /// `true` if the path at `row` can be manipulated.
     #[must_use]
     pub fn controls_path(&self, row: usize) -> bool {
-        self.attacked_paths.contains(&row)
+        self.attacked_paths.binary_search(&row).is_ok()
     }
 }
 

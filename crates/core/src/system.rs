@@ -1,3 +1,4 @@
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -12,9 +13,16 @@ static ESTIMATOR_HITS: LazyCounter = LazyCounter::new("core.estimator_cache.hits
 static ESTIMATOR_BUILDS: LazyCounter = LazyCounter::new("core.estimator_cache.builds");
 static DEGRADED_SOLVES: LazyCounter = LazyCounter::new("core.degraded.solves");
 static DEGRADED_RIDGE: LazyCounter = LazyCounter::new("core.degraded.ridge");
+static ESTIMATE_SOLVES: LazyCounter = LazyCounter::new("core.estimate.solves");
+static ESTIMATE_REUSED: LazyCounter = LazyCounter::new("core.estimate.reused");
 
 /// The id the next [`TomographySystem::new`] hands out.
 static NEXT_SYSTEM_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's last [`TomographySystem::estimate`] solve.
+    static LAST_ESTIMATE: RefCell<EstimateMemo> = const { RefCell::new(EstimateMemo::EMPTY) };
+}
 
 /// Regularization strength for the ridge fallback of
 /// [`TomographySystem::solve_degraded`]: small enough to leave
@@ -47,6 +55,10 @@ pub struct TomographySystem {
     /// Column `i` of the projector `P = R·A`, filled on first use
     /// ([`Self::projector_column`]).
     projector_columns: Vec<OnceLock<Vector>>,
+    /// `Rᵀ` in CSR form: row `j` lists the paths crossing link `j`,
+    /// ascending. Built on the first path query
+    /// ([`Self::paths_crossing_links`]).
+    paths_by_link: OnceLock<CsrMatrix>,
 }
 
 impl TomographySystem {
@@ -102,6 +114,7 @@ impl TomographySystem {
             monitors: unique,
             estimator_columns: columns(),
             projector_columns: columns(),
+            paths_by_link: OnceLock::new(),
             paths,
             routing_csr,
             solver,
@@ -183,6 +196,13 @@ impl TomographySystem {
 
     /// The tomography inversion: `x̂ = (RᵀR)⁻¹Rᵀy` (Eq. 2).
     ///
+    /// Each thread keeps its last solve: the system's [`Self::id`], the
+    /// bits of `y` and `x̂`. A call on the same thread with the same id
+    /// and bit-identical `y` returns a copy of that `x̂`
+    /// (`core.estimate.reused`); any other call solves
+    /// (`core.estimate.solves`) and replaces it. The result is the same
+    /// either way, since a system never changes after construction.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] if `y.len() ≠ |P|`.
@@ -194,7 +214,17 @@ impl TomographySystem {
                 got: measurements.len(),
             });
         }
-        Ok(self.solver.solve(measurements)?)
+        let kept = LAST_ESTIMATE.try_with(|memo| memo.borrow().get(self.id, measurements));
+        if let Ok(Some(estimate)) = kept {
+            ESTIMATE_REUSED.inc();
+            return Ok(estimate);
+        }
+        let estimate = self.solver.solve(measurements)?;
+        ESTIMATE_SOLVES.inc();
+        // During thread teardown the slot is gone and nothing is kept.
+        let _ =
+            LAST_ESTIMATE.try_with(|memo| memo.borrow_mut().set(self.id, measurements, &estimate));
+        Ok(estimate)
     }
 
     /// Column `path` of the estimator matrix `A = (RᵀR)⁻¹Rᵀ`
@@ -204,7 +234,9 @@ impl TomographySystem {
     /// zero off the attacked paths.
     ///
     /// Computed on first use and cached for the system's lifetime; later
-    /// calls (from any thread) return the same `&`-reference.
+    /// calls (from any thread) return the same `&`-reference. The column
+    /// is solved directly, so it neither uses nor replaces the thread's
+    /// last [`Self::estimate`].
     ///
     /// # Errors
     ///
@@ -214,7 +246,7 @@ impl TomographySystem {
         cached_column(slot, || {
             let mut unit = Vector::zeros(self.num_paths());
             unit[path] = 1.0;
-            self.estimate(&unit)
+            Ok(self.solver.solve(&unit)?)
         })
     }
 
@@ -415,26 +447,39 @@ impl TomographySystem {
             .collect()
     }
 
-    /// Paths (row indices) traversing any of `links`.
+    /// Paths (row indices, ascending, each once) traversing any of
+    /// `links`: the union of the links' rows of `Rᵀ`, which is built on
+    /// the first path query and kept. Ids beyond `|L|` cross no path.
     #[must_use]
     pub fn paths_crossing_links(&self, links: &[LinkId]) -> Vec<usize> {
-        self.paths
+        let by_link = self
+            .paths_by_link
+            .get_or_init(|| self.routing_csr.transpose());
+        let mut rows: Vec<usize> = links
             .iter()
-            .enumerate()
-            .filter(|(_, p)| p.contains_any_link(links))
-            .map(|(i, _)| i)
-            .collect()
+            .filter(|l| l.index() < by_link.rows())
+            .flat_map(|l| by_link.row_indices(l.index()))
+            .copied()
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
 
-    /// Paths (row indices) visiting any of `nodes`.
+    /// Paths (row indices, ascending, each once) visiting any of `nodes`.
+    /// A path has at least one link, so it visits a node exactly when it
+    /// crosses one of the node's links: this is
+    /// [`Self::paths_crossing_links`] over the nodes' incident links.
+    /// Ids beyond the graph's nodes are visited by no path.
     #[must_use]
     pub fn paths_through_nodes(&self, nodes: &[NodeId]) -> Vec<usize> {
-        self.paths
+        let links: Vec<LinkId> = nodes
             .iter()
-            .enumerate()
-            .filter(|(_, p)| p.contains_any_node(nodes))
-            .map(|(i, _)| i)
-            .collect()
+            .filter_map(|&n| self.graph.neighbors(n).ok())
+            .flatten()
+            .map(|&(_, link)| link)
+            .collect();
+        self.paths_crossing_links(&links)
     }
 }
 
@@ -455,6 +500,47 @@ pub struct DegradedSolve {
     pub unidentifiable: Vec<LinkId>,
     /// Whether the ridge fallback was required.
     pub used_ridge: bool,
+}
+
+/// One thread's last [`TomographySystem::estimate`] solve. Its buffers
+/// are overwritten in place, so it holds one `y` and one `x̂` of the
+/// largest system the thread estimated.
+struct EstimateMemo {
+    /// [`TomographySystem::id`] of the system solved; `None` before the
+    /// thread's first solve.
+    system_id: Option<u64>,
+    /// The measurements `y`, bit for bit.
+    y_bits: Vec<u64>,
+    /// The estimate `x̂` solved from them.
+    estimate: Vec<f64>,
+}
+
+impl EstimateMemo {
+    const EMPTY: EstimateMemo = EstimateMemo {
+        system_id: None,
+        y_bits: Vec::new(),
+        estimate: Vec::new(),
+    };
+
+    /// A copy of the kept estimate if it was solved on system `id` from
+    /// exactly these bits of `y`. Bits, not values: bit-identical inputs
+    /// give a bit-identical solve whatever the kernel does with the sign
+    /// of a zero, while `==` would take `-0.0` for `0.0`.
+    fn get(&self, id: u64, y: &Vector) -> Option<Vector> {
+        let same = self.system_id == Some(id)
+            && self.y_bits.len() == y.len()
+            && self.y_bits.iter().zip(y).all(|(&b, v)| b == v.to_bits());
+        same.then(|| Vector::from(self.estimate.clone()))
+    }
+
+    /// Keeps `estimate`, solved on system `id` from `y`.
+    fn set(&mut self, id: u64, y: &Vector, estimate: &Vector) {
+        self.system_id = Some(id);
+        self.y_bits.clear();
+        self.y_bits.extend(y.iter().map(|v| v.to_bits()));
+        self.estimate.clear();
+        self.estimate.extend_from_slice(estimate.as_slice());
+    }
 }
 
 /// Sparsity statistics of a routing matrix
@@ -654,6 +740,104 @@ mod tests {
             .solve_degraded(&[0, 1], &Vector::from(vec![1.0, f64::NAN]))
             .unwrap_err();
         assert!(matches!(err, CoreError::NonFiniteMeasurement { row: 1 }));
+    }
+
+    /// This thread's kept solve: system id, bits of `y`, bits of `x̂`.
+    fn memo() -> (Option<u64>, Vec<u64>, Vec<u64>) {
+        LAST_ESTIMATE.with(|m| {
+            let m = m.borrow();
+            (m.system_id, m.y_bits.clone(), bits(&m.estimate))
+        })
+    }
+
+    /// Overwrites this thread's kept `x̂` with `marker`, so that a call
+    /// answered from the slot shows.
+    fn plant(marker: f64) {
+        LAST_ESTIMATE.with(|m| m.borrow_mut().estimate.fill(marker));
+    }
+
+    fn bits<'v>(v: impl IntoIterator<Item = &'v f64>) -> Vec<u64> {
+        v.into_iter().map(|e| e.to_bits()).collect()
+    }
+
+    fn tiny_measurements(sys: &TomographySystem) -> Vector {
+        sys.measure(&Vector::from(vec![0.3, -1.7, 2.5])).unwrap()
+    }
+
+    #[test]
+    fn a_slot_hit_is_a_fresh_solve_bit_for_bit() {
+        let sys = tiny_system();
+        let y = tiny_measurements(&sys);
+        let fresh = bits(&sys.solver.solve(&y).unwrap());
+        assert_eq!(bits(&sys.estimate(&y).unwrap()), fresh);
+        assert_eq!(memo(), (Some(sys.id()), bits(&y), fresh.clone()));
+        assert_eq!(bits(&sys.estimate(&y).unwrap()), fresh);
+        // The repeat is answered from the slot.
+        plant(42.0);
+        assert_eq!(sys.estimate(&y).unwrap(), Vector::filled(3, 42.0));
+    }
+
+    #[test]
+    fn the_slot_is_keyed_by_system_id() {
+        let first = tiny_system();
+        let y = tiny_measurements(&first);
+        let fresh = bits(&first.estimate(&y).unwrap());
+        plant(42.0);
+        // A clone keeps the id, so the slot may answer it.
+        assert_eq!(first.clone().estimate(&y).unwrap(), Vector::filled(3, 42.0));
+        // An identically built system has a new id and solves y itself.
+        let second = tiny_system();
+        assert_eq!(bits(&second.estimate(&y).unwrap()), fresh);
+        assert_eq!(memo(), (Some(second.id()), bits(&y), fresh));
+    }
+
+    #[test]
+    fn the_slot_compares_bits_not_values() {
+        let sys = tiny_system();
+        let y = Vector::from(vec![0.0, 1.0, 2.0, 3.0]);
+        let mut signed = y.clone();
+        signed[0] = -0.0;
+        sys.estimate(&y).unwrap();
+        plant(42.0);
+        let solved = sys.estimate(&signed).unwrap();
+        assert_eq!(bits(&solved), bits(&sys.solver.solve(&signed).unwrap()));
+        assert_eq!(memo().1, bits(&signed));
+    }
+
+    #[test]
+    fn a_new_thread_starts_with_an_empty_slot() {
+        let sys = tiny_system();
+        let y = tiny_measurements(&sys);
+        let here = bits(&sys.estimate(&y).unwrap());
+        plant(42.0);
+        let there = std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(memo(), (None, Vec::new(), Vec::new()));
+                bits(&sys.estimate(&y).unwrap())
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(there, here);
+        // That thread's solve left this thread's slot alone.
+        assert_eq!(memo().2, bits(&[42.0; 3]));
+    }
+
+    #[test]
+    fn errors_and_column_builds_leave_the_slot_alone() {
+        let sys = tiny_system();
+        sys.estimate(&tiny_measurements(&sys)).unwrap();
+        let kept = memo();
+        assert!(matches!(
+            sys.estimate(&Vector::zeros(3)),
+            Err(CoreError::DimensionMismatch { .. })
+        ));
+        assert_eq!(memo(), kept);
+        for i in 0..sys.num_paths() {
+            sys.estimator_column(i).unwrap();
+            sys.projector_column(i).unwrap();
+        }
+        assert_eq!(memo(), kept);
     }
 
     #[test]

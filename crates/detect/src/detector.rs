@@ -156,9 +156,11 @@ impl ConsistencyDetector {
     /// Runs the check(s) on a *surviving subset* of measurements — the
     /// detector's graceful-degradation path after probe loss.
     ///
-    /// With every row surviving this routes through [`Self::inspect`]
-    /// and is bit-identical to it. Otherwise the estimate comes from one
-    /// [`TomographySystem::solve_degraded`]; the residual is
+    /// When `surviving_rows` is exactly `0..|P|` (every row, in path
+    /// order) this routes through [`Self::inspect`] and is bit-identical
+    /// to it. Any other list, including a reordered or repeated one of
+    /// length `|P|`, goes to [`TomographySystem::solve_degraded`], which
+    /// validates it and gives the estimate; the residual is
     /// accumulated over the surviving rows only, and the plausibility
     /// check skips links flagged unidentifiable (their ridge coordinates
     /// carry no information and must not trigger detection). Either way
@@ -168,14 +170,16 @@ impl ConsistencyDetector {
     ///
     /// Propagates the validation errors of [`Self::inspect`] when every
     /// row survives and of [`TomographySystem::solve_degraded`]
-    /// otherwise, including [`CoreError::NonFiniteMeasurement`].
+    /// otherwise, including [`CoreError::NonFiniteMeasurement`]; rows
+    /// out of ascending order or repeated are a
+    /// [`CoreError::DimensionMismatch`] at any length.
     pub fn inspect_degraded(
         &self,
         system: &TomographySystem,
         surviving_rows: &[usize],
         observed_sub: &Vector,
     ) -> Result<DegradedVerdict, CoreError> {
-        if surviving_rows.len() == system.num_paths() {
+        if surviving_rows.iter().copied().eq(0..system.num_paths()) {
             // Full survival: defer to the exact path (also re-validates).
             let (verdict, estimate) = self.inspect_with_estimate(system, observed_sub)?;
             return Ok(DegradedVerdict {
@@ -483,6 +487,36 @@ mod tests {
             full.min_estimate.to_bits()
         );
         assert_eq!(deg.verdict.detected, full.detected);
+    }
+
+    #[test]
+    fn full_length_rows_out_of_path_order_are_rejected() {
+        // Only 0..|P| takes the full-survival shortcut: a swapped or
+        // repeated list of |P| rows is validated like any shorter one,
+        // never judged as if its readings came in path order.
+        let system = fig1::fig1_system().unwrap();
+        let detector = ConsistencyDetector::recommended();
+        let y = system.measure(&Vector::filled(10, 15.0)).unwrap();
+        let n = system.num_paths();
+        let mut swapped: Vec<usize> = (0..n).collect();
+        swapped.swap(0, 1);
+        for rows in [swapped.clone(), vec![0; n], swapped[..n - 1].to_vec()] {
+            let y_sub: Vector = rows.iter().map(|&i| y[i]).collect();
+            let err = detector
+                .inspect_degraded(&system, &rows, &y_sub)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::DimensionMismatch {
+                        context:
+                            "solve_degraded: surviving rows must be strictly ascending path indices",
+                        ..
+                    }
+                ),
+                "{rows:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -88,7 +88,11 @@ echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2
 # attacker set caches one attack context (clean estimate and LP rows) per
 # system and x, and is used on one thread, so the contexts built are
 # pinned at every thread count: a strategy that stops sharing them, or a
-# cache that shares one across systems, moves this count.
+# cache that shares one across systems, moves this count. Each thread
+# keeps its last Eq. 2 solve, keyed by system id and the bits of y; the
+# repeats it answers fall within one trial, which runs on one thread, so
+# the solves and the reuses are pinned at every thread count too (8
+# threads read the same).
 python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
@@ -99,6 +103,10 @@ expected = {
 }
 expected_builds = {"all": 2828, "gap": 834}
 expected_contexts = {"all": 1024, "gap": 63}
+expected_estimates = {
+    "all": {"solves": 1452, "reused": 258},
+    "gap": {"solves": 78, "reused": 3},
+}
 expected_placement = {
     "all": {"pairs": 41348, "candidates": 246323, "rank_raises": 1808},
     "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
@@ -122,6 +130,11 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
         sys.exit(f"ci: run {run} at {threads} threads: "
                  f"attack.context.builds {contexts} != "
                  f"{expected_contexts[run]}")
+    estimates = {k: counters.get(f"core.estimate.{k}", 0)
+                 for k in expected_estimates[run]}
+    if estimates != expected_estimates[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: core.estimate "
+                 f"counters {estimates} != {expected_estimates[run]}")
     placement = {k: counters.get(f"core.placement.{k}", 0)
                  for k in expected_placement[run]}
     if placement != expected_placement[run]:
@@ -139,7 +152,7 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
                  f"{infeasible['min']}, feasible max {feasible['max']}")
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
       "the phase-1 verdict margin, core.estimator_cache.builds, "
-      "attack.context.builds and "
+      "attack.context.builds, core.estimate solves/reused and "
       "core.placement pairs/candidates/rank_raises match for run all and "
       "run gap at 1, 2 and 3 threads")
 PY
