@@ -13,6 +13,8 @@
 //! identifiability to minimize the worst single node's presence ratio on
 //! measurement paths — the quantity Theorem 2 ties to attack success.
 
+use std::ops::ControlFlow;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -76,10 +78,15 @@ pub fn random_placement<R: Rng + ?Sized>(
     random_placement_on(graph, config, rng, &Executor::from_env())
 }
 
-/// [`random_placement`] with each new monitor's Yen calls fanned out over
-/// `exec`. The calls do not depend on each other, and their paths reach
-/// the rank tracker in pair order, so the monitors and paths do not
-/// depend on the thread count; one worker runs the pairs inline.
+/// [`random_placement`] with its Yen calls fanned out over `exec`.
+///
+/// Monitor `m` of the shuffled order is paired with monitors `0..m`, in
+/// that order, and the pairs of all monitors form one stream through
+/// [`Executor::try_stream`]. The calls do not depend on each other, and
+/// their paths reach the rank tracker in pair order, one monitor at a
+/// time, so the monitors and paths do not depend on the thread count;
+/// Yen calls past full rank are dropped unseen, and one worker runs the
+/// pairs inline and stops there.
 ///
 /// Counts `core.placement.pairs` (Yen calls), `core.placement.candidates`
 /// (paths Yen returned) and `core.placement.rank_raises` (paths that
@@ -88,7 +95,8 @@ pub fn random_placement<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// As [`random_placement`]; a failing Yen call reports the error of the
-/// lowest pair index, the one a serial loop would hit first.
+/// lowest pair index, the one a serial loop would hit first, before its
+/// monitor's pairs are counted.
 pub fn random_placement_on<R: Rng + ?Sized>(
     graph: &Graph,
     config: &PlacementConfig,
@@ -108,34 +116,48 @@ pub fn random_placement_on<R: Rng + ?Sized>(
     let mut order: Vec<NodeId> = graph.nodes().collect();
     order.shuffle(rng);
     let budget = config.max_monitors.unwrap_or(graph.num_nodes());
+    order.truncate(budget);
     // Only the first `extra` rejected paths become redundant rows.
     let extra = ((num_links as f64) * config.redundancy_fraction).floor() as usize;
 
-    let mut monitors: Vec<NodeId> = Vec::new();
+    // The first monitor has no pairs, so it is placed before the stream.
+    let mut monitors: Vec<NodeId> = order.iter().take(1).copied().collect();
     let mut tracker = SparseRank::new(num_links);
     let mut chosen: Vec<Path> = Vec::new();
     let mut skipped: Vec<Path> = Vec::new();
-
-    for &candidate in order.iter().take(budget) {
-        // Pull candidate paths from the new monitor to each existing one.
-        let per_pair = exec.try_map(monitors.len(), |i| {
-            shortest::yen_k_shortest(graph, monitors[i], candidate, config.paths_per_pair)
-        })?;
-        PAIRS.add(per_pair.len() as u64);
-        for p in per_pair.into_iter().flatten() {
-            CANDIDATES.inc();
-            if tracker.try_add(p.links().iter().map(|l| l.index())) {
-                RANK_RAISES.inc();
-                chosen.push(p);
-            } else if skipped.len() < extra {
-                skipped.push(p);
+    // The pairs of the monitor being added, until its last one arrives.
+    let mut pending: Vec<Vec<Path>> = Vec::new();
+    let pairs = order.len() * order.len().saturating_sub(1) / 2;
+    exec.try_stream(
+        pairs,
+        |pair| {
+            let (m, i) = pair_monitors(pair);
+            shortest::yen_k_shortest(graph, order[i], order[m], config.paths_per_pair)
+        },
+        |_, paths| {
+            pending.push(paths);
+            let m = monitors.len();
+            if pending.len() < m {
+                return ControlFlow::Continue(());
             }
-        }
-        monitors.push(candidate);
-        if tracker.is_full() {
-            break;
-        }
-    }
+            PAIRS.add(m as u64);
+            for p in pending.drain(..).flatten() {
+                CANDIDATES.inc();
+                if tracker.try_add(p.links().iter().map(|l| l.index())) {
+                    RANK_RAISES.inc();
+                    chosen.push(p);
+                } else if skipped.len() < extra {
+                    skipped.push(p);
+                }
+            }
+            monitors.push(order[m]);
+            if tracker.is_full() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        },
+    )?;
 
     if !tracker.is_full() {
         return Err(CoreError::PlacementFailed {
@@ -150,6 +172,14 @@ pub fn random_placement_on<R: Rng + ?Sized>(
 
     chosen.extend(skipped);
     TomographySystem::new(graph.clone(), monitors, chosen)
+}
+
+/// The monitors of placement's pair `pair`: `(m, i)` with `i < m`, where
+/// monitor `m`'s pairs `(m, 0), …, (m, m − 1)` are `m(m − 1)/2 ..
+/// m(m + 1)/2`.
+fn pair_monitors(pair: usize) -> (usize, usize) {
+    let m = (8 * pair + 1).isqrt().div_ceil(2);
+    (m, pair - m * (m - 1) / 2)
 }
 
 /// Presence ratio of each node on the system's measurement paths:
@@ -263,8 +293,8 @@ mod tests {
     fn budget_too_small_fails() {
         let f = topology::fig1();
         // 2 monitors cannot identify all 10 Fig. 1 links; at this seed 6
-        // cannot either, and their maps have up to 5 pairs, so 3 threads
-        // fan out. The reason must not depend on the thread count.
+        // cannot either, and their 15 pairs fan out over 3 threads. The
+        // reason must not depend on the thread count.
         for budget in [2, 6] {
             let config = PlacementConfig {
                 max_monitors: Some(budget),
@@ -299,6 +329,14 @@ mod tests {
         let parallel = place(3);
         assert_eq!(serial.monitors(), parallel.monitors());
         assert_eq!(serial.paths(), parallel.paths());
+    }
+
+    #[test]
+    fn pairs_enumerate_each_monitor_against_the_earlier_ones() {
+        let nested: Vec<(usize, usize)> =
+            (1..200).flat_map(|m| (0..m).map(move |i| (m, i))).collect();
+        let streamed: Vec<(usize, usize)> = (0..nested.len()).map(pair_monitors).collect();
+        assert_eq!(streamed, nested);
     }
 
     #[test]

@@ -9,30 +9,35 @@
 //!    `(experiment_seed, trial_index)` by [`derive_seed`] (a SplitMix64
 //!    mixer). No trial ever observes another trial's draws, so the
 //!    schedule cannot influence the results.
-//! 2. [`Executor::map`]/[`Executor::try_map`] hand out trial indices
-//!    dynamically (an atomic cursor — cheap work stealing) but return
-//!    results **in index order**, so downstream aggregation is
-//!    schedule-independent too.
+//! 2. [`Executor::try_stream`] hands out trial indices dynamically (cheap
+//!    work stealing) but delivers results to its consumer **in index
+//!    order** on the calling thread, and may stop early on the
+//!    consumer's word; [`Executor::map`]/[`Executor::try_map`] are that
+//!    loop with a consumer that collects every result. Downstream
+//!    aggregation is therefore schedule-independent too.
 //!
 //! Thread count resolution: explicit [`Executor::new`] >
 //! `TOMO_THREADS` env var > [`std::thread::available_parallelism`]
 //! (see [`Executor::from_env`]).
 //!
 //! Observability: `par.tasks`/`par.batches` counters, a `par.workers`
-//! gauge, and a `par.worker.tasks` histogram (tasks completed per
-//! worker — a utilization/steal balance signal) are recorded through
-//! `tomo-obs`; each worker thread opens a `par.worker` span, so nested
-//! spans from trial code get per-worker paths for free. When tracing is
-//! enabled ([`tomo_obs::set_tracing`]), the caller's
+//! gauge, and a `par.worker.tasks` histogram (results each worker
+//! delivered — a utilization/steal balance signal) are recorded through
+//! `tomo-obs`; results computed past an early stop are dropped before
+//! they reach any of them, so `par.tasks` is the same at any thread
+//! count. Each worker, the calling thread included, opens a `par.worker`
+//! span, so nested spans from trial code get per-worker paths for free.
+//! When tracing is enabled ([`tomo_obs::set_tracing`]), the caller's
 //! [`tomo_obs::TraceContext`] is captured before the fan-out and
-//! installed in every worker, and each task runs inside a `trial` span —
-//! so the trace journal sees one connected tree
+//! installed in every spawned worker, and each task runs inside a
+//! `trial` span — so the trace journal sees one connected tree
 //! (`sim.fig7 → par.worker → trial → …`) regardless of thread count.
 
 #![forbid(unsafe_code)]
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use tomo_obs::{LazyCounter, LazyGauge, LazyHistogram};
 
@@ -42,14 +47,19 @@ static WORKERS: LazyGauge = LazyGauge::new("par.workers");
 static WORKER_TASKS: LazyHistogram = LazyHistogram::new("par.worker.tasks");
 static TRIAL_PANICS: LazyCounter = LazyCounter::new("par.trial_panics");
 
+/// How far workers may run ahead of the consumer: no task starts at an
+/// index ≥ delivered + `WINDOW`. It bounds the results held at once and
+/// the work wasted past an early stop.
+const WINDOW: usize = 64;
+
 /// Why a task failed: its own typed error, or a captured panic.
 enum TaskFailure<E> {
     Err(E),
     Panic(String),
 }
 
-/// One worker's index-tagged results, or the first `(index, failure)` it hit.
-type WorkerOutcome<T, E> = Result<Vec<(usize, T)>, (usize, TaskFailure<E>)>;
+/// A finished task: which worker ran it, and its result or failure.
+type Done<T, E> = (usize, Result<T, TaskFailure<E>>);
 
 /// Best-effort rendering of a panic payload (`&str` and `String` cover
 /// every `panic!` in this workspace).
@@ -84,10 +94,12 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 /// A fixed-width scoped-thread executor for embarrassingly parallel
 /// trial loops.
 ///
-/// `Executor` owns no threads: every [`map`](Executor::map) call spawns
-/// scoped workers and joins them before returning, so borrowed trial
-/// state (`&TomographySystem`, `&AttackScenario`, …) flows into the
-/// closure without `Arc` or cloning.
+/// `Executor` keeps no threads between calls: each
+/// [`try_stream`](Executor::try_stream) (and so each map) with more than
+/// one worker spawns `threads − 1` scoped workers, works alongside them
+/// on the calling thread, and joins them before returning, so borrowed
+/// trial state (`&TomographySystem`, `&AttackScenario`, …) flows into
+/// the closure without `Arc` or cloning. One worker spawns nothing.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -151,9 +163,7 @@ impl Executor {
 
     /// Fallible [`map`](Executor::map): stops handing out new work after
     /// the first error and returns the error with the **lowest trial
-    /// index** among those observed, so the reported error does not
-    /// depend on the schedule in the common case of an early
-    /// deterministic failure.
+    /// index**, the one a sequential loop would have hit first.
     ///
     /// # Errors
     ///
@@ -161,102 +171,290 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// A panicking task no longer kills the worker pool silently: the
-    /// panic is captured per task, every worker drains, and the panic is
-    /// re-raised on the caller's thread with the failing **trial index**
-    /// and the original message attached (the lowest-index failure wins,
-    /// like errors, so the report is schedule-independent).
+    /// A panicking task's panic is captured and re-raised on the caller's
+    /// thread with the failing **trial index** and the original message
+    /// attached (the lowest-index failure wins, like errors, so the report
+    /// is schedule-independent).
     pub fn try_map<T, E, F>(&self, n: usize, f: F) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
+        let mut out = Vec::with_capacity(n);
+        self.try_stream(n, f, |_, v| {
+            out.push(v);
+            ControlFlow::Continue(())
+        })?;
+        Ok(out)
+    }
+
+    /// Ordered, early-stopping fan-out: runs `f` over `0..n` on
+    /// [`threads`](Executor::threads) workers and hands each result to
+    /// `consume(i, result)` on the calling thread, **in index order**,
+    /// until `consume` returns [`ControlFlow::Break`] or every index is
+    /// delivered.
+    ///
+    /// The calling thread is one of the workers. Workers start no task at
+    /// an index ≥ delivered + a fixed window, so a stop wastes at most
+    /// that many tasks. Results, errors and panics of tasks past the stop
+    /// are dropped and reach no counter: `par.tasks` counts the results
+    /// delivered, the same at any thread count. One worker is a plain
+    /// loop on the caller that runs nothing past the stop.
+    ///
+    /// # Errors
+    ///
+    /// The first failure in index order ends the stream: a task's error
+    /// is returned once every lower index has been delivered.
+    ///
+    /// # Panics
+    ///
+    /// A panicking task reached in index order is re-raised on the
+    /// caller's thread with its trial index and original message.
+    pub fn try_stream<T, E, F, C>(&self, n: usize, f: F, mut consume: C) -> Result<(), E>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(usize) -> Result<T, E> + Sync,
+        C: FnMut(usize, T) -> ControlFlow<()>,
+    {
         BATCHES.inc();
-        TASKS.add(n as u64);
         let workers = self.threads.min(n.max(1));
         WORKERS.set(workers as f64);
-        // Capture the caller's innermost traced span *before* fanning
-        // out: worker threads start with an empty span stack, and
-        // installing this context re-parents their spans under the
-        // caller's (same hand-off discipline as derive_seed for RNG).
-        let ctx = tomo_obs::TraceContext::current();
-        let run_task = |i: usize| {
+        let run_task = |i: usize| -> Result<T, TaskFailure<E>> {
             let _trial = tomo_obs::tracing_enabled().then(|| tomo_obs::span("trial"));
-            f(i)
-        };
-        if workers == 1 {
-            WORKER_TASKS.record(n as f64);
-            return (0..n).map(run_task).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let run_worker = || -> WorkerOutcome<T, E> {
-            let _ctx = ctx.install();
-            let _span = tomo_obs::span("par.worker");
-            let mut done: Vec<(usize, T)> = Vec::new();
-            loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| run_task(i))) {
-                    Ok(Ok(v)) => done.push((i, v)),
-                    Ok(Err(e)) => {
-                        failed.store(true, Ordering::Relaxed);
-                        return Err((i, TaskFailure::Err(e)));
-                    }
-                    Err(payload) => {
-                        TRIAL_PANICS.inc();
-                        failed.store(true, Ordering::Relaxed);
-                        return Err((i, TaskFailure::Panic(panic_message(payload.as_ref()))));
-                    }
-                }
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(Ok(v)) => Ok(v),
+                Ok(Err(e)) => Err(TaskFailure::Err(e)),
+                Err(payload) => Err(TaskFailure::Panic(panic_message(payload.as_ref()))),
             }
-            WORKER_TASKS.record(done.len() as f64);
-            Ok(done)
         };
-
-        let per_worker: Vec<WorkerOutcome<T, E>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tomo-par worker bookkeeping panicked"))
-                .collect()
-        });
-
-        let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
-        let mut first_err: Option<(usize, TaskFailure<E>)> = None;
-        for outcome in per_worker {
-            match outcome {
-                Ok(pairs) => indexed.extend(pairs),
-                Err((i, e)) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
+        // Results delivered per worker (the caller is worker 0). A stream
+        // ends on a `Break`: `None` when the consumer stopped it, the index
+        // and failure when a failed task was reached.
+        let mut delivered = vec![0u64; workers];
+        let mut deliver = |i: usize, (worker, done): Done<T, E>| match done {
+            Ok(v) => {
+                delivered[worker] += 1;
+                consume(i, v).map_break(|()| None)
             }
+            Err(failure) => ControlFlow::Break(Some((i, failure))),
+        };
+        let failure = if workers == 1 {
+            (0..n)
+                .try_for_each(|i| deliver(i, (0, run_task(i))))
+                .break_value()
+                .flatten()
+        } else {
+            // Capture the caller's innermost traced span *before* any
+            // `par.worker` span opens: spawned threads start with an empty
+            // span stack, and installing this context parents their spans
+            // under the caller's (same hand-off discipline as derive_seed
+            // for RNG), as siblings of the caller's own `par.worker`.
+            let ctx = tomo_obs::TraceContext::current();
+            let queue = Queue::new(n);
+            std::thread::scope(|scope| {
+                for worker in 1..workers {
+                    let (queue, run_task) = (&queue, &run_task);
+                    scope.spawn(move || {
+                        let _ctx = ctx.install();
+                        let _span = tomo_obs::span("par.worker");
+                        queue.work(worker, run_task);
+                    });
+                }
+                let _span = tomo_obs::span("par.worker");
+                let _stop = StopOnDrop(&queue);
+                queue.drive(&run_task, &mut deliver)
+            })
+        };
+        TASKS.add(delivered.iter().sum());
+        for &count in &delivered {
+            WORKER_TASKS.record(count as f64);
         }
-        match first_err {
-            Some((_, TaskFailure::Err(e))) => return Err(e),
+        match failure {
+            None => Ok(()),
+            Some((_, TaskFailure::Err(e))) => Err(e),
             Some((i, TaskFailure::Panic(msg))) => {
+                TRIAL_PANICS.inc();
                 panic!("tomo-par: trial {i} panicked: {msg}")
             }
-            None => {}
         }
-        debug_assert_eq!(indexed.len(), n, "every trial index must be covered once");
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        Ok(indexed.into_iter().map(|(_, v)| v).collect())
     }
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor::from_env()
+    }
+}
+
+/// A stream's end: `None` when the consumer stopped it or every result
+/// was delivered, else the failed task's index and failure.
+type Stop<E> = Option<(usize, TaskFailure<E>)>;
+
+/// The work queue of one multi-worker [`Executor::try_stream`] call.
+struct Queue<T, E> {
+    /// Tasks in the stream.
+    n: usize,
+    state: Mutex<QueueState<T, E>>,
+    /// Signals the waiting caller that the next result has arrived.
+    ready: Condvar,
+    /// Signals blocked workers that the window moved or the stream ended.
+    room: Condvar,
+}
+
+struct QueueState<T, E> {
+    /// The next index to hand out.
+    next: usize,
+    /// Results delivered to the consumer so far.
+    delivered: usize,
+    /// No index ≥ `end` starts: `n`, lowered to one past a failed task,
+    /// and to 0 once the stream ends.
+    end: usize,
+    /// Finished tasks not yet delivered, index `i` at `i % slots.len()`.
+    slots: Vec<Option<Done<T, E>>>,
+    /// Spawned workers waiting for the window to move.
+    blocked: usize,
+    /// Whether the caller waits for the result at `delivered`.
+    caller_waiting: bool,
+}
+
+impl<T, E> QueueState<T, E> {
+    /// Hands out the next index, if it is below `end` and in the window.
+    fn take(&mut self) -> Option<usize> {
+        let i = self.next;
+        if i < self.end && i < self.delivered + self.slots.len() {
+            self.next += 1;
+            Some(i)
+        } else {
+            None
+        }
+    }
+
+    /// Keeps task `i`'s result for delivery, or hands it back when `i`
+    /// lies past the stop. A failure stops the hand-out past `i`.
+    fn put(&mut self, i: usize, done: Done<T, E>) -> Option<Done<T, E>> {
+        if i >= self.end {
+            return Some(done);
+        }
+        if done.1.is_err() {
+            self.end = i + 1;
+        }
+        let slot = i % self.slots.len();
+        self.slots[slot] = Some(done);
+        None
+    }
+}
+
+impl<T, E> Queue<T, E> {
+    /// A queue over `0..n`, `n` ≥ 1.
+    fn new(n: usize) -> Self {
+        Queue {
+            n,
+            state: Mutex::new(QueueState {
+                next: 0,
+                delivered: 0,
+                end: n,
+                slots: (0..WINDOW.min(n)).map(|_| None).collect(),
+                blocked: 0,
+                caller_waiting: false,
+            }),
+            ready: Condvar::new(),
+            room: Condvar::new(),
+        }
+    }
+
+    /// No task, consumer or result `Drop` runs under the lock, and each
+    /// update under it leaves the state whole, so a poisoned lock still
+    /// guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, QueueState<T, E>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A spawned worker's loop: run tasks in the window until the
+    /// hand-out ends.
+    fn work(&self, worker: usize, run: &impl Fn(usize) -> Result<T, TaskFailure<E>>) {
+        let mut st = self.lock();
+        while st.next < st.end {
+            let Some(i) = st.take() else {
+                st.blocked += 1;
+                st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.blocked -= 1;
+                continue;
+            };
+            drop(st);
+            let done = (worker, run(i));
+            st = self.lock();
+            if st.caller_waiting && i == st.delivered {
+                self.ready.notify_one();
+            }
+            st = self.keep(st, i, done);
+        }
+    }
+
+    /// [`QueueState::put`] under `st`; a result past the stop is dropped
+    /// with the lock released, as dropping a `T` or `E` may run any code.
+    fn keep<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, QueueState<T, E>>,
+        i: usize,
+        done: Done<T, E>,
+    ) -> MutexGuard<'a, QueueState<T, E>> {
+        match st.put(i, done) {
+            None => st,
+            Some(past_stop) => {
+                drop(st);
+                drop(past_stop);
+                self.lock()
+            }
+        }
+    }
+
+    /// The caller's loop: deliver the next result whenever it is ready,
+    /// run a task of its own when it is not, and wait when it can do
+    /// neither.
+    fn drive(
+        &self,
+        run: &impl Fn(usize) -> Result<T, TaskFailure<E>>,
+        deliver: &mut impl FnMut(usize, Done<T, E>) -> ControlFlow<Stop<E>>,
+    ) -> Stop<E> {
+        let mut st = self.lock();
+        while st.delivered < self.n {
+            let d = st.delivered;
+            let slot = d % st.slots.len();
+            if let Some(done) = st.slots[slot].take() {
+                drop(st);
+                if let ControlFlow::Break(stop) = deliver(d, done) {
+                    return stop;
+                }
+                st = self.lock();
+                st.delivered = d + 1;
+                if st.blocked > 0 {
+                    self.room.notify_one();
+                }
+            } else if let Some(i) = st.take() {
+                drop(st);
+                let done = (0, run(i));
+                st = self.keep(self.lock(), i, done);
+            } else {
+                st.caller_waiting = true;
+                st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.caller_waiting = false;
+            }
+        }
+        None
+    }
+}
+
+/// Ends the hand-out when the caller leaves [`Queue::drive`] — by
+/// returning or by a panicking consumer — so blocked workers exit and
+/// the scope can join them.
+struct StopOnDrop<'a, T, E>(&'a Queue<T, E>);
+
+impl<T, E> Drop for StopOnDrop<'_, T, E> {
+    fn drop(&mut self) {
+        self.0.lock().end = 0;
+        self.0.room.notify_all();
     }
 }
 
@@ -391,6 +589,212 @@ mod tests {
             });
             let msg = panic_message(payload.as_ref());
             assert!(msg.contains("trial 3"), "expected lowest index 3: {msg}");
+        }
+    }
+
+    /// Worker counts every ordered-stream test runs at.
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    #[test]
+    fn stream_delivers_in_index_order() {
+        for threads in THREADS {
+            let mut seen = Vec::new();
+            let r: Result<(), ()> = Executor::new(threads).try_stream(
+                300,
+                |i| Ok(i * 3),
+                |i, v| {
+                    assert_eq!(v, i * 3);
+                    seen.push(i);
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(r, Ok(()));
+            assert_eq!(seen, (0..300).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn break_at_k_delivers_exactly_up_to_k() {
+        for threads in THREADS {
+            for k in [0, 1, 63, 64, 150, 299] {
+                let mut seen = Vec::new();
+                let r: Result<(), ()> = Executor::new(threads).try_stream(300, Ok, |i, v| {
+                    assert_eq!(v, i);
+                    seen.push(i);
+                    if i == k {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert_eq!(r, Ok(()));
+                assert_eq!(seen, (0..=k).collect::<Vec<_>>(), "{threads} threads");
+            }
+        }
+    }
+
+    /// Spins until `flag` is set (at most 10 s, so a schedule that never
+    /// sets it weakens the test instead of hanging it).
+    fn wait_for(flag: &std::sync::atomic::AtomicBool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !flag.load(std::sync::atomic::Ordering::SeqCst)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+    }
+
+    #[test]
+    fn failures_past_the_stop_are_never_reported() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for threads in THREADS {
+            for panics in [false, true] {
+                // With workers, the stop index waits until a task past it
+                // has failed, so the failure is in hand before the stop.
+                let past_ran = AtomicBool::new(false);
+                let r: Result<(), usize> = with_quiet_panics(|| {
+                    Executor::new(threads).try_stream(
+                        200,
+                        |i| {
+                            if i < 10 || (i == 10 && threads == 1) {
+                                return Ok(i);
+                            }
+                            if i == 10 {
+                                wait_for(&past_ran);
+                                return Ok(i);
+                            }
+                            past_ran.store(true, Ordering::SeqCst);
+                            if panics {
+                                panic!("planted past the stop in {i}");
+                            }
+                            Err(i)
+                        },
+                        |i, _| {
+                            if i == 10 {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        },
+                    )
+                });
+                assert_eq!(r, Ok(()), "{threads} threads, panics: {panics}");
+            }
+        }
+    }
+
+    #[test]
+    fn lowest_delivered_error_wins() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for threads in THREADS {
+            // With workers, index 5 fails only after a higher failure has
+            // run, so the lower one arrives last.
+            let higher_failed = AtomicBool::new(false);
+            let r: Result<(), usize> = Executor::new(threads).try_stream(
+                100,
+                |i| {
+                    if i == 5 && threads > 1 {
+                        wait_for(&higher_failed);
+                    }
+                    if i % 5 != 0 || i == 0 {
+                        return Ok(());
+                    }
+                    if i > 5 {
+                        higher_failed.store(true, Ordering::SeqCst);
+                    }
+                    Err(i)
+                },
+                |_, ()| ControlFlow::Continue(()),
+            );
+            assert_eq!(r, Err(5), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn delivered_panic_names_its_trial() {
+        for threads in THREADS {
+            let payload = with_quiet_panics(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    Executor::new(threads).try_stream(
+                        100,
+                        |i| {
+                            if i == 23 || i == 57 {
+                                panic!("planted in {i}");
+                            }
+                            Ok::<_, ()>(i)
+                        },
+                        |_, _| ControlFlow::Continue(()),
+                    )
+                }))
+                .expect_err("panic must propagate")
+            });
+            let msg = panic_message(payload.as_ref());
+            assert!(
+                msg.contains("trial 23") && msg.contains("planted in 23"),
+                "{threads} threads: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_task_starts_past_the_window() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        for threads in THREADS {
+            let highest = AtomicUsize::new(0);
+            // How far past the delivered count a task started, at most.
+            let mut ahead = 0;
+            let r: Result<(), ()> = Executor::new(threads).try_stream(
+                500,
+                |i| {
+                    highest.fetch_max(i, Ordering::SeqCst);
+                    Ok(())
+                },
+                |i, ()| {
+                    // `i` results were delivered before this one. Hold the
+                    // first until the workers fill the window, then give
+                    // them time to overrun it.
+                    if i == 0 && threads > 1 {
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while highest.load(Ordering::SeqCst) < WINDOW - 1
+                            && Instant::now() < deadline
+                        {
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    let started = highest.load(Ordering::SeqCst);
+                    assert!(
+                        started < i + WINDOW,
+                        "{threads} threads: task {started} started with {i} delivered"
+                    );
+                    ahead = ahead.max(started - i);
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(r, Ok(()));
+            let full = if threads == 1 { 0 } else { WINDOW - 1 };
+            assert_eq!(ahead, full, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn panicking_consumer_releases_the_workers() {
+        for threads in THREADS {
+            let payload = with_quiet_panics(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    Executor::new(threads).try_stream(1000, Ok::<_, ()>, |i, _| {
+                        assert!(i < 5, "consumer gave up at {i}");
+                        ControlFlow::Continue(())
+                    })
+                }))
+                .expect_err("the consumer's panic must propagate")
+            });
+            let msg = panic_message(payload.as_ref());
+            assert!(
+                msg.contains("consumer gave up at 5"),
+                "{threads} threads: {msg}"
+            );
         }
     }
 

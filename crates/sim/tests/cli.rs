@@ -113,9 +113,12 @@ fn metrics_snapshot_captures_solver_and_figure_activity() {
 
 #[test]
 fn threads_flag_reaches_placement() {
-    // Each new monitor's Yen calls are one executor map, so at --threads 1
-    // every map runs inline (one par.worker.tasks sample per batch), and
-    // the placement counters do not depend on the thread count.
+    // Each placement streams all its Yen calls through one executor
+    // fan-out, so fig7 --quick makes 4 batches at any thread count: 2
+    // placements and 2 trial maps. At --threads 1 every batch runs inline
+    // (one par.worker.tasks sample per batch). Calls run past the stop
+    // are dropped uncounted, so the placement counters and par.tasks do
+    // not depend on the thread count.
     let dir = std::env::temp_dir().join("tomo_sim_threads_placement_test");
     let _ = std::fs::remove_dir_all(&dir);
     let run = |threads: &str| -> serde_json::Value {
@@ -152,11 +155,14 @@ fn threads_flag_reaches_placement() {
     assert!(pairs > 0, "placement made no Yen calls");
     // fig7 --quick runs 2 x 40 trials; every other task is a placement pair.
     assert_eq!(counter(&serial, "par.tasks"), 80 + pairs);
-    assert_eq!(worker_samples(&serial), counter(&serial, "par.batches"));
+    assert_eq!(counter(&serial, "par.batches"), 4);
+    assert_eq!(worker_samples(&serial), 4);
 
     let parallel = run("2");
     assert_eq!(placement(&parallel), placement(&serial));
-    assert!(worker_samples(&parallel) > counter(&parallel, "par.batches"));
+    assert_eq!(counter(&parallel, "par.tasks"), 80 + pairs);
+    assert_eq!(counter(&parallel, "par.batches"), 4);
+    assert!(worker_samples(&parallel) > 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

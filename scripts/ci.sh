@@ -62,18 +62,26 @@ done
 # order, so a worker's reused LP buffers see other solves before each
 # one: the seven figure artifacts must keep their bytes there too. run gap
 # evaluates its candidates in fixed-size batches, so its LP work must not
-# depend on the worker count either: pin it at 3 threads too.
+# depend on the worker count either: pin it at 3 threads too, and at 8,
+# where placement's workers run furthest past the pair that fills the
+# rank.
 target/release/tomo-sim run all --seed 42 --threads 3 \
   --out "$WORK/artifacts-t3" --metrics "$WORK/all-metrics-t3.json" >/dev/null
 target/release/tomo-sim run gap --seed 42 --threads 3 \
   --out "$WORK/artifacts-t3" --metrics "$WORK/gap-metrics-t3.json" >/dev/null
+target/release/tomo-sim run gap --seed 42 --threads 8 \
+  --out "$WORK/artifacts-t8" --metrics "$WORK/gap-metrics-t8.json" >/dev/null
 for name in fig2 fig4 fig5 fig6 fig7 fig8 fig9 gap; do
   cmp "artifacts/$name.json" "$WORK/artifacts-t3/$name.json" || {
     echo "ci: $name.json at 3 threads differs from artifacts/$name.json" >&2
     exit 1
   }
 done
-echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (the seven figures and gap.json at 3 too)"
+cmp artifacts/gap.json "$WORK/artifacts-t8/gap.json" || {
+  echo "ci: gap.json at 8 threads differs from artifacts/gap.json" >&2
+  exit 1
+}
+echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2 threads (the seven figures and gap.json at 3 too, gap.json at 8)"
 # Same bytes could hide a changed search: pin the LP layer's decisions
 # too. Every dense-tableau solve, pivot and iteration, each solve's
 # outcome, and the standard-form rows summed over solves must repeat
@@ -82,9 +90,10 @@ echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2
 # far from LP_TOL = 1e-7: every infeasible solve ends at >= 1e-2, every
 # feasible one at <= 1e-8. The estimator and projector columns are
 # computed on first use, so the number of distinct columns a run builds
-# is pinned as well, at every thread count. Placement fans its Yen calls
-# out over the workers but feeds the rank tracker in pair order, so its
-# Yen calls, returned paths and rank raises must repeat exactly too. Each
+# is pinned as well, at every thread count. Placement streams its Yen
+# calls over the workers but feeds the rank tracker in pair order and
+# drops the calls run past full rank uncounted, so its Yen calls,
+# returned paths and rank raises must repeat exactly too. Each
 # attacker set caches one attack context (clean estimate and LP rows) per
 # system and x, and is used on one thread, so the contexts built are
 # pinned at every thread count: a strategy that stops sharing them, or a
@@ -112,7 +121,7 @@ expected_placement = {
     "gap": {"pairs": 9606, "candidates": 57203, "rank_raises": 369},
 }
 for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
-                    ("all", 3), ("gap", 3)):
+                    ("all", 3), ("gap", 3), ("gap", 8)):
     path = f"{sys.argv[1]}/{run}-metrics-t{threads}.json"
     metrics = json.load(open(path))
     counters = metrics.get("counters", {})
@@ -154,22 +163,29 @@ print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
       "the phase-1 verdict margin, core.estimator_cache.builds, "
       "attack.context.builds, core.estimate solves/reused and "
       "core.placement pairs/candidates/rank_raises match for run all and "
-      "run gap at 1, 2 and 3 threads")
+      "run gap at 1, 2 and 3 threads, and run gap at 8")
 PY
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
 SMOKE_METRICS="$WORK/smoke-metrics.json"
 target/release/tomo-sim run fig7 --quick --threads 2 --metrics "$SMOKE_METRICS" >/dev/null
+# Each placement streams its Yen calls through one fan-out, so the run
+# makes 4 batches: 2 placements and 2 trial maps. A return to one map per
+# placed monitor reads ~187 here.
 python3 - "$SMOKE_METRICS" <<'PY'
 import json, sys
-gauges = json.load(open(sys.argv[1])).get("gauges", {})
+metrics = json.load(open(sys.argv[1]))
+gauges = metrics.get("gauges", {})
 workers = gauges.get("par.workers")
 nnz = gauges.get("linalg.sparse.nnz", 0)
+batches = metrics.get("counters", {}).get("par.batches")
 if workers != 2:
     sys.exit(f"ci: expected par.workers = 2, got {workers}")
 if nnz < 1:
     sys.exit(f"ci: expected linalg.sparse.nnz > 0, got {nnz}")
-print(f"ci: 2-thread smoke reported par.workers = 2 (sparse nnz={nnz})")
+if batches != 4:
+    sys.exit(f"ci: expected par.batches = 4 (2 placements, 2 trial maps), got {batches}")
+print(f"ci: 2-thread smoke reported par.workers = 2 and par.batches = 4 (sparse nnz={nnz})")
 PY
 
 echo "==> tomo-sim scale smoke (scale --quick --threads 1 --metrics)"
