@@ -26,22 +26,25 @@ struct Search {
     banned_links: Vec<u32>,
     seen: Vec<u32>,
     prev: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
+    /// The level being expanded and the one being discovered, as bitsets
+    /// over node ids.
+    frontier: Vec<u64>,
+    next: Vec<u64>,
     /// Node sequence of the last path found, source first.
     path: Vec<NodeId>,
 }
 
 impl Search {
     fn new(graph: &Graph) -> Self {
+        let words = graph.num_nodes().div_ceil(64);
         Search {
             stamp: 1,
             banned_nodes: vec![0; graph.num_nodes()],
             banned_links: vec![0; graph.num_links()],
             seen: vec![0; graph.num_nodes()],
             prev: vec![NodeId(0); graph.num_nodes()],
-            frontier: Vec::new(),
-            next: Vec::new(),
+            frontier: vec![0; words],
+            next: vec![0; words],
             path: Vec::new(),
         }
     }
@@ -55,12 +58,20 @@ impl Search {
     }
 
     /// Breadth-first search from `source` to `target` (known nodes)
-    /// avoiding the banned nodes and links. Each level is expanded in
-    /// ascending node id, so a node's predecessor is the lowest-id
-    /// neighbour one level closer — the module's tie-break rule. On
-    /// success the path is left in `self.path`; `source == target` or a
-    /// banned endpoint has no path.
+    /// avoiding the banned nodes and links. Each level's bits are visited
+    /// low to high, so a node's predecessor is the lowest-id neighbour one
+    /// level closer — the module's tie-break rule. On success the path is
+    /// left in `self.path`; `source == target` or a banned endpoint has no
+    /// path.
     fn run(&mut self, graph: &Graph, source: NodeId, target: NodeId) -> bool {
+        self.run_within(graph, source, target, usize::MAX)
+    }
+
+    /// [`Self::run`] for a path of at most `limit` links: it expands the
+    /// first `limit` levels exactly as the uncapped search does, so it
+    /// finds the same path when that path has at most `limit` links and
+    /// none otherwise.
+    fn run_within(&mut self, graph: &Graph, source: NodeId, target: NodeId, limit: usize) -> bool {
         let stamp = self.stamp;
         if source == target
             || self.banned_nodes[source.index()] == stamp
@@ -69,28 +80,39 @@ impl Search {
             return false;
         }
         self.seen[source.index()] = stamp;
-        self.frontier.clear();
-        self.frontier.push(source);
-        'levels: while !self.frontier.is_empty() {
-            self.frontier.sort_unstable();
-            self.next.clear();
-            for &u in &self.frontier {
-                let adjacent = graph.neighbors(u).expect("frontier nodes are graph nodes");
-                for &(v, l) in adjacent {
-                    if self.seen[v.index()] == stamp
-                        || self.banned_nodes[v.index()] == stamp
-                        || self.banned_links[l.index()] == stamp
-                    {
-                        continue;
+        // An earlier search may have stopped with bits still set.
+        self.frontier.fill(0);
+        self.next.fill(0);
+        self.frontier[source.index() / 64] = 1 << (source.index() % 64);
+        'levels: for _ in 0..limit {
+            let mut discovered = false;
+            for word in 0..self.frontier.len() {
+                let mut bits = std::mem::take(&mut self.frontier[word]);
+                while bits != 0 {
+                    let u = NodeId(word * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                    let adjacent = graph.neighbors(u).expect("frontier nodes are graph nodes");
+                    for &(v, l) in adjacent {
+                        if self.seen[v.index()] == stamp
+                            || self.banned_nodes[v.index()] == stamp
+                            || self.banned_links[l.index()] == stamp
+                        {
+                            continue;
+                        }
+                        self.seen[v.index()] = stamp;
+                        self.prev[v.index()] = u;
+                        if v == target {
+                            break 'levels;
+                        }
+                        self.next[v.index() / 64] |= 1 << (v.index() % 64);
+                        discovered = true;
                     }
-                    self.seen[v.index()] = stamp;
-                    self.prev[v.index()] = u;
-                    if v == target {
-                        break 'levels;
-                    }
-                    self.next.push(v);
                 }
             }
+            if !discovered {
+                break;
+            }
+            // `frontier` was emptied word by word: it becomes the next `next`.
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
         if self.seen[target.index()] != stamp {
@@ -162,7 +184,18 @@ pub fn shortest_path(
 /// root was last searched — an accepted path that adds a new next link
 /// at a root deviates at or before that root, and so searched it
 /// itself — so the search would only find a path already accepted or
-/// queued. The output is that of the unpruned loop.
+/// queued.
+///
+/// Bounded spur searches: while `need` more paths are wanted and at
+/// least `need` candidates are queued, let `ℓ` be the link count of the
+/// `need`-th shortest of them. A spur at index `i` then searches only
+/// for spurs of at most `ℓ − i` links, and not at all once `ℓ ≤ i`.
+/// Only the queue's minimum by (length, node sequence) is ever accepted,
+/// so a longer total has `need` better candidates ahead of it; an
+/// acceptance removes the minimum and a new candidate can only lower
+/// `ℓ`, so `ℓ` never rises. A total of exactly `ℓ` links can still win
+/// on node sequence, so the bound is inclusive. With both, the output is
+/// that of the unpruned, unbounded loop.
 ///
 /// # Errors
 ///
@@ -182,14 +215,23 @@ pub fn yen_k_shortest(
     }
     result.push(Path::from_nodes(graph, &search.path)?);
 
-    // Each candidate with the spur index it deviated at.
+    // Each candidate with the spur index it deviated at, and the number
+    // of candidates queued at each link count.
     let mut candidates: Vec<(Vec<NodeId>, usize)> = Vec::new();
+    let mut queued = vec![0usize; graph.num_nodes()];
     let mut deviation = 0;
     while result.len() < k {
         let last = result.len() - 1;
+        let need = k - result.len();
+        let mut bound = nth_shortest(&queued, need);
         // Each node of the previous path from its deviation on (except
         // the final node) is a spur.
         for spur_idx in deviation..result[last].nodes().len() - 1 {
+            let limit = match bound {
+                Some(links) if links <= spur_idx => break,
+                Some(links) => links - spur_idx,
+                None => usize::MAX,
+            };
             search.stamp += 1; // clears all bans and marks
             let root = &result[last].nodes()[..=spur_idx];
             // Ban the next link of every accepted path sharing this root.
@@ -202,7 +244,7 @@ pub fn yen_k_shortest(
             for &n in &root[..spur_idx] {
                 search.ban_node(n);
             }
-            if !search.run(graph, root[spur_idx], target) {
+            if !search.run_within(graph, root[spur_idx], target, limit) {
                 continue;
             }
             // Total path = root + spur; compared in place, allocated
@@ -218,6 +260,8 @@ pub fn yen_k_shortest(
                 && !candidates.iter().any(|(c, _)| is_total(c))
             {
                 candidates.push(([prefix, spur].concat(), spur_idx));
+                queued[spur_idx + spur.len() - 1] += 1;
+                bound = nth_shortest(&queued, need);
             }
         }
         let Some(best) = (0..candidates.len()).min_by(|&a, &b| {
@@ -227,10 +271,21 @@ pub fn yen_k_shortest(
             break;
         };
         let (nodes, spur_idx) = candidates.swap_remove(best);
+        queued[nodes.len() - 1] -= 1;
         deviation = spur_idx;
         result.push(Path::from_nodes(graph, &nodes)?);
     }
     Ok(result)
+}
+
+/// The link count of the `need`-th shortest queued candidate, given the
+/// number queued at each link count; `None` while fewer are queued.
+fn nth_shortest(queued: &[usize], need: usize) -> Option<usize> {
+    let mut count = 0;
+    queued.iter().position(|&at| {
+        count += at;
+        count >= need
+    })
 }
 
 /// One one-hop path per link, in link order. With every node a
@@ -397,6 +452,58 @@ mod tests {
         assert!(yen_k_shortest(&g2, a, b, 3).unwrap().is_empty());
     }
 
+    #[test]
+    fn run_within_finds_a_path_of_exactly_limit_links() {
+        // A ladder of 75 rungs (150 nodes, three bitset words): rails
+        // 0..75 and 75..150, rung i-(i + 75). Every other target ties.
+        let mut g = Graph::with_nodes(150);
+        for i in 0..75 {
+            g.add_link(NodeId(i), NodeId(i + 75)).unwrap();
+            if i + 1 < 75 {
+                g.add_link(NodeId(i), NodeId(i + 1)).unwrap();
+                g.add_link(NodeId(i + 75), NodeId(i + 76)).unwrap();
+            }
+        }
+        let mut search = Search::new(&g);
+        for t in 1..150 {
+            let target = NodeId(t);
+            assert!(search.run(&g, NodeId(0), target));
+            let path = search.path.clone();
+            let links = path.len() - 1;
+            search.stamp += 1;
+            assert!(search.run_within(&g, NodeId(0), target, links), "t = {t}");
+            assert_eq!(search.path, path, "t = {t}");
+            search.stamp += 1;
+            assert!(
+                !search.run_within(&g, NodeId(0), target, links - 1),
+                "t = {t}"
+            );
+            search.stamp += 1;
+        }
+    }
+
+    #[test]
+    fn a_path_as_long_as_the_bound_wins_on_node_sequence() {
+        // s=0, a=1, b=2, c=3, d=4, t=5: s-a-t first; the spur at s queues
+        // s-b-c-t (3 links), so the spur at a may search 3 − 1 = 2 links
+        // and finds s-a-d-t, as long and first by node sequence.
+        let mut g = Graph::with_nodes(6);
+        for (u, v) in [(0, 1), (0, 2), (1, 5), (1, 4), (2, 3), (3, 5), (4, 5)] {
+            g.add_link(NodeId(u), NodeId(v)).unwrap();
+        }
+        let nodes = |p: &Path| p.nodes().iter().map(|n| n.index()).collect::<Vec<_>>();
+        let paths = yen_k_shortest(&g, NodeId(0), NodeId(5), 2).unwrap();
+        assert_eq!(
+            paths.iter().map(nodes).collect::<Vec<_>>(),
+            [vec![0, 1, 5], vec![0, 1, 4, 5]]
+        );
+        assert_eq!(paths, yen_unpruned(&g, NodeId(0), NodeId(5), 2));
+        // The bound was the queued path's length: it comes third.
+        let three = yen_k_shortest(&g, NodeId(0), NodeId(5), 3).unwrap();
+        assert_eq!(nodes(&three[2]), [0, 2, 3, 5]);
+        assert_eq!(three[1].num_links(), three[2].num_links());
+    }
+
     /// The tie-break rule spelled out: BFS distances from the source,
     /// then walk back from the target, always to the lowest-id
     /// neighbour one hop closer.
@@ -455,70 +562,137 @@ mod tests {
         result
     }
 
-    /// A random graph on 2..=14 nodes, edges inserted in random order.
-    fn random_graph(rng: &mut ChaCha8Rng) -> Graph {
-        let n = rng.gen_range(2usize..=14);
-        let density = rng.gen_range(0.1..0.6);
+    /// Edges on `n` nodes, each present with probability `density`, in
+    /// random insertion order (which fixes adjacency order, and must not
+    /// matter).
+    fn random_edges(rng: &mut ChaCha8Rng, n: usize, density: f64) -> Vec<(usize, usize)> {
         let mut edges: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
             .filter(|_| rng.gen_bool(density))
             .collect();
         edges.shuffle(rng);
+        edges
+    }
+
+    /// The wide size class: 65..=200 nodes (two to four bitset words) at a
+    /// mean degree of 1.5 to 6, sparse enough for paths of many levels.
+    fn wide_size(rng: &mut ChaCha8Rng) -> (usize, f64) {
+        let n = rng.gen_range(65usize..=200);
+        (n, rng.gen_range(1.5..6.0) / (n - 1) as f64)
+    }
+
+    /// An endpoint for the wide class: half the time an id on either side
+    /// of a word boundary (63/64, 127/128) or at an end, else any node.
+    fn wide_endpoint(rng: &mut ChaCha8Rng, n: usize) -> NodeId {
+        if rng.gen_bool(0.5) {
+            let edge = [0, 63, 64, 127, 128, n - 1][rng.gen_range(0..6usize)];
+            NodeId(edge.min(n - 1))
+        } else {
+            NodeId(rng.gen_range(0..n))
+        }
+    }
+
+    /// Pruned and bounded Yen against [`yen_unpruned`] on one random graph.
+    fn yen_case(
+        rng: &mut ChaCha8Rng,
+        (n, density): (usize, f64),
+        endpoint: fn(&mut ChaCha8Rng, usize) -> NodeId,
+    ) -> TestCaseResult {
         let mut g = Graph::with_nodes(n);
-        for (i, j) in edges {
+        for (i, j) in random_edges(rng, n, density) {
             g.add_link(NodeId(i), NodeId(j)).unwrap();
         }
-        g
+        let s = endpoint(rng, n);
+        let t = endpoint(rng, n);
+        let k = rng.gen_range(1usize..=8);
+        prop_assert_eq!(
+            yen_k_shortest(&g, s, t, k).unwrap(),
+            yen_unpruned(&g, s, t, k)
+        );
+        Ok(())
+    }
+
+    /// `shortest_path` and the banned search against [`reference`] on one
+    /// random graph, the latter run on the graph without the banned
+    /// nodes' and links' edges.
+    fn bfs_case(
+        rng: &mut ChaCha8Rng,
+        (n, density): (usize, f64),
+        endpoint: fn(&mut ChaCha8Rng, usize) -> NodeId,
+    ) -> TestCaseResult {
+        let edges = random_edges(rng, n, density);
+        let banned_nodes: Vec<NodeId> = (0..n).filter(|_| rng.gen_bool(0.15)).map(NodeId).collect();
+        let mut banned_links = Vec::new();
+        let (mut g, mut allowed) = (Graph::with_nodes(n), Graph::with_nodes(n));
+        for (i, j) in edges {
+            let l = g.add_link(NodeId(i), NodeId(j)).unwrap();
+            if rng.gen_bool(0.15) {
+                banned_links.push(l);
+            } else if !banned_nodes.contains(&NodeId(i)) && !banned_nodes.contains(&NodeId(j)) {
+                allowed.add_link(NodeId(i), NodeId(j)).unwrap();
+            }
+        }
+        let s = endpoint(rng, n);
+        let t = endpoint(rng, n);
+        let plain = shortest_path(&g, s, t).unwrap().map(|p| p.nodes().to_vec());
+        prop_assert_eq!(plain, reference(&g, s, t));
+        prop_assert_eq!(
+            avoiding(&g, s, t, &banned_nodes, &banned_links),
+            reference(&allowed, s, t)
+        );
+        Ok(())
+    }
+
+    /// The small size class: 2..=14 nodes at density 0.1 to 0.6.
+    fn small_size(rng: &mut ChaCha8Rng) -> (usize, f64) {
+        (rng.gen_range(2usize..=14), rng.gen_range(0.1..0.6))
+    }
+
+    fn any_endpoint(rng: &mut ChaCha8Rng, n: usize) -> NodeId {
+        NodeId(rng.gen_range(0..n))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Lawler's pruning changes no output: the same paths in the same
-        /// order as the loop that searches every spur.
+        /// Lawler's pruning and the spur bound change no output: the same
+        /// paths in the same order as the loop that searches every spur
+        /// without a bound.
         #[test]
         fn pruned_yen_matches_unpruned(seed in 0u64..100_000) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let g = random_graph(&mut rng);
-            let s = NodeId(rng.gen_range(0..g.num_nodes()));
-            let t = NodeId(rng.gen_range(0..g.num_nodes()));
-            let k = rng.gen_range(1usize..=8);
-            prop_assert_eq!(yen_k_shortest(&g, s, t, k).unwrap(), yen_unpruned(&g, s, t, k));
+            let size = small_size(&mut rng);
+            yen_case(&mut rng, size, any_endpoint)?;
         }
 
         /// On random graphs, `shortest_path` and the banned search match
-        /// the reference, the latter run on the graph without the banned
-        /// nodes' and links' edges.
+        /// the reference.
         #[test]
         fn bfs_matches_tie_break_reference(seed in 0u64..100_000) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let n = rng.gen_range(2usize..=14);
-            let density = rng.gen_range(0.1..0.6);
-            let mut edges: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-                .filter(|_| rng.gen_bool(density))
-                .collect();
-            // Insertion order fixes adjacency order, which must not matter.
-            edges.shuffle(&mut rng);
-            let banned_nodes: Vec<NodeId> = (0..n).filter(|_| rng.gen_bool(0.15)).map(NodeId).collect();
-            let mut banned_links = Vec::new();
-            let (mut g, mut allowed) = (Graph::with_nodes(n), Graph::with_nodes(n));
-            for (i, j) in edges {
-                let l = g.add_link(NodeId(i), NodeId(j)).unwrap();
-                if rng.gen_bool(0.15) {
-                    banned_links.push(l);
-                } else if !banned_nodes.contains(&NodeId(i)) && !banned_nodes.contains(&NodeId(j)) {
-                    allowed.add_link(NodeId(i), NodeId(j)).unwrap();
-                }
-            }
-            let s = NodeId(rng.gen_range(0..n));
-            let t = NodeId(rng.gen_range(0..n));
-            let plain = shortest_path(&g, s, t).unwrap().map(|p| p.nodes().to_vec());
-            prop_assert_eq!(plain, reference(&g, s, t));
-            prop_assert_eq!(
-                avoiding(&g, s, t, &banned_nodes, &banned_links),
-                reference(&allowed, s, t)
-            );
+            let size = small_size(&mut rng);
+            bfs_case(&mut rng, size, any_endpoint)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// [`pruned_yen_matches_unpruned`] on graphs of 65..=200 nodes,
+        /// whose BFS levels span two to four bitset words.
+        #[test]
+        fn pruned_yen_matches_unpruned_past_one_word(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let size = wide_size(&mut rng);
+            yen_case(&mut rng, size, wide_endpoint)?;
+        }
+
+        /// [`bfs_matches_tie_break_reference`] on graphs of 65..=200 nodes.
+        #[test]
+        fn bfs_matches_tie_break_reference_past_one_word(seed in 0u64..100_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let size = wide_size(&mut rng);
+            bfs_case(&mut rng, size, wide_endpoint)?;
         }
     }
 }

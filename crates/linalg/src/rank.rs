@@ -7,9 +7,6 @@
 //! answers "does adding this 0/1 row increase the rank?" exactly, by sparse
 //! elimination modulo a large prime.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::qr::PivotedQr;
 use crate::Matrix;
 
@@ -68,9 +65,10 @@ fn inv_mod(a: u64) -> u64 {
 /// the columns where it is 1 (a measurement path's link indices).
 ///
 /// Keeps a sparse row-echelon basis over GF(p), `p = 2^61 − 1`. A row is
-/// reduced in ascending column order (a min-heap of touched columns, a
-/// pivot-column → basis-row map); one that does not vanish joins the
-/// basis, led by its first surviving column.
+/// reduced in ascending column order (a bitset of touched columns read
+/// by a cursor that only moves forward, a pivot-column → basis-row map);
+/// one that does not vanish joins the basis, led by its first surviving
+/// column.
 ///
 /// **Guarantee (one-sided).** An accepted row is independent of the
 /// accepted rows over ℚ: an integer dependency can be scaled to coprime
@@ -98,10 +96,10 @@ pub struct SparseRank {
     rows: Vec<Vec<(usize, u64)>>,
     /// Dense accumulator of the row being reduced; zero between calls.
     acc: Vec<u64>,
-    /// Min-heap holding every nonzero column of `acc` (plus, rarely, a
-    /// repeat or a column that cancelled to zero; both are skipped when
-    /// popped); empty between calls.
-    heap: BinaryHeap<Reverse<usize>>,
+    /// Bitset over columns holding every nonzero column of `acc` (plus,
+    /// rarely, a column that cancelled to zero; skipped when reached);
+    /// clear between calls.
+    touched: Vec<u64>,
 }
 
 impl SparseRank {
@@ -112,7 +110,7 @@ impl SparseRank {
             pivot: vec![None; dim],
             rows: Vec::new(),
             acc: vec![0; dim],
-            heap: BinaryHeap::new(),
+            touched: vec![0; dim.div_ceil(64)],
         }
     }
 
@@ -135,9 +133,11 @@ impl SparseRank {
     ///
     /// Panics if a column index is out of range.
     pub fn would_increase(&mut self, support: impl IntoIterator<Item = usize>) -> bool {
-        let independent = self.reduce(support).is_some();
-        self.drain(|_, _| {});
-        independent
+        let Some(lead) = self.reduce(support) else {
+            return false;
+        };
+        self.drain(lead, |_, _| {});
+        true
     }
 
     /// Adds the row with ones at `support` (a repeated column counts
@@ -153,7 +153,7 @@ impl SparseRank {
         };
         let scale = inv_mod(self.acc[lead]);
         let mut row = Vec::new();
-        self.drain(|c, v| {
+        self.drain(lead, |c, v| {
             if c != lead {
                 row.push((c, mul_mod(v, scale)));
             }
@@ -163,35 +163,43 @@ impl SparseRank {
         true
     }
 
-    /// `acc[c] += x`, queueing `c` unless it is already nonzero (and so
-    /// already queued).
+    /// `acc[c] += x`, marking `c` touched.
     fn push(&mut self, c: usize, x: u64) {
-        if self.acc[c] == 0 {
-            self.heap.push(Reverse(c));
-        }
+        self.touched[c / 64] |= 1 << (c % 64);
         self.acc[c] = add_mod(self.acc[c], x);
     }
 
     /// Loads the row into the accumulator and eliminates basis pivots in
     /// ascending column order. Returns the leading column of the nonzero
-    /// remainder (left in `acc`/`heap` for [`Self::drain`]), or `None`
+    /// remainder (left in `acc`/`touched` for [`Self::drain`]), or `None`
     /// if the row reduced to zero (scratch already clean).
     fn reduce(&mut self, support: impl IntoIterator<Item = usize>) -> Option<usize> {
+        let mut word = self.touched.len();
         for c in support {
             assert!(
                 c < self.pivot.len(),
                 "column {c} out of range for tracker dimension {}",
                 self.pivot.len()
             );
+            word = word.min(c / 64);
             self.push(c, 1);
         }
-        while let Some(&Reverse(c)) = self.heap.peek() {
+        // The cursor's word is read afresh for every column: elimination
+        // at `c` pushes columns right of `c`, some into this same word.
+        while word < self.touched.len() {
+            let bits = self.touched[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            let c = word * 64 + bits.trailing_zeros() as usize;
             let v = self.acc[c];
             match self.pivot[c] {
                 None if v != 0 => return Some(c),
                 Some(r) if v != 0 => {
                     // acc −= v·row. The row's entries lie right of the
-                    // pivot, so every column pushed here stays behind `c`.
+                    // pivot, so every column pushed here stays ahead of
+                    // the cursor.
                     self.acc[c] = 0;
                     for i in 0..self.rows[r].len() {
                         let (col, val) = self.rows[r][i];
@@ -200,18 +208,24 @@ impl SparseRank {
                 }
                 _ => {}
             }
-            self.heap.pop();
+            self.touched[word] &= !(1 << (c % 64));
         }
         None
     }
 
-    /// Empties the heap in ascending column order, handing each nonzero
-    /// accumulator entry to `f` and zeroing the scratch.
-    fn drain(&mut self, mut f: impl FnMut(usize, u64)) {
-        while let Some(Reverse(c)) = self.heap.pop() {
-            let v = std::mem::take(&mut self.acc[c]);
-            if v != 0 {
-                f(c, v);
+    /// Clears the touched bits from `lead`'s word on in ascending column
+    /// order, handing each nonzero accumulator entry to `f` and zeroing
+    /// the scratch. Every touched column is at or right of `lead`.
+    fn drain(&mut self, lead: usize, mut f: impl FnMut(usize, u64)) {
+        for word in lead / 64..self.touched.len() {
+            let mut bits = std::mem::take(&mut self.touched[word]);
+            while bits != 0 {
+                let c = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = std::mem::take(&mut self.acc[c]);
+                if v != 0 {
+                    f(c, v);
+                }
             }
         }
     }
@@ -289,10 +303,63 @@ mod tests {
     }
 
     #[test]
+    fn cursor_follows_pushes_across_and_within_words() {
+        let mut tracker = SparseRank::new(130);
+        // Eliminating pivot 63 pushes column 64, the next word's first.
+        assert!(tracker.try_add([63, 64]));
+        assert!(tracker.try_add([63]), "e63 − (e63 + e64) = −e64 survives");
+        assert!(!tracker.would_increase([64]));
+        // Eliminating pivot 65 pushes column 66 into the cursor's word...
+        assert!(tracker.try_add([65, 66]));
+        assert!(tracker.try_add([65]), "−e66 survives");
+        // ...where, for the same row again, it cancels to zero.
+        assert!(!tracker.try_add([65, 66]));
+        // Column 129 cancels to zero when pivot 127 is eliminated, comes
+        // back when pivot 128 is, and leads the row.
+        assert!(tracker.try_add([127, 129]));
+        assert!(tracker.try_add([128, 129]));
+        assert!(tracker.try_add([127, 128, 129]), "determinant −1");
+        assert_eq!(tracker.rows[tracker.pivot[129].unwrap()], []);
+        assert_eq!(tracker.rank(), 7);
+        // Every call leaves the scratch clean.
+        assert!(tracker.touched.iter().all(|&w| w == 0));
+        assert!(tracker.acc.iter().all(|&v| v == 0));
+    }
+
+    #[test]
     #[should_panic(expected = "out of range for tracker dimension")]
     fn column_out_of_range_panics() {
         let mut tracker = SparseRank::new(3);
         let _ = tracker.try_add([3]);
+    }
+
+    /// Feeds `m` random 0/1 rows over `n` columns, each column of
+    /// `columns` set with probability `density`, to a tracker and checks
+    /// every accept/reject decision against the batch QR rank of the
+    /// growing prefix.
+    fn agrees_with_pivoted_qr(
+        rng: &mut ChaCha8Rng,
+        n: usize,
+        m: usize,
+        density: f64,
+        columns: &[usize],
+    ) -> TestCaseResult {
+        let mut tracker = SparseRank::new(n);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut prefix_rank = 0;
+        for _ in 0..m {
+            let mut row = vec![0.0; n];
+            for &c in columns {
+                row[c] = f64::from(u8::from(rng.gen_bool(density)));
+            }
+            let accepted = tracker.try_add((0..n).filter(|&c| row[c] == 1.0));
+            rows.push(row);
+            let batch = rank(&Matrix::from_rows(&rows).unwrap());
+            prop_assert_eq!(accepted, batch > prefix_rank);
+            prefix_rank = batch;
+            prop_assert_eq!(tracker.rank(), batch);
+        }
+        Ok(())
     }
 
     proptest! {
@@ -307,18 +374,34 @@ mod tests {
             let n = rng.gen_range(2usize..=40);
             let m = rng.gen_range(1usize..=60);
             let density = rng.gen_range(0.05..0.5);
-            let mut tracker = SparseRank::new(n);
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut prefix_rank = 0;
-            for _ in 0..m {
-                let row: Vec<f64> = (0..n).map(|_| f64::from(u8::from(rng.gen_bool(density)))).collect();
-                let accepted = tracker.try_add((0..n).filter(|&c| row[c] == 1.0));
-                rows.push(row);
-                let batch = rank(&Matrix::from_rows(&rows).unwrap());
-                prop_assert_eq!(accepted, batch > prefix_rank);
-                prefix_rank = batch;
-                prop_assert_eq!(tracker.rank(), batch);
+            let columns: Vec<usize> = (0..n).collect();
+            agrees_with_pivoted_qr(&mut rng, n, m, density, &columns)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// [`incremental_agrees_with_pivoted_qr`] over 65..=200 columns
+        /// (two to four bitset words). The rows share at most 32 columns,
+        /// always including those on both sides of 63/64 and 127/128, so
+        /// eliminations cross word boundaries and rows go dependent.
+        #[test]
+        fn incremental_agrees_with_pivoted_qr_past_one_word(seed in 0u64..1000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(65usize..=200);
+            let m = rng.gen_range(1usize..=48);
+            let density = rng.gen_range(0.05..0.5);
+            let mut columns: Vec<usize> = [62, 63, 64, 65, 126, 127, 128, 129]
+                .into_iter()
+                .filter(|&c| c < n)
+                .collect();
+            while columns.len() < 32 {
+                columns.push(rng.gen_range(0..n));
             }
+            columns.sort_unstable();
+            columns.dedup();
+            agrees_with_pivoted_qr(&mut rng, n, m, density, &columns)?;
         }
     }
 }

@@ -192,7 +192,9 @@ echo "==> tomo-sim scale smoke (scale --quick --threads 1 --metrics)"
 # The smallest sweep point must build its system through the sparse Gram
 # factor (two factorizations: the standalone one and the system build's)
 # and route its budget LP through the revised simplex, and the artifact
-# must land on disk.
+# must land on disk. Its structure is pinned: a 689-node graph (11-word
+# BFS levels) and a 999-column rank check (16 words), whose `gram_nnz`
+# moves if the BFS tie-break does.
 SCALE_METRICS="$WORK/scale-metrics.json"
 SCALE_OUT="$WORK/scale"
 target/release/tomo-sim run scale --quick --seed 42 --threads 1 \
@@ -212,6 +214,10 @@ if revised < 1:
 points = artifact.get("points", [])
 if not points:
     sys.exit("ci: scale.json has no points")
+expected = {"links": 999, "nodes": 689, "paths": 1199, "routing_nnz": 2000, "gram_nnz": 4943}
+got = {k: points[0].get(k) for k in expected}
+if got != expected:
+    sys.exit(f"ci: scale smoke structure {got}, expected {expected}")
 print(f"ci: scale smoke made {factors} sparse Gram factorizations and used "
       f"the revised simplex ({points[0]['links']} links, "
       f"{points[0]['lp_revised_pivots']} pivots)")
