@@ -18,7 +18,8 @@ use std::ops::ControlFlow;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use tomo_graph::{shortest, Graph, NodeId, Path};
+use tomo_graph::shortest::{self, NeighbourIndex};
+use tomo_graph::{Graph, NodeId, Path};
 use tomo_linalg::rank::SparseRank;
 use tomo_obs::LazyCounter;
 use tomo_par::Executor;
@@ -126,11 +127,13 @@ pub fn random_placement_on<R: Rng + ?Sized>(
     // The pairs of the monitor being added, until its last one arrives.
     let mut pending: Vec<Vec<Path>> = Vec::new();
     let pairs = order.len() * order.len().saturating_sub(1) / 2;
+    // One neighbour index serves every Yen call of the placement.
+    let index = NeighbourIndex::new(graph);
     exec.try_stream(
         pairs,
         |pair| {
             let (m, i) = pair_monitors(pair);
-            shortest::yen_k_shortest(graph, order[i], order[m], PATHS_PER_PAIR)
+            shortest::yen_k_shortest(&index, order[i], order[m], PATHS_PER_PAIR)
         },
         |_, paths| {
             pending.push(paths);
@@ -201,8 +204,9 @@ pub fn max_internal_presence_ratio(system: &TomographySystem) -> f64 {
 }
 
 /// Security-aware placement (the paper's Section VI proposal): run
-/// [`random_placement_on`] `trials` times on `exec` and keep the system
-/// whose worst internal presence ratio is smallest.
+/// [`random_placement_on`] `trials` times (at least once) on `exec` and
+/// keep the system whose worst internal presence ratio is smallest, the
+/// first of equals.
 ///
 /// # Errors
 ///
@@ -214,25 +218,24 @@ pub fn security_aware_placement<R: Rng + ?Sized>(
     rng: &mut R,
     exec: &Executor,
 ) -> Result<TomographySystem, CoreError> {
-    let mut best: Option<(f64, TomographySystem)> = None;
-    let mut last_err = None;
-    for _ in 0..trials.max(1) {
-        match random_placement_on(graph, config, rng, exec) {
-            Ok(system) => {
-                let exposure = max_internal_presence_ratio(&system);
-                if best.as_ref().is_none_or(|(b, _)| exposure < *b) {
-                    best = Some((exposure, system));
-                }
-            }
-            Err(e) => last_err = Some(e),
+    let mut place = || {
+        random_placement_on(graph, config, rng, exec)
+            .map(|system| (max_internal_presence_ratio(&system), system))
+    };
+    // The best placement so far, or the last failure until one succeeds.
+    let mut best = place();
+    for _ in 1..trials {
+        let trial = place();
+        let better = match (&trial, &best) {
+            (Ok((exposure, _)), Ok((lowest, _))) => exposure < lowest,
+            (Err(_), Ok(_)) => false,
+            (_, Err(_)) => true,
+        };
+        if better {
+            best = trial;
         }
     }
-    match best {
-        Some((_, system)) => Ok(system),
-        None => Err(last_err.unwrap_or(CoreError::PlacementFailed {
-            reason: "no trials executed".into(),
-        })),
-    }
+    best.map(|(_, system)| system)
 }
 
 #[cfg(test)]
@@ -371,6 +374,23 @@ mod tests {
             security_aware_placement(&g, &cfg, 5, &mut rng_b, &Executor::from_env()).unwrap();
         let secure_exposure = max_internal_presence_ratio(&secure);
         assert!(secure_exposure <= single_exposure + 1e-12);
+    }
+
+    #[test]
+    fn security_aware_returns_the_placement_failure() {
+        let g = Graph::with_nodes(1);
+        for trials in [0, 3] {
+            let mut rng = ChaCha8Rng::seed_from_u64(6);
+            let err = security_aware_placement(
+                &g,
+                &PlacementConfig::default(),
+                trials,
+                &mut rng,
+                &Executor::single_threaded(),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("cannot host tomography"), "{err}");
+        }
     }
 
     #[test]

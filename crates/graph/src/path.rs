@@ -77,6 +77,24 @@ impl Path {
         })
     }
 
+    /// A path from a search's node sequence, which is simple and walks
+    /// the graph's links by construction, so [`Path::from_nodes`]'
+    /// checks are skipped.
+    pub(crate) fn from_search(graph: &Graph, nodes: &[NodeId]) -> Self {
+        let links = nodes
+            .windows(2)
+            .map(|w| {
+                graph
+                    .link_between(w[0], w[1])
+                    .expect("consecutive search nodes are adjacent")
+            })
+            .collect();
+        Path {
+            nodes: nodes.to_vec(),
+            links,
+        }
+    }
+
     /// Node sequence, source first.
     #[must_use]
     pub fn nodes(&self) -> &[NodeId] {

@@ -45,7 +45,7 @@ proptest! {
 
         let mut all = enumerate::simple_paths(&g, s, t, n, 100_000).unwrap();
         all.sort_by_key(tomo_graph::Path::num_links);
-        let yen = shortest::yen_k_shortest(&g, s, t, k).unwrap();
+        let yen = shortest::yen_k_shortest(&shortest::NeighbourIndex::new(&g), s, t, k).unwrap();
 
         // Yen returns min(k, total) paths.
         prop_assert_eq!(yen.len(), k.min(all.len()));
@@ -80,8 +80,10 @@ fn yen_complete_graph_regression() {
     }
     let all = enumerate::simple_paths(&g, ids[0], ids[4], 10, 1000).unwrap();
     assert_eq!(all.len(), 16);
-    let yen = shortest::yen_k_shortest(&g, ids[0], ids[4], 16).unwrap();
+    let yen =
+        shortest::yen_k_shortest(&shortest::NeighbourIndex::new(&g), ids[0], ids[4], 16).unwrap();
     assert_eq!(yen.len(), 16);
-    let yen_more = shortest::yen_k_shortest(&g, ids[0], ids[4], 40).unwrap();
+    let yen_more =
+        shortest::yen_k_shortest(&shortest::NeighbourIndex::new(&g), ids[0], ids[4], 40).unwrap();
     assert_eq!(yen_more.len(), 16, "no phantom paths beyond the total");
 }

@@ -120,53 +120,40 @@ pub fn run(config: &BenchConfig) -> BenchReport {
     )
     .expect("daemon binds ephemeral ports");
 
-    let stop_queries = AtomicBool::new(false);
-    let (acked, ingest_secs, latencies) = std::thread::scope(|scope| {
-        let query_thread = scope.spawn(|| {
-            let mut lat = Vec::new();
-            while !stop_queries.load(Ordering::Acquire) {
-                let start = Instant::now();
-                let _ = server.query();
-                lat.push(start.elapsed().as_secs_f64() * 1e6);
-                std::thread::sleep(Duration::from_micros(500));
+    // Built one chunk at a time, so memory does not grow with `batches`;
+    // the committed 400 are one chunk, built untimed.
+    let chunk = |first: usize| -> Vec<Vec<ProbeRow>> {
+        (first..config.batches.min(first + CHUNK))
+            .map(|b| {
+                (0..num_paths)
+                    .map(|i| {
+                        // Vary values so every batch forces a real apply.
+                        ProbeRow::new(u32::try_from(i).expect("path fits"), y[i] + b as f64 * 1e-9)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let ((acked, ingest_secs), latencies) = while_querying(
+        || {
+            let _ = server.query();
+        },
+        || {
+            let mut client = ProbeClient::new(server.ingest_addr(), 0xBEEF);
+            let mut next = chunk(0);
+            let start = Instant::now();
+            let (mut acked, mut sent) = (0, 0);
+            while !next.is_empty() {
+                sent += next.len();
+                acked += client
+                    .stream(next, None)
+                    .expect("clean stream delivers")
+                    .acked;
+                next = chunk(sent);
             }
-            lat
-        });
-
-        let mut client = ProbeClient::new(server.ingest_addr(), 0xBEEF);
-        // Built one chunk at a time, so memory does not grow with
-        // `batches`; the committed 400 are one chunk, built untimed.
-        let chunk = |first: usize| -> Vec<Vec<ProbeRow>> {
-            (first..config.batches.min(first + CHUNK))
-                .map(|b| {
-                    (0..num_paths)
-                        .map(|i| {
-                            // Vary values so every batch forces a real apply.
-                            ProbeRow::new(
-                                u32::try_from(i).expect("path fits"),
-                                y[i] + b as f64 * 1e-9,
-                            )
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let mut next = chunk(0);
-        let start = Instant::now();
-        let (mut acked, mut sent) = (0, 0);
-        while !next.is_empty() {
-            sent += next.len();
-            acked += client
-                .stream(next, None)
-                .expect("clean stream delivers")
-                .acked;
-            next = chunk(sent);
-        }
-        let ingest_secs = start.elapsed().as_secs_f64();
-        stop_queries.store(true, Ordering::Release);
-        let latencies = query_thread.join().expect("query thread joins");
-        (acked, ingest_secs, latencies)
-    });
+            (acked, start.elapsed().as_secs_f64())
+        },
+    );
 
     drop(server);
 
@@ -188,6 +175,41 @@ pub fn run(config: &BenchConfig) -> BenchReport {
     }
 }
 
+/// Runs `ingest` while a second thread calls `query` every 500 µs, and
+/// returns what `ingest` returns with each query's latency in µs. The
+/// reader stops when `ingest` returns and also when it panics: the flag
+/// is set by a guard that unwinding drops, so the scope can join the
+/// reader and re-raise the panic instead of waiting forever.
+fn while_querying<T>(query: impl Fn() + Sync, ingest: impl FnOnce() -> T) -> (T, Vec<f64>) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut lat = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                let start = Instant::now();
+                query();
+                lat.push(start.elapsed().as_secs_f64() * 1e6);
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            lat
+        });
+        let out = {
+            let _stop = StopOnDrop(&stop);
+            ingest()
+        };
+        (out, reader.join().expect("query thread joins"))
+    })
+}
+
+/// Sets its flag when dropped, on a return or an unwind alike.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,5 +226,24 @@ mod tests {
         assert!(report.query_p99_us >= report.query_p50_us);
         let json = report.to_json();
         assert!(json.contains("\"slo_met\": true"), "json: {json}");
+    }
+
+    #[test]
+    fn a_panicking_ingest_stops_the_reader_and_returns() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A thread of its own, so a hang fails the test after 10 s
+        // instead of stalling it.
+        let caller = std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(|| {
+                while_querying(|| {}, || -> u64 { panic!("ingest failed") })
+            });
+            let _ = tx.send(caught.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(true),
+            "the panic must reach the caller within 10 s"
+        );
+        caller.join().expect("the caller ends once it has reported");
     }
 }

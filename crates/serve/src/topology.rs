@@ -102,7 +102,7 @@ pub fn load_system(
         &graph,
         extra_paths,
         &mut ChaCha8Rng::seed_from_u64(paths_seed),
-    )?);
+    ));
     Ok(TomographySystem::new(graph, monitors, paths)?)
 }
 

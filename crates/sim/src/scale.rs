@@ -428,7 +428,7 @@ pub fn run(seed: u64, config: &ScaleConfig) -> Result<ScaleResult, SimError> {
             None => config.extra_paths,
             Some(e) => CHAIN_CHURN.min(e.paths.len()),
         };
-        let fresh = sample_extra_paths(&graph, fresh_count, &mut rng)?;
+        let fresh = sample_extra_paths(&graph, fresh_count, &mut rng);
         let path_enum_seconds = t.elapsed().as_secs_f64();
 
         let extras = match carried.take() {

@@ -19,6 +19,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace (root suites plus every crate's unit tests and proptests)"
 cargo test -q --workspace
 
+echo "==> PROPTEST_SEED=20261020 cargo test -q --release -p tomo-graph (search and Yen proptests on a second case set)"
+# The BFS and Yen proptests check the word-parallel search and the
+# pruned, bounded Yen loop against their references; a second fixed
+# seed runs them on a second set of random graphs on every CI run.
+PROPTEST_SEED=20261020 cargo test -q --release -p tomo-graph
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # Every package and every target: libraries, binaries, tests and
 # examples.
@@ -320,15 +326,16 @@ PY
 echo "==> tomo-sim --serve-metrics smoke (live Prometheus scrape mid-run)"
 # Scrape the run-scoped endpoint while fig7 is still executing: the
 # response must carry Prometheus type families for the live counters.
+# fig7 --quick runs ~0.2 s, less than a Python start, so the poller
+# starts first and the run starts once it is polling.
 SERVE_PORT=9184
-target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
-  --serve-metrics "$SERVE_PORT" >/dev/null 2>&1 &
-SERVE_PID=$!
-python3 - "$SERVE_PORT" <<'PY'
+READY="$WORK/scrape.ready"
+python3 - "$SERVE_PORT" "$READY" <<'PY' &
 import sys, time, urllib.request
-port = sys.argv[1]
+port, ready = sys.argv[1], sys.argv[2]
 url = f"http://127.0.0.1:{port}/metrics"
-for _ in range(50):  # fig7 --quick runs ~2s; poll until families appear
+open(ready, "w").close()
+for _ in range(500):  # every 10 ms for up to 5 s
     try:
         body = urllib.request.urlopen(url, timeout=1).read().decode()
         if "# TYPE tomo_" in body:
@@ -339,9 +346,16 @@ for _ in range(50):  # fig7 --quick runs ~2s; poll until families appear
             sys.exit(0)
     except OSError:
         pass
-    time.sleep(0.1)
+    time.sleep(0.01)
 sys.exit("ci: never scraped Prometheus text from the running simulator")
 PY
+SERVE_PID=$!
+for _ in $(seq 100); do
+  [ -e "$READY" ] && break
+  sleep 0.05
+done
+target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
+  --serve-metrics "$SERVE_PORT" >/dev/null 2>&1
 wait "$SERVE_PID"
 
 echo "==> tomo-serve smoke (daemon + faulted probe + HTTP + shutdown)"
