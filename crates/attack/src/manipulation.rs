@@ -14,6 +14,11 @@
 //! ```
 //!
 //! differing only in which links get which state goal.
+//!
+//! Before an LP is built, each goal link's reachable estimate range is
+//! checked against its goal: a goal the range misses by at least the
+//! margin decides the LP infeasible without a solve (see
+//! [`ManipulationProblem::solve`]).
 
 use std::sync::{Arc, OnceLock};
 
@@ -21,11 +26,14 @@ use tomo_core::TomographySystem;
 use tomo_graph::LinkId;
 use tomo_linalg::{norms, CsrBuilder, CsrMatrix, Vector};
 use tomo_lp::{LpProblem, LpStatus, Objective, Relation, VarId};
+use tomo_obs::LazyCounter;
 
 use crate::attacker::AttackerSet;
 use crate::outcome::{AttackOutcome, AttackSuccess};
 use crate::scenario::AttackScenario;
 use crate::AttackError;
+
+static OUT_OF_REACH: LazyCounter = LazyCounter::new("attack.lp.out_of_reach");
 
 /// The state the attacker wants tomography to report for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +50,23 @@ pub enum LinkGoal {
     /// sanity check, so precision strategies (exclusive framing) use
     /// this variant.
     NormalPlausible,
+}
+
+impl LinkGoal {
+    /// The band `[low, high]` the LP holds this goal's estimate in: the
+    /// goal's thresholds moved `margin` inward (either end may be
+    /// infinite).
+    fn band(self, scenario: &AttackScenario) -> (f64, f64) {
+        let b_l = scenario.thresholds.lower();
+        let b_u = scenario.thresholds.upper();
+        let eps = scenario.margin;
+        match self {
+            LinkGoal::Normal => (f64::NEG_INFINITY, b_l - eps),
+            LinkGoal::Abnormal => (b_u + eps, f64::INFINITY),
+            LinkGoal::Uncertain => (b_l + eps, b_u - eps),
+            LinkGoal::NormalPlausible => (0.0, b_l - eps),
+        }
+    }
 }
 
 /// What every manipulation LP of one coalition on one system for one
@@ -262,6 +287,22 @@ impl<'a> ManipulationProblem<'a> {
     /// affect the optimization — attacker links may share the same state
     /// goal without being victims).
     ///
+    /// No LP is built when some goal link's reachable estimate range
+    /// misses the goal's thresholds themselves, a margin outside the band
+    /// the LP's rows hold the estimate in; the attack is then
+    /// [`AttackOutcome::Infeasible`], and `attack.lp.out_of_reach` counts
+    /// it. Over the box `m ∈ [0, cap]^S` link `j` reaches
+    /// `[x̂₀_j + lo_j·cap, x̂₀_j + hi_j·cap]` (the shift sums of
+    /// [`Self::max_upward_shift`]). For the consistent and plausible
+    /// evader (Theorem 3's undetectable branch) an abnormal or uncertain
+    /// goal's upper end is also capped by every attacker-free measurement
+    /// path `p` through `j`: consistency leaves `p`'s estimate sum at its
+    /// clean value, and plausibility keeps its other links at or above
+    /// `min(x̂₀_l, 0)`, so `x̂_j ≤ x̂₀_j + Σ_{l∈p, l≠j} max(x̂₀_l, 0)`. The
+    /// margin of slack (1 ms in the paper's scenario, ~10⁷ times the LP
+    /// tolerance) keeps every decided LP one the simplex finds infeasible
+    /// too. A non-positive margin skips the check.
+    ///
     /// # Errors
     ///
     /// * [`AttackError::UnknownVictim`] if a goal references a link
@@ -299,7 +340,8 @@ impl<'a> ManipulationProblem<'a> {
     /// The manipulation LP's optimum in `direction`, clamped into
     /// `[0, cap]`, or `None` when no manipulation meets `goals`. With no
     /// attacked path only the zero manipulation exists, and it is
-    /// returned only when every goal already holds at `x̂₀`.
+    /// returned only when every goal already holds at `x̂₀`. A goal out
+    /// of reach gives `None` before any LP is built (see [`Self::solve`]).
     ///
     /// # Errors
     ///
@@ -318,6 +360,10 @@ impl<'a> ManipulationProblem<'a> {
         if attacked.is_empty() {
             let holds = self.goals_hold_at_baseline(goals);
             return Ok(holds.then(|| Vector::zeros(self.system.num_paths())));
+        }
+        if self.some_goal_out_of_reach(goals) {
+            OUT_OF_REACH.inc();
+            return Ok(None);
         }
 
         let mut lp = LpProblem::new(direction);
@@ -367,6 +413,11 @@ impl<'a> ManipulationProblem<'a> {
                     // Clamp LP round-off into the valid range.
                     manipulation[i] = sol.value(v).clamp(0.0, self.scenario.path_cap);
                 }
+                debug_assert!(
+                    self.goal_shortfall(goals, &manipulation) <= eps / 2.0,
+                    "an optimal manipulation misses a goal by {} (margin {eps})",
+                    self.goal_shortfall(goals, &manipulation)
+                );
                 Ok(Some(manipulation))
             }
             LpStatus::Infeasible => Ok(None),
@@ -374,6 +425,82 @@ impl<'a> ManipulationProblem<'a> {
                 unreachable!("capped variables make the damage objective bounded")
             }
         }
+    }
+
+    /// `true` when some goal link's reachable estimate range misses the
+    /// goal's band by at least the margin, so that no manipulation meets
+    /// `goals` (the check [`Self::solve`] describes). The path ceiling is
+    /// computed only for the goals the box leaves open.
+    fn some_goal_out_of_reach(&self, goals: &[(LinkId, LinkGoal)]) -> bool {
+        let eps = self.scenario.margin;
+        if eps.is_nan() || eps <= 0.0 {
+            return false;
+        }
+        let cap = self.scenario.path_cap;
+        let consistent_and_plausible =
+            self.scenario.evade_detection && self.scenario.plausible_evasion;
+        goals.iter().any(|&(link, goal)| {
+            let j = link.index();
+            let base = self.context.baseline_estimate[j];
+            let (lo, hi) = self.context.shift_sums[j];
+            let (band_low, band_high) = goal.band(&self.scenario);
+            if base + lo * cap > band_high + eps || base + hi * cap < band_low - eps {
+                return true;
+            }
+            consistent_and_plausible
+                && matches!(goal, LinkGoal::Abnormal | LinkGoal::Uncertain)
+                && self.path_ceiling(j) < band_low - eps
+        })
+    }
+
+    /// The least upper bound on link `j`'s estimate that the attacker-free
+    /// measurement paths through `j` give a consistent, plausible
+    /// manipulation: `min_p x̂₀_j + Σ_{l∈p, l≠j} max(x̂₀_l, 0)`, which is
+    /// `Σ_{l∈p} x̂₀_l − Σ_{l∈p, l≠j} min(x̂₀_l, 0)`; `+∞` when every path
+    /// through `j` is attacked.
+    ///
+    /// The Eq. (23) rows `(P − I)[S, S]·m = 0` force `(I − P)·m = 0` (see
+    /// [`AttackContext`]), so `R·x̂(m) = R·x̂₀ + m`, and on a path `p`
+    /// without an attacker (`m_p = 0`) the estimates still sum to
+    /// `(R·x̂₀)_p`. Every other link `l` of `p` keeps `x̂(m)_l ≥ 0` (its
+    /// plausibility row, or the box bounds implying it) or, without an
+    /// attacked column, `x̂(m)_l = x̂₀_l`. The clean estimates are summed,
+    /// not `y`, so the bound holds under measurement noise as well.
+    fn path_ceiling(&self, j: usize) -> f64 {
+        let baseline = &self.context.baseline_estimate;
+        let routing = self.system.routing_csr();
+        self.system
+            .paths_through_link(LinkId(j))
+            .iter()
+            .filter(|&&p| !self.attackers.controls_path(p))
+            .map(|&p| {
+                let others = routing.row_indices(p).iter().filter(|&&l| l != j);
+                baseline[j] + others.map(|&l| baseline[l].max(0.0)).sum::<f64>()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The largest amount by which link estimates under `manipulation`
+    /// fall outside their goals' bands, each recomputed from the context's
+    /// goal rows (the LP's own coefficients); `0` when every goal holds.
+    fn goal_shortfall(&self, goals: &[(LinkId, LinkGoal)], manipulation: &Vector) -> f64 {
+        let attacked = self.attackers.attacked_paths();
+        let goal_rows = &self.context.goal_rows;
+        goals
+            .iter()
+            .map(|&(link, goal)| {
+                let j = link.index();
+                let shift: f64 = goal_rows
+                    .row_indices(j)
+                    .iter()
+                    .zip(goal_rows.row_values(j))
+                    .map(|(&c, &a)| a * manipulation[attacked[c]])
+                    .sum();
+                let estimate = self.context.baseline_estimate[j] + shift;
+                let (low, high) = goal.band(&self.scenario);
+                (low - estimate).max(estimate - high).max(0.0)
+            })
+            .fold(0.0, f64::max)
     }
 
     /// Adds link `j`'s estimate-shift row `Σᵢ A[j,i]·mᵢ  relation  rhs`
@@ -470,17 +597,9 @@ impl<'a> ManipulationProblem<'a> {
     /// `true` if the zero manipulation already meets every goal, with
     /// margin, at the clean estimate.
     fn goals_hold_at_baseline(&self, goals: &[(LinkId, LinkGoal)]) -> bool {
-        let b_l = self.scenario.thresholds.lower();
-        let b_u = self.scenario.thresholds.upper();
-        let eps = self.scenario.margin;
         goals.iter().all(|&(l, g)| {
-            let v = self.baseline_estimate()[l.index()];
-            match g {
-                LinkGoal::Normal => v <= b_l - eps,
-                LinkGoal::Abnormal => v >= b_u + eps,
-                LinkGoal::Uncertain => (b_l + eps..=b_u - eps).contains(&v),
-                LinkGoal::NormalPlausible => v >= 0.0 && v <= b_l - eps,
-            }
+            let (low, high) = g.band(&self.scenario);
+            (low..=high).contains(&self.baseline_estimate()[l.index()])
         })
     }
 }
@@ -750,6 +869,28 @@ mod tests {
             !outcome.is_success(),
             "Theorem 3: imperfect cut cannot evade the consistency check"
         );
+    }
+
+    #[test]
+    fn path_ceiling_sums_the_attacker_free_path() {
+        // {B, C} leave one path through links 9 and 10 free (path 17,
+        // M3-D-M2) and sit on every path through link 1 (a perfect cut).
+        let (system, topo, mut x) = setup();
+        let attackers = AttackerSet::new(&system, topo.attackers.clone()).unwrap();
+        let (l1, l9, l10) = (topo.paper_link(1), topo.paper_link(9), topo.paper_link(10));
+        x[l9.index()] = -50.0;
+        x[l10.index()] = 120.0;
+        let prob = ManipulationProblem::new(
+            &system,
+            &attackers,
+            AttackScenario::paper_defaults_stealthy(),
+            &x,
+        )
+        .unwrap();
+        // A negative neighbour adds nothing; a positive one adds itself.
+        assert!((prob.path_ceiling(l10.index()) - 120.0).abs() < 1e-9);
+        assert!((prob.path_ceiling(l9.index()) - 70.0).abs() < 1e-9);
+        assert_eq!(prob.path_ceiling(l1.index()), f64::INFINITY);
     }
 
     #[test]

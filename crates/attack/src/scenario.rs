@@ -22,7 +22,12 @@ pub struct AttackScenario {
     /// plausibility `x̂(m) ⪰ 0`), making the attack invisible to the
     /// Eq. (23) consistency detector. Per Theorem 3 this is achievable
     /// exactly when the attackers perfectly cut the victims; with an
-    /// imperfect cut the stealthy LP is (generically) infeasible.
+    /// imperfect cut the stealthy LP is (generically) infeasible. With
+    /// plausibility on, the theorem's argument is a bound: an
+    /// attacker-free path through a victim keeps its clean estimate sum,
+    /// so it caps the victim's estimate, and a goal above that cap is
+    /// decided without a solve (see
+    /// [`ManipulationProblem::solve`](crate::manipulation::ManipulationProblem::solve)).
     pub evade_detection: bool,
     /// Only meaningful with [`Self::evade_detection`]: when `false`, the
     /// evader drops the plausibility constraint `x̂(m) ⪰ 0` and is willing

@@ -348,8 +348,11 @@ pub fn frame_node(
 /// non-attacker links (those whose estimate the attackers can lift into
 /// the band at all), ordered by decreasing liftability. Prefixes are
 /// nested, so LP feasibility is monotone in the prefix length — a longer
-/// prefix only adds constraints — and the largest feasible prefix is
-/// found by binary search (`O(log |L|)` LP solves).
+/// prefix only adds constraints. The `min_victims` prefix is solved
+/// first, and when it fails that one LP is the verdict; otherwise the
+/// largest feasible prefix above it is found by binary search
+/// (`O(log |L|)` LP solves), and the floor's attack is kept until a
+/// longer prefix succeeds.
 ///
 /// Returns [`AttackOutcome::Infeasible`] if no victim set of size
 /// ≥ `min_victims` works.
@@ -457,30 +460,25 @@ fn obfuscation_inner(
         prob.solve_manipulation(&goals, Objective::Maximize)
     };
 
-    // Fast paths: the full set, then the minimum viable set.
-    let len = candidates.len();
-    if let Some(m) = solve_prefix(len)? {
-        return Ok(prob.outcome_from_manipulation(m, &victims(len)));
-    }
-    if solve_prefix(floor)?.is_none() {
+    // The floor first: when it fails, so does every longer prefix.
+    let Some(m) = solve_prefix(floor)? else {
         return Ok(AttackOutcome::Infeasible);
-    }
-    // Binary search the largest feasible prefix in [floor, len), keeping
-    // only its manipulation; its outcome is the one built.
-    let (mut lo, mut hi) = (floor, len);
-    let mut best = None;
+    };
+    // Binary search the largest feasible prefix in (floor, len], keeping
+    // only the best manipulation so far; its outcome is the one built.
+    let mut best = (m, floor);
+    let (mut lo, mut hi) = (floor + 1, candidates.len() + 1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if let Some(m) = solve_prefix(mid)? {
-            best = Some((m, mid));
+            best = (m, mid);
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    Ok(best.map_or(AttackOutcome::Infeasible, |(m, k)| {
-        prob.outcome_from_manipulation(m, &victims(k))
-    }))
+    let (m, k) = best;
+    Ok(prob.outcome_from_manipulation(m, &victims(k)))
 }
 
 #[cfg(test)]

@@ -3,14 +3,22 @@
 //! `ManipulationProblem` writes Eq. 23's consistency check only on the
 //! attacked coordinates, `(P − I)[S, S]·m = 0`, and leaves out every goal
 //! and plausibility row that the box `[0, cap]^S` satisfies strictly.
+//! Before it builds an LP it checks each goal link's reachable range
+//! (the box, and for the plausible evader the attacker-free path
+//! ceiling) and decides a goal set that misses it without a solve.
 //! This property builds the same LP the long way, with all |P| rows of
 //! `(P − I)[·, S]` and every goal and plausibility row, on random
 //! systems, coalitions and goal sets. It requires the same verdict and
-//! damage, a manipulation that passes the consistency check, and a
-//! standard form holding exactly the rows the box does not imply.
+//! damage, a manipulation that passes the consistency check and keeps
+//! each goal link of the plausible evader under its path ceiling, and a
+//! standard form holding exactly the rows the box does not imply. A goal
+//! set that reaches no simplex must be infeasible in the reference, and
+//! a run must see at least one, so the property cannot go vacuous.
 //!
 //! The row count is read from the process-wide `lp.simplex.rows`
 //! counter around each solve, so this binary must hold this one test.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -149,6 +157,36 @@ fn full_block_lp(
     (lp, kept)
 }
 
+/// The least `Σ_{l∈p} x̂₀_l − Σ_{l∈p, l≠j} min(x̂₀_l, 0)` over the
+/// measurement paths `p` through `link` that no attacker sits on; `+∞`
+/// when there is none.
+fn path_ceiling(
+    system: &TomographySystem,
+    attackers: &AttackerSet,
+    baseline: &Vector,
+    link: LinkId,
+) -> f64 {
+    system
+        .paths()
+        .iter()
+        .enumerate()
+        .filter(|&(i, p)| !attackers.controls_path(i) && p.links().contains(&link))
+        .map(|(_, p)| {
+            let sum: f64 = p.links().iter().map(|l| baseline[l.index()]).sum();
+            let floor: f64 = p
+                .links()
+                .iter()
+                .filter(|&&l| l != link)
+                .map(|l| baseline[l.index()].min(0.0))
+                .sum();
+            sum - floor
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Goal sets decided before the simplex, over the whole property run.
+static DECIDED: AtomicU64 = AtomicU64::new(0);
+
 /// Random goals on one to four random links, over all four kinds.
 fn random_goals(system: &TomographySystem, rng: &mut ChaCha8Rng) -> Vec<(LinkId, LinkGoal)> {
     const KINDS: [LinkGoal; 4] = [
@@ -175,8 +213,11 @@ proptest! {
     /// baseline puts plausibility rows exactly on the box bound `lo = 0`
     /// whenever a link's attacked estimator entries are all
     /// non-negative: such a row is not strictly implied and must stay.
-    #[test]
-    fn attacked_coordinate_lp_matches_full_block(seed in 0u64..400, zero_baseline in 0u8..2) {
+    /// A wide baseline (−100 to 400 ms per link) puts attacker-free path
+    /// sums on both sides of the thresholds and some clean estimates
+    /// below zero, so the path ceiling both decides goals and leaves
+    /// feasible ones to the simplex.
+    fn attacked_coordinate_lp_matches_full_block(seed in 0u64..400, baseline in 0u8..3) {
         let rows = tomo_obs::counter("lp.simplex.rows");
         let system = random_system(seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51ea);
@@ -187,10 +228,13 @@ proptest! {
         let attackers = AttackerSet::new(&system, coalition).unwrap();
         let attacked = attackers.attacked_paths().len();
         prop_assume!(attacked > 0);
-        let x = if zero_baseline == 1 {
-            Vector::zeros(system.num_links())
-        } else {
-            params::default_delay_model().sample(system.num_links(), &mut rng)
+        let x = match baseline {
+            0 => params::default_delay_model().sample(system.num_links(), &mut rng),
+            1 => Vector::zeros(system.num_links()),
+            _ => (0..system.num_links())
+                .map(|_| rng.gen_range(-100.0..400.0))
+                .collect::<Vec<f64>>()
+                .into(),
         };
 
         for scenario in [
@@ -216,12 +260,23 @@ proptest! {
                         Objective::Minimize => prob.solve_minimizing(&goals, &[]),
                     }
                     .unwrap();
-                    // One upper-bound row per attacked path joins the kept rows.
-                    prop_assert_eq!(
-                        rows.get() - before,
-                        (kept + attacked) as u64,
-                        "standard-form rows, seed {} goals {:?}", seed, &goals
-                    );
+                    let built = rows.get() - before;
+                    if built == 0 {
+                        // Decided out of reach: only an infeasible LP may be.
+                        prop_assert_eq!(
+                            want.status(),
+                            LpStatus::Infeasible,
+                            "decided without a solve, seed {} goals {:?}", seed, &goals
+                        );
+                        DECIDED.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // One upper-bound row per attacked path joins the kept rows.
+                        prop_assert_eq!(
+                            built,
+                            (kept + attacked) as u64,
+                            "standard-form rows, seed {} goals {:?}", seed, &goals
+                        );
+                    }
                     match (want.status(), got.success()) {
                         (LpStatus::Optimal, Some(s)) => {
                             prop_assert!(
@@ -240,6 +295,19 @@ proptest! {
                                 residual <= 1e-6,
                                 "seed {} goals {:?}: ‖(I − P)·m‖₁ = {}", seed, &goals, residual
                             );
+                            if scenario.plausible_evasion {
+                                for &(link, _) in &goals {
+                                    let ceiling = path_ceiling(
+                                        &system, &attackers, prob.baseline_estimate(), link,
+                                    );
+                                    prop_assert!(
+                                        s.estimate[link.index()] <= ceiling + 1e-6,
+                                        "seed {} goals {:?}: link {:?} estimate {} over its \
+                                         path ceiling {}",
+                                        seed, &goals, link, s.estimate[link.index()], ceiling
+                                    );
+                                }
+                            }
                         }
                         (LpStatus::Infeasible, None) => {}
                         (status, _) => prop_assert!(
@@ -253,4 +321,15 @@ proptest! {
             }
         }
     }
+}
+
+/// The property, then the count of goal sets it saw decided before the
+/// simplex: a run where none was would check nothing of that path.
+#[test]
+fn attacked_coordinate_lp_matches_full_block_and_decides_some_goal_sets() {
+    attacked_coordinate_lp_matches_full_block();
+    assert!(
+        DECIDED.load(Ordering::Relaxed) > 0,
+        "no goal set was decided without a solve"
+    );
 }

@@ -57,7 +57,7 @@ pub struct TomographySystem {
     projector_columns: Vec<OnceLock<Vector>>,
     /// `Rᵀ` in CSR form: row `j` lists the paths crossing link `j`,
     /// ascending. Built on the first path query
-    /// ([`Self::paths_crossing_links`]).
+    /// ([`Self::paths_through_link`]).
     paths_by_link: OnceLock<CsrMatrix>,
 }
 
@@ -447,18 +447,28 @@ impl TomographySystem {
             .collect()
     }
 
-    /// Paths (row indices, ascending, each once) traversing any of
-    /// `links`: the union of the links' rows of `Rᵀ`, which is built on
-    /// the first path query and kept. Ids beyond `|L|` cross no path.
+    /// Paths (row indices, ascending) traversing `link`: its row of `Rᵀ`,
+    /// which is built on the first path query and kept. An id beyond
+    /// `|L|` crosses no path.
     #[must_use]
-    pub fn paths_crossing_links(&self, links: &[LinkId]) -> Vec<usize> {
+    pub fn paths_through_link(&self, link: LinkId) -> &[usize] {
         let by_link = self
             .paths_by_link
             .get_or_init(|| self.routing_csr.transpose());
+        if link.index() < by_link.rows() {
+            by_link.row_indices(link.index())
+        } else {
+            &[]
+        }
+    }
+
+    /// Paths (row indices, ascending, each once) traversing any of
+    /// `links`: the union of their [`Self::paths_through_link`] rows.
+    #[must_use]
+    pub fn paths_crossing_links(&self, links: &[LinkId]) -> Vec<usize> {
         let mut rows: Vec<usize> = links
             .iter()
-            .filter(|l| l.index() < by_link.rows())
-            .flat_map(|l| by_link.row_indices(l.index()))
+            .flat_map(|&l| self.paths_through_link(l))
             .copied()
             .collect();
         rows.sort_unstable();

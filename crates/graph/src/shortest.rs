@@ -478,11 +478,14 @@ impl Scratch {
                         && nodes[spur_idx..] == *spur
                         && nodes[..spur_idx] == *prefix
                 };
-                if !result.iter().any(|p| is_total(p.nodes()))
-                    && !self
-                        .candidates
-                        .iter()
-                        .any(|c| is_total(&self.arena[c.start..c.start + c.len]))
+                // An accepted path sharing the root has its next node
+                // banned as a first hop, and one not sharing it differs
+                // in the root, so root + spur is never an accepted path.
+                debug_assert!(!result.iter().any(|p| is_total(p.nodes())));
+                if !self
+                    .candidates
+                    .iter()
+                    .any(|c| is_total(&self.arena[c.start..c.start + c.len]))
                 {
                     let start = self.arena.len();
                     self.arena.extend_from_slice(prefix);

@@ -107,14 +107,26 @@ echo "ci: all nine seed-42 artifacts are byte-identical to artifacts/ at 1 and 2
 # keeps its last Eq. 2 solve, keyed by system id and the bits of y; the
 # repeats it answers fall within one trial, which runs on one thread, so
 # the solves and the reuses are pinned at every thread count too (8
-# threads read the same).
+# threads read the same). An attack LP whose goal is out of reach (the
+# box bounds, or the attacker-free path ceiling of a consistent,
+# plausible evader) is decided without a solve and counted in
+# attack.lp.out_of_reach, which is pinned with the solves; the
+# strategies' feasible/infeasible verdicts are pinned with it, so a
+# check that decided a feasible LP would show here.
 python3 - "$WORK" <<'PY'
 import json, sys
 expected = {
-    "all": {"solves": 5323, "pivots": 291693, "iterations": 299971,
-            "optimal": 3197, "infeasible": 2126, "rows": 382025},
-    "gap": {"solves": 81, "pivots": 4522, "iterations": 4554,
-            "optimal": 18, "infeasible": 63, "rows": 5582},
+    "all": {"solves": 4525, "pivots": 269114, "iterations": 276673,
+            "optimal": 3276, "infeasible": 1249, "rows": 333090},
+    "gap": {"solves": 21, "pivots": 1691, "iterations": 1663,
+            "optimal": 18, "infeasible": 3, "rows": 1979},
+}
+expected_out_of_reach = {"all": 770, "gap": 60}
+expected_verdicts = {
+    "all": {"chosen_victim.feasible": 217, "chosen_victim.infeasible": 601,
+            "max_damage.feasible": 134, "max_damage.infeasible": 72,
+            "obfuscation.feasible": 94, "obfuscation.infeasible": 122},
+    "gap": {"chosen_victim.feasible": 18, "chosen_victim.infeasible": 63},
 }
 expected_builds = {"all": 2828, "gap": 834}
 expected_contexts = {"all": 1024, "gap": 63}
@@ -135,6 +147,15 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
     if got != expected[run]:
         sys.exit(f"ci: run {run} at {threads} threads: lp.simplex "
                  f"counters {got} != {expected[run]}")
+    out_of_reach = counters.get("attack.lp.out_of_reach", 0)
+    if out_of_reach != expected_out_of_reach[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: "
+                 f"attack.lp.out_of_reach {out_of_reach} != "
+                 f"{expected_out_of_reach[run]}")
+    verdicts = {k: counters.get(f"attack.{k}", 0) for k in expected_verdicts[run]}
+    if verdicts != expected_verdicts[run]:
+        sys.exit(f"ci: run {run} at {threads} threads: attack verdicts "
+                 f"{verdicts} != {expected_verdicts[run]}")
     builds = counters.get("core.estimator_cache.builds", 0)
     if builds != expected_builds[run]:
         sys.exit(f"ci: run {run} at {threads} threads: "
@@ -166,6 +187,7 @@ for run, threads in (("all", 1), ("gap", 1), ("all", 2), ("gap", 2),
                  f"drifted toward LP_TOL: infeasible min "
                  f"{infeasible['min']}, feasible max {feasible['max']}")
 print("ci: lp.simplex solves/pivots/iterations/optimal/infeasible/rows, "
+      "attack.lp.out_of_reach, the strategy verdicts, "
       "the phase-1 verdict margin, core.estimator_cache.builds, "
       "attack.context.builds, core.estimate solves/reused and "
       "core.placement pairs/candidates/rank_raises match for run all and "

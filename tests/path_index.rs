@@ -1,11 +1,12 @@
 //! Parity of the indexed path queries with the linear scans they
 //! replaced.
 //!
-//! `TomographySystem::paths_crossing_links` answers from rows of `Rᵀ`
-//! and `paths_through_nodes` from the nodes' incident links. Both must
-//! return exactly what a scan over every path returns: the ascending
-//! row indices of the paths crossing (visiting) any queried id, with
-//! duplicates in the query and ids outside the graph changing nothing.
+//! `TomographySystem::paths_through_link` and `paths_crossing_links`
+//! answer from rows of `Rᵀ` and `paths_through_nodes` from the nodes'
+//! incident links. All must return exactly what a scan over every path
+//! returns: the ascending row indices of the paths crossing (visiting)
+//! any queried id, with duplicates in the query and ids outside the
+//! graph changing nothing.
 //! The scans are kept here as the reference.
 
 use rand::{Rng, SeedableRng};
@@ -61,6 +62,7 @@ fn check_queries(name: &str, system: &TomographySystem) {
         let query = [LinkId(j)];
         let want = crossing_scan(system, &query);
         assert_eq!(system.paths_crossing_links(&query), want, "{name} link {j}");
+        assert_eq!(system.paths_through_link(query[0]), want, "{name} link {j}");
     }
     for v in 0..nodes {
         let query = [NodeId(v)];
@@ -99,6 +101,9 @@ fn check_queries(name: &str, system: &TomographySystem) {
         "{name}"
     );
     assert!(system.paths_through_nodes(&past_nodes).is_empty(), "{name}");
+    for link in past_links {
+        assert!(system.paths_through_link(link).is_empty(), "{name}");
+    }
 }
 
 #[test]
